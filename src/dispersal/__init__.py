@@ -32,12 +32,14 @@ from .geometry import (
     cover,
 )
 from .logistic import (
+    JacobianAction,
     PhiField,
     ReactionError,
     g_map,
     in_admissible_set,
     jacobian,
     phi,
+    reaction_matrix,
     residual,
 )
 from .model import (

@@ -177,7 +177,7 @@ class RunContext:
         self.kernel = _build_kernel(self.cfg)
         self.weight = _build_weight(self.cfg)
         self.run = dict(self.cfg.get("run", {}))
-        for key in ("lam", "lambda_max", "trials", "seed", "method", "r"):
+        for key in ("lam", "lambda_max", "seed", "method", "r"):
             val = getattr(args, key, None)
             if val is not None:
                 self.run["lambda" if key == "lam" else key] = val
@@ -638,7 +638,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--lambda", dest="lam", type=float, default=None)
         p.add_argument("--lambda-max", dest="lambda_max", type=float,
                        default=None)
-        p.add_argument("--trials", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--method", default=None)
         p.add_argument("--r", type=float, default=None)

@@ -4,10 +4,17 @@ A branch of positive solutions of A u + Phi_u u = lambda u bifurcates from
 the trivial state at lambda = lambda1, the principal eigenvalue.  The
 tracer seeds itself just off that point with a Galerkin amplitude guess
 (exact for constant-coefficient problems), corrects with damped Newton at
-fixed lambda, then follows the branch with secant predictors and bordered
-Newton correctors until lambda reaches ``lambda_max``, clamping the final
-point exactly onto it.  Step length halves on corrector failure, doubles
-after three fast successes, and stays inside [ds_min, ds_max].
+fixed lambda, then follows the branch with secant predictors and the same
+Newton routine with lambda freed by the arclength constraint, until lambda
+reaches ``lambda_max``, clamping the final point exactly onto it.  Step
+length halves on corrector failure, doubles after three fast successes,
+and stays inside [ds_min, ds_max].
+
+Newton is Jacobian-free (Knoll & Keyes, JCP 193, 2004): each step solves
+J y = -r by GMRES on `JacobianAction`, preconditioned by
+diag(Phi_u - lambda)^-1, and the reaction matrix Q diag(w) is built once
+per solve.  The arclength border is eliminated with a second Krylov solve
+J y2 = u (Keller's block elimination), so no bordered matrix is formed.
 
 Accepted points carry diagnostics: the admissibility value
 gamma ||Phi_u||_inf (always < 1 on true solutions), the covering-based
@@ -19,12 +26,19 @@ and residual norms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator, gmres
 
 from .geometry import QuadratureGrid, cover
-from .logistic import ReactionError, jacobian, phi, residual
+from .logistic import (
+    JacobianAction,
+    ReactionError,
+    phi,
+    reaction_matrix,
+    residual,
+)
 from .model import WeightSpec, check_weight_floor, oscillation
 from .operator import DiscreteOperator, PrincipalEigenpair
 
@@ -115,9 +129,9 @@ class Branch:
         return tuple(kept)
 
 
-def _branch_point(op, weight, lam, u, iters, sigma, m) -> BranchPoint:
+def _branch_point(op, weight, qw, lam, u, iters, sigma, m) -> BranchPoint:
     grid = op.grid
-    fld = phi(weight, grid, u)
+    fld = phi(weight, grid, u, qw=qw)
     res_norm = float(np.abs(op.a @ u + fld.values * u - lam * u).max())
     p_norm = grid.lp_norm(u, weight.p)
     if sigma is not None and sigma > 0 and m is not None and lam > 0:
@@ -137,28 +151,73 @@ def _branch_point(op, weight, lam, u, iters, sigma, m) -> BranchPoint:
     )
 
 
-def _newton_fixed(op, weight, lam, u0, cfg):
-    """Damped Newton at fixed lambda.  Returns (u, iters, converged).
+def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
+    """GMRES on J x = rhs, preconditioned by diag(Phi_u - lambda)^-1.
 
-    For p < 1 every iterate must stay strictly positive; the line search
-    halves the step until it does and raises PositivityLost if it cannot.
+    At most min(n, 50) iterations and no restart: at a singular J (the
+    trivial state at lambda = lambda1) GMRES cannot converge, and its
+    iterate then goes to the line search instead of failing the step.
     """
-    enforce_positive = weight.p < 1
+    prec = LinearOperator(
+        jac.shape, matvec=lambda v: v / jac.shift, dtype=float
+    )
+    x, _ = gmres(
+        jac, rhs, rtol=1e-12, restart=min(rhs.size, 50), maxiter=1, M=prec
+    )
+    return x
+
+
+def _newton(op, weight, qw, lam, u0, cfg, border=None):
+    """Damped Newton with a backtracking line search on the sup residual.
+
+    Without ``border`` lambda is pinned.  With ``border = (t_u, t_lam,
+    u_prev, lam_prev, ds)`` lambda is unknown too, tied down by the secant
+    arclength constraint <t_u, u - u_prev>_w + t_lam (lam - lam_prev) = ds.
+    The bordered step solves J y1 = -r and J y2 = u, then
+    dlam = (-cons - c.y1) / (c.y2 + t_lam) with c = w t_u, and
+    du = y1 + dlam y2.  For p < 1 every iterate must stay strictly
+    positive; the line search halves the step until it does and raises
+    PositivityLost if it cannot.  Returns (u, lam, iters, converged).
+    """
+    grid = op.grid
     u = np.asarray(u0, dtype=float).copy()
-    r = residual(op, weight, lam, u)
-    rn = float(np.abs(r).max())
+    if border is not None:
+        t_u, t_lam, u_prev, lam_prev, ds = border
+        c = grid.weights * t_u
+
+    def merit(u_, lam_):
+        r_ = residual(op, weight, lam_, u_, qw=qw)
+        cons_ = 0.0
+        if border is not None:
+            cons_ = (
+                grid.inner(t_u, u_ - u_prev) + t_lam * (lam_ - lam_prev) - ds
+            )
+        return r_, cons_, max(float(np.abs(r_).max()), abs(cons_))
+
+    def small(fn_, u_):
+        return fn_ <= cfg.newton_tol * max(1.0, float(np.abs(u_).max()))
+
+    r, cons, fn = merit(u, lam)
     for it in range(cfg.newton_max_iters):
-        if rn <= cfg.newton_tol * max(1.0, float(np.abs(u).max())):
-            return u, it, True
+        if small(fn, u):
+            return u, lam, it, True
         try:
-            jac = jacobian(op, weight, lam, u)
-            du = np.linalg.solve(jac, -r)
-        except (np.linalg.LinAlgError, ReactionError):
-            return u, it, False
+            jac = JacobianAction(op, weight, lam, u, qw=qw)
+        except ReactionError:
+            return u, lam, it, False
+        du = _krylov(jac, -r)
+        dlam = 0.0
+        if border is not None:
+            y2 = _krylov(jac, u)
+            dlam = float((-cons - c @ du) / (c @ y2 + t_lam))
+            du = du + dlam * y2
+        if not (math.isfinite(dlam) and np.isfinite(du).all()):
+            return u, lam, it, False
         alpha = 1.0
         while True:
-            trial = u + alpha * du
-            if enforce_positive and trial.min() <= 1e-10:
+            u_t = u + alpha * du
+            lam_t = lam if border is None else lam + alpha * dlam
+            if weight.p < 1 and u_t.min() <= 1e-10:
                 alpha *= 0.5
                 if alpha < 1e-8:
                     raise PositivityLost(
@@ -166,16 +225,14 @@ def _newton_fixed(op, weight, lam, u0, cfg):
                         "(p < 1 branch)"
                     )
                 continue
-            rt = residual(op, weight, lam, trial)
-            rtn = float(np.abs(rt).max())
-            if rtn <= (1.0 - 1e-4 * alpha) * rn or rtn <= cfg.newton_tol:
+            r_t, cons_t, fn_t = merit(u_t, lam_t)
+            if fn_t <= (1.0 - 1e-4 * alpha) * fn or fn_t <= cfg.newton_tol:
                 break
             alpha *= 0.5
             if alpha < 1e-8:
-                return u, it, False
-        u, r, rn = trial, rt, rtn
-    converged = rn <= cfg.newton_tol * max(1.0, float(np.abs(u).max()))
-    return u, cfg.newton_max_iters, converged
+                return u, lam, it, False
+        u, lam, r, cons, fn = u_t, lam_t, r_t, cons_t, fn_t
+    return u, lam, cfg.newton_max_iters, small(fn, u)
 
 
 def newton_correct(
@@ -186,20 +243,25 @@ def newton_correct(
     cfg: ContinuationConfig,
     sigma: float | None = None,
     m: int | None = None,
+    *,
+    qw: np.ndarray | None = None,
 ) -> BranchPoint:
     """Correct u0 to a solution at fixed lambda.
 
     Converging onto the trivial solution is a legitimate outcome (it is
     how nonexistence below the principal eigenvalue shows up); callers
-    decide what to do with a vanishing sup norm.
+    decide what to do with a vanishing sup norm.  ``qw`` is the reaction
+    matrix of `reaction_matrix`, built here when not given.
     """
-    u, iters, converged = _newton_fixed(op, weight, lam, u0, cfg)
+    if qw is None:
+        qw = reaction_matrix(weight, op.grid)
+    u, _, iters, converged = _newton(op, weight, qw, lam, u0, cfg)
     if not converged:
         raise StepFailure(
             f"Newton did not converge in {cfg.newton_max_iters} iterations "
             f"at lambda={lam}"
         )
-    return _branch_point(op, weight, lam, u, iters, sigma, m)
+    return _branch_point(op, weight, qw, lam, u, iters, sigma, m)
 
 
 def seed_branch(
@@ -224,69 +286,12 @@ def seed_branch(
     return float(lam), u
 
 
-def _corrector(op, weight, lam0, u0, t_u, t_lam, u_prev, lam_prev, ds, cfg):
-    """Bordered Newton on (u, lambda) with the secant arclength constraint."""
-    enforce_positive = weight.p < 1
-    grid = op.grid
-    n = grid.n
-    u = u0.copy()
-    lam = lam0
-
-    def full_residual(u_, lam_):
-        r = residual(op, weight, lam_, u_)
-        cons = (
-            grid.inner(t_u, u_ - u_prev) + t_lam * (lam_ - lam_prev) - ds
-        )
-        return r, cons
-
-    r, cons = full_residual(u, lam)
-    fn = max(float(np.abs(r).max()), abs(cons))
-    for it in range(cfg.newton_max_iters):
-        if fn <= cfg.newton_tol * max(1.0, float(np.abs(u).max())):
-            return u, lam, it, True
-        try:
-            jac = jacobian(op, weight, lam, u)
-        except ReactionError:
-            return u, lam, it, False
-        bordered = np.empty((n + 1, n + 1))
-        bordered[:n, :n] = jac
-        bordered[:n, n] = -u
-        bordered[n, :n] = grid.weights * t_u
-        bordered[n, n] = t_lam
-        rhs = np.empty(n + 1)
-        rhs[:n] = -r
-        rhs[n] = -cons
-        try:
-            dv = np.linalg.solve(bordered, rhs)
-        except np.linalg.LinAlgError:
-            return u, lam, it, False
-        alpha = 1.0
-        while True:
-            u_t = u + alpha * dv[:n]
-            lam_t = lam + alpha * dv[n]
-            if enforce_positive and u_t.min() <= 1e-10:
-                alpha *= 0.5
-                if alpha < 1e-8:
-                    return u, lam, it, False
-                continue
-            rt, cons_t = full_residual(u_t, lam_t)
-            ftn = max(float(np.abs(rt).max()), abs(cons_t))
-            if ftn <= (1.0 - 1e-4 * alpha) * fn or ftn <= cfg.newton_tol:
-                break
-            alpha *= 0.5
-            if alpha < 1e-8:
-                return u, lam, it, False
-        u, lam, r, cons, fn = u_t, lam_t, rt, cons_t, ftn
-    ok = fn <= cfg.newton_tol * max(1.0, float(np.abs(u).max()))
-    return u, lam, cfg.newton_max_iters, ok
-
-
-def _bootstrap_first_point(op, weight, eigen, cfg, sigma, m):
+def _bootstrap_first_point(op, weight, qw, eigen, cfg, sigma, m):
     s = cfg.s0
     for _ in range(6):
         lam_g, u_g = seed_branch(eigen, weight, op.grid, s)
         try:
-            pt = newton_correct(op, weight, lam_g, u_g, cfg, sigma, m)
+            pt = newton_correct(op, weight, lam_g, u_g, cfg, sigma, m, qw=qw)
         except ContinuationError:
             s *= 2.0
             continue
@@ -320,7 +325,8 @@ def trace_branch(
     else:
         sigma, m = None, None
 
-    first = _bootstrap_first_point(op, weight, eigen, cfg, sigma, m)
+    qw = reaction_matrix(weight, grid)
+    first = _bootstrap_first_point(op, weight, qw, eigen, cfg, sigma, m)
     points = [first]
     folds: list[int] = []
 
@@ -344,7 +350,7 @@ def trace_branch(
             u0 = cur.u + t_u * (cfg.lambda_max - cur.lam) / t_lam
             try:
                 pt = newton_correct(
-                    op, weight, cfg.lambda_max, u0, cfg, sigma, m
+                    op, weight, cfg.lambda_max, u0, cfg, sigma, m, qw=qw
                 )
                 ok = pt.min_u > 0
             except ContinuationError:
@@ -352,14 +358,19 @@ def trace_branch(
         else:
             u_pred = cur.u + ds * t_u
             lam_pred = cur.lam + ds * t_lam
-            u_new, lam_new, iters, ok = _corrector(
-                op, weight, lam_pred, u_pred, t_u, t_lam, cur.u, cur.lam,
-                ds, cfg,
-            )
+            border = (t_u, t_lam, cur.u, cur.lam, ds)
+            try:
+                u_new, lam_new, iters, ok = _newton(
+                    op, weight, qw, lam_pred, u_pred, cfg, border
+                )
+            except PositivityLost:
+                ok = False
             if ok and (u_new.min() <= 0 or np.abs(u_new).max() <= 1e-10):
                 ok = False
             if ok:
-                pt = _branch_point(op, weight, lam_new, u_new, iters, sigma, m)
+                pt = _branch_point(
+                    op, weight, qw, lam_new, u_new, iters, sigma, m
+                )
         if not ok:
             ds *= 0.5
             fast = 0
@@ -419,11 +430,16 @@ def solve_at_lambda(
     lambda1 the Newton result (normally trivial) is returned as is.
     """
     grid = op.grid
+    qw = reaction_matrix(weight, grid)
     if u0 is not None:
-        return newton_correct(op, weight, lam, np.asarray(u0, float), cfg)
+        return newton_correct(
+            op, weight, lam, np.asarray(u0, float), cfg, qw=qw
+        )
     if lam <= eigen.lambda1:
-        return newton_correct(op, weight, lam, cfg.s0 * eigen.phi1, cfg)
-    fld = phi(weight, grid, eigen.phi1)
+        return newton_correct(
+            op, weight, lam, cfg.s0 * eigen.phi1, cfg, qw=qw
+        )
+    fld = phi(weight, grid, eigen.phi1, qw=qw)
     kappa = grid.inner(fld.values * eigen.phi1, eigen.phi1) / grid.inner(
         eigen.phi1, eigen.phi1
     )
@@ -433,7 +449,7 @@ def solve_at_lambda(
         )
     amp = ((lam - eigen.lambda1) / kappa) ** (1.0 / weight.p)
     try:
-        pt = newton_correct(op, weight, lam, amp * eigen.phi1, cfg)
+        pt = newton_correct(op, weight, lam, amp * eigen.phi1, cfg, qw=qw)
         if pt.sup_norm >= 0.05 * amp and pt.min_u > 0:
             return pt
     except ContinuationError:

@@ -13,7 +13,11 @@ equivalent to the fixed-point form u = gamma A u + G(gamma, u) with
     G(gamma, u) = gamma^2 Phi_u (A u) / (1 - gamma Phi_u),
 
 defined on the admissible set gamma ||Phi_u||_inf < 1.  All functions are
-pure; they recompute the weight matrix on each call.
+pure.  The reaction integral is the matrix QW = Q diag(w) from
+`reaction_matrix`; a solver builds it once and passes it as ``qw``, and a
+call without it builds its own.  `jacobian` materializes the n x n
+derivative as a certificate; `JacobianAction` applies the same derivative
+without forming it, which is what the Newton-Krylov solver uses.
 """
 
 from __future__ import annotations
@@ -21,18 +25,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.sparse.linalg import LinearOperator
 
 from .geometry import QuadratureGrid
 from .model import WeightSpec, weight_matrix
 from .operator import DiscreteOperator
 
 __all__ = [
+    "JacobianAction",
     "PhiField",
     "ReactionError",
     "g_map",
     "in_admissible_set",
     "jacobian",
     "phi",
+    "reaction_matrix",
     "residual",
 ]
 
@@ -50,19 +57,51 @@ class PhiField:
     p: float
 
 
-def phi(weight: WeightSpec, grid: QuadratureGrid, u: np.ndarray) -> PhiField:
+def reaction_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
+    """QW = Q diag(w), so that Phi_u = QW |u|^p.  Read-only."""
+    qw = weight_matrix(weight, grid)
+    qw *= grid.weights[None, :]
+    qw.setflags(write=False)
+    return qw
+
+
+def phi(
+    weight: WeightSpec,
+    grid: QuadratureGrid,
+    u: np.ndarray,
+    *,
+    qw: np.ndarray | None = None,
+) -> PhiField:
     u = np.asarray(u, dtype=float)
-    q = weight_matrix(weight, grid)
-    values = (q * grid.weights[None, :]) @ np.abs(u) ** weight.p
+    if qw is None:
+        qw = reaction_matrix(weight, grid)
+    values = qw @ np.abs(u) ** weight.p
     return PhiField(values=values, sup_norm=float(values.max()), p=weight.p)
 
 
 def residual(
-    op: DiscreteOperator, weight: WeightSpec, lam: float, u: np.ndarray
+    op: DiscreteOperator,
+    weight: WeightSpec,
+    lam: float,
+    u: np.ndarray,
+    *,
+    qw: np.ndarray | None = None,
 ) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    field = phi(weight, op.grid, u)
+    field = phi(weight, op.grid, u, qw=qw)
     return op.a @ u + field.values * u - lam * u
+
+
+def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
+    """p |u|^(p-1) sgn(u), the derivative of |u|^p."""
+    if p < 1 and np.abs(u).min() <= 1e-10:
+        raise ReactionError(
+            "jacobian with p < 1 needs min |u| > 1e-10; "
+            "stay on the positive branch"
+        )
+    if p == 1:
+        return np.sign(u)
+    return p * np.abs(u) ** (p - 1) * np.sign(u)
 
 
 def jacobian(
@@ -75,22 +114,44 @@ def jacobian(
     singular at zero, so states must stay bounded away from zero there.
     """
     u = np.asarray(u, dtype=float)
-    p = weight.p
-    if p < 1 and np.abs(u).min() <= 1e-10:
-        raise ReactionError(
-            "jacobian with p < 1 needs min |u| > 1e-10; "
-            "stay on the positive branch"
+    slope = _reaction_slope(weight.p, u)
+    qw = reaction_matrix(weight, op.grid)
+    field = qw @ np.abs(u) ** weight.p
+    return op.a + np.diag(field - lam) + u[:, None] * qw * slope[None, :]
+
+
+class JacobianAction(LinearOperator):
+    """``jacobian(op, weight, lam, u)`` applied without forming it.
+
+    v -> A v + (Phi_u - lam) v + u * (QW (p |u|^(p-1) sgn(u) v)), two
+    n x n matvecs per product.  ``shift`` is the diagonal Phi_u - lam of
+    the local part.  Raises ReactionError where `jacobian` does.
+    """
+
+    def __init__(
+        self,
+        op: DiscreteOperator,
+        weight: WeightSpec,
+        lam: float,
+        u: np.ndarray,
+        *,
+        qw: np.ndarray | None = None,
+    ):
+        u = np.asarray(u, dtype=float)
+        self._slope = _reaction_slope(weight.p, u)
+        if qw is None:
+            qw = reaction_matrix(weight, op.grid)
+        self._a, self._qw, self._u = op.a, qw, u
+        self.shift = qw @ np.abs(u) ** weight.p - lam
+        super().__init__(np.dtype(float), (op.n, op.n))
+
+    def _matvec(self, v):
+        v = np.ravel(v)
+        return (
+            self._a @ v
+            + self.shift * v
+            + self._u * (self._qw @ (self._slope * v))
         )
-    grid = op.grid
-    q = weight_matrix(weight, grid)
-    field = (q * grid.weights[None, :]) @ np.abs(u) ** p
-    if p == 1:
-        deriv = np.sign(u)
-    else:
-        deriv = p * np.abs(u) ** (p - 1) * np.sign(u)
-    d = u[:, None] * (q * (deriv * grid.weights)[None, :])
-    n = grid.n
-    return op.a + np.diag(field) - lam * np.eye(n) + d
 
 
 def in_admissible_set(gamma: float, field: PhiField) -> bool:

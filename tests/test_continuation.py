@@ -120,6 +120,24 @@ def test_trace_gaussian_branch_against_spectral_oracle():
         assert np.abs(orc.u - pt.u).max() <= 1e-8
 
 
+def test_trace_gaussian_newton_counts_pinned():
+    """Gaussian kernel, 129 trapezoid nodes, Q = 1, p = 2, lambda_max =
+    2.5: the points and the per-point Newton counts are those of the
+    dense direct-solve corrector that preceded Newton-Krylov, and the
+    clamped last point sits on lambda_max exactly."""
+    grid = unit_grid("trapezoid", 129)
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    eigen = principal_eigenpair(op)
+    branch = trace_branch(
+        op, const_weight(p=2.0), eigen, ContinuationConfig(lambda_max=2.5)
+    )
+    assert branch.termination == "reached_lambda_max"
+    assert [pt.newton_iters for pt in branch.points] == (
+        [0] + [2] * 6 + [3] * 12 + [2] * 9
+    )
+    assert branch.points[-1].lam == 2.5
+
+
 def test_trace_requires_room_above_lambda1(const_op, const_eigen):
     with pytest.raises(ContinuationError):
         trace_branch(

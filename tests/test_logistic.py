@@ -4,13 +4,17 @@ import numpy as np
 import pytest
 
 from dispersal import (
+    JacobianAction,
+    KernelSpec,
     ReactionError,
     WeightSpec,
+    assemble,
     check_weight_floor,
     g_map,
     in_admissible_set,
     jacobian,
     phi,
+    reaction_matrix,
     residual,
 )
 
@@ -91,8 +95,6 @@ def test_jacobian_constant_row_sums(const_op):
 
 def test_jacobian_matches_finite_differences(rng):
     grid = unit_grid("trapezoid", 21)
-    from dispersal import KernelSpec, assemble
-
     op = assemble(KernelSpec.gaussian(1.0), grid)
     lam = 1.8
     for p in (0.5, 1.0, 2.0):
@@ -117,6 +119,48 @@ def test_jacobian_p_below_one_needs_interior_state(const_op):
     u[7] = 0.0
     with pytest.raises(ReactionError):
         jacobian(const_op, const_weight(p=0.5), 2.0, u)
+
+
+def test_jacobian_action_matches_dense(rng):
+    """The matrix-free action is the dense Jacobian applied to v, to
+    relative 1e-12, on the finite-difference gate's grid (gaussian kernel,
+    21 trapezoid nodes, lambda = 1.8) for the dip weight at three
+    exponents and for a tabulated weight."""
+    grid = unit_grid("trapezoid", 21)
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    lam = 1.8
+    table = rng.uniform(0.5, 2.0, (grid.n, grid.n))
+    weights = [dip_weight(p=p) for p in (0.5, 1.0, 2.0)]
+    weights.append(WeightSpec.tabulated(table, p=1.5))
+    for w in weights:
+        qw = reaction_matrix(w, grid)
+        for _ in range(5):
+            u = rng.uniform(0.2, 1.5, grid.n)
+            if w.p >= 1:
+                u *= rng.choice((-1.0, 1.0), grid.n)
+            v = rng.standard_normal(grid.n)
+            dense = jacobian(op, w, lam, u) @ v
+            scale = np.abs(dense).max()
+            for action in (
+                JacobianAction(op, w, lam, u),
+                JacobianAction(op, w, lam, u, qw=qw),
+            ):
+                assert np.abs(action @ v - dense).max() <= 1e-12 * scale
+    u = np.full(grid.n, 0.5)
+    u[7] = 0.0
+    for call in (jacobian, JacobianAction):
+        with pytest.raises(ReactionError):
+            call(op, dip_weight(p=0.5), lam, u)
+
+
+def test_reaction_matrix_reproduces_phi(grid65, rng):
+    w = dip_weight(p=1.5)
+    qw = reaction_matrix(w, grid65)
+    assert not qw.flags.writeable
+    u = rng.standard_normal(grid65.n)
+    np.testing.assert_array_equal(
+        phi(w, grid65, u, qw=qw).values, phi(w, grid65, u).values
+    )
 
 
 def test_admissible_set_threshold():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from dispersal import (
+    Domain,
     KernelSpec,
     OperatorError,
     assemble,
+    build_grid,
     collatz_wielandt_sup,
     principal_eigenpair,
     rayleigh,
@@ -103,6 +105,36 @@ def test_eigenpair_invariants():
         assert abs(eig.phi1.max() - 1.0) < 1e-14
         r = op.apply(eig.phi1) - eig.lambda1 * eig.phi1
         assert np.abs(r).max() <= 1e-10 * eig.lambda1
+
+
+def test_eigenpair_matches_dense_and_repeats_bitwise():
+    """On three nodes and on rank-deficient kernels the top two eigenvalues
+    agree with a dense solve, and a repeated call returns the same bits."""
+    for kernel, res in (
+        (KernelSpec.gaussian(1.0), 3),
+        (KernelSpec.constant(1.0), 65),
+        (KernelSpec.rank_one((1.0, 0.5)), 65),
+    ):
+        op = assemble(kernel, unit_grid("trapezoid", res))
+        eig = principal_eigenpair(op)
+        top = np.linalg.eigvalsh(op.s)[-2:]
+        assert abs(eig.lambda1 - top[1]) <= 1e-13
+        assert abs(eig.gap - (top[1] - top[0])) <= 1e-13
+        again = principal_eigenpair(op)
+        assert again.lambda1 == eig.lambda1 and again.gap == eig.gap
+        np.testing.assert_array_equal(again.phi1, eig.phi1)
+
+
+def test_eigenpair_on_2d_grid_of_46_squared():
+    """Grids past n = 2048 get a pair that passes the 1e-10 lambda1
+    residual gate: here 46 x 46 nodes, n = 2116."""
+    grid = build_grid(Domain((0.0, 0.0), (1.0, 1.0)), "trapezoid", 46)
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    eig = principal_eigenpair(op)
+    assert grid.n == 2116
+    assert eig.residual <= 1e-10 * eig.lambda1
+    assert eig.gap > 0
+    assert eig.phi1.min() > 0
 
 
 def test_symmetrized_form_is_similar():

@@ -115,6 +115,18 @@ def test_limit_procedure_constant_weight_clean():
         limit_procedure(op, const_weight(), 2.5, (4, 8), cfg, x0_index=64)
 
 
+def test_limit_family_newton_counts_pinned():
+    """Criterion 8's family (dip weight, constant kernel, 129 trapezoid
+    nodes, lambda = 2, n = 4..64): one Newton count per n, those of the
+    dense direct-solve corrector that preceded Newton-Krylov."""
+    for method in ("richardson", "fields"):
+        run = limit_procedure(
+            _op129(), dip_weight(p=2.0), 2.0, (4, 8, 16, 32, 64),
+            ContinuationConfig(lambda_max=3.0), method=method, strict=False,
+        )
+        assert [pt.newton_iters for pt in run.solutions] == [6, 8, 8, 5, 4]
+
+
 def test_limit_procedure_theta_and_bookkeeping():
     op = _op129()
     cfg = ContinuationConfig(lambda_max=3.0)
