@@ -129,10 +129,21 @@ class Branch:
         return tuple(kept)
 
 
+def _floor_cover(weight: WeightSpec, grid: QuadratureGrid):
+    """(floor at r = diameter, sigma, covering) of the a-priori L^p bound;
+    sigma and the covering are None without a positive weight floor."""
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    sigma = floor.sigma_global if floor.q2pp else floor.sigma
+    if sigma <= 0:
+        return floor, None, None
+    return floor, sigma, cover(grid.domain, grid, floor.r)
+
+
 def _branch_point(op, weight, qw, lam, u, iters, sigma, m) -> BranchPoint:
     grid = op.grid
-    fld = phi(weight, grid, u, qw=qw)
-    res_norm = float(np.abs(op.a @ u + fld.values * u - lam * u).max())
+    u = np.asarray(u, dtype=float)
+    fld = phi(weight, qw, u)
+    res_norm = float(np.abs(op.apply(u) + fld.values * u - lam * u).max())
     p_norm = grid.lp_norm(u, weight.p)
     if sigma is not None and sigma > 0 and m is not None and lam > 0:
         margin = (m * lam / sigma) ** (1.0 / weight.p) - p_norm
@@ -140,7 +151,7 @@ def _branch_point(op, weight, qw, lam, u, iters, sigma, m) -> BranchPoint:
         margin = math.nan
     return BranchPoint(
         lam=float(lam),
-        u=np.asarray(u, dtype=float).copy(),
+        u=u.copy(),
         sup_norm=float(np.abs(u).max()),
         p_norm=p_norm,
         min_u=float(u.min()),
@@ -186,7 +197,7 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
         c = grid.weights * t_u
 
     def merit(u_, lam_):
-        r_ = residual(op, weight, lam_, u_, qw=qw)
+        r_ = residual(op, weight, qw, lam_, u_)
         cons_ = 0.0
         if border is not None:
             cons_ = (
@@ -202,7 +213,7 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
         if small(fn, u):
             return u, lam, it, True
         try:
-            jac = JacobianAction(op, weight, lam, u, qw=qw)
+            jac = JacobianAction(op, weight, qw, lam, u)
         except ReactionError:
             return u, lam, it, False
         du = _krylov(jac, -r)
@@ -238,23 +249,20 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
 def newton_correct(
     op: DiscreteOperator,
     weight: WeightSpec,
+    qw: np.ndarray,
     lam: float,
     u0: np.ndarray,
     cfg: ContinuationConfig,
     sigma: float | None = None,
     m: int | None = None,
-    *,
-    qw: np.ndarray | None = None,
 ) -> BranchPoint:
     """Correct u0 to a solution at fixed lambda.
 
     Converging onto the trivial solution is a legitimate outcome (it is
     how nonexistence below the principal eigenvalue shows up); callers
-    decide what to do with a vanishing sup norm.  ``qw`` is the reaction
-    matrix of `reaction_matrix`, built here when not given.
+    decide what to do with a vanishing sup norm.  ``qw`` is
+    `reaction_matrix(weight, op.grid)`.
     """
-    if qw is None:
-        qw = reaction_matrix(weight, op.grid)
     u, _, iters, converged = _newton(op, weight, qw, lam, u0, cfg)
     if not converged:
         raise StepFailure(
@@ -267,6 +275,7 @@ def newton_correct(
 def seed_branch(
     eigen: PrincipalEigenpair,
     weight: WeightSpec,
+    qw: np.ndarray,
     grid: QuadratureGrid,
     s0: float,
 ) -> tuple[float, np.ndarray]:
@@ -279,7 +288,7 @@ def seed_branch(
     if s0 <= 0:
         raise ContinuationError("seed amplitude s0 must be positive")
     u = s0 * eigen.phi1
-    fld = phi(weight, grid, u)
+    fld = phi(weight, qw, u)
     lam = eigen.lambda1 + grid.inner(fld.values * u, eigen.phi1) / grid.inner(
         u, eigen.phi1
     )
@@ -289,9 +298,9 @@ def seed_branch(
 def _bootstrap_first_point(op, weight, qw, eigen, cfg, sigma, m):
     s = cfg.s0
     for _ in range(6):
-        lam_g, u_g = seed_branch(eigen, weight, op.grid, s)
+        lam_g, u_g = seed_branch(eigen, weight, qw, op.grid, s)
         try:
-            pt = newton_correct(op, weight, lam_g, u_g, cfg, sigma, m, qw=qw)
+            pt = newton_correct(op, weight, qw, lam_g, u_g, cfg, sigma, m)
         except ContinuationError:
             s *= 2.0
             continue
@@ -308,7 +317,6 @@ def trace_branch(
     weight: WeightSpec,
     eigen: PrincipalEigenpair,
     cfg: ContinuationConfig,
-    floor=None,
 ) -> Branch:
     """Trace the positive branch from (lambda1, 0) up to cfg.lambda_max."""
     grid = op.grid
@@ -316,15 +324,8 @@ def trace_branch(
         raise ContinuationError(
             f"lambda_max={cfg.lambda_max} must exceed lambda1={eigen.lambda1}"
         )
-    if floor is None:
-        floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    sigma = floor.sigma_global if floor.q2pp else floor.sigma
-    r_cov = floor.r
-    if sigma > 0:
-        m = cover(grid.domain, grid, r_cov).m
-    else:
-        sigma, m = None, None
-
+    floor, sigma, covering = _floor_cover(weight, grid)
+    m = covering.m if covering else None
     qw = reaction_matrix(weight, grid)
     first = _bootstrap_first_point(op, weight, qw, eigen, cfg, sigma, m)
     points = [first]
@@ -350,7 +351,7 @@ def trace_branch(
             u0 = cur.u + t_u * (cfg.lambda_max - cur.lam) / t_lam
             try:
                 pt = newton_correct(
-                    op, weight, cfg.lambda_max, u0, cfg, sigma, m, qw=qw
+                    op, weight, qw, cfg.lambda_max, u0, cfg, sigma, m
                 )
                 ok = pt.min_u > 0
             except ContinuationError:
@@ -407,7 +408,7 @@ def trace_branch(
         termination=termination,
         fold_indices=tuple(folds),
         sigma=sigma if sigma is not None else 0.0,
-        r=r_cov,
+        r=floor.r,
         m=m if m is not None else 0,
         p=weight.p,
     )
@@ -420,7 +421,6 @@ def solve_at_lambda(
     lam: float,
     cfg: ContinuationConfig,
     u0: np.ndarray | None = None,
-    floor=None,
 ) -> BranchPoint:
     """Solve at one fixed lambda.
 
@@ -432,14 +432,10 @@ def solve_at_lambda(
     grid = op.grid
     qw = reaction_matrix(weight, grid)
     if u0 is not None:
-        return newton_correct(
-            op, weight, lam, np.asarray(u0, float), cfg, qw=qw
-        )
+        return newton_correct(op, weight, qw, lam, np.asarray(u0, float), cfg)
     if lam <= eigen.lambda1:
-        return newton_correct(
-            op, weight, lam, cfg.s0 * eigen.phi1, cfg, qw=qw
-        )
-    fld = phi(weight, grid, eigen.phi1, qw=qw)
+        return newton_correct(op, weight, qw, lam, cfg.s0 * eigen.phi1, cfg)
+    fld = phi(weight, qw, eigen.phi1)
     kappa = grid.inner(fld.values * eigen.phi1, eigen.phi1) / grid.inner(
         eigen.phi1, eigen.phi1
     )
@@ -449,14 +445,12 @@ def solve_at_lambda(
         )
     amp = ((lam - eigen.lambda1) / kappa) ** (1.0 / weight.p)
     try:
-        pt = newton_correct(op, weight, lam, amp * eigen.phi1, cfg, qw=qw)
+        pt = newton_correct(op, weight, qw, lam, amp * eigen.phi1, cfg)
         if pt.sup_norm >= 0.05 * amp and pt.min_u > 0:
             return pt
     except ContinuationError:
         pass
-    branch = trace_branch(
-        op, weight, eigen, replace(cfg, lambda_max=lam), floor=floor
-    )
+    branch = trace_branch(op, weight, eigen, replace(cfg, lambda_max=lam))
     if branch.termination != "reached_lambda_max":
         raise ContinuationError(
             f"could not continue the branch to lambda={lam} "

@@ -14,10 +14,12 @@ equivalent to the fixed-point form u = gamma A u + G(gamma, u) with
 
 defined on the admissible set gamma ||Phi_u||_inf < 1.  All functions are
 pure.  The reaction integral is the matrix QW = Q diag(w) from
-`reaction_matrix`; a solver builds it once and passes it as ``qw``, and a
-call without it builds its own.  `jacobian` materializes the n x n
-derivative as a certificate; `JacobianAction` applies the same derivative
-without forming it, which is what the Newton-Krylov solver uses.
+`reaction_matrix`, a required argument of every function here that
+evaluates the reaction: each entry point (a solve, a trace, a checker)
+builds it once and passes it down.  The dispersal part goes through `DiscreteOperator.apply`.
+`jacobian` materializes the n x n derivative, A included, as a
+certificate; `JacobianAction` applies the same derivative without
+forming it, which is what the Newton-Krylov solver uses.
 """
 
 from __future__ import annotations
@@ -65,31 +67,21 @@ def reaction_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
     return qw
 
 
-def phi(
-    weight: WeightSpec,
-    grid: QuadratureGrid,
-    u: np.ndarray,
-    *,
-    qw: np.ndarray | None = None,
-) -> PhiField:
-    u = np.asarray(u, dtype=float)
-    if qw is None:
-        qw = reaction_matrix(weight, grid)
-    values = qw @ np.abs(u) ** weight.p
+def phi(weight: WeightSpec, qw: np.ndarray, u: np.ndarray) -> PhiField:
+    """Phi_u = QW |u|^p with QW = reaction_matrix(weight, grid)."""
+    values = qw @ np.abs(np.asarray(u, dtype=float)) ** weight.p
     return PhiField(values=values, sup_norm=float(values.max()), p=weight.p)
 
 
 def residual(
     op: DiscreteOperator,
     weight: WeightSpec,
+    qw: np.ndarray,
     lam: float,
     u: np.ndarray,
-    *,
-    qw: np.ndarray | None = None,
 ) -> np.ndarray:
     u = np.asarray(u, dtype=float)
-    field = phi(weight, op.grid, u, qw=qw)
-    return op.a @ u + field.values * u - lam * u
+    return op.apply(u) + phi(weight, qw, u).values * u - lam * u
 
 
 def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
@@ -105,23 +97,30 @@ def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
 
 
 def jacobian(
-    op: DiscreteOperator, weight: WeightSpec, lam: float, u: np.ndarray
+    op: DiscreteOperator,
+    weight: WeightSpec,
+    qw: np.ndarray,
+    lam: float,
+    u: np.ndarray,
 ) -> np.ndarray:
-    """Derivative of the residual in u.
+    """Derivative of the residual in u, as a dense n x n matrix.
 
-    The reaction contributes diag(Phi_u) plus the rank-structure term
-    D_ij = u_i p Q_ij |u_j|^(p-1) sgn(u_j) w_j.  For p < 1 that factor is
-    singular at zero, so states must stay bounded away from zero there.
+    The dispersal part is A = diag(sqrt w)^-1 S diag(sqrt w), formed only
+    here.  The reaction contributes diag(Phi_u) plus the rank-structure
+    term D_ij = u_i p Q_ij |u_j|^(p-1) sgn(u_j) w_j.  For p < 1 that
+    factor is singular at zero, so states must stay bounded away from zero
+    there.
     """
     u = np.asarray(u, dtype=float)
     slope = _reaction_slope(weight.p, u)
-    qw = reaction_matrix(weight, op.grid)
+    root_w = np.sqrt(op.grid.weights)
+    a = op.s / root_w[:, None] * root_w[None, :]
     field = qw @ np.abs(u) ** weight.p
-    return op.a + np.diag(field - lam) + u[:, None] * qw * slope[None, :]
+    return a + np.diag(field - lam) + u[:, None] * qw * slope[None, :]
 
 
 class JacobianAction(LinearOperator):
-    """``jacobian(op, weight, lam, u)`` applied without forming it.
+    """``jacobian(op, weight, qw, lam, u)`` applied without forming it.
 
     v -> A v + (Phi_u - lam) v + u * (QW (p |u|^(p-1) sgn(u) v)), two
     n x n matvecs per product.  ``shift`` is the diagonal Phi_u - lam of
@@ -132,23 +131,20 @@ class JacobianAction(LinearOperator):
         self,
         op: DiscreteOperator,
         weight: WeightSpec,
+        qw: np.ndarray,
         lam: float,
         u: np.ndarray,
-        *,
-        qw: np.ndarray | None = None,
     ):
         u = np.asarray(u, dtype=float)
         self._slope = _reaction_slope(weight.p, u)
-        if qw is None:
-            qw = reaction_matrix(weight, op.grid)
-        self._a, self._qw, self._u = op.a, qw, u
+        self._op, self._qw, self._u = op, qw, u
         self.shift = qw @ np.abs(u) ** weight.p - lam
         super().__init__(np.dtype(float), (op.n, op.n))
 
     def _matvec(self, v):
         v = np.ravel(v)
         return (
-            self._a @ v
+            self._op.apply(v)
             + self.shift * v
             + self._u * (self._qw @ (self._slope * v))
         )
@@ -160,14 +156,18 @@ def in_admissible_set(gamma: float, field: PhiField) -> bool:
 
 
 def g_map(
-    op: DiscreteOperator, weight: WeightSpec, gamma: float, u: np.ndarray
+    op: DiscreteOperator,
+    weight: WeightSpec,
+    qw: np.ndarray,
+    gamma: float,
+    u: np.ndarray,
 ) -> np.ndarray:
     """G(gamma, u) = gamma^2 Phi_u (A u) / (1 - gamma Phi_u)."""
     u = np.asarray(u, dtype=float)
-    field = phi(weight, op.grid, u)
+    field = phi(weight, qw, u)
     if not in_admissible_set(gamma, field):
         raise ReactionError(
             f"state outside the admissible set: gamma * sup Phi = "
             f"{gamma * field.sup_norm} >= 1"
         )
-    return gamma**2 * field.values * (op.a @ u) / (1.0 - gamma * field.values)
+    return gamma**2 * field.values * op.apply(u) / (1.0 - gamma * field.values)

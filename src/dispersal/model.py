@@ -64,9 +64,12 @@ def _coords_1d(grid: QuadratureGrid, what: str) -> np.ndarray:
     return grid.nodes[:, 0]
 
 
-def _pairwise_dist(grid: QuadratureGrid) -> np.ndarray:
-    x = grid.nodes
-    return np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+def _pairwise_sq_dist(grid: QuadratureGrid) -> np.ndarray:
+    """|x_i - x_j|^2, summed one axis at a time: no (n, n, dim) array."""
+    d2 = np.zeros((grid.n, grid.n))
+    for c in grid.nodes.T:
+        d2 += np.subtract.outer(c, c) ** 2
+    return d2
 
 
 @dataclass(frozen=True, eq=False)
@@ -118,8 +121,9 @@ def kernel_matrix(kernel: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
         f = _polyval(kernel.coeffs, _coords_1d(grid, "rank_one kernel"))
         k = np.outer(f, f)
     elif kernel.form == "gaussian":
-        d = _pairwise_dist(grid)
-        k = np.exp(-((d / kernel.length_scale) ** 2))
+        k = _pairwise_sq_dist(grid)
+        k /= -kernel.length_scale**2
+        np.exp(k, out=k)
     elif kernel.form == "tabulated":
         if kernel.matrix.shape != (n, n):
             raise ModelError(
@@ -254,8 +258,8 @@ def check_k2(
     if delta <= 0:
         raise ModelError("delta must be positive")
     k = kernel_matrix(kernel, grid)
-    near = _pairwise_dist(grid) <= delta
-    return bool(k[near].min() > 0), delta
+    near = _pairwise_sq_dist(grid) <= delta**2
+    return bool(np.min(k, where=near, initial=np.inf) > 0), delta
 
 
 @dataclass(frozen=True, eq=False)
@@ -280,8 +284,8 @@ def check_weight_floor(
     if r <= 0:
         raise ModelError("r must be positive")
     q = weight_matrix(weight, grid)
-    near = _pairwise_dist(grid) <= r
-    sigma = float(q[near].min())
+    near = _pairwise_sq_dist(grid) <= r**2
+    sigma = float(np.min(q, where=near, initial=np.inf))
     sigma_global = float(q.min())
 
     col_max = q.max(axis=0)

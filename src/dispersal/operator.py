@@ -4,6 +4,8 @@ The operator (Lu)(x) = integral of K(x, y) u(y) dy becomes the matrix
 A = K * diag(w) acting on node values.  A is similar to the symmetric
 matrix S = diag(sqrt w) K diag(sqrt w), so its spectrum is real and the
 largest eigenvalue is the maximum of the weighted Rayleigh quotient.
+Only S is stored; `DiscreteOperator.apply` applies A as
+diag(sqrt w)^-1 S diag(sqrt w), so A is never formed.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to
@@ -37,9 +39,8 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Action matrix ``a``, symmetrized form ``s``, and the grid they live on."""
+    """Symmetrized matrix ``s`` of the operator and the grid it lives on."""
 
-    a: np.ndarray
     s: np.ndarray
     grid: QuadratureGrid
     kernel: KernelSpec
@@ -49,17 +50,18 @@ class DiscreteOperator:
         return self.grid.n
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        return self.a @ np.asarray(u, dtype=float)
+        """A u = (S (sqrt(w) u)) / sqrt(w)."""
+        root_w = np.sqrt(self.grid.weights)
+        return (self.s @ (root_w * np.asarray(u, dtype=float))) / root_w
 
 
 def assemble(kernel: KernelSpec, grid: QuadratureGrid) -> DiscreteOperator:
-    k = kernel_matrix(kernel, grid)
-    sqrt_w = np.sqrt(grid.weights)
-    a = k * grid.weights[None, :]
-    s = sqrt_w[:, None] * k * sqrt_w[None, :]
-    a.setflags(write=False)
+    s = kernel_matrix(kernel, grid)
+    root_w = np.sqrt(grid.weights)
+    s *= root_w[:, None]
+    s *= root_w[None, :]
     s.setflags(write=False)
-    return DiscreteOperator(a=a, s=s, grid=grid, kernel=kernel)
+    return DiscreteOperator(s=s, grid=grid, kernel=kernel)
 
 
 @dataclass(frozen=True, eq=False)
@@ -101,7 +103,7 @@ def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
             "violates symmetry or near-diagonal positivity)"
         )
     phi = phi / np.abs(phi).max()
-    residual = float(np.abs(op.a @ phi - lam1 * phi).max())
+    residual = float(np.abs(op.apply(phi) - lam1 * phi).max())
     if residual > 1e-10 * lam1:
         raise OperatorError(
             f"eigen residual {residual} exceeds tolerance for lambda1={lam1}"
@@ -117,7 +119,7 @@ def rayleigh(op: DiscreteOperator, u: np.ndarray) -> float:
     denom = op.grid.inner(u, u)
     if denom <= 0:
         raise OperatorError("rayleigh quotient needs a nonzero state")
-    return op.grid.inner(op.a @ u, u) / denom
+    return op.grid.inner(op.apply(u), u) / denom
 
 
 def collatz_wielandt_sup(op: DiscreteOperator, u: np.ndarray) -> float:
@@ -129,4 +131,4 @@ def collatz_wielandt_sup(op: DiscreteOperator, u: np.ndarray) -> float:
     u = np.asarray(u, dtype=float)
     if u.min() <= 0:
         raise OperatorError("collatz_wielandt_sup needs strictly positive u")
-    return float(((op.a @ u) / u).max())
+    return float((op.apply(u) / u).max())

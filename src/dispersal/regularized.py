@@ -54,7 +54,7 @@ from .continuation import (
     solve_at_lambda,
 )
 from .geometry import QuadratureGrid
-from .logistic import phi
+from .logistic import phi, reaction_matrix
 from .model import (
     WeightSpec,
     build_a_eps,
@@ -129,17 +129,18 @@ def _doubled_weight_obstruction(
 def check_dip_margin(
     point,
     weight_eps: WeightSpec,
-    grid: QuadratureGrid,
+    qw_eps: np.ndarray,
     a_eps: np.ndarray,
     lambda1: float,
 ) -> tuple[bool, float]:
     """Verify lambda - Phi^eps_u(x) >= theta a_eps(x) at every node.
 
-    Returns (holds within -1e-8, min margin).  At x0 the bound reduces to
+    ``qw_eps`` is `reaction_matrix(weight_eps, grid)`.  Returns (holds
+    within -1e-8, min margin).  At x0 the bound reduces to
     lambda - Phi^eps_u(x0) >= 0, which positivity of u already implies.
     """
     theta = theta_margin(lambda1, point.lam)
-    fld = phi(weight_eps, grid, point.u)
+    fld = phi(weight_eps, qw_eps, point.u)
     margin = point.lam - fld.values - theta * np.asarray(a_eps)
     mmin = float(margin.min())
     return mmin >= -1e-8, mmin
@@ -184,7 +185,8 @@ def solve_regularized(
     a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
     weps = build_q_eps(weight, grid, a)
     point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=u0)
-    ok, mmin = check_dip_margin(point, weps, grid, a, eigen.lambda1)
+    qw_eps = reaction_matrix(weps, grid)
+    ok, mmin = check_dip_margin(point, weps, qw_eps, a, eigen.lambda1)
     if not ok and enforce_margin:
         raise RegularizedError(
             f"margin bound violated by {mmin:.3e} at eps={eps}; "
@@ -264,7 +266,7 @@ class RegularizedRun:
     obstruction: str | None   # doubled-weight obstruction, if it applies
 
 
-def _modulus_check(grid, qsup, x0_index, eps_seq, solutions, g_fields, weight):
+def _modulus_check(grid, qsup, x0_index, eps_seq, sols, g_fields, plain, p):
     """Uniform-convergence modulus for g_n = Phi^eps_n at u_n.
 
     Exact decomposition for consecutive pairs (a_n from eps_n, a_m from
@@ -276,20 +278,19 @@ def _modulus_check(grid, qsup, x0_index, eps_seq, solutions, g_fields, weight):
     + 2 ||F_n - F_m||_inf.  The single-term form with only the first
     summand on the right is recorded as a signed diagnostic margin; it
     can dip negative at x0 where a_n = a_m = 0 but F_n != F_m.
-    qsup is ||Q||_inf over the grid.
+    qsup is ||Q||_inf over the grid; plain holds F_n, p is the exponent.
     """
     x0 = grid.nodes[x0_index]
     d = np.linalg.norm(grid.nodes - x0[None, :], axis=1)
     capped = np.minimum(d, 1.0)
     paper_margin = math.inf
-    for i in range(len(solutions) - 1):
+    for i in range(len(sols) - 1):
         en, em = eps_seq[i], eps_seq[i + 1]
-        un, um = solutions[i].u, solutions[i + 1].u
+        un = sols[i].u
         gn, gm = g_fields[i], g_fields[i + 1]
         da = np.abs(capped**en - capped**em)
-        fn = phi(weight, grid, un).values
-        fm = phi(weight, grid, um).values
-        pn = grid.lp_norm(un, weight.p) ** weight.p
+        fn, fm = plain[i], plain[i + 1]
+        pn = grid.lp_norm(un, p) ** p
         lhs = np.abs(gn - gm)
         rhs = da * qsup * pn + 2.0 * float(np.abs(fn - fm).max())
         if (lhs - rhs).max() > 1e-8:
@@ -362,8 +363,10 @@ def limit_procedure(
     del qmat  # only its max is needed below; keep it out of the solves
     if obstruction is not None and strict:
         raise RegularizedError(obstruction)
+    qw = reaction_matrix(weight, grid)
 
     eps_seq, sols, a_fields, g_fields, margins, near = [], [], [], [], [], []
+    plain = []
     near_ok = True
     warm = None
     for n in n_values:
@@ -375,7 +378,8 @@ def limit_procedure(
         eps_seq.append(eps)
         sols.append(rs.point)
         a_fields.append(rs.a_eps)
-        g_fields.append(phi(rs.weight_eps, grid, rs.point.u).values)
+        plain.append(phi(weight, qw, rs.point.u).values)
+        g_fields.append((2.0 - rs.a_eps) * plain[-1])  # Q_eps = (2 - a) Q
         margins.append(rs.margin_min)
         warm = rs.point.u
 
@@ -412,7 +416,7 @@ def limit_procedure(
             break
 
     modulus_ok, paper_margin = _modulus_check(
-        grid, qsup, x0_index, eps_seq, sols, g_fields, weight
+        grid, qsup, x0_index, eps_seq, sols, g_fields, plain, weight.p
     )
     if not modulus_ok and strict:
         raise RegularizedError("modulus bound on the reaction fields broke")
@@ -423,9 +427,8 @@ def limit_procedure(
         u_lim = (n2 * sols[-1].u - n1 * sols[-2].u) / (n2 - n1)
     else:
         disp = [op.apply(pt.u) for pt in sols]
-        reac = [phi(weight, grid, pt.u).values for pt in sols]
         disp_lim = _neville_at_zero(eps_arr, disp)
-        reac_lim = _neville_at_zero(eps_arr, reac)
+        reac_lim = _neville_at_zero(eps_arr, plain)
         denom = lam - reac_lim
         if denom.min() <= 1e-10:
             if strict:
@@ -436,7 +439,7 @@ def limit_procedure(
             denom = np.maximum(denom, 1e-10)
         u_lim = disp_lim / denom
 
-    fld = phi(weight, grid, u_lim)
+    fld = phi(weight, qw, u_lim)
     limit_residual = float(
         np.abs(op.apply(u_lim) + fld.values * u_lim - lam * u_lim).max()
     )

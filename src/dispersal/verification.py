@@ -33,11 +33,13 @@ from scipy.optimize import brentq
 from .continuation import (
     ContinuationConfig,
     ContinuationError,
+    _branch_point,
+    _floor_cover,
     newton_correct,
     window_bounds,
 )
 from .geometry import Covering, QuadratureGrid
-from .logistic import phi
+from .logistic import phi, reaction_matrix
 from .model import WeightSpec, check_weight_floor, oscillation
 from .operator import DiscreteOperator, collatz_wielandt_sup
 
@@ -83,8 +85,8 @@ class OracleResult:
     residual: float
 
 
-def _problem_residual(op, weight, lam, u) -> float:
-    fld = phi(weight, op.grid, u)
+def _problem_residual(op, weight, qw, lam, u) -> float:
+    fld = phi(weight, qw, u)
     return float(np.abs(op.apply(u) + fld.values * u - lam * u).max())
 
 
@@ -111,12 +113,12 @@ def oracle_fixed_point(
     u = np.asarray(u0, dtype=float).copy()
     if u.min() <= 0:
         raise VerificationError("starting state must be positive")
-    grid = op.grid
+    qw = reaction_matrix(weight, op.grid)
     omega = relaxation
     prev = None
     change = math.inf
     for it in range(1, max_iters + 1):
-        c = lam - phi(weight, grid, u).values
+        c = lam - phi(weight, qw, u).values
         if c.min() <= 0:
             if prev is None or omega < 1e-6:
                 return OracleResult(
@@ -124,7 +126,7 @@ def oracle_fixed_point(
                     status="inadmissible",
                     iters=it,
                     final_change=change,
-                    residual=_problem_residual(op, weight, lam, u),
+                    residual=_problem_residual(op, weight, qw, lam, u),
                 )
             u = prev
             omega *= 0.5
@@ -138,14 +140,14 @@ def oracle_fixed_point(
                 status="converged",
                 iters=it,
                 final_change=change,
-                residual=_problem_residual(op, weight, lam, u),
+                residual=_problem_residual(op, weight, qw, lam, u),
             )
     return OracleResult(
         u=u,
         status="not_converged",
         iters=max_iters,
         final_change=change,
-        residual=_problem_residual(op, weight, lam, u),
+        residual=_problem_residual(op, weight, qw, lam, u),
     )
 
 
@@ -192,9 +194,10 @@ def oracle_spectral(
     grid = op.grid
     if lam <= 0:
         raise VerificationError("lambda must be positive")
+    qw = reaction_matrix(weight, grid)
 
     def amplitude(shape: np.ndarray):
-        fhat = phi(weight, grid, shape).values
+        fhat = phi(weight, qw, shape).values
         fsup = float(fhat.max())
         if fsup <= 0:
             raise VerificationError(
@@ -230,7 +233,7 @@ def oracle_spectral(
     u = t * shape
     change = math.inf
     for it in range(1, max_outer + 1):
-        c = lam - phi(weight, grid, u).values
+        c = lam - phi(weight, qw, u).values
         _, shape_new = pencil_eigenvalue(op, c)
         if shape_new.min() <= 0:
             raise VerificationError("pencil eigenvector lost positivity")
@@ -251,14 +254,14 @@ def oracle_spectral(
                 status="converged",
                 iters=it,
                 final_change=change,
-                residual=_problem_residual(op, weight, lam, u),
+                residual=_problem_residual(op, weight, qw, lam, u),
             )
     return OracleResult(
         u=u,
         status="not_converged",
         iters=max_outer,
         final_change=change,
-        residual=_problem_residual(op, weight, lam, u),
+        residual=_problem_residual(op, weight, qw, lam, u),
     )
 
 
@@ -297,10 +300,14 @@ def check_covering_bound(
 
 
 def check_phi_floor(
-    weight: WeightSpec, grid: QuadratureGrid, u: np.ndarray, sigma: float
+    weight: WeightSpec,
+    qw: np.ndarray,
+    grid: QuadratureGrid,
+    u: np.ndarray,
+    sigma: float,
 ) -> BoundReport:
     """min_x Phi_u(x) >= sigma ||u||_p^p under a global weight floor."""
-    fld = phi(weight, grid, u)
+    fld = phi(weight, qw, u)
     floor_val = sigma * grid.lp_norm(u, weight.p) ** weight.p
     margin = float(fld.values.min()) - floor_val
     return BoundReport(
@@ -374,12 +381,13 @@ def check_subcritical_nonexistence(
         cfg = ContinuationConfig(lambda_max=max(2.0 * lam, 4.0))
     rng = np.random.default_rng(seed)
     n = op.grid.n
+    qw = reaction_matrix(weight, op.grid)
     tight = replace(cfg, newton_tol=1e-14, newton_max_iters=60)
     found_sup = 0.0
     for _ in range(trials):
         u0 = rng.uniform(0.05, 1.0, n)
         try:
-            pt = newton_correct(op, weight, lam, u0, cfg)
+            pt = newton_correct(op, weight, qw, lam, u0, cfg)
             if (
                 pt.sup_norm > 1e-6
                 and pt.min_u > 0
@@ -388,7 +396,7 @@ def check_subcritical_nonexistence(
                 # at lambda = lambda1 the trivial root is degenerate and
                 # Newton can stall at a small residual while the iterate
                 # is still above the cut; polish before counting a find
-                pt = newton_correct(op, weight, lam, pt.u, tight)
+                pt = newton_correct(op, weight, qw, lam, pt.u, tight)
                 if pt.sup_norm > 1e-6 and pt.min_u > 0:
                     found_sup = max(found_sup, pt.sup_norm)
         except ContinuationError:
@@ -418,7 +426,9 @@ def check_rate_nonexistence(
 
     The problem is linear in u, so each start collapses in one Newton
     step onto the kernel of L0 - diag(g), generically {0}.  Applicable
-    only when min g > lambda1 strictly.
+    only when min g > lambda1 strictly.  The step is solved in the
+    symmetric frame: diag(sqrt w) commutes with diag(g), so
+    (A - diag(g)) du = -r is (S - diag(g)) (sqrt(w) du) = -sqrt(w) r.
     """
     g = np.asarray(g, dtype=float)
     margin = float(g.min()) - lambda1
@@ -432,7 +442,8 @@ def check_rate_nonexistence(
         )
     rng = np.random.default_rng(seed)
     n = op.grid.n
-    jac = op.a - np.diag(g)
+    root_w = np.sqrt(op.grid.weights)
+    jac = op.s - np.diag(g)
     found_sup = 0.0
     for _ in range(trials):
         u = rng.uniform(0.05, 1.0, n)
@@ -441,7 +452,7 @@ def check_rate_nonexistence(
             if np.abs(r).max() <= 1e-12 * max(1.0, np.abs(u).max()):
                 break
             try:
-                u = u + np.linalg.solve(jac, -r)
+                u = u + np.linalg.solve(jac, -root_w * r) / root_w
             except np.linalg.LinAlgError:
                 u = np.zeros(n)
                 break
@@ -492,95 +503,80 @@ def check_solvability_window(
     )
 
 
+def _worst(name: str, reports: list, **context) -> BoundReport | None:
+    """One report over a branch: the worst margin, and whether all hold."""
+    if not reports:
+        return None
+    worst = min(reports, key=lambda r: r.margin)
+    return BoundReport(
+        name=name,
+        holds=all(r.holds for r in reports),
+        margin=worst.margin,
+        context=worst.context | context | {"points": len(reports)},
+    )
+
+
+def _check_residual(point) -> BoundReport:
+    """|A u + Phi_u u - lambda u|_inf <= 1e-8 max(1, |u|_inf)."""
+    bound = 1e-8 * max(1.0, point.sup_norm)
+    return BoundReport(
+        name="residual",
+        holds=point.residual_norm <= bound,
+        margin=bound - point.residual_norm,
+        context={"lambda": point.lam, "residual": point.residual_norm},
+    )
+
+
 def verify_branch(
     op: DiscreteOperator,
     weight: WeightSpec,
     lambda1: float,
     branch,
 ) -> list[BoundReport]:
-    """Run every applicable checker over all points of a traced branch.
+    """Run every applicable checker over all points of a stored branch.
 
-    Aggregated reports carry the worst margin over the branch; the
-    solvability window is attached once, evaluated at the last point.
+    Only the states (lambda, u) are read.  Each point is rebuilt from them
+    by the tracer's own `_branch_point`, and the weight floor sigma, the
+    radius r and the covering count m come from the weight and the grid
+    as in `trace_branch`; the recorded scalars and the branch metadata are
+    ignored.  Aggregated reports carry the worst margin over the branch;
+    the solvability window is attached once, evaluated at the last point.
     """
     grid = op.grid
-    reports: list[BoundReport] = []
-    pts = branch.points
-
-    adm = min((check_admissibility(pt) for pt in pts), key=lambda r: r.margin)
-    reports.append(
-        BoundReport(
-            name="admissibility",
-            holds=all(check_admissibility(pt).holds for pt in pts),
-            margin=adm.margin,
-            context=adm.context | {"points": len(pts)},
-        )
-    )
-
-    pos = [check_positivity(op, pt.u) for pt in pts]
-    applicable = [r for r in pos if r.applicable]
-    if applicable:
-        worst = min(applicable, key=lambda r: r.margin)
-        reports.append(
-            BoundReport(
-                name="positivity",
-                holds=all(r.holds for r in applicable),
-                margin=worst.margin,
-                context=worst.context | {"points": len(applicable)},
-            )
-        )
-
-    # gate on the state itself, not the recorded scalar: loaded branches
-    # may carry metadata that disagrees with the stored u
-    cw = [check_collatz_wielandt(op, lambda1, pt.u) for pt in pts
-          if float(np.asarray(pt.u).min()) > 0]
-    if cw:
-        worst = min(cw, key=lambda r: r.margin)
-        reports.append(
-            BoundReport(
-                name="collatz_wielandt",
-                holds=all(r.holds for r in cw),
-                margin=worst.margin,
-                context=worst.context | {"points": len(cw)},
-            )
-        )
-
-    if branch.sigma > 0 and branch.m > 0:
-        margins = [pt.lp_bound_margin for pt in pts]
-        worst = float(np.nanmin(margins))
-        reports.append(
-            BoundReport(
-                name="lp_covering_bound",
-                holds=worst >= -1e-8,
-                margin=worst,
-                context={
-                    "sigma": branch.sigma,
-                    "r": branch.r,
-                    "m": branch.m,
-                    "points": len(pts),
-                },
-            )
-        )
-
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    qw = reaction_matrix(weight, grid)
+    floor, sigma, covering = _floor_cover(weight, grid)
+    m = covering.m if covering else None
+    pts = [
+        _branch_point(op, weight, qw, pt.lam, pt.u, pt.newton_iters, sigma, m)
+        for pt in branch.points
+    ]
+    positivity = [check_positivity(op, pt.u) for pt in pts]
+    reports = [
+        _worst("residual", [_check_residual(pt) for pt in pts]),
+        _worst("admissibility", [check_admissibility(pt) for pt in pts]),
+        _worst("positivity", [r for r in positivity if r.applicable]),
+        _worst(
+            "collatz_wielandt",
+            [check_collatz_wielandt(op, lambda1, pt.u)
+             for pt in pts if pt.min_u > 0],
+        ),
+    ]
+    if covering is not None:
+        reports.append(_worst(
+            "lp_covering_bound",
+            [check_covering_bound(pt, covering, sigma, weight.p)
+             for pt in pts],
+            r=floor.r,
+        ))
     if floor.q2pp:
-        floors = [
-            check_phi_floor(weight, grid, pt.u, floor.sigma_global)
-            for pt in pts
-        ]
-        worst = min(floors, key=lambda r: r.margin)
-        reports.append(
-            BoundReport(
-                name="phi_floor",
-                holds=all(r.holds for r in floors),
-                margin=worst.margin,
-                context=worst.context | {"points": len(floors)},
-            )
-        )
-
+        reports.append(_worst(
+            "phi_floor",
+            [check_phi_floor(weight, qw, grid, pt.u, floor.sigma_global)
+             for pt in pts],
+        ))
     reports.append(
         check_solvability_window(
             weight, grid, lambda1, lam=pts[-1].lam if pts else None
         )
     )
-    return reports
+    return [r for r in reports if r is not None]

@@ -5,8 +5,12 @@ assembled constant-kernel operator, and the dipped-weight preset used
 across the continuation and regularization tests.
 """
 
+import tempfile
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from dispersal import (
     Domain,
@@ -14,10 +18,25 @@ from dispersal import (
     WeightSpec,
     assemble,
     build_grid,
+    kernel_matrix,
     principal_eigenpair,
 )
 
 UNIT = Domain((0.0,), (1.0,))
+_HYPOTHESIS_HOME = pytest.StashKey[tempfile.TemporaryDirectory]()
+
+
+def pytest_configure(config):
+    # Hypothesis caches the constants of local modules under its home
+    # directory, ./.hypothesis by default, whatever the database setting;
+    # a temporary home keeps the checkout clean.
+    home = config.stash[_HYPOTHESIS_HOME] = tempfile.TemporaryDirectory()
+    set_hypothesis_home_dir(home.name)
+
+
+def pytest_unconfigure(config):
+    set_hypothesis_home_dir(None)
+    config.stash[_HYPOTHESIS_HOME].cleanup()
 
 
 def unit_grid(rule="trapezoid", resolution=65):
@@ -33,6 +52,22 @@ def dip_weight(p=1.0):
     return WeightSpec.polynomial_dip(
         h=(1.0,), g=(0.0,), points=(0.5,), exponents=(0.4,), level=3.0, p=p
     )
+
+
+def dense_a(kernel, grid):
+    """K diag(w), built without the operator."""
+    return kernel_matrix(kernel, grid) * grid.weights[None, :]
+
+
+def peak_bytes(fn, *args, **kwargs):
+    """Peak traced allocation above the baseline while ``fn`` runs."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

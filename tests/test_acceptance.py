@@ -29,6 +29,7 @@ from dispersal import (
     oracle_spectral,
     oscillation,
     principal_eigenpair,
+    reaction_matrix,
     residual,
     solvability_window,
     solve_at_lambda,
@@ -179,7 +180,7 @@ def test_criterion_04_branch_point_bounds():
     """Every accepted branch point satisfies the admissibility bound
     gamma sup Phi < 1, the covering p-norm bound, and (under a global
     weight floor) min Phi >= sigma ||u||_p^p, all with margin >= -1e-8."""
-    from dispersal import check_phi_floor, check_weight_floor, phi
+    from dispersal import check_phi_floor, check_weight_floor
 
     _warm_up()
     grid = build_grid(UNIT, "trapezoid", 65)
@@ -198,11 +199,12 @@ def test_criterion_04_branch_point_bounds():
         )
         floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
         assert floor.q2pp
+        qw = reaction_matrix(weight, grid)
         for pt in branch.points:
             points += 1
             worst_adm = min(worst_adm, 1.0 - pt.gamma_phi_sup)
             worst_lp = min(worst_lp, pt.lp_bound_margin)
-            rep = check_phi_floor(weight, grid, pt.u, floor.sigma_global)
+            rep = check_phi_floor(weight, qw, grid, pt.u, floor.sigma_global)
             worst_floor = min(worst_floor, rep.margin)
     ok = worst_adm > 0 and worst_lp >= -1e-8 and worst_floor >= -1e-8
     _report(
@@ -261,21 +263,22 @@ def test_criterion_06_jacobian_vs_finite_differences():
     worst = 0.0
     for p in (0.5, 1.0, 2.0):
         weight = _dip(p)
+        qw = reaction_matrix(weight, grid)
         for _ in range(10):
             if p == 0.5:
                 u = rng.uniform(0.2, 1.5, grid.n)
             else:
                 u = rng.standard_normal(grid.n)
                 u += np.where(u >= 0, 0.2, -0.2)  # keep |u| off the kink
-            jac = jacobian(op, weight, lam, u)
+            jac = jacobian(op, weight, qw, lam, u)
             h = 1e-6
             fd = np.empty_like(jac)
             for k in range(grid.n):
                 e = np.zeros(grid.n)
                 e[k] = h
                 fd[:, k] = (
-                    residual(op, weight, lam, u + e)
-                    - residual(op, weight, lam, u - e)
+                    residual(op, weight, qw, lam, u + e)
+                    - residual(op, weight, qw, lam, u - e)
                 ) / (2.0 * h)
             rel = np.abs(jac - fd).max() / max(np.abs(jac).max(), 1.0)
             worst = max(worst, rel)

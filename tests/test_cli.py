@@ -107,6 +107,27 @@ def test_verify_flags_corrupted_states(tmp_path):
     assert main(["verify", cfg, "--output-dir", str(out)]) == 2
 
 
+def test_verify_recomputes_from_states(tmp_path):
+    """Halving the last stored state gives a non-solution while every
+    recorded scalar still looks fine; verify recomputes and exits 2."""
+    cfg = write_config(
+        tmp_path / "c.json",
+        kernel={"form": "gaussian", "length_scale": 1.0},
+        run={"lambda_max": 2.0},
+    )
+    out = tmp_path / "out"
+    assert main(["trace", cfg, "--output-dir", str(out)]) == 0
+    assert main(["verify", cfg, "--output-dir", str(out)]) == 0
+    states = out / "states.csv"
+    lines = states.read_text().splitlines()
+    lines[-1] = ",".join(repr(0.5 * float(v)) for v in lines[-1].split(","))
+    states.write_text("\n".join(lines) + "\n")
+    assert main(["verify", cfg, "--output-dir", str(out)]) == 2
+    reports = json.loads((out / "verify.json").read_text())
+    failing = {r["name"] for r in reports if not r["holds"]}
+    assert "residual" in failing
+
+
 def test_verify_rejects_mismatched_rows(tmp_path):
     cfg = write_config(tmp_path / "c.json", run={"lambda_max": 2.0})
     out = tmp_path / "out"

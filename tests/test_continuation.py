@@ -14,6 +14,7 @@ from dispersal import (
     newton_correct,
     oracle_spectral,
     principal_eigenpair,
+    reaction_matrix,
     seed_branch,
     solvability_window,
     solve_at_lambda,
@@ -25,27 +26,39 @@ from .conftest import const_weight, dip_weight, unit_grid
 
 
 def test_seed_is_exact_for_constant_case(const_eigen, grid65):
-    lam, u = seed_branch(const_eigen, const_weight(p=1.0), grid65, 0.1)
+    w1, w2 = const_weight(p=1.0), const_weight(p=2.0)
+    lam, u = seed_branch(
+        const_eigen, w1, reaction_matrix(w1, grid65), grid65, 0.1
+    )
     assert abs(lam - 1.1) < 1e-12
     np.testing.assert_allclose(u, 0.1)
-    lam2, _ = seed_branch(const_eigen, const_weight(p=2.0), grid65, 0.1)
+    lam2, _ = seed_branch(
+        const_eigen, w2, reaction_matrix(w2, grid65), grid65, 0.1
+    )
     assert abs(lam2 - 1.01) < 1e-12
 
 
 def test_seed_approaches_lambda1(const_eigen, grid65):
-    lam, _ = seed_branch(const_eigen, const_weight(p=1.0), grid65, 1e-8)
+    w = const_weight(p=1.0)
+    lam, _ = seed_branch(
+        const_eigen, w, reaction_matrix(w, grid65), grid65, 1e-8
+    )
     assert abs(lam - const_eigen.lambda1) < 1e-7
 
 
 def test_seed_rejects_nonpositive_amplitude(const_eigen, grid65):
     with pytest.raises(ContinuationError):
-        seed_branch(const_eigen, const_weight(), grid65, 0.0)
+        seed_branch(
+            const_eigen, const_weight(),
+            reaction_matrix(const_weight(), grid65), grid65, 0.0,
+        )
 
 
 def test_newton_finds_constant_solution(const_op):
     cfg = ContinuationConfig()
+    qw = reaction_matrix(const_weight(), const_op.grid)
     pt = newton_correct(
-        const_op, const_weight(), 2.0, np.full(const_op.n, 0.8), cfg
+        const_op, const_weight(), qw, 2.0, np.full(const_op.n, 0.8), cfg
     )
     np.testing.assert_allclose(pt.u, 1.0, atol=1e-12)
     assert pt.newton_iters <= 6
@@ -58,20 +71,21 @@ def test_newton_collapses_below_threshold(const_op):
     Newton halts with a tiny residual while the iterate is still small
     but nonzero; a tighter tolerance drives it further down."""
     cfg = ContinuationConfig()
+    qw = reaction_matrix(const_weight(), const_op.grid)
     pt = newton_correct(
-        const_op, const_weight(), 0.9, np.full(const_op.n, 0.5), cfg
+        const_op, const_weight(), qw, 0.9, np.full(const_op.n, 0.5), cfg
     )
     assert pt.sup_norm < 1e-8
 
     pt = newton_correct(
-        const_op, const_weight(), 1.0, np.full(const_op.n, 0.5), cfg
+        const_op, const_weight(), qw, 1.0, np.full(const_op.n, 0.5), cfg
     )
     assert pt.sup_norm < 1e-4
     assert pt.residual_norm < 1e-10
     import dataclasses
 
     tight = dataclasses.replace(cfg, newton_tol=1e-14, newton_max_iters=60)
-    pt2 = newton_correct(const_op, const_weight(), 1.0, pt.u, tight)
+    pt2 = newton_correct(const_op, const_weight(), qw, 1.0, pt.u, tight)
     assert pt2.sup_norm < 1e-6
 
 

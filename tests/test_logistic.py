@@ -16,79 +16,89 @@ from dispersal import (
     phi,
     reaction_matrix,
     residual,
+    weight_matrix,
 )
 
-from .conftest import const_weight, dip_weight, unit_grid
+from .conftest import const_weight, dense_a, dip_weight, unit_grid
 
 
 def test_phi_constant_cases(grid65):
     u = np.full(grid65.n, 2.0)
-    fld = phi(const_weight(p=1.0), grid65, u)
+    w1, w2 = const_weight(p=1.0), const_weight(p=2.0)
+    fld = phi(w1, reaction_matrix(w1, grid65), u)
     np.testing.assert_allclose(fld.values, 2.0, atol=1e-14)
     assert abs(fld.sup_norm - 2.0) < 1e-14
-    fld2 = phi(const_weight(p=2.0), grid65, u)
+    fld2 = phi(w2, reaction_matrix(w2, grid65), u)
     np.testing.assert_allclose(fld2.values, 4.0, atol=1e-13)
 
 
 def test_phi_homogeneous_in_amplitude(grid65, rng):
     w = const_weight(p=0.7)
     u = rng.uniform(0.1, 1.0, grid65.n)
-    base = phi(w, grid65, u).values
+    qw = reaction_matrix(w, grid65)
+    base = phi(w, qw, u).values
     for t in (0.0, 0.5, 2.0):
-        scaled = phi(w, grid65, t * u).values
+        scaled = phi(w, qw, t * u).values
         assert np.abs(scaled - t**0.7 * base).max() < 1e-13
 
 
 def test_phi_uniform_bound(grid65, rng):
     w = dip_weight(p=1.5)
-    from dispersal import weight_matrix
-
     qsup = weight_matrix(w, grid65).max()
+    qw = reaction_matrix(w, grid65)
     vol = grid65.domain.volume
     for _ in range(100):
         u = rng.standard_normal(grid65.n)
-        fld = phi(w, grid65, u)
+        fld = phi(w, qw, u)
         assert fld.sup_norm <= qsup * np.abs(u).max() ** 1.5 * vol + 1e-12
 
 
 def test_phi_difference_bound(grid65, rng):
     w = const_weight(p=2.0)
+    qw = reaction_matrix(w, grid65)
     for _ in range(50):
         u = rng.standard_normal(grid65.n)
         v = rng.standard_normal(grid65.n)
-        du = phi(w, grid65, u).values - phi(w, grid65, v).values
+        du = phi(w, qw, u).values - phi(w, qw, v).values
         lip = grid65.integrate(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2))
         assert np.abs(du).max() <= lip + 1e-12
 
 
 def test_residual_trivial_and_constant(const_op):
     grid = const_op.grid
-    zero = residual(const_op, const_weight(), 2.0, np.zeros(grid.n))
+    qw = reaction_matrix(const_weight(), grid)
+    zero = residual(const_op, const_weight(), qw, 2.0, np.zeros(grid.n))
     np.testing.assert_allclose(zero, 0.0)
     # u = 1 solves the constant problem at lambda = 2 exactly
-    r = residual(const_op, const_weight(), 2.0, np.ones(grid.n))
+    r = residual(const_op, const_weight(), qw, 2.0, np.ones(grid.n))
     assert np.abs(r).max() < 1e-14
 
 
 def test_residual_at_eigenfunction(const_op, const_eigen):
     """At lambda1 the linear part cancels and the crowding term remains."""
+    qw = reaction_matrix(const_weight(), const_op.grid)
     r = residual(
-        const_op, const_weight(), const_eigen.lambda1, const_eigen.phi1
+        const_op, const_weight(), qw, const_eigen.lambda1, const_eigen.phi1
     )
-    fld = phi(const_weight(), const_op.grid, const_eigen.phi1)
+    fld = phi(const_weight(), qw, const_eigen.phi1)
     np.testing.assert_allclose(r, fld.values * const_eigen.phi1, atol=1e-10)
     assert r.min() > 0
 
 
 def test_jacobian_at_zero_state(const_op):
     n = const_op.n
-    j = jacobian(const_op, const_weight(p=2.0), 1.7, np.zeros(n))
-    np.testing.assert_allclose(j, const_op.a - 1.7 * np.eye(n), atol=1e-14)
+    w = const_weight(p=2.0)
+    qw = reaction_matrix(w, const_op.grid)
+    j = jacobian(const_op, w, qw, 1.7, np.zeros(n))
+    a = dense_a(KernelSpec.constant(1.0), const_op.grid)
+    np.testing.assert_allclose(j, a - 1.7 * np.eye(n), atol=1e-14)
 
 
 def test_jacobian_constant_row_sums(const_op):
     n = const_op.n
-    j = jacobian(const_op, const_weight(p=1.0), 2.0, np.ones(n))
+    w = const_weight(p=1.0)
+    qw = reaction_matrix(w, const_op.grid)
+    j = jacobian(const_op, w, qw, 2.0, np.ones(n))
     # A + diag(Phi) - 2 I contributes zero row sum; the rank term adds one
     np.testing.assert_allclose(j @ np.ones(n), 1.0, atol=1e-13)
 
@@ -99,16 +109,18 @@ def test_jacobian_matches_finite_differences(rng):
     lam = 1.8
     for p in (0.5, 1.0, 2.0):
         w = dip_weight(p=p)
+        qw = reaction_matrix(w, grid)
         for _ in range(3):
             u = rng.uniform(0.3, 1.2, grid.n)
-            j = jacobian(op, w, lam, u)
+            j = jacobian(op, w, qw, lam, u)
             h = 1e-6
             fd = np.empty_like(j)
             for k in range(grid.n):
                 e = np.zeros(grid.n)
                 e[k] = h
                 fd[:, k] = (
-                    residual(op, w, lam, u + e) - residual(op, w, lam, u - e)
+                    residual(op, w, qw, lam, u + e)
+                    - residual(op, w, qw, lam, u - e)
                 ) / (2.0 * h)
             denom = max(np.abs(j).max(), 1.0)
             assert np.abs(j - fd).max() / denom < 1e-6
@@ -117,15 +129,17 @@ def test_jacobian_matches_finite_differences(rng):
 def test_jacobian_p_below_one_needs_interior_state(const_op):
     u = np.full(const_op.n, 0.5)
     u[7] = 0.0
+    w = const_weight(p=0.5)
     with pytest.raises(ReactionError):
-        jacobian(const_op, const_weight(p=0.5), 2.0, u)
+        jacobian(const_op, w, reaction_matrix(w, const_op.grid), 2.0, u)
 
 
 def test_jacobian_action_matches_dense(rng):
     """The matrix-free action is the dense Jacobian applied to v, to
     relative 1e-12, on the finite-difference gate's grid (gaussian kernel,
     21 trapezoid nodes, lambda = 1.8) for the dip weight at three
-    exponents and for a tabulated weight."""
+    exponents and for a tabulated weight, with the dispersal part
+    checked against an independently built K diag(w)."""
     grid = unit_grid("trapezoid", 21)
     op = assemble(KernelSpec.gaussian(1.0), grid)
     lam = 1.8
@@ -139,18 +153,20 @@ def test_jacobian_action_matches_dense(rng):
             if w.p >= 1:
                 u *= rng.choice((-1.0, 1.0), grid.n)
             v = rng.standard_normal(grid.n)
-            dense = jacobian(op, w, lam, u) @ v
+            dense = jacobian(op, w, qw, lam, u) @ v
             scale = np.abs(dense).max()
-            for action in (
-                JacobianAction(op, w, lam, u),
-                JacobianAction(op, w, lam, u, qw=qw),
-            ):
-                assert np.abs(action @ v - dense).max() <= 1e-12 * scale
+            action = JacobianAction(op, w, qw, lam, u)
+            assert np.abs(action @ v - dense).max() <= 1e-12 * scale
+    w = weights[2]
+    j = jacobian(op, w, reaction_matrix(w, grid), lam, np.zeros(grid.n))
+    a = dense_a(KernelSpec.gaussian(1.0), grid)
+    np.testing.assert_allclose(j, a - lam * np.eye(grid.n), rtol=0, atol=1e-14)
     u = np.full(grid.n, 0.5)
     u[7] = 0.0
+    w = dip_weight(p=0.5)
     for call in (jacobian, JacobianAction):
         with pytest.raises(ReactionError):
-            call(op, dip_weight(p=0.5), lam, u)
+            call(op, w, reaction_matrix(w, grid), lam, u)
 
 
 def test_reaction_matrix_reproduces_phi(grid65, rng):
@@ -158,9 +174,9 @@ def test_reaction_matrix_reproduces_phi(grid65, rng):
     qw = reaction_matrix(w, grid65)
     assert not qw.flags.writeable
     u = rng.standard_normal(grid65.n)
-    np.testing.assert_array_equal(
-        phi(w, grid65, u, qw=qw).values, phi(w, grid65, u).values
-    )
+    q = weight_matrix(w, grid65)
+    expected = (q * grid65.weights[None, :]) @ np.abs(u) ** 1.5
+    np.testing.assert_allclose(phi(w, qw, u).values, expected, rtol=1e-14)
 
 
 def test_admissible_set_threshold():
@@ -174,7 +190,8 @@ def test_g_map_fixed_point_identity(const_op):
     n = const_op.n
     gamma = 0.5
     u = np.ones(n)
-    g = g_map(const_op, const_weight(), gamma, u)
+    qw = reaction_matrix(const_weight(), const_op.grid)
+    g = g_map(const_op, const_weight(), qw, gamma, u)
     np.testing.assert_allclose(g, 0.5, atol=1e-14)
     # u = gamma A u + G(gamma, u) at the constant solution
     np.testing.assert_allclose(
@@ -183,7 +200,8 @@ def test_g_map_fixed_point_identity(const_op):
 
 
 def test_g_map_zero_state(const_op):
-    g = g_map(const_op, const_weight(), 0.6, np.zeros(const_op.n))
+    qw = reaction_matrix(const_weight(), const_op.grid)
+    g = g_map(const_op, const_weight(), qw, 0.6, np.zeros(const_op.n))
     np.testing.assert_allclose(g, 0.0)
 
 
@@ -193,8 +211,9 @@ def test_g_map_superlinear_decay(const_op):
     for p, gamma in ((1.0, 0.4), (2.0, 0.9)):
         w = const_weight(p=p)
         scales = np.array([1e-2, 1e-3, 1e-4])
+        qw = reaction_matrix(w, const_op.grid)
         norms = np.array(
-            [np.abs(g_map(const_op, w, gamma, s * u)).max() for s in scales]
+            [np.abs(g_map(const_op, w, qw, gamma, s * u)).max() for s in scales]
         )
         slopes = np.diff(np.log(norms)) / np.diff(np.log(scales))
         assert np.abs(slopes - (1.0 + p)).max() < 0.05
@@ -202,16 +221,18 @@ def test_g_map_superlinear_decay(const_op):
 
 def test_g_map_outside_admissible_set(const_op):
     u = np.full(const_op.n, 3.0)  # gamma * Phi = 0.9 * 3 > 1
+    qw = reaction_matrix(const_weight(), const_op.grid)
     with pytest.raises(ReactionError):
-        g_map(const_op, const_weight(), 0.9, u)
+        g_map(const_op, const_weight(), qw, 0.9, u)
 
 
 def test_phi_floor_for_dip_weight(grid65, rng):
     w = dip_weight(p=1.0)
     rep = check_weight_floor(w, grid65, r=grid65.domain.diameter)
     assert rep.q2pp
+    qw = reaction_matrix(w, grid65)
     for _ in range(20):
         u = rng.uniform(0.0, 2.0, grid65.n)
-        fld = phi(w, grid65, u)
+        fld = phi(w, qw, u)
         floor_val = rep.sigma_global * grid65.lp_norm(u, 1.0)
         assert fld.values.min() >= floor_val - 1e-12

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 from dispersal import (
+    Domain,
     KernelSpec,
     ModelError,
     WeightSpec,
     build_a_eps,
+    build_grid,
     build_q_eps,
     certify,
     check_k1,
@@ -19,7 +21,9 @@ from dispersal import (
     weight_matrix,
 )
 
-from .conftest import dip_weight, unit_grid
+from .conftest import dip_weight, peak_bytes, unit_grid
+
+SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
 
 
 def test_k1_constant_and_gaussian():
@@ -95,6 +99,29 @@ def test_floor_separable_vanishing_edge():
     assert rep.sigma_global == 0.0
     # x-dependent rows are never uniformly dominated by a single x0
     assert rep.x0_index == grid.n - 1
+
+
+def test_floor_at_diameter_counts_every_pair():
+    """At r = diameter the farthest pairs, the opposite corners of the
+    square, are near too, so the local floor is the global one."""
+    grid = build_grid(SQUARE, "trapezoid", 9)
+    x = grid.nodes
+    d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
+    w = WeightSpec.tabulated(3.0 - d2, p=1.0)  # 1 exactly at the corners
+    rep = check_weight_floor(w, grid, r=grid.domain.diameter)
+    assert rep.sigma == rep.sigma_global == 1.0
+    near = check_weight_floor(w, grid, r=0.99 * grid.domain.diameter)
+    assert near.sigma > 1.0
+
+
+def test_weight_floor_peak_memory():
+    """On 33 x 33 nodes the floor check peaks below five n x n arrays."""
+    grid = build_grid(SQUARE, "trapezoid", 33)
+    peak = peak_bytes(
+        check_weight_floor, WeightSpec.constant(1.0, p=2.0), grid,
+        r=grid.domain.diameter,
+    )
+    assert peak <= 5 * grid.n**2 * 8
 
 
 def test_floor_requires_positive_radius():

@@ -16,7 +16,7 @@ from dispersal import (
     rayleigh,
 )
 
-from .conftest import unit_grid
+from .conftest import dense_a, peak_bytes, unit_grid
 
 # reference eigenvalue for exp(-|x-y|^2) on (0,1): 200-, 400-, and
 # 800-point Gauss-Legendre runs of the assembly below agree to 1e-14
@@ -26,15 +26,24 @@ GAUSS_LAMBDA1 = 0.864841677394637
 def test_assemble_constant_midpoint():
     grid = unit_grid("midpoint", 4)
     op = assemble(KernelSpec.constant(1.0), grid)
-    np.testing.assert_allclose(op.a, 0.25)
+    np.testing.assert_allclose(dense_a(KernelSpec.constant(1.0), grid), 0.25)
+    np.testing.assert_allclose(op.s, 0.25)
     np.testing.assert_allclose(op.apply(np.ones(4)), 1.0)
 
 
 def test_assemble_rank_one_is_rank_one():
     grid = unit_grid("trapezoid", 33)
     op = assemble(KernelSpec.rank_one((1.0, 1.0)), grid)
-    s = np.linalg.svd(op.a, compute_uv=False)
-    assert s[1] <= 1e-14 * s[0]
+    for mat in (op.s, dense_a(KernelSpec.rank_one((1.0, 1.0)), grid)):
+        s = np.linalg.svd(mat, compute_uv=False)
+        assert s[1] <= 1e-14 * s[0]
+
+
+def test_assemble_peak_memory():
+    """On 33 x 33 nodes gaussian assembly peaks below four n x n arrays."""
+    grid = build_grid(Domain((0.0, 0.0), (1.0, 1.0)), "trapezoid", 33)
+    peak = peak_bytes(assemble, KernelSpec.gaussian(1.0), grid)
+    assert peak <= 4 * grid.n**2 * 8
 
 
 def test_gaussian_apply_matches_erf():
@@ -140,9 +149,12 @@ def test_eigenpair_on_2d_grid_of_46_squared():
 def test_symmetrized_form_is_similar():
     grid = unit_grid("trapezoid", 49)
     op = assemble(KernelSpec.gaussian(1.0), grid)
+    a = dense_a(KernelSpec.gaussian(1.0), grid)
     vals_s = np.linalg.eigvalsh(op.s)
-    vals_a = np.sort(np.linalg.eigvals(op.a).real)
+    vals_a = np.sort(np.linalg.eigvals(a).real)
     assert np.abs(vals_s - vals_a).max() < 1e-12
+    u = np.linspace(-1.0, 2.0, grid.n)
+    assert np.abs(op.apply(u) - a @ u).max() <= 1e-13 * np.abs(a @ u).max()
 
 
 def test_rayleigh_quotient(const_op, const_eigen):

@@ -1,0 +1,128 @@
+"""Property tests of the invariants the paper states, on random grids.
+
+Hypothesis runs derandomized with no example database, so the suite is
+deterministic; `conftest` keeps its constants cache out of the checkout.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dispersal import (
+    Domain,
+    KernelSpec,
+    WeightSpec,
+    assemble,
+    build_grid,
+    collatz_wielandt_sup,
+    phi,
+    principal_eigenpair,
+    reaction_matrix,
+)
+
+from .conftest import dense_a
+
+PROPERTY = settings(
+    derandomize=True, database=None, deadline=None, max_examples=40
+)
+RULES = ("trapezoid", "midpoint", "gauss-legendre-tensor")
+
+
+@st.composite
+def grids(draw):
+    dim = draw(st.sampled_from((1, 2)))
+    res = draw(st.integers(3, 40 if dim == 1 else 9))
+    lower = tuple(draw(st.floats(0.0, 1.0)) for _ in range(dim))
+    sides = tuple(draw(st.floats(0.25, 2.0)) for _ in range(dim))
+    upper = tuple(lo + h for lo, h in zip(lower, sides))
+    return build_grid(Domain(lower, upper), draw(st.sampled_from(RULES)), res)
+
+
+@st.composite
+def kernels(draw, grid):
+    """A kernel with a positive principal pair on ``grid``."""
+    forms = ["constant", "gaussian", "tabulated"]
+    if grid.domain.dim == 1:
+        forms.append("rank_one")
+    form = draw(st.sampled_from(forms))
+    if form == "constant":
+        return KernelSpec.constant(draw(st.floats(0.1, 5.0)))
+    if form == "gaussian":
+        # long enough against the grid spacing (at most 1) that the
+        # eigenfunction stays certifiably positive
+        return KernelSpec.gaussian(draw(st.floats(0.5, 3.0)))
+    if form == "rank_one":
+        return KernelSpec.rank_one(
+            (draw(st.floats(0.1, 2.0)), draw(st.floats(0.0, 2.0)))
+        )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(0.1, 1.0, (grid.n, grid.n))
+    return KernelSpec.tabulated(table + table.T)
+
+
+def _state(seed, n, positive=False):
+    rng = np.random.default_rng(seed)
+    if positive:
+        return rng.uniform(0.01, 1.0, n)
+    return rng.standard_normal(n)
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_apply_matches_dense_action(data, seed):
+    """op.apply(u) is K diag(w) u, with K diag(w) built independently."""
+    grid = data.draw(grids())
+    kernel = data.draw(kernels(grid))
+    op = assemble(kernel, grid)
+    a = dense_a(kernel, grid)
+    u = _state(seed, grid.n)
+    scale = (np.abs(a) @ np.abs(u)).max()
+    assert np.abs(op.apply(u) - a @ u).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    p=st.floats(0.3, 3.0),
+    t=st.just(0.0) | st.floats(1e-3, 10.0),  # no subnormal t^p
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phi_is_p_homogeneous(data, p, t, seed):
+    """Phi_{t u} = t^p Phi_u for t >= 0."""
+    grid = data.draw(grids())
+    forms = ["constant", "tabulated"]
+    if grid.domain.dim == 1:
+        forms += ["separable", "polynomial_dip"]
+    form = data.draw(st.sampled_from(forms))
+    rng = np.random.default_rng(seed)
+    if form == "constant":
+        weight = WeightSpec.constant(float(rng.uniform(0.1, 3.0)), p=p)
+    elif form == "tabulated":
+        weight = WeightSpec.tabulated(
+            rng.uniform(0.0, 2.0, (grid.n, grid.n)), p=p
+        )
+    elif form == "separable":
+        weight = WeightSpec.separable((1.0, 0.5), (2.0, 0.1), p=p)
+    else:
+        center = float(grid.nodes[grid.n // 2, 0])
+        weight = WeightSpec.polynomial_dip(
+            h=(1.0,), g=(0.5,), points=(center,), exponents=(0.4,),
+            level=5.0, p=p,
+        )
+    qw = reaction_matrix(weight, grid)
+    u = rng.standard_normal(grid.n)
+    base = phi(weight, qw, u).values
+    scaled = phi(weight, qw, t * u).values
+    expected = t**p * base
+    assert np.abs(scaled - expected).max() <= 1e-12 * np.abs(expected).max()
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_collatz_wielandt_bounds_lambda1(data, seed):
+    """sup (A u) / u >= lambda1 for every positive u."""
+    grid = data.draw(grids())
+    op = assemble(data.draw(kernels(grid)), grid)
+    lambda1 = principal_eigenpair(op).lambda1
+    u = _state(seed, grid.n, positive=True)
+    assert collatz_wielandt_sup(op, u) >= lambda1 * (1.0 - 1e-12)

@@ -25,6 +25,7 @@ from dispersal import (
     oracle_spectral,
     pencil_eigenvalue,
     principal_eigenpair,
+    reaction_matrix,
     solve_at_lambda,
     trace_branch,
     verify_branch,
@@ -37,7 +38,7 @@ def _point(lam, u, grid, weight):
     from dispersal import phi
 
     u = np.asarray(u, dtype=float)
-    fld = phi(weight, grid, u)
+    fld = phi(weight, reaction_matrix(weight, grid), u)
     return BranchPoint(
         lam=lam,
         u=u,
@@ -161,12 +162,14 @@ def test_covering_bound_constant_solution(const_op):
 
 def test_phi_floor_margins(grid65, rng):
     u = rng.uniform(0.1, 1.0, grid65.n)
-    rep = check_phi_floor(const_weight(), grid65, u, sigma=1.0)
+    qw = reaction_matrix(const_weight(), grid65)
+    rep = check_phi_floor(const_weight(), qw, grid65, u, sigma=1.0)
     assert rep.holds
     assert abs(rep.margin) < 1e-12  # Q = 1 attains its floor exactly
 
     w2 = WeightSpec.constant(2.0, p=1.0)
-    rep2 = check_phi_floor(w2, grid65, u, sigma=1.0)
+    qw2 = reaction_matrix(w2, grid65)
+    rep2 = check_phi_floor(w2, qw2, grid65, u, sigma=1.0)
     assert rep2.holds
     assert abs(rep2.margin - grid65.lp_norm(u, 1.0)) < 1e-12
 
@@ -238,6 +241,7 @@ def test_verify_branch_all_hold(const_op, const_eigen):
     reports = verify_branch(const_op, const_weight(), const_eigen.lambda1, branch)
     names = [r.name for r in reports]
     for expected in (
+        "residual",
         "admissibility",
         "positivity",
         "collatz_wielandt",
