@@ -46,6 +46,8 @@ from .model import (
     FloorReport,
     HypothesisReport,
     KernelSpec,
+    Kron,
+    LowRank,
     ModelError,
     WeightSpec,
     build_a_eps,

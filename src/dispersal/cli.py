@@ -517,7 +517,7 @@ def _cmd_verify(args) -> int:
     if not branch.points:
         raise UsageError("branch csv has no rows to verify")
     op = ctx.operator()
-    reports = verify_branch(op, ctx.weight, branch.seed_lambda1, branch)
+    reports = verify_branch(op, ctx.weight, branch)
     payload = [
         {
             "name": r.name,

@@ -39,7 +39,7 @@ from .logistic import (
     reaction_matrix,
     residual,
 )
-from .model import WeightSpec, check_weight_floor, oscillation
+from .model import LowRank, WeightSpec, check_weight_floor, oscillation
 from .operator import DiscreteOperator, PrincipalEigenpair
 
 __all__ = [
@@ -249,7 +249,7 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
 def newton_correct(
     op: DiscreteOperator,
     weight: WeightSpec,
-    qw: np.ndarray,
+    qw: LowRank | np.ndarray,
     lam: float,
     u0: np.ndarray,
     cfg: ContinuationConfig,
@@ -275,7 +275,7 @@ def newton_correct(
 def seed_branch(
     eigen: PrincipalEigenpair,
     weight: WeightSpec,
-    qw: np.ndarray,
+    qw: LowRank | np.ndarray,
     grid: QuadratureGrid,
     s0: float,
 ) -> tuple[float, np.ndarray]:

@@ -132,6 +132,14 @@ class QuadratureGrid:
         u = np.asarray(u, dtype=float)
         return float((self.weights @ np.abs(u) ** p) ** (1.0 / p))
 
+    def axes(self) -> tuple:
+        """Per-axis (nodes, weights) of the tensor rule.
+
+        ``nodes`` are their product in ``ij`` order (the last axis varies
+        fastest) and ``weights`` the outer product of the axis weights.
+        """
+        return _axes(self.domain, self.rule, self.resolution)
+
 
 @dataclass(frozen=True, eq=False)
 class Covering:
@@ -162,6 +170,13 @@ def _axis_rule(rule: str, lo: float, hi: float, res: int):
     return x, w
 
 
+def _axes(domain: Domain, rule: str, res: int) -> tuple:
+    return tuple(
+        _axis_rule(rule, lo, hi, res)
+        for lo, hi in zip(domain.lower, domain.upper)
+    )
+
+
 def build_grid(domain: Domain, rule: str, resolution: int) -> QuadratureGrid:
     """Tensor-product quadrature grid with ``resolution`` points per axis."""
     rule = _RULE_ALIASES.get(rule, rule)
@@ -170,10 +185,7 @@ def build_grid(domain: Domain, rule: str, resolution: int) -> QuadratureGrid:
     if resolution < 2:
         raise GeometryError("resolution must be at least 2")
 
-    axes = [
-        _axis_rule(rule, lo, hi, resolution)
-        for lo, hi in zip(domain.lower, domain.upper)
-    ]
+    axes = _axes(domain, rule, resolution)
     if domain.dim == 1:
         nodes = axes[0][0][:, None]
         weights = axes[0][1].copy()

@@ -16,10 +16,14 @@ defined on the admissible set gamma ||Phi_u||_inf < 1.  All functions are
 pure.  The reaction integral is the matrix QW = Q diag(w) from
 `reaction_matrix`, a required argument of every function here that
 evaluates the reaction: each entry point (a solve, a trace, a checker)
-builds it once and passes it down.  The dispersal part goes through `DiscreteOperator.apply`.
-`jacobian` materializes the n x n derivative, A included, as a
-certificate; `JacobianAction` applies the same derivative without
-forming it, which is what the Newton-Krylov solver uses.
+builds it once and passes it down.  For the constant, separable and
+polynomial-dip weights, and for their row-scaled eps-family, QW is a
+`LowRank` of rank 1 or 2, so Phi_u costs O(n) per evaluation; only a
+tabulated weight gives a dense read-only array.  The dispersal part goes
+through `DiscreteOperator.apply`.  `jacobian` materializes the n x n
+derivative, A and QW included, as a certificate; `JacobianAction`
+applies the same derivative without forming it, which is what the
+Newton-Krylov solver uses.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .geometry import QuadratureGrid
-from .model import WeightSpec, weight_matrix
+from .model import LowRank, WeightSpec, _weight_factors, weight_matrix
 from .operator import DiscreteOperator
 
 __all__ = [
@@ -59,15 +63,26 @@ class PhiField:
     p: float
 
 
-def reaction_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
-    """QW = Q diag(w), so that Phi_u = QW |u|^p.  Read-only."""
+def reaction_matrix(
+    weight: WeightSpec, grid: QuadratureGrid
+) -> LowRank | np.ndarray:
+    """QW = Q diag(w), so that Phi_u = QW |u|^p.
+
+    A `LowRank` (L, w R) when Q = L R^T has factors, else a dense
+    read-only array.
+    """
+    q = _weight_factors(weight, grid)
+    if q is not None:
+        return LowRank(q.left, grid.weights[:, None] * q.right)
     qw = weight_matrix(weight, grid)
     qw *= grid.weights[None, :]
     qw.setflags(write=False)
     return qw
 
 
-def phi(weight: WeightSpec, qw: np.ndarray, u: np.ndarray) -> PhiField:
+def phi(
+    weight: WeightSpec, qw: LowRank | np.ndarray, u: np.ndarray
+) -> PhiField:
     """Phi_u = QW |u|^p with QW = reaction_matrix(weight, grid)."""
     values = qw @ np.abs(np.asarray(u, dtype=float)) ** weight.p
     return PhiField(values=values, sup_norm=float(values.max()), p=weight.p)
@@ -76,7 +91,7 @@ def phi(weight: WeightSpec, qw: np.ndarray, u: np.ndarray) -> PhiField:
 def residual(
     op: DiscreteOperator,
     weight: WeightSpec,
-    qw: np.ndarray,
+    qw: LowRank | np.ndarray,
     lam: float,
     u: np.ndarray,
 ) -> np.ndarray:
@@ -99,39 +114,41 @@ def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
 def jacobian(
     op: DiscreteOperator,
     weight: WeightSpec,
-    qw: np.ndarray,
+    qw: LowRank | np.ndarray,
     lam: float,
     u: np.ndarray,
 ) -> np.ndarray:
     """Derivative of the residual in u, as a dense n x n matrix.
 
-    The dispersal part is A = diag(sqrt w)^-1 S diag(sqrt w), formed only
-    here.  The reaction contributes diag(Phi_u) plus the rank-structure
-    term D_ij = u_i p Q_ij |u_j|^(p-1) sgn(u_j) w_j.  For p < 1 that
-    factor is singular at zero, so states must stay bounded away from zero
-    there.
+    The dispersal part is A = diag(sqrt w)^-1 S diag(sqrt w); A and a
+    structured QW are materialized only here.  The reaction contributes
+    diag(Phi_u) plus the rank-structure term
+    D_ij = u_i p Q_ij |u_j|^(p-1) sgn(u_j) w_j.  For p < 1 that factor is
+    singular at zero, so states must stay bounded away from zero there.
     """
     u = np.asarray(u, dtype=float)
     slope = _reaction_slope(weight.p, u)
     root_w = np.sqrt(op.grid.weights)
-    a = op.s / root_w[:, None] * root_w[None, :]
+    a = np.asarray(op.s) / root_w[:, None] * root_w[None, :]
     field = qw @ np.abs(u) ** weight.p
-    return a + np.diag(field - lam) + u[:, None] * qw * slope[None, :]
+    reaction = u[:, None] * np.asarray(qw) * slope[None, :]
+    return a + np.diag(field - lam) + reaction
 
 
 class JacobianAction(LinearOperator):
     """``jacobian(op, weight, qw, lam, u)`` applied without forming it.
 
-    v -> A v + (Phi_u - lam) v + u * (QW (p |u|^(p-1) sgn(u) v)), two
-    n x n matvecs per product.  ``shift`` is the diagonal Phi_u - lam of
-    the local part.  Raises ReactionError where `jacobian` does.
+    v -> A v + (Phi_u - lam) v + u * (QW (p |u|^(p-1) sgn(u) v)), one
+    product with S and one with QW, each in its structured form.
+    ``shift`` is the diagonal Phi_u - lam of the local part.  Raises
+    ReactionError where `jacobian` does.
     """
 
     def __init__(
         self,
         op: DiscreteOperator,
         weight: WeightSpec,
-        qw: np.ndarray,
+        qw: LowRank | np.ndarray,
         lam: float,
         u: np.ndarray,
     ):
@@ -158,7 +175,7 @@ def in_admissible_set(gamma: float, field: PhiField) -> bool:
 def g_map(
     op: DiscreteOperator,
     weight: WeightSpec,
-    qw: np.ndarray,
+    qw: LowRank | np.ndarray,
     gamma: float,
     u: np.ndarray,
 ) -> np.ndarray:

@@ -2,8 +2,19 @@
 
 A kernel K(x, y) >= 0 drives the nonlocal dispersal operator; a crowding
 weight Q(x, y) >= 0 together with an exponent p > 0 drives the nonlocal
-reaction term.  Both are described by small frozen spec objects that are
-materialized to dense matrices over a quadrature grid on demand.
+reaction term.  Both are described by small frozen spec objects.  Over a
+quadrature grid each spec has a dense matrix (`kernel_matrix`,
+`weight_matrix`), which the certificates below read, and, where its form
+allows, a structured one that the solver applies without forming n x n
+arrays:
+
+    LowRank(left, right) = left @ right.T, kept as its factors: the
+        constant and rank-one kernels (rank 1), the constant and
+        separable weights (rank 1) and the polynomial dip (rank 2).
+    Kron(a, b) = a (x) b on the ij-ordered nodes of a 2-D grid: the
+        gaussian kernel, exp(-|x - y|^2 / l^2) = Kx(x1, y1) Ky(x2, y2).
+
+The 1-D gaussian and the tabulated forms exist only densely.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
@@ -18,11 +29,13 @@ window.
 dip profile a_eps vanishing at x0 and the row-scaled weight
 Q_eps(x, y) = Q(x, y) (2 - a_eps(x)), which satisfies
 Q <= Q_eps <= 2 Q and Q_eps(x0, y) - Q_eps(x, y) >= Q(x, y) a_eps(x).
+Q_eps is the base spec with ``row_scale = 2 - a_eps``, so it keeps the
+rank of Q.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -33,6 +46,8 @@ __all__ = [
     "FloorReport",
     "HypothesisReport",
     "KernelSpec",
+    "Kron",
+    "LowRank",
     "ModelError",
     "WeightSpec",
     "build_a_eps",
@@ -62,6 +77,68 @@ def _coords_1d(grid: QuadratureGrid, what: str) -> np.ndarray:
     if grid.domain.dim != 1:
         raise ModelError(f"{what} is defined for 1-D domains only")
     return grid.nodes[:, 0]
+
+
+class _Structured:
+    """A matrix applied through its structure: ``@`` on a vector is
+    `matvec`, and ``np.asarray`` materializes it with `dense`."""
+
+    dtype = np.dtype(float)
+    # numpy arithmetic with an ndarray raises instead of materializing
+    __array_ufunc__ = None
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.matvec(v)
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense()
+
+
+class LowRank(_Structured):
+    """The matrix left @ right.T, kept as its (n, k) and (m, k) factors."""
+
+    def __init__(self, left: np.ndarray, right: np.ndarray):
+        # a 1-D factor is one column
+        self.left = np.array(left, dtype=float).reshape(len(left), -1)
+        self.right = np.array(right, dtype=float).reshape(len(right), -1)
+        self.left.setflags(write=False)
+        self.right.setflags(write=False)
+        self.shape = (self.left.shape[0], self.right.shape[0])
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        return self.left @ (self.right.T @ v)
+
+    def dense(self) -> np.ndarray:
+        """sum_k outer(left_k, right_k), entry by entry."""
+        out = np.multiply.outer(self.left[:, 0], self.right[:, 0])
+        for lk, rk in zip(self.left.T[1:], self.right.T[1:]):
+            out += np.multiply.outer(lk, rk)
+        return out
+
+
+class Kron(_Structured):
+    """The Kronecker product a (x) b of square matrices, applied on
+    ij-ordered tensor nodes.
+
+    Node i * len(b) + j pairs row i of ``a`` with row j of ``b``, as
+    `build_grid` orders them, so (a (x) b) v = (a @ V @ b.T).ravel()
+    with V = v.reshape(len(a), len(b)).
+    """
+
+    def __init__(self, a: np.ndarray, b: np.ndarray):
+        self.a = np.array(a, dtype=float)
+        self.b = np.array(b, dtype=float)
+        self.a.setflags(write=False)
+        self.b.setflags(write=False)
+        n = len(self.a) * len(self.b)
+        self.shape = (n, n)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        v = np.asarray(v).reshape(len(self.a), len(self.b))
+        return (self.a @ v @ self.b.T).ravel()
+
+    def dense(self) -> np.ndarray:
+        return np.kron(self.a, self.b)
 
 
 def _pairwise_sq_dist(grid: QuadratureGrid) -> np.ndarray:
@@ -112,6 +189,31 @@ class KernelSpec:
         return cls(form="tabulated", matrix=m)
 
 
+def _gaussian(x: np.ndarray, length_scale: float) -> np.ndarray:
+    """exp(-(x_i - x_j)^2 / length_scale^2) over 1-D coordinates."""
+    k = np.subtract.outer(x, x) ** 2
+    k /= -length_scale**2
+    return np.exp(k, out=k)
+
+
+def _kernel_factors(kernel: KernelSpec, grid: QuadratureGrid):
+    """K over the nodes as a LowRank or a Kron, or None where only the
+    dense `kernel_matrix` exists (1-D gaussian, tabulated)."""
+    n = grid.n
+    if kernel.form == "constant":
+        return LowRank(np.full((n, 1), kernel.value), np.ones((n, 1)))
+    if kernel.form == "rank_one":
+        f = _polyval(kernel.coeffs, _coords_1d(grid, "rank_one kernel"))
+        if f.min() * f.max() < 0:
+            raise ModelError("kernel is negative at a sampled pair")
+        return LowRank(f[:, None], f[:, None])
+    if kernel.form == "gaussian" and grid.domain.dim == 2:
+        return Kron(
+            *(_gaussian(x, kernel.length_scale) for x, _ in grid.axes())
+        )
+    return None
+
+
 def kernel_matrix(kernel: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
     """Materialize K(x_i, x_j) over the grid nodes; entries must be >= 0."""
     n = grid.n
@@ -146,6 +248,9 @@ class WeightSpec:
     separable:      Q(x, y) = g(x) h(y), 1-D polynomials
     polynomial_dip: Q(x, y) = h(y) [level - prod_i |x - x_i|^(q_i)] + g(y)
     tabulated:      explicit (n, n) matrix over the grid nodes
+
+    ``row_scale``, set only by `build_q_eps`, multiplies row x by
+    row_scale(x) on every materialization.
     """
 
     form: str
@@ -157,6 +262,7 @@ class WeightSpec:
     exponents: Optional[tuple] = None
     level: float = 1.0
     matrix: Optional[np.ndarray] = None
+    row_scale: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.p <= 0:
@@ -213,29 +319,63 @@ def _dip_profile(weight: WeightSpec, x: np.ndarray) -> np.ndarray:
     return prod
 
 
-def weight_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Materialize Q(x_i, x_j) over the grid nodes; entries must be >= 0."""
+def _plain_factors(weight: WeightSpec, grid: QuadratureGrid):
+    """Q = L R^T over the nodes without the row scale, or None for a
+    tabulated weight.  Every column of L but the first is constant."""
     n = grid.n
     if weight.form == "constant":
-        q = np.full((n, n), weight.value)
-    elif weight.form == "separable":
+        return LowRank(np.full((n, 1), weight.value), np.ones((n, 1)))
+    if weight.form == "separable":
         x = _coords_1d(grid, "separable weight")
-        q = np.outer(_polyval(weight.g, x), _polyval(weight.h, x))
-    elif weight.form == "polynomial_dip":
+        return LowRank(_polyval(weight.g, x), _polyval(weight.h, x))
+    if weight.form == "polynomial_dip":
         x = _coords_1d(grid, "polynomial_dip weight")
         dip = weight.level - _dip_profile(weight, x)
-        q = dip[:, None] * _polyval(weight.h, x)[None, :] + _polyval(
-            weight.g, x
-        )[None, :]
-    elif weight.form == "tabulated":
+        return LowRank(
+            np.column_stack([dip, np.ones(n)]),
+            np.column_stack([_polyval(weight.h, x), _polyval(weight.g, x)]),
+        )
+    if weight.form == "tabulated":
         if weight.matrix.shape != (n, n):
             raise ModelError(
                 f"tabulated weight has shape {weight.matrix.shape}, "
                 f"grid needs ({n}, {n})"
             )
-        q = weight.matrix.copy()
-    else:
-        raise ModelError(f"unknown weight form {weight.form!r}")
+        return None
+    raise ModelError(f"unknown weight form {weight.form!r}")
+
+
+def _row_scale(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
+    if weight.row_scale.shape != (grid.n,):
+        raise ModelError("row_scale must have one value per grid node")
+    return weight.row_scale[:, None]
+
+
+def _weight_factors(weight: WeightSpec, grid: QuadratureGrid):
+    """Q as a LowRank, row scale included, or None for a tabulated weight.
+
+    Entries must be >= 0.  Only the first column of the plain left factor
+    varies, so the smallest entry lies on the row where it is smallest or
+    largest; the row scale is positive and keeps the sign.
+    """
+    q = _plain_factors(weight, grid)
+    if q is None:
+        return None
+    first = q.left[:, 0]
+    extreme = LowRank(q.left[[first.argmin(), first.argmax()]], q.right)
+    if extreme.dense().min() < 0:
+        raise ModelError("weight is negative at a sampled pair")
+    if weight.row_scale is None:
+        return q
+    return LowRank(_row_scale(weight, grid) * q.left, q.right)
+
+
+def weight_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
+    """Materialize Q(x_i, x_j) over the grid nodes; entries must be >= 0."""
+    q = _plain_factors(weight, grid)
+    q = weight.matrix.copy() if q is None else q.dense()
+    if weight.row_scale is not None:
+        q *= _row_scale(weight, grid)
     if q.min() < 0:
         raise ModelError("weight is negative at a sampled pair")
     return q
@@ -284,9 +424,13 @@ def check_weight_floor(
     if r <= 0:
         raise ModelError("r must be positive")
     q = weight_matrix(weight, grid)
-    near = _pairwise_sq_dist(grid) <= r**2
-    sigma = float(np.min(q, where=near, initial=np.inf))
     sigma_global = float(q.min())
+    if r >= grid.domain.diameter:
+        # every pair of nodes in the box lies within its diameter
+        sigma = sigma_global
+    else:
+        near = _pairwise_sq_dist(grid) <= r**2
+        sigma = float(np.min(q, where=near, initial=np.inf))
 
     col_max = q.max(axis=0)
     advantage = (q - col_max[None, :]).min(axis=1)
@@ -336,7 +480,7 @@ class HypothesisReport:
 
 
 def _certify_q3(weight: WeightSpec, grid: QuadratureGrid, floor: FloorReport):
-    if weight.form != "polynomial_dip":
+    if weight.form != "polynomial_dip" or weight.row_scale is not None:
         return None, None, None, None
     x = _coords_1d(grid, "polynomial_dip weight")
     n_dim = grid.domain.dim
@@ -416,11 +560,18 @@ def build_a_eps(
 def build_q_eps(
     weight: WeightSpec, grid: QuadratureGrid, a_eps: np.ndarray
 ) -> WeightSpec:
-    """Row-scaled weight Q_eps(x, y) = Q(x, y) (2 - a_eps(x)), tabulated."""
+    """Row-scaled weight Q_eps(x, y) = Q(x, y) (2 - a_eps(x)).
+
+    The result is ``weight`` with ``row_scale = 2 - a_eps`` (times any row
+    scale it already has), so it keeps the form and rank of Q.
+    """
     a = np.asarray(a_eps, dtype=float)
     if a.shape != (grid.n,):
         raise ModelError("a_eps must have one value per grid node")
     if a.min() < 0 or a.max() > 1 + 1e-12:
         raise ModelError("a_eps values must lie in [0, 1]")
-    q = weight_matrix(weight, grid)
-    return WeightSpec.tabulated((2.0 - a)[:, None] * q, p=weight.p)
+    scale = 2.0 - a
+    if weight.row_scale is not None:
+        scale *= weight.row_scale
+    scale.setflags(write=False)
+    return replace(weight, row_scale=scale)

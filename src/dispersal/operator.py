@@ -1,11 +1,17 @@
-"""Dense discretization of the dispersal operator and its principal pair.
+"""Nystrom discretization of the dispersal operator and its principal pair.
 
 The operator (Lu)(x) = integral of K(x, y) u(y) dy becomes the matrix
 A = K * diag(w) acting on node values.  A is similar to the symmetric
 matrix S = diag(sqrt w) K diag(sqrt w), so its spectrum is real and the
 largest eigenvalue is the maximum of the weighted Rayleigh quotient.
 Only S is stored; `DiscreteOperator.apply` applies A as
-diag(sqrt w)^-1 S diag(sqrt w), so A is never formed.
+diag(sqrt w)^-1 S diag(sqrt w), so A is never formed.  S is built once,
+in the form the kernel allows: a rank-one `LowRank` for the constant and
+rank-one kernels, `Kron(Sx, Sy)` of the per-axis matrices
+Sa = diag(sqrt wa) Ka diag(sqrt wa) for a gaussian on a 2-D tensor grid,
+and a dense read-only array for the 1-D gaussian and tabulated kernels.
+Every form applies with ``@``, so `apply` and the eigensolver do not
+depend on it; only certificates materialize S, by ``np.asarray``.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to
@@ -20,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from .geometry import QuadratureGrid
-from .model import KernelSpec, kernel_matrix
+from .model import KernelSpec, Kron, LowRank, _kernel_factors, kernel_matrix
 
 __all__ = [
     "DiscreteOperator",
@@ -39,9 +45,13 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Symmetrized matrix ``s`` of the operator and the grid it lives on."""
+    """Symmetrized matrix ``s`` of the operator and the grid it lives on.
 
-    s: np.ndarray
+    ``s`` is a `LowRank`, a `Kron` or a read-only ndarray (see the module
+    docstring).
+    """
+
+    s: LowRank | Kron | np.ndarray
     grid: QuadratureGrid
     kernel: KernelSpec
 
@@ -56,11 +66,18 @@ class DiscreteOperator:
 
 
 def assemble(kernel: KernelSpec, grid: QuadratureGrid) -> DiscreteOperator:
-    s = kernel_matrix(kernel, grid)
-    root_w = np.sqrt(grid.weights)
-    s *= root_w[:, None]
-    s *= root_w[None, :]
-    s.setflags(write=False)
+    k = _kernel_factors(kernel, grid)
+    root_w = np.sqrt(grid.weights)[:, None]
+    if isinstance(k, LowRank):
+        s = LowRank(root_w * k.left, root_w * k.right)
+    elif isinstance(k, Kron):
+        ra, rb = (np.sqrt(w)[:, None] for _, w in grid.axes())
+        s = Kron(ra * k.a * ra.T, rb * k.b * rb.T)
+    else:
+        s = kernel_matrix(kernel, grid)
+        s *= root_w
+        s *= root_w.T
+        s.setflags(write=False)
     return DiscreteOperator(s=s, grid=grid, kernel=kernel)
 
 

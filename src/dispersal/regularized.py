@@ -56,6 +56,7 @@ from .continuation import (
 from .geometry import QuadratureGrid
 from .logistic import phi, reaction_matrix
 from .model import (
+    LowRank,
     WeightSpec,
     build_a_eps,
     build_q_eps,
@@ -129,7 +130,7 @@ def _doubled_weight_obstruction(
 def check_dip_margin(
     point,
     weight_eps: WeightSpec,
-    qw_eps: np.ndarray,
+    qw_eps: LowRank | np.ndarray,
     a_eps: np.ndarray,
     lambda1: float,
 ) -> tuple[bool, float]:

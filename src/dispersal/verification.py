@@ -40,8 +40,12 @@ from .continuation import (
 )
 from .geometry import Covering, QuadratureGrid
 from .logistic import phi, reaction_matrix
-from .model import WeightSpec, check_weight_floor, oscillation
-from .operator import DiscreteOperator, collatz_wielandt_sup
+from .model import FloorReport, LowRank, WeightSpec, oscillation
+from .operator import (
+    DiscreteOperator,
+    collatz_wielandt_sup,
+    principal_eigenpair,
+)
 
 __all__ = [
     "BoundReport",
@@ -163,7 +167,7 @@ def pencil_eigenvalue(
     if c.min() <= 0:
         raise VerificationError("pencil needs a strictly positive field c")
     root_c = np.sqrt(c)
-    b = op.s / root_c[:, None] / root_c[None, :]
+    b = np.asarray(op.s) / root_c[:, None] / root_c[None, :]
     vals, vecs = np.linalg.eigh(b)
     nu = float(vals[-1])
     y = vecs[:, -1]
@@ -189,8 +193,6 @@ def oracle_spectral(
     amplitude equation nu(t) = 1 has no positive root when
     lambda <= lambda1.
     """
-    from .operator import principal_eigenpair
-
     grid = op.grid
     if lam <= 0:
         raise VerificationError("lambda must be positive")
@@ -301,7 +303,7 @@ def check_covering_bound(
 
 def check_phi_floor(
     weight: WeightSpec,
-    qw: np.ndarray,
+    qw: LowRank | np.ndarray,
     grid: QuadratureGrid,
     u: np.ndarray,
     sigma: float,
@@ -443,7 +445,7 @@ def check_rate_nonexistence(
     rng = np.random.default_rng(seed)
     n = op.grid.n
     root_w = np.sqrt(op.grid.weights)
-    jac = op.s - np.diag(g)
+    jac = np.asarray(op.s) - np.diag(g)
     found_sup = 0.0
     for _ in range(trials):
         u = rng.uniform(0.05, 1.0, n)
@@ -471,15 +473,17 @@ def check_solvability_window(
     weight: WeightSpec,
     grid: QuadratureGrid,
     lambda1: float,
+    floor: FloorReport,
     lam: float | None = None,
 ) -> BoundReport:
     """Window (lambda1, lambda1 + lambda1 sigma / [Q]); informational.
 
-    Membership of a particular lambda is recorded in the context; lying
-    beyond the upper end is not a violation (the window is a sufficient
-    condition), so the report always holds when computable.
+    ``floor`` is `check_weight_floor(weight, grid, r)` at any r; only its
+    global floor is read.  Membership of a particular lambda is recorded
+    in the context; lying beyond the upper end is not a violation (the
+    window is a sufficient condition), so the report always holds when
+    computable.
     """
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
     if not floor.q2pp:
         return BoundReport(
             name="solvability_window",
@@ -530,19 +534,21 @@ def _check_residual(point) -> BoundReport:
 def verify_branch(
     op: DiscreteOperator,
     weight: WeightSpec,
-    lambda1: float,
     branch,
 ) -> list[BoundReport]:
     """Run every applicable checker over all points of a stored branch.
 
     Only the states (lambda, u) are read.  Each point is rebuilt from them
-    by the tracer's own `_branch_point`, and the weight floor sigma, the
-    radius r and the covering count m come from the weight and the grid
-    as in `trace_branch`; the recorded scalars and the branch metadata are
-    ignored.  Aggregated reports carry the worst margin over the branch;
-    the solvability window is attached once, evaluated at the last point.
+    by the tracer's own `_branch_point`; lambda1 comes from
+    `principal_eigenpair(op)`, and the weight floor sigma, the radius r
+    and the covering count m from the weight and the grid as in
+    `trace_branch`.  The recorded scalars and the branch metadata,
+    ``seed_lambda1`` included, are ignored.  Aggregated reports carry the
+    worst margin over the branch; the solvability window is attached
+    once, evaluated at the last point.
     """
     grid = op.grid
+    lambda1 = principal_eigenpair(op).lambda1
     qw = reaction_matrix(weight, grid)
     floor, sigma, covering = _floor_cover(weight, grid)
     m = covering.m if covering else None
@@ -576,7 +582,7 @@ def verify_branch(
         ))
     reports.append(
         check_solvability_window(
-            weight, grid, lambda1, lam=pts[-1].lam if pts else None
+            weight, grid, lambda1, floor, lam=pts[-1].lam if pts else None
         )
     )
     return [r for r in reports if r is not None]

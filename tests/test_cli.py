@@ -128,6 +128,27 @@ def test_verify_recomputes_from_states(tmp_path):
     assert "residual" in failing
 
 
+def test_verify_ignores_recorded_lambda1(tmp_path):
+    """verify computes lambda1 itself: a valid branch whose seed_lambda1
+    header is set to 5.0 still verifies."""
+    cfg = write_config(
+        tmp_path / "c.json",
+        kernel={"form": "gaussian", "length_scale": 1.0},
+        run={"lambda_max": 2.0},
+    )
+    out = tmp_path / "out"
+    assert main(["trace", cfg, "--output-dir", str(out)]) == 0
+    branch = out / "branch.csv"
+    lines = branch.read_text().splitlines()
+    i = next(k for k, s in enumerate(lines) if s.startswith("# seed_lambda1="))
+    lines[i] = "# seed_lambda1=5.0"
+    branch.write_text("\n".join(lines) + "\n")
+    assert main(["verify", cfg, "--output-dir", str(out)]) == 0
+    reports = json.loads((out / "verify.json").read_text())
+    cw = next(r for r in reports if r["name"] == "collatz_wielandt")
+    assert cw["holds"] and cw["context"]["lambda1"] < 1.0
+
+
 def test_verify_rejects_mismatched_rows(tmp_path):
     cfg = write_config(tmp_path / "c.json", run={"lambda_max": 2.0})
     out = tmp_path / "out"

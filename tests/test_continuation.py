@@ -8,8 +8,11 @@ import pytest
 from dispersal import (
     ContinuationConfig,
     ContinuationError,
+    Domain,
     KernelSpec,
+    WeightSpec,
     assemble,
+    build_grid,
     bifurcation_estimate,
     newton_correct,
     oracle_spectral,
@@ -228,3 +231,17 @@ def test_config_validation():
         ContinuationConfig(s0=-0.1)
     with pytest.raises(ContinuationError):
         ContinuationConfig(newton_tol=0.0)
+
+
+def test_trace_on_64_squared_grid():
+    """A 2-D trace on 64 x 64 nodes (n = 4096) reaches lambda_max: the
+    gaussian S is a Kronecker product and Q = 1 has rank one."""
+    grid = build_grid(Domain((0.0, 0.0), (1.0, 1.0)), "trapezoid", 64)
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    cfg = ContinuationConfig(lambda_max=2.5)
+    branch = trace_branch(
+        op, WeightSpec.constant(1.0, p=2.0), principal_eigenpair(op), cfg
+    )
+    assert branch.termination == "reached_lambda_max"
+    assert branch.points[-1].lam == 2.5
+    assert min(pt.min_u for pt in branch.points) > 0

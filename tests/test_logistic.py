@@ -6,6 +6,7 @@ import pytest
 from dispersal import (
     JacobianAction,
     KernelSpec,
+    LowRank,
     ReactionError,
     WeightSpec,
     assemble,
@@ -172,7 +173,9 @@ def test_jacobian_action_matches_dense(rng):
 def test_reaction_matrix_reproduces_phi(grid65, rng):
     w = dip_weight(p=1.5)
     qw = reaction_matrix(w, grid65)
-    assert not qw.flags.writeable
+    # the dip weight is kept as rank-two read-only factors
+    assert isinstance(qw, LowRank) and qw.left.shape == (grid65.n, 2)
+    assert not (qw.left.flags.writeable or qw.right.flags.writeable)
     u = rng.standard_normal(grid65.n)
     q = weight_matrix(w, grid65)
     expected = (q * grid65.weights[None, :]) @ np.abs(u) ** 1.5

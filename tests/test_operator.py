@@ -46,6 +46,14 @@ def test_assemble_peak_memory():
     assert peak <= 4 * grid.n**2 * 8
 
 
+def test_assemble_2d_gaussian_holds_no_n_squared_array():
+    """On 64 x 64 nodes the gaussian S is kept as Kron(Sx, Sy): assembly
+    peaks below n^2 bytes, an eighth of one n x n float array."""
+    grid = build_grid(Domain((0.0, 0.0), (1.0, 1.0)), "trapezoid", 64)
+    peak = peak_bytes(assemble, KernelSpec.gaussian(1.0), grid)
+    assert peak < grid.n**2 * 8 / 8
+
+
 def test_gaussian_apply_matches_erf():
     grid = unit_grid("trapezoid", 65)
     op = assemble(KernelSpec.gaussian(1.0), grid)

@@ -10,14 +10,21 @@ from hypothesis import strategies as st
 
 from dispersal import (
     Domain,
+    JacobianAction,
     KernelSpec,
+    Kron,
+    LowRank,
     WeightSpec,
     assemble,
+    build_q_eps,
     build_grid,
     collatz_wielandt_sup,
+    jacobian,
     phi,
     principal_eigenpair,
     reaction_matrix,
+    residual,
+    weight_matrix,
 )
 
 from .conftest import dense_a
@@ -60,6 +67,34 @@ def kernels(draw, grid):
     return KernelSpec.tabulated(table + table.T)
 
 
+@st.composite
+def weights(draw, grid, p):
+    """A nonnegative weight of every form, optionally row-scaled into its
+    eps-family by `build_q_eps`."""
+    forms = ["constant", "tabulated"]
+    if grid.domain.dim == 1:
+        forms += ["separable", "polynomial_dip"]
+    form = draw(st.sampled_from(forms))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if form == "constant":
+        weight = WeightSpec.constant(float(rng.uniform(0.1, 3.0)), p=p)
+    elif form == "tabulated":
+        weight = WeightSpec.tabulated(
+            rng.uniform(0.0, 2.0, (grid.n, grid.n)), p=p
+        )
+    elif form == "separable":
+        weight = WeightSpec.separable((1.0, 0.5), (2.0, 0.1), p=p)
+    else:
+        center = float(grid.nodes[grid.n // 2, 0])
+        weight = WeightSpec.polynomial_dip(
+            h=(1.0,), g=(0.5,), points=(center,), exponents=(0.4,),
+            level=5.0, p=p,
+        )
+    if draw(st.booleans()):
+        weight = build_q_eps(weight, grid, rng.uniform(0.0, 1.0, grid.n))
+    return weight
+
+
 def _state(seed, n, positive=False):
     rng = np.random.default_rng(seed)
     if positive:
@@ -70,10 +105,17 @@ def _state(seed, n, positive=False):
 @PROPERTY
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_dense_action(data, seed):
-    """op.apply(u) is K diag(w) u, with K diag(w) built independently."""
+    """op.apply(u) is K diag(w) u, with K diag(w) built independently, for
+    S kept as LowRank (constant, rank-one), Kron (2-D gaussian) or dense."""
     grid = data.draw(grids())
     kernel = data.draw(kernels(grid))
     op = assemble(kernel, grid)
+    if kernel.form in ("constant", "rank_one"):
+        assert isinstance(op.s, LowRank) and op.s.left.shape == (grid.n, 1)
+    elif kernel.form == "gaussian" and grid.domain.dim == 2:
+        assert isinstance(op.s, Kron)
+    else:
+        assert isinstance(op.s, np.ndarray)
     a = dense_a(kernel, grid)
     u = _state(seed, grid.n)
     scale = (np.abs(a) @ np.abs(u)).max()
@@ -90,27 +132,9 @@ def test_apply_matches_dense_action(data, seed):
 def test_phi_is_p_homogeneous(data, p, t, seed):
     """Phi_{t u} = t^p Phi_u for t >= 0."""
     grid = data.draw(grids())
-    forms = ["constant", "tabulated"]
-    if grid.domain.dim == 1:
-        forms += ["separable", "polynomial_dip"]
-    form = data.draw(st.sampled_from(forms))
-    rng = np.random.default_rng(seed)
-    if form == "constant":
-        weight = WeightSpec.constant(float(rng.uniform(0.1, 3.0)), p=p)
-    elif form == "tabulated":
-        weight = WeightSpec.tabulated(
-            rng.uniform(0.0, 2.0, (grid.n, grid.n)), p=p
-        )
-    elif form == "separable":
-        weight = WeightSpec.separable((1.0, 0.5), (2.0, 0.1), p=p)
-    else:
-        center = float(grid.nodes[grid.n // 2, 0])
-        weight = WeightSpec.polynomial_dip(
-            h=(1.0,), g=(0.5,), points=(center,), exponents=(0.4,),
-            level=5.0, p=p,
-        )
+    weight = data.draw(weights(grid, p))
     qw = reaction_matrix(weight, grid)
-    u = rng.standard_normal(grid.n)
+    u = _state(seed, grid.n)
     base = phi(weight, qw, u).values
     scaled = phi(weight, qw, t * u).values
     expected = t**p * base
@@ -126,3 +150,49 @@ def test_collatz_wielandt_bounds_lambda1(data, seed):
     lambda1 = principal_eigenpair(op).lambda1
     u = _state(seed, grid.n, positive=True)
     assert collatz_wielandt_sup(op, u) >= lambda1 * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_reaction_matrix_matches_dense_weight(data, seed):
+    """reaction_matrix applies Q diag(w), with Q from weight_matrix, for
+    every weight form and its eps-family; only a tabulated Q is dense."""
+    grid = data.draw(grids())
+    weight = data.draw(weights(grid, 2.0))
+    qw = reaction_matrix(weight, grid)
+    assert isinstance(qw, np.ndarray) == (weight.form == "tabulated")
+    dense = weight_matrix(weight, grid) * grid.weights[None, :]
+    v = _state(seed, grid.n)
+    scale = (np.abs(dense) @ np.abs(v)).max()
+    assert np.abs(qw @ v - dense @ v).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    p=st.floats(0.3, 3.0),
+    lam=st.floats(0.5, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_jacobian_action_matches_dense_and_differences(data, p, lam, seed):
+    """JacobianAction v equals the dense jacobian times v, and the central
+    difference (R(u + h v) - R(u - h v)) / 2h of the residual."""
+    grid = data.draw(grids())
+    op = assemble(data.draw(kernels(grid)), grid)
+    weight = data.draw(weights(grid, p))
+    qw = reaction_matrix(weight, grid)
+    rng = np.random.default_rng(seed)
+    u = rng.uniform(0.2, 1.5, grid.n)
+    if p >= 1:  # |u|^p is smooth away from zero: signs are allowed
+        u *= rng.choice((-1.0, 1.0), grid.n)
+    v = rng.standard_normal(grid.n)
+    j = jacobian(op, weight, qw, lam, u)
+    scale = (np.abs(j) @ np.abs(v)).max()
+    action = JacobianAction(op, weight, qw, lam, u) @ v
+    assert np.abs(action - j @ v).max() <= 1e-12 * scale
+    h = 1e-6
+    fd = (
+        residual(op, weight, qw, lam, u + h * v)
+        - residual(op, weight, qw, lam, u - h * v)
+    ) / (2.0 * h)
+    assert np.abs(action - fd).max() <= 1e-6 * scale

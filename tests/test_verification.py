@@ -20,6 +20,7 @@ from dispersal import (
     check_rate_nonexistence,
     check_solvability_window,
     check_subcritical_nonexistence,
+    check_weight_floor,
     cover,
     oracle_fixed_point,
     oracle_spectral,
@@ -225,20 +226,24 @@ def test_rate_nonexistence(const_op, const_eigen):
 
 
 def test_solvability_window_reports(grid65):
-    rep = check_solvability_window(const_weight(), grid65, 1.0, lam=2.0)
+    r = grid65.domain.diameter
+    w = const_weight()
+    floor = check_weight_floor(w, grid65, r=r)
+    rep = check_solvability_window(w, grid65, 1.0, floor, lam=2.0)
     assert rep.holds
     assert rep.context["upper"] == math.inf
     assert rep.context["inside"]
 
     w = WeightSpec.separable(g=(0.0, 1.0), h=(1.0,), p=1.0)
-    rep2 = check_solvability_window(w, grid65, 1.0)
+    floor = check_weight_floor(w, grid65, r=r)
+    rep2 = check_solvability_window(w, grid65, 1.0, floor)
     assert not rep2.applicable
 
 
 def test_verify_branch_all_hold(const_op, const_eigen):
     cfg = ContinuationConfig(lambda_max=2.5)
     branch = trace_branch(const_op, const_weight(), const_eigen, cfg)
-    reports = verify_branch(const_op, const_weight(), const_eigen.lambda1, branch)
+    reports = verify_branch(const_op, const_weight(), branch)
     names = [r.name for r in reports]
     for expected in (
         "residual",
