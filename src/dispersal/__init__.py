@@ -18,7 +18,6 @@ from .continuation import (
     bifurcation_estimate,
     newton_correct,
     seed_branch,
-    solvability_window,
     solve_at_lambda,
     trace_branch,
     window_bounds,
@@ -58,7 +57,6 @@ from .model import (
     check_weight_floor,
     eps_ceiling,
     kernel_matrix,
-    oscillation,
     weight_matrix,
 )
 from .operator import (

@@ -18,6 +18,7 @@ import math
 import os
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -319,7 +320,7 @@ def _cmd_check_hyp(args) -> int:
         "q4_defect": floor.q4_defect,
         "x0": floor.x0,
         "x0_index": floor.x0_index,
-        "oscillation": report.oscillation,
+        "oscillation": floor.oscillation,
         "q3": report.q3,
         "q3_x0_index": report.q3_x0_index,
         "q3_integrals": report.q3_integrals,
@@ -329,7 +330,7 @@ def _cmd_check_hyp(args) -> int:
     required_ok = report.k1 and report.k2 and floor.q2
     print(
         f"k1={report.k1} k2={report.k2} q2={floor.q2} q2pp={floor.q2pp} "
-        f"q4={floor.q4} oscillation={_fmt(report.oscillation)} -> {out}"
+        f"q4={floor.q4} oscillation={_fmt(floor.oscillation)} -> {out}"
     )
     return 0 if required_ok else 2
 
@@ -471,44 +472,26 @@ def _cmd_sweep_eps(args) -> int:
     return 0
 
 
-def _load_branch(ctx: RunContext, args):
-    from .continuation import Branch, BranchPoint
-
+def _load_branch(ctx: RunContext, args) -> SimpleNamespace:
+    """The stored states, as `verify_branch` reads them: the lambda column
+    of branch.csv and the rows of states.csv.  Every other column and
+    header is ignored, so a missing one does not matter."""
     branch_path = Path(getattr(args, "branch", None) or
                        ctx.out_dir / "branch.csv")
     states_path = branch_path.with_name("states.csv")
-    meta, header, rows = _parse_csv(branch_path)
+    _, header, rows = _parse_csv(branch_path)
     _, _, urows = _parse_csv(states_path)
+    if not header or "lambda" not in header:
+        raise UsageError(f"{branch_path} has no lambda column")
     if len(rows) != len(urows):
         raise UsageError(
             f"{branch_path} and {states_path} have mismatched row counts"
         )
-    points = []
-    for row, uvals in zip(rows, urows):
-        rec = dict(zip(header, row))
-        points.append(
-            BranchPoint(
-                lam=rec["lambda"],
-                u=np.array(uvals),
-                sup_norm=rec["sup_norm"],
-                p_norm=rec["p_norm"],
-                min_u=rec["min_u"],
-                gamma_phi_sup=rec["gamma_phi_sup"],
-                lp_bound_margin=rec["lp_bound_margin"],
-                newton_iters=int(rec["newton_iters"]),
-                residual_norm=rec["residual_norm"],
-            )
-        )
-    return Branch(
-        points=tuple(points),
-        seed_lambda1=float(meta["seed_lambda1"]),
-        termination=meta.get("termination", "unknown"),
-        fold_indices=(),
-        sigma=float(meta["sigma"]),
-        r=float(meta["r"]),
-        m=int(meta["m"]),
-        p=float(meta["p"]),
-    )
+    col = header.index("lambda")
+    return SimpleNamespace(points=tuple(
+        SimpleNamespace(lam=row[col], u=np.array(uvals))
+        for row, uvals in zip(rows, urows)
+    ))
 
 
 def _cmd_verify(args) -> int:

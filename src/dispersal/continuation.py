@@ -39,7 +39,7 @@ from .logistic import (
     reaction_matrix,
     residual,
 )
-from .model import LowRank, WeightSpec, check_weight_floor, oscillation
+from .model import LowRank, WeightSpec, check_weight_floor
 from .operator import DiscreteOperator, PrincipalEigenpair
 
 __all__ = [
@@ -52,7 +52,6 @@ __all__ = [
     "bifurcation_estimate",
     "newton_correct",
     "seed_branch",
-    "solvability_window",
     "solve_at_lambda",
     "trace_branch",
     "window_bounds",
@@ -133,7 +132,7 @@ def _floor_cover(weight: WeightSpec, grid: QuadratureGrid):
     """(floor at r = diameter, sigma, covering) of the a-priori L^p bound;
     sigma and the covering are None without a positive weight floor."""
     floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    sigma = floor.sigma_global if floor.q2pp else floor.sigma
+    sigma = floor.sigma
     if sigma <= 0:
         return floor, None, None
     return floor, sigma, cover(grid.domain, grid, floor.r)
@@ -318,7 +317,12 @@ def trace_branch(
     eigen: PrincipalEigenpair,
     cfg: ContinuationConfig,
 ) -> Branch:
-    """Trace the positive branch from (lambda1, 0) up to cfg.lambda_max."""
+    """Trace the positive branch from (lambda1, 0) up to cfg.lambda_max.
+
+    The branch's termination is "reached_lambda_max", "max_points" (the
+    point budget ran out first), "step_failure" (ds fell below ds_min)
+    or "left_admissible_set".
+    """
     grid = op.grid
     if cfg.lambda_max <= eigen.lambda1:
         raise ContinuationError(
@@ -340,11 +344,13 @@ def trace_branch(
 
     ds = cfg.ds
     fast = 0
-    termination = "step_failure"
-    while len(points) < cfg.max_points:
+    while True:
         cur = points[-1]
         if cur.lam >= cfg.lambda_max - 1e-12:
             termination = "reached_lambda_max"
+            break
+        if len(points) >= cfg.max_points:
+            termination = "max_points"
             break
         clamp = t_lam > 0 and cur.lam + ds * t_lam > cfg.lambda_max
         if clamp:
@@ -469,17 +475,6 @@ def window_bounds(lambda1: float, sigma: float, osc: float) -> tuple[float, floa
     if osc <= 1e-14:
         return lambda1, math.inf
     return lambda1, lambda1 + lambda1 * sigma / osc
-
-
-def solvability_window(
-    weight: WeightSpec, grid: QuadratureGrid, lambda1: float
-) -> tuple[float, float]:
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    if not floor.q2pp:
-        raise ContinuationError(
-            "solvability window needs a global positive weight floor"
-        )
-    return window_bounds(lambda1, floor.sigma_global, oscillation(weight, grid))
 
 
 def bifurcation_estimate(branch: Branch, p: float | None = None) -> float:

@@ -42,9 +42,7 @@ class GeometryError(ValueError):
 class Domain:
     """Axis-aligned box in R^N, N in {1, 2}.
 
-    ``lower`` and ``upper`` are per-axis bounds.  Multi-box unions are not
-    supported yet; `from_boxes` exists so configs can already speak the
-    list-of-boxes dialect.
+    ``lower`` and ``upper`` are per-axis bounds.
     """
 
     lower: tuple[float, ...]
@@ -61,13 +59,6 @@ class Domain:
             raise GeometryError("only 1-D and 2-D box domains are supported")
         if any(b <= a for a, b in zip(lo, hi)):
             raise GeometryError(f"degenerate box: lower={lo} upper={hi}")
-
-    @classmethod
-    def from_boxes(cls, boxes) -> "Domain":
-        if len(boxes) != 1:
-            raise GeometryError("exactly one box is supported")
-        box = boxes[0]
-        return cls(tuple(box["lower"]), tuple(box["upper"]))
 
     @property
     def dim(self) -> int:

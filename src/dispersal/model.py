@@ -14,16 +14,19 @@ arrays:
     Kron(a, b) = a (x) b on the ij-ordered nodes of a 2-D grid: the
         gaussian kernel, exp(-|x - y|^2 / l^2) = Kx(x1, y1) Ky(x2, y2).
 
-The 1-D gaussian and the tabulated forms exist only densely.
+The 1-D gaussian and the tabulated forms exist only densely.  Each
+kernel form is chosen in one place, `_kernel`; `kernel_matrix` is the
+dense form of the same structure.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
 diagonal, a positive floor of Q on nearby pairs (locally or globally), the
 existence of a maximizing point x0 with Q(x0, .) >= Q(x, .), and, for the
 polynomial-dip preset, a certified comparison function a(x) with
-Q(x0, y) >= Q(x, y) + a(x) and integrable inverse.  `oscillation` measures
-sup_{x,z,y} |Q(x,y) - Q(z,y)|, the quantity that closes the solvability
-window.
+Q(x0, y) >= Q(x, y) + a(x) and integrable inverse.  `check_weight_floor`
+reads every fact about Q in one pass over its matrix, including the
+oscillation sup_{x,z,y} |Q(x,y) - Q(z,y)| that closes the solvability
+window and the sup of Q.
 
 `build_a_eps` and `build_q_eps` produce the regularized weight family: a
 dip profile a_eps vanishing at x0 and the row-scaled weight
@@ -57,7 +60,6 @@ __all__ = [
     "check_k2",
     "check_weight_floor",
     "kernel_matrix",
-    "oscillation",
     "weight_matrix",
 ]
 
@@ -196,9 +198,10 @@ def _gaussian(x: np.ndarray, length_scale: float) -> np.ndarray:
     return np.exp(k, out=k)
 
 
-def _kernel_factors(kernel: KernelSpec, grid: QuadratureGrid):
-    """K over the nodes as a LowRank or a Kron, or None where only the
-    dense `kernel_matrix` exists (1-D gaussian, tabulated)."""
+def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
+    """K over the nodes: a LowRank (constant, rank_one), a Kron (2-D
+    gaussian) or a fresh dense array (1-D gaussian, tabulated).  Entries
+    must be >= 0."""
     n = grid.n
     if kernel.form == "constant":
         return LowRank(np.full((n, 1), kernel.value), np.ones((n, 1)))
@@ -207,37 +210,27 @@ def _kernel_factors(kernel: KernelSpec, grid: QuadratureGrid):
         if f.min() * f.max() < 0:
             raise ModelError("kernel is negative at a sampled pair")
         return LowRank(f[:, None], f[:, None])
-    if kernel.form == "gaussian" and grid.domain.dim == 2:
-        return Kron(
-            *(_gaussian(x, kernel.length_scale) for x, _ in grid.axes())
-        )
-    return None
-
-
-def kernel_matrix(kernel: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Materialize K(x_i, x_j) over the grid nodes; entries must be >= 0."""
-    n = grid.n
-    if kernel.form == "constant":
-        k = np.full((n, n), kernel.value)
-    elif kernel.form == "rank_one":
-        f = _polyval(kernel.coeffs, _coords_1d(grid, "rank_one kernel"))
-        k = np.outer(f, f)
-    elif kernel.form == "gaussian":
-        k = _pairwise_sq_dist(grid)
-        k /= -kernel.length_scale**2
-        np.exp(k, out=k)
-    elif kernel.form == "tabulated":
+    if kernel.form == "gaussian":
+        if grid.domain.dim == 2:
+            return Kron(
+                *(_gaussian(x, kernel.length_scale) for x, _ in grid.axes())
+            )
+        return _gaussian(grid.nodes[:, 0], kernel.length_scale)
+    if kernel.form == "tabulated":
         if kernel.matrix.shape != (n, n):
             raise ModelError(
                 f"tabulated kernel has shape {kernel.matrix.shape}, "
                 f"grid needs ({n}, {n})"
             )
-        k = kernel.matrix.copy()
-    else:
-        raise ModelError(f"unknown kernel form {kernel.form!r}")
-    if k.min() < 0:
-        raise ModelError("kernel is negative at a sampled pair")
-    return k
+        if kernel.matrix.min() < 0:
+            raise ModelError("kernel is negative at a sampled pair")
+        return kernel.matrix.copy()
+    raise ModelError(f"unknown kernel form {kernel.form!r}")
+
+
+def kernel_matrix(kernel: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
+    """Materialize K(x_i, x_j) over the grid nodes; entries must be >= 0."""
+    return np.asarray(_kernel(kernel, grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,7 +397,7 @@ def check_k2(
 
 @dataclass(frozen=True, eq=False)
 class FloorReport:
-    """Weight floor and maximizing-point facts over one grid."""
+    """Weight floor, maximizing-point and oscillation facts over one grid."""
 
     q2: bool
     sigma: float          # min Q over pairs with |x - y| <= r
@@ -415,12 +408,18 @@ class FloorReport:
     x0_index: int
     x0: np.ndarray
     q4_defect: float      # max over (x, y) of Q(x, y) - Q(x0, y)
+    oscillation: float    # max over (x, z, y) of |Q(x, y) - Q(z, y)|
+    q_sup: float          # max Q over all pairs
 
 
 def check_weight_floor(
     weight: WeightSpec, grid: QuadratureGrid, r: float
 ) -> FloorReport:
-    """Certify the positive floor of Q and locate a maximizing node x0."""
+    """Certify the positive floor of Q and locate a maximizing node x0.
+
+    One `weight_matrix` call; the advantage of each row over the column
+    maxima is taken in place, so one n x n array is held.
+    """
     if r <= 0:
         raise ModelError("r must be positive")
     q = weight_matrix(weight, grid)
@@ -433,7 +432,9 @@ def check_weight_floor(
         sigma = float(np.min(q, where=near, initial=np.inf))
 
     col_max = q.max(axis=0)
-    advantage = (q - col_max[None, :]).min(axis=1)
+    osc = float((col_max - q.min(axis=0)).max())
+    q -= col_max[None, :]
+    advantage = q.min(axis=1)
     i0 = int(np.argmax(advantage))
     defect = float(-advantage[i0])
     return FloorReport(
@@ -446,13 +447,9 @@ def check_weight_floor(
         x0_index=i0,
         x0=grid.nodes[i0].copy(),
         q4_defect=defect,
+        oscillation=osc,
+        q_sup=float(col_max.max()),
     )
-
-
-def oscillation(weight: WeightSpec, grid: QuadratureGrid) -> float:
-    """sup over x, z, y of |Q(x, y) - Q(z, y)| on the grid."""
-    q = weight_matrix(weight, grid)
-    return float((q.max(axis=0) - q.min(axis=0)).max())
 
 
 @dataclass(frozen=True, eq=False)
@@ -472,14 +469,13 @@ class HypothesisReport:
     k2: bool
     delta: float
     floor: FloorReport
-    oscillation: float
     q3: Optional[bool]
     q3_x0_index: Optional[int]
     q3_a: Optional[np.ndarray]
     q3_integrals: Optional[dict]
 
 
-def _certify_q3(weight: WeightSpec, grid: QuadratureGrid, floor: FloorReport):
+def _certify_q3(weight: WeightSpec, grid: QuadratureGrid):
     if weight.form != "polynomial_dip" or weight.row_scale is not None:
         return None, None, None, None
     x = _coords_1d(grid, "polynomial_dip weight")
@@ -522,14 +518,13 @@ def certify(
     k1, asym = check_k1(kernel, grid)
     k2, delta = check_k2(kernel, grid, delta)
     floor = check_weight_floor(weight, grid, r)
-    q3, q3_i0, q3_a, q3_int = _certify_q3(weight, grid, floor)
+    q3, q3_i0, q3_a, q3_int = _certify_q3(weight, grid)
     return HypothesisReport(
         k1=k1,
         max_asymmetry=asym,
         k2=k2,
         delta=delta,
         floor=floor,
-        oscillation=oscillation(weight, grid),
         q3=q3,
         q3_x0_index=q3_i0,
         q3_a=q3_a,

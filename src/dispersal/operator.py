@@ -26,7 +26,7 @@ import numpy as np
 from scipy.sparse.linalg import eigsh
 
 from .geometry import QuadratureGrid
-from .model import KernelSpec, Kron, LowRank, _kernel_factors, kernel_matrix
+from .model import KernelSpec, Kron, LowRank, _kernel
 
 __all__ = [
     "DiscreteOperator",
@@ -66,7 +66,7 @@ class DiscreteOperator:
 
 
 def assemble(kernel: KernelSpec, grid: QuadratureGrid) -> DiscreteOperator:
-    k = _kernel_factors(kernel, grid)
+    k = _kernel(kernel, grid)
     root_w = np.sqrt(grid.weights)[:, None]
     if isinstance(k, LowRank):
         s = LowRank(root_w * k.left, root_w * k.right)
@@ -74,7 +74,7 @@ def assemble(kernel: KernelSpec, grid: QuadratureGrid) -> DiscreteOperator:
         ra, rb = (np.sqrt(w)[:, None] for _, w in grid.axes())
         s = Kron(ra * k.a * ra.T, rb * k.b * rb.T)
     else:
-        s = kernel_matrix(kernel, grid)
+        s = k
         s *= root_w
         s *= root_w.T
         s.setflags(write=False)

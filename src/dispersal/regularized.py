@@ -56,6 +56,7 @@ from .continuation import (
 from .geometry import QuadratureGrid
 from .logistic import phi, reaction_matrix
 from .model import (
+    FloorReport,
     LowRank,
     WeightSpec,
     build_a_eps,
@@ -86,9 +87,8 @@ class RegularizedError(RuntimeError):
     pass
 
 
-def _locate_x0(weight: WeightSpec, grid: QuadratureGrid) -> int:
+def _locate_x0(floor: FloorReport) -> int:
     """Index of a grid node x0 with Q(x0, y) >= Q(x, y) for all x, y."""
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
     if not floor.q4:
         raise RegularizedError(
             "weight has no certified maximum node "
@@ -102,19 +102,19 @@ def theta_margin(lambda1: float, lam: float) -> float:
 
 
 def _doubled_weight_obstruction(
-    lam: float, lambda1: float, qmat: np.ndarray
+    lam: float, lambda1: float, osc: float
 ) -> str | None:
     """Why the eps-limit cannot solve the original problem, or None.
 
     The doubled-weight family caps the limiting reaction at x0 at
     lambda / 2; a positive solution needs lambda - lambda1 there, with
-    equality only when the rows of Q agree.  lambda is compared with
-    2 lambda1 to the eigenpair's relative tolerance 1e-10.
+    equality only when the rows of Q agree, that is when the oscillation
+    ``osc`` of Q vanishes.  lambda is compared with 2 lambda1 to the
+    eigenpair's relative tolerance 1e-10.
     """
     ratio = lam / lambda1
     if ratio < 2.0 * (1.0 - 1e-10):
         return None
-    osc = float((qmat.max(axis=0) - qmat.min(axis=0)).max())
     if ratio <= 2.0 * (1.0 + 1e-10) and osc <= 1e-12:
         return None
     return (
@@ -182,7 +182,9 @@ def solve_regularized(
             f"{eigen.lambda1}"
         )
     if x0_index is None:
-        x0_index = _locate_x0(weight, grid)
+        x0_index = _locate_x0(
+            check_weight_floor(weight, grid, r=grid.domain.diameter)
+        )
     a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
     weps = build_q_eps(weight, grid, a)
     point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=u0)
@@ -355,13 +357,13 @@ def limit_procedure(
             f"expected one of {EXTRAPOLATION_METHODS}"
         )
     eigen = principal_eigenpair(op)
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
     if x0_index is None:
-        x0_index = _locate_x0(weight, grid)
+        x0_index = _locate_x0(floor)
     theta = theta_margin(eigen.lambda1, lam)
-    qmat = weight_matrix(weight, grid)
-    qsup = float(qmat.max())
-    obstruction = _doubled_weight_obstruction(lam, eigen.lambda1, qmat)
-    del qmat  # only its max is needed below; keep it out of the solves
+    obstruction = _doubled_weight_obstruction(
+        lam, eigen.lambda1, floor.oscillation
+    )
     if obstruction is not None and strict:
         raise RegularizedError(obstruction)
     qw = reaction_matrix(weight, grid)
@@ -417,7 +419,7 @@ def limit_procedure(
             break
 
     modulus_ok, paper_margin = _modulus_check(
-        grid, qsup, x0_index, eps_seq, sols, g_fields, plain, weight.p
+        grid, floor.q_sup, x0_index, eps_seq, sols, g_fields, plain, weight.p
     )
     if not modulus_ok and strict:
         raise RegularizedError("modulus bound on the reaction fields broke")

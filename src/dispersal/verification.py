@@ -40,7 +40,7 @@ from .continuation import (
 )
 from .geometry import Covering, QuadratureGrid
 from .logistic import phi, reaction_matrix
-from .model import FloorReport, LowRank, WeightSpec, oscillation
+from .model import FloorReport, LowRank, WeightSpec
 from .operator import (
     DiscreteOperator,
     collatz_wielandt_sup,
@@ -470,8 +470,6 @@ def check_rate_nonexistence(
 
 
 def check_solvability_window(
-    weight: WeightSpec,
-    grid: QuadratureGrid,
     lambda1: float,
     floor: FloorReport,
     lam: float | None = None,
@@ -479,10 +477,10 @@ def check_solvability_window(
     """Window (lambda1, lambda1 + lambda1 sigma / [Q]); informational.
 
     ``floor`` is `check_weight_floor(weight, grid, r)` at any r; only its
-    global floor is read.  Membership of a particular lambda is recorded
-    in the context; lying beyond the upper end is not a violation (the
-    window is a sufficient condition), so the report always holds when
-    computable.
+    global floor and its oscillation [Q] are read.  Membership of a
+    particular lambda is recorded in the context; lying beyond the upper
+    end is not a violation (the window is a sufficient condition), so the
+    report always holds when computable.
     """
     if not floor.q2pp:
         return BoundReport(
@@ -493,7 +491,7 @@ def check_solvability_window(
             applicable=False,
         )
     lower, upper = window_bounds(
-        lambda1, floor.sigma_global, oscillation(weight, grid)
+        lambda1, floor.sigma_global, floor.oscillation
     )
     ctx = {"lower": lower, "upper": upper, "sigma": floor.sigma_global}
     if lam is not None:
@@ -538,8 +536,9 @@ def verify_branch(
 ) -> list[BoundReport]:
     """Run every applicable checker over all points of a stored branch.
 
-    Only the states (lambda, u) are read.  Each point is rebuilt from them
-    by the tracer's own `_branch_point`; lambda1 comes from
+    Only the states (lambda, u) are read: ``branch.points`` may hold any
+    records with ``lam`` and ``u``.  Each point is rebuilt from them by the
+    tracer's own `_branch_point`; lambda1 comes from
     `principal_eigenpair(op)`, and the weight floor sigma, the radius r
     and the covering count m from the weight and the grid as in
     `trace_branch`.  The recorded scalars and the branch metadata,
@@ -553,7 +552,7 @@ def verify_branch(
     floor, sigma, covering = _floor_cover(weight, grid)
     m = covering.m if covering else None
     pts = [
-        _branch_point(op, weight, qw, pt.lam, pt.u, pt.newton_iters, sigma, m)
+        _branch_point(op, weight, qw, pt.lam, pt.u, 0, sigma, m)
         for pt in branch.points
     ]
     positivity = [check_positivity(op, pt.u) for pt in pts]
@@ -582,7 +581,7 @@ def verify_branch(
         ))
     reports.append(
         check_solvability_window(
-            weight, grid, lambda1, floor, lam=pts[-1].lam if pts else None
+            lambda1, floor, lam=pts[-1].lam if pts else None
         )
     )
     return [r for r in reports if r is not None]

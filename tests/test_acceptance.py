@@ -23,15 +23,14 @@ from dispersal import (
     bifurcation_estimate,
     build_grid,
     check_subcritical_nonexistence,
+    check_weight_floor,
     jacobian,
     limit_procedure,
     oracle_fixed_point,
     oracle_spectral,
-    oscillation,
     principal_eigenpair,
     reaction_matrix,
     residual,
-    solvability_window,
     solve_at_lambda,
     trace_branch,
     window_bounds,
@@ -298,13 +297,17 @@ def test_criterion_07_solvability_window():
     op = assemble(KernelSpec.constant(1.0), grid)
     eigen = principal_eigenpair(op)
 
-    osc_const = oscillation(WeightSpec.constant(1.0, p=1.0), grid)
+    r = grid.domain.diameter
+    osc_const = check_weight_floor(
+        WeightSpec.constant(1.0, p=1.0), grid, r
+    ).oscillation
     lo, hi = window_bounds(eigen.lambda1, 1.0, osc_const)
     const_ok = osc_const == 0.0 and hi == math.inf
 
     weight = _dip(1.0)
-    osc_dip = oscillation(weight, grid)
-    lo_d, hi_d = solvability_window(weight, grid, eigen.lambda1)
+    floor = check_weight_floor(weight, grid, r)
+    osc_dip = floor.oscillation
+    lo_d, hi_d = window_bounds(eigen.lambda1, floor.sigma_global, osc_dip)
     branch = trace_branch(
         op, weight, eigen, ContinuationConfig(lambda_max=hi_d)
     )

@@ -149,6 +149,43 @@ def test_verify_ignores_recorded_lambda1(tmp_path):
     assert cw["holds"] and cw["context"]["lambda1"] < 1.0
 
 
+def test_verify_reads_no_header(tmp_path, capsys):
+    """verify reads only the lambda column and the states: a valid
+    17-node branch without its sigma header still verifies."""
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"rule": "trapezoid", "resolution": 17},
+        run={"lambda_max": 2.0},
+    )
+    out = tmp_path / "out"
+    assert main(["trace", cfg, "--output-dir", str(out)]) == 0
+    branch = out / "branch.csv"
+    lines = branch.read_text().splitlines()
+    stripped = [s for s in lines if not s.startswith("# sigma=")]
+    assert len(stripped) == len(lines) - 1
+    branch.write_text("\n".join(stripped) + "\n")
+    capsys.readouterr()
+    assert main(["verify", cfg, "--output-dir", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_trace_reports_max_points(tmp_path):
+    """Q = 0 leaves the problem linear, so the branch stands vertical at
+    lambda1; trace.json names the point budget as the reason it stopped."""
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"rule": "trapezoid", "resolution": 33},
+        kernel={"form": "gaussian", "length_scale": 1.0},
+        weight={"form": "constant", "value": 0.0, "p": 2.0},
+        run={"lambda_max": 2.5, "max_points": 40},
+    )
+    out = tmp_path / "out"
+    assert main(["trace", cfg, "--output-dir", str(out)]) == 0
+    meta = json.loads((out / "trace.json").read_text())
+    assert meta["termination"] == "max_points"
+    assert meta["points"] == 40
+
+
 def test_verify_rejects_mismatched_rows(tmp_path):
     cfg = write_config(tmp_path / "c.json", run={"lambda_max": 2.0})
     out = tmp_path / "out"

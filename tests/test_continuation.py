@@ -14,12 +14,12 @@ from dispersal import (
     assemble,
     build_grid,
     bifurcation_estimate,
+    check_weight_floor,
     newton_correct,
     oracle_spectral,
     principal_eigenpair,
     reaction_matrix,
     seed_branch,
-    solvability_window,
     solve_at_lambda,
     trace_branch,
     window_bounds,
@@ -174,8 +174,13 @@ def test_window_bounds_values():
         window_bounds(1.0, 0.0, 0.5)
 
 
+def _window(weight, grid, lambda1):
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    return window_bounds(lambda1, floor.sigma_global, floor.oscillation)
+
+
 def test_solvability_window_dip(grid65):
-    lo, hi = solvability_window(dip_weight(), grid65, 1.0)
+    lo, hi = _window(dip_weight(), grid65, 1.0)
     sigma = 3.0 - 0.5**0.4
     osc = 0.5**0.4
     assert abs(lo - 1.0) < 1e-14
@@ -186,10 +191,23 @@ def test_trace_inside_dip_window(const_op, const_eigen):
     cfg = ContinuationConfig(lambda_max=3.0)
     branch = trace_branch(const_op, dip_weight(), const_eigen, cfg)
     assert branch.termination == "reached_lambda_max"
-    _, hi = solvability_window(dip_weight(), const_op.grid, 1.0)
+    _, hi = _window(dip_weight(), const_op.grid, 1.0)
     assert branch.points[-1].lam < hi
     for pt in branch.points:
         assert pt.min_u > 0
+
+
+def test_trace_reports_max_points():
+    """Q = 0 leaves the problem linear: the branch stands vertical at
+    lambda1 and spends its point budget without reaching lambda_max."""
+    grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 33)
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    eigen = principal_eigenpair(op)
+    cfg = ContinuationConfig(lambda_max=2.5, max_points=40)
+    branch = trace_branch(op, WeightSpec.constant(0.0, p=2.0), eigen, cfg)
+    assert branch.termination == "max_points"
+    assert len(branch.points) == 40
+    assert branch.points[-1].lam < cfg.lambda_max
 
 
 def test_solve_at_lambda_constant(const_op, const_eigen):

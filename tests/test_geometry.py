@@ -18,11 +18,6 @@ def test_domain_basics():
     assert abs(dom.diameter - math.sqrt(8.0)) < 1e-15
 
 
-def test_domain_from_boxes():
-    dom = Domain.from_boxes([{"lower": [0.0], "upper": [1.0]}])
-    assert dom == UNIT
-
-
 def test_domain_rejects_degenerate():
     with pytest.raises(GeometryError):
         Domain((0.0,), (0.0,))

@@ -17,7 +17,6 @@ from dispersal import (
     check_weight_floor,
     eps_ceiling,
     kernel_matrix,
-    oscillation,
     weight_matrix,
 )
 
@@ -115,13 +114,14 @@ def test_floor_at_diameter_counts_every_pair():
 
 
 def test_weight_floor_peak_memory():
-    """On 33 x 33 nodes the floor check peaks below five n x n arrays."""
+    """On 33 x 33 nodes the floor check holds one n x n array: its peak
+    stays below one and a half."""
     grid = build_grid(SQUARE, "trapezoid", 33)
     peak = peak_bytes(
         check_weight_floor, WeightSpec.constant(1.0, p=2.0), grid,
         r=grid.domain.diameter,
     )
-    assert peak <= 5 * grid.n**2 * 8
+    assert peak <= 1.5 * grid.n**2 * 8
 
 
 def test_floor_requires_positive_radius():
@@ -130,9 +130,13 @@ def test_floor_requires_positive_radius():
         check_weight_floor(WeightSpec.constant(1.0, p=1.0), grid, r=-1.0)
 
 
+def _oscillation(weight, grid):
+    return check_weight_floor(weight, grid, r=grid.domain.diameter).oscillation
+
+
 def test_oscillation_constant_zero():
     grid = unit_grid("trapezoid", 17)
-    assert oscillation(WeightSpec.constant(3.0, p=1.0), grid) == 0.0
+    assert _oscillation(WeightSpec.constant(3.0, p=1.0), grid) == 0.0
 
 
 def test_oscillation_separable_brute_force():
@@ -143,7 +147,7 @@ def test_oscillation_separable_brute_force():
     for i in range(grid.n):
         for k in range(grid.n):
             best = max(best, np.abs(q[i] - q[k]).max())
-    val = oscillation(w, grid)
+    val = _oscillation(w, grid)
     assert abs(val - best) < 1e-15
     assert abs(val - 2.0) < 1e-12  # max_y (1+y) * (max_x - min_x)
 
@@ -152,7 +156,7 @@ def test_oscillation_tabulated_exact():
     grid = unit_grid("midpoint", 4)
     x = grid.nodes[:, 0]
     w = WeightSpec.tabulated(x[:, None] + x[None, :], p=1.0)
-    assert abs(oscillation(w, grid) - 0.75) < 1e-15
+    assert abs(_oscillation(w, grid) - 0.75) < 1e-15
 
 
 def test_certify_dip_preset():
@@ -162,7 +166,7 @@ def test_certify_dip_preset():
     assert rep.floor.q2 and rep.floor.q4
     assert rep.q3 is True
     assert rep.q3_x0_index == rep.floor.x0_index == 32
-    assert abs(rep.oscillation - 0.5**0.4) < 1e-12
+    assert abs(rep.floor.oscillation - 0.5**0.4) < 1e-12
     for key in ("l1", "lp", "lq"):
         assert np.isfinite(rep.q3_integrals[key])
         assert rep.q3_integrals[key] > 0

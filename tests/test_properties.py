@@ -18,8 +18,10 @@ from dispersal import (
     assemble,
     build_q_eps,
     build_grid,
+    check_weight_floor,
     collatz_wielandt_sup,
     jacobian,
+    kernel_matrix,
     phi,
     principal_eigenpair,
     reaction_matrix,
@@ -120,6 +122,51 @@ def test_apply_matches_dense_action(data, seed):
     u = _state(seed, grid.n)
     scale = (np.abs(a) @ np.abs(u)).max()
     assert np.abs(op.apply(u) - a @ u).max() <= 1e-13 * scale
+
+
+@PROPERTY
+@given(data=st.data())
+def test_kernel_matrix_matches_formula(data):
+    """kernel_matrix, the dense form of whatever `assemble` keeps, equals
+    the kernel's formula evaluated pair by pair."""
+    grid = data.draw(grids())
+    kernel = data.draw(kernels(grid))
+    x = grid.nodes
+    if kernel.form == "constant":
+        expected = np.full((grid.n, grid.n), kernel.value)
+    elif kernel.form == "gaussian":
+        d = np.linalg.norm(x[:, None, :] - x[None, :, :], axis=-1)
+        expected = np.exp(-(d**2) / kernel.length_scale**2)
+    elif kernel.form == "rank_one":
+        f = kernel.coeffs[0] + kernel.coeffs[1] * x[:, 0]
+        expected = f[:, None] * f[None, :]
+    else:
+        expected = kernel.matrix
+    np.testing.assert_allclose(
+        kernel_matrix(kernel, grid), expected, rtol=1e-13, atol=0.0
+    )
+
+
+@PROPERTY
+@given(data=st.data())
+def test_weight_floor_matches_brute_force(data):
+    """One check_weight_floor pass gives the global floor, the oscillation,
+    the sup of Q, the q4 defect and a row x0 of greatest advantage, each
+    equal to a reduction of weight_matrix pair by pair."""
+    grid = data.draw(grids())
+    weight = data.draw(weights(grid, 1.0))
+    q = weight_matrix(weight, grid)
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    # advantage[i] = min over (k, y) of Q(i, y) - Q(k, y)
+    advantage = np.array([(row[None, :] - q).min() for row in q])
+    osc = max(np.abs(row[None, :] - q).max() for row in q)
+    assert floor.sigma_global == floor.sigma == min(row.min() for row in q)
+    assert floor.q_sup == max(row.max() for row in q)
+    assert floor.oscillation == osc
+    assert advantage[floor.x0_index] == advantage.max()
+    assert floor.q4_defect == (q - q[floor.x0_index][None, :]).max()
+    assert floor.q4_defect == -advantage.max()
+    np.testing.assert_array_equal(floor.x0, grid.nodes[floor.x0_index])
 
 
 @PROPERTY

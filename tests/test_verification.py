@@ -229,14 +229,14 @@ def test_solvability_window_reports(grid65):
     r = grid65.domain.diameter
     w = const_weight()
     floor = check_weight_floor(w, grid65, r=r)
-    rep = check_solvability_window(w, grid65, 1.0, floor, lam=2.0)
+    rep = check_solvability_window(1.0, floor, lam=2.0)
     assert rep.holds
     assert rep.context["upper"] == math.inf
     assert rep.context["inside"]
 
     w = WeightSpec.separable(g=(0.0, 1.0), h=(1.0,), p=1.0)
     floor = check_weight_floor(w, grid65, r=r)
-    rep2 = check_solvability_window(w, grid65, 1.0, floor)
+    rep2 = check_solvability_window(1.0, floor)
     assert not rep2.applicable
 
 
