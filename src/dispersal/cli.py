@@ -1,8 +1,10 @@
 """Batch front-end: config-driven runs with JSON/CSV/SVG artifacts.
 
 One JSON config file describes the domain, grid, kernel, weight, and run
-parameters; subcommands reuse it and allow a few scalar overrides.  All
-outputs are deterministic for a fixed config and seed: floats are
+parameters; subcommands reuse it and allow a few scalar overrides.  A
+section's keys are the parameters of the constructor it feeds, and an
+unknown key is refused; each subcommand registers only the flags it
+reads.  All outputs are deterministic for a fixed config: floats are
 written with 17 significant digits, JSON keys are sorted, and the SVG
 plot is assembled by hand.
 
@@ -13,6 +15,8 @@ Exit codes: 0 success, 2 a quantitative bound or hypothesis failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import inspect
 import json
 import math
 import os
@@ -47,6 +51,13 @@ from .verification import VerificationError, verify_branch
 __all__ = ["main"]
 
 OUTPUT_ENV = "DISPERSAL_OUT"
+SECTIONS = ("domain", "grid", "kernel", "weight", "run", "output_dir")
+CONTINUATION_KEYS = tuple(
+    f.name for f in dataclasses.fields(ContinuationConfig)
+)
+# the run keys the subcommands read besides the continuation settings;
+# "seed" is accepted and unused: every run is deterministic
+RUN_KEYS = ("lambda", "r", "delta", "method", "n_values", "seed")
 
 
 class UsageError(Exception):
@@ -109,82 +120,68 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
-def _build_domain(cfg: dict) -> Domain:
-    spec = cfg.get("domain")
-    if not spec:
-        raise UsageError("config needs a 'domain' section")
+def _check_keys(section: dict, allowed, what: str) -> None:
+    unknown = sorted(set(section) - set(allowed))
+    if unknown:
+        raise UsageError(
+            f"unknown key {unknown[0]!r} in the {what}; "
+            f"accepted: {', '.join(allowed)}"
+        )
+
+
+def _call(ctor, section: dict, what: str):
+    """``ctor(**section)``: the keys a section accepts are the parameters
+    of the constructor it feeds, defaults included."""
+    _check_keys(section, inspect.signature(ctor).parameters, what)
     try:
-        return Domain(tuple(spec["lower"]), tuple(spec["upper"]))
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed domain section: {exc}") from exc
+        return ctor(**section)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"malformed {what}: {exc}") from exc
 
 
-def _build_kernel(cfg: dict) -> KernelSpec:
-    spec = cfg.get("kernel")
-    if not spec or "form" not in spec:
-        raise UsageError("config needs a 'kernel' section with a form")
-    form = spec["form"]
-    try:
-        if form == "constant":
-            return KernelSpec.constant(spec.get("value", 1.0))
-        if form == "rank_one":
-            return KernelSpec.rank_one(spec["coeffs"])
-        if form == "gaussian":
-            return KernelSpec.gaussian(spec.get("length_scale", 1.0))
-        if form == "tabulated":
-            return KernelSpec.tabulated(np.array(spec["matrix"], dtype=float))
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed kernel section: {exc}") from exc
-    raise UsageError(f"unknown kernel form {form!r}")
+def _section(cfg: dict, name: str) -> dict:
+    section = cfg.get(name) or {}
+    if not isinstance(section, dict):
+        raise UsageError(f"config section {name!r} must be a JSON object")
+    return dict(section)
 
 
-def _build_weight(cfg: dict) -> WeightSpec:
-    spec = cfg.get("weight")
-    if not spec or "form" not in spec:
-        raise UsageError("config needs a 'weight' section with a form")
-    form = spec["form"]
-    p = spec.get("p", 1.0)
-    try:
-        if form == "constant":
-            return WeightSpec.constant(spec.get("value", 1.0), p=p)
-        if form == "separable":
-            return WeightSpec.separable(spec["g"], spec["h"], p=p)
-        if form == "polynomial_dip":
-            return WeightSpec.polynomial_dip(
-                h=spec.get("h", (1.0,)),
-                g=spec.get("g", (0.0,)),
-                points=spec["points"],
-                exponents=spec["exponents"],
-                level=spec["level"],
-                p=p,
-            )
-        if form == "tabulated":
-            return WeightSpec.tabulated(
-                np.array(spec["matrix"], dtype=float), p=p
-            )
-    except (KeyError, TypeError) as exc:
-        raise UsageError(f"malformed weight section: {exc}") from exc
-    raise UsageError(f"unknown weight form {form!r}")
+def _spec(cls, cfg: dict, name: str):
+    """A KernelSpec or WeightSpec from the section's form constructor."""
+    section = _section(cfg, name)
+    form = section.pop("form", None)
+    if form not in cls.FORMS:
+        raise UsageError(
+            f"config needs a {name!r} section with a form in {cls.FORMS}; "
+            f"got form {form!r} and keys {sorted(section)}"
+        )
+    return _call(getattr(cls, form), section, f"{form} {name} section")
 
 
 class RunContext:
     def __init__(self, args):
         self.cfg = _load_config(args.config)
-        self.domain = _build_domain(self.cfg)
-        grid_spec = self.cfg.get("grid", {})
-        rule = args.rule or grid_spec.get("rule", "midpoint")
-        resolution = args.resolution or grid_spec.get("resolution", 64)
-        self.grid = build_grid(self.domain, rule, int(resolution))
-        self.kernel = _build_kernel(self.cfg)
-        self.weight = _build_weight(self.cfg)
-        self.run = dict(self.cfg.get("run", {}))
-        for key in ("lam", "lambda_max", "seed", "method", "r"):
-            val = getattr(args, key, None)
-            if val is not None:
-                self.run["lambda" if key == "lam" else key] = val
+        _check_keys(self.cfg, SECTIONS, "config")
+        self.run = _section(self.cfg, "run")
+        _check_keys(self.run, CONTINUATION_KEYS + RUN_KEYS, "run section")
+        # the grid goes last: its size is the value most often refused, and
+        # a misspelled key elsewhere should be named first
+        self.kernel = _spec(KernelSpec, self.cfg, "kernel")
+        self.weight = _spec(WeightSpec, self.cfg, "weight")
+        self.domain = _call(Domain, _section(self.cfg, "domain"),
+                            "domain section")
+        grid = _section(self.cfg, "grid")
+        for key in ("rule", "resolution"):
+            if getattr(args, key):
+                grid[key] = getattr(args, key)
+        self.grid = _call(lambda rule="midpoint", resolution=64: build_grid(
+            self.domain, rule, int(resolution)), grid, "grid section")
+        for key in ("lambda", "lambda_max", "method", "r"):
+            if getattr(args, key, None) is not None:
+                self.run[key] = getattr(args, key)
 
         out = (
-            getattr(args, "output_dir", None)
+            args.output_dir
             or os.environ.get(OUTPUT_ENV)
             or self.cfg.get("output_dir", "out")
         )
@@ -192,18 +189,11 @@ class RunContext:
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def continuation_config(self) -> ContinuationConfig:
-        run = self.run
-        kwargs = {}
-        for key in (
-            "lambda_max", "ds", "ds_min", "ds_max", "s0",
-            "newton_tol", "newton_max_iters", "max_points",
-        ):
-            if key in run and run[key] is not None:
-                kwargs[key] = run[key]
-        try:
-            return ContinuationConfig(**kwargs)
-        except ContinuationError as exc:
-            raise UsageError(str(exc)) from exc
+        kwargs = {
+            key: val for key, val in self.run.items()
+            if key in CONTINUATION_KEYS and val is not None
+        }
+        return _call(ContinuationConfig, kwargs, "run section")
 
     def require_lambda(self) -> float:
         lam = self.run.get("lambda")
@@ -251,24 +241,53 @@ def _states_csv_lines(points) -> list[str]:
     return lines
 
 
-def _parse_csv(path: Path):
+def _node_csv_lines(grid, name: str, values) -> list[str]:
+    """One row per node: its coordinates, then its value."""
+    head = ",".join(f"x{i}" for i in range(grid.nodes.shape[1]))
+    lines = [f"{head},{name}"]
+    for row, val in zip(grid.nodes, values):
+        lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(val))
+    return lines
+
+
+def _parse_csv(path: Path, header: bool):
+    """(meta, columns, rows): ``# key=value`` lines fill meta; with
+    ``header`` the first other line names the columns, and every row
+    must have one number per column."""
     if not path.exists():
         raise UsageError(f"missing csv file {path}")
-    meta, header, rows = {}, None, []
-    for line in path.read_text().splitlines():
+    meta, columns, rows = {}, None, []
+    for num, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                key, val = body.split("=", 1)
+            key, eq, val = line[1:].partition("=")
+            if eq:
                 meta[key.strip()] = val.strip()
             continue
-        if header is None and any(c.isalpha() for c in line.split(",")[0]):
-            header = line.split(",")
+        if header and columns is None:
+            columns = line.split(",")
             continue
-        rows.append([float(tok) for tok in line.split(",")])
-    return meta, header, rows
+        try:
+            row = [float(tok) for tok in line.split(",")]
+        except ValueError:
+            raise UsageError(
+                f"{path} line {num}: not a row of numbers"
+            ) from None
+        if columns is not None and len(row) != len(columns):
+            raise UsageError(
+                f"{path} line {num}: {len(row)} fields, "
+                f"{len(columns)} columns"
+            )
+        rows.append(row)
+    return meta, columns, rows
+
+
+def _column(path: Path, columns, rows, name: str) -> list[float]:
+    if not columns or name not in columns:
+        raise UsageError(f"{path} has no {name} column")
+    i = columns.index(name)
+    return [row[i] for row in rows]
 
 
 def _cmd_eig(args) -> int:
@@ -287,12 +306,8 @@ def _cmd_eig(args) -> int:
             "n": ctx.grid.n,
         },
     )
-    coords = ctx.grid.nodes
-    head = ",".join(f"x{i}" for i in range(coords.shape[1])) + ",phi1"
-    lines = [head]
-    for row, val in zip(coords, eigen.phi1):
-        lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(val))
-    _write_lines(ctx.out_dir / "phi1.csv", lines)
+    _write_lines(ctx.out_dir / "phi1.csv",
+                 _node_csv_lines(ctx.grid, "phi1", eigen.phi1))
     print(f"lambda1={_fmt(eigen.lambda1)} gap={_fmt(eigen.gap)} -> {out}")
     return 0
 
@@ -355,12 +370,8 @@ def _cmd_solve(args) -> int:
             "residual_norm": pt.residual_norm,
         },
     )
-    coords = ctx.grid.nodes
-    head = ",".join(f"x{i}" for i in range(coords.shape[1])) + ",u"
-    lines = [head]
-    for row, val in zip(coords, pt.u):
-        lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(val))
-    _write_lines(ctx.out_dir / "solution.csv", lines)
+    _write_lines(ctx.out_dir / "solution.csv",
+                 _node_csv_lines(ctx.grid, "u", pt.u))
     print(
         f"lambda={_fmt(pt.lam)} sup={_fmt(pt.sup_norm)} "
         f"-> {ctx.out_dir / 'solve.json'}"
@@ -404,11 +415,7 @@ def _cmd_sweep_eps(args) -> int:
     lam = ctx.require_lambda()
     n_values = ctx.run.get("n_values")
     if n_values is None:
-        lo, hi = ctx.run.get("n_range", (4, 64))
-        n_values, n = [], int(lo)
-        while n <= int(hi):
-            n_values.append(n)
-            n *= 2
+        n_values = (4, 8, 16, 32, 64)
     method = ctx.run.get("method", "richardson")
     if method not in EXTRAPOLATION_METHODS:
         raise UsageError(
@@ -441,12 +448,8 @@ def _cmd_sweep_eps(args) -> int:
             )
         )
     _write_lines(ctx.out_dir / "sweep.csv", lines)
-    coords = ctx.grid.nodes
-    head = ",".join(f"x{i}" for i in range(coords.shape[1])) + ",u_limit"
-    limit_lines = [head]
-    for row, val in zip(coords, run.limit):
-        limit_lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(val))
-    _write_lines(ctx.out_dir / "limit.csv", limit_lines)
+    _write_lines(ctx.out_dir / "limit.csv",
+                 _node_csv_lines(ctx.grid, "u_limit", run.limit))
     _write_json(
         ctx.out_dir / "sweep.json",
         {
@@ -474,23 +477,25 @@ def _cmd_sweep_eps(args) -> int:
 
 def _load_branch(ctx: RunContext, args) -> SimpleNamespace:
     """The stored states, as `verify_branch` reads them: the lambda column
-    of branch.csv and the rows of states.csv.  Every other column and
-    header is ignored, so a missing one does not matter."""
-    branch_path = Path(getattr(args, "branch", None) or
-                       ctx.out_dir / "branch.csv")
+    of branch.csv and the rows of states.csv, one value per grid node.
+    Every other column and ``#`` line is ignored, so a missing one does not
+    matter."""
+    branch_path = Path(args.branch or ctx.out_dir / "branch.csv")
     states_path = branch_path.with_name("states.csv")
-    _, header, rows = _parse_csv(branch_path)
-    _, _, urows = _parse_csv(states_path)
-    if not header or "lambda" not in header:
-        raise UsageError(f"{branch_path} has no lambda column")
+    _, columns, rows = _parse_csv(branch_path, header=True)
+    _, _, urows = _parse_csv(states_path, header=False)
+    lams = _column(branch_path, columns, rows, "lambda")
     if len(rows) != len(urows):
         raise UsageError(
             f"{branch_path} and {states_path} have mismatched row counts"
         )
-    col = header.index("lambda")
+    for i, uvals in enumerate(urows, 1):
+        if len(uvals) != ctx.grid.n:
+            raise UsageError(f"{states_path} row {i} has {len(uvals)} "
+                             f"values for {ctx.grid.n} grid nodes")
     return SimpleNamespace(points=tuple(
-        SimpleNamespace(lam=row[col], u=np.array(uvals))
-        for row, uvals in zip(rows, urows)
+        SimpleNamespace(lam=lam, u=np.array(uvals))
+        for lam, uvals in zip(lams, urows)
     ))
 
 
@@ -527,16 +532,18 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export_plot(args) -> int:
     ctx = RunContext(args)
-    branch_path = Path(getattr(args, "branch", None) or
-                       ctx.out_dir / "branch.csv")
-    meta, header, rows = _parse_csv(branch_path)
+    branch_path = Path(args.branch or ctx.out_dir / "branch.csv")
+    meta, columns, rows = _parse_csv(branch_path, header=True)
     if not rows:
         raise UsageError(f"{branch_path} has no data rows to plot")
-    idx_l = header.index("lambda")
-    idx_s = header.index("sup_norm")
-    lams = [row[idx_l] for row in rows]
-    sups = [row[idx_s] for row in rows]
-    lambda1 = float(meta.get("seed_lambda1", lams[0]))
+    lams = _column(branch_path, columns, rows, "lambda")
+    sups = _column(branch_path, columns, rows, "sup_norm")
+    try:
+        lambda1 = float(meta.get("seed_lambda1", lams[0]))
+    except ValueError:
+        raise UsageError(
+            f"{branch_path}: seed_lambda1 is not a number"
+        ) from None
     svg = _render_svg(lams, sups, lambda1)
     out = ctx.out_dir / "branch.svg"
     out.write_text(svg)
@@ -603,30 +610,38 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    flags = {
+        "--lambda": dict(type=float),
+        "--lambda-max": dict(type=float),
+        "--method": {},
+        "--r": dict(type=float),
+        "--branch": dict(help="branch csv path (default: out dir)"),
+    }
     specs = (
-        ("eig", _cmd_eig, "principal eigenpair of the dispersal operator"),
-        ("check-hyp", _cmd_check_hyp, "certify kernel/weight hypotheses"),
-        ("solve", _cmd_solve, "solve at one fixed lambda"),
-        ("trace", _cmd_trace, "trace the positive branch from lambda1"),
-        ("sweep-eps", _cmd_sweep_eps, "regularized family and its limit"),
-        ("verify", _cmd_verify, "check every bound over a stored branch"),
-        ("export-plot", _cmd_export_plot, "render a branch diagram SVG"),
+        ("eig", _cmd_eig, "principal eigenpair of the dispersal operator",
+         ()),
+        ("check-hyp", _cmd_check_hyp, "certify kernel/weight hypotheses",
+         ("--r",)),
+        ("solve", _cmd_solve, "solve at one fixed lambda", ("--lambda",)),
+        ("trace", _cmd_trace, "trace the positive branch from lambda1",
+         ("--lambda-max",)),
+        ("sweep-eps", _cmd_sweep_eps, "regularized family and its limit",
+         ("--lambda", "--method")),
+        ("verify", _cmd_verify, "check every bound over a stored branch",
+         ("--branch",)),
+        ("export-plot", _cmd_export_plot, "render a branch diagram SVG",
+         ("--branch",)),
     )
-    for name, func, help_text in specs:
-        p = sub.add_parser(name, help=help_text)
+    for name, func, help_text, own in specs:
+        # abbreviations off: `trace --lambda 7` must not mean --lambda-max
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("config", help="path to the run-configuration JSON")
-        p.add_argument("--output-dir", default=None)
-        p.add_argument("--rule", default=None)
-        p.add_argument("--resolution", type=int, default=None)
-        p.add_argument("--lambda", dest="lam", type=float, default=None)
-        p.add_argument("--lambda-max", dest="lambda_max", type=float,
-                       default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--method", default=None)
-        p.add_argument("--r", type=float, default=None)
-        if name in ("verify", "export-plot"):
-            p.add_argument("--branch", default=None,
-                           help="branch csv path (default: out dir)")
+        p.add_argument("--output-dir")
+        p.add_argument("--rule")
+        p.add_argument("--resolution", type=int)
+        p.add_argument("--seed", type=int, help="accepted and unused")
+        for flag in own:
+            p.add_argument(flag, **flags[flag])
         p.set_defaults(func=func)
     return parser
 

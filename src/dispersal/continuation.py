@@ -114,9 +114,6 @@ class Branch:
     m: int
     p: float
 
-    def lambdas(self) -> np.ndarray:
-        return np.array([pt.lam for pt in self.points])
-
     def monotone_points(self) -> tuple:
         """Export filter: the lambda-increasing sub-path of the branch."""
         kept = []

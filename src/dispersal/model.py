@@ -161,6 +161,8 @@ class KernelSpec:
     tabulated: explicit (n, n) matrix over the grid nodes
     """
 
+    FORMS = ("constant", "rank_one", "gaussian", "tabulated")
+
     form: str
     value: float = 1.0
     coeffs: Optional[tuple] = None
@@ -168,7 +170,7 @@ class KernelSpec:
     matrix: Optional[np.ndarray] = None
 
     @classmethod
-    def constant(cls, value: float) -> "KernelSpec":
+    def constant(cls, value: float = 1.0) -> "KernelSpec":
         if value < 0:
             raise ModelError("constant kernel value must be nonnegative")
         return cls(form="constant", value=float(value))
@@ -178,7 +180,7 @@ class KernelSpec:
         return cls(form="rank_one", coeffs=tuple(float(c) for c in coeffs))
 
     @classmethod
-    def gaussian(cls, length_scale: float) -> "KernelSpec":
+    def gaussian(cls, length_scale: float = 1.0) -> "KernelSpec":
         if length_scale <= 0:
             raise ModelError("gaussian length_scale must be positive")
         return cls(form="gaussian", length_scale=float(length_scale))
@@ -246,6 +248,8 @@ class WeightSpec:
     row_scale(x) on every materialization.
     """
 
+    FORMS = ("constant", "separable", "polynomial_dip", "tabulated")
+
     form: str
     p: float
     value: float = 1.0
@@ -262,13 +266,13 @@ class WeightSpec:
             raise ModelError("reaction exponent p must be positive")
 
     @classmethod
-    def constant(cls, value: float, p: float) -> "WeightSpec":
+    def constant(cls, value: float = 1.0, p: float = 1.0) -> "WeightSpec":
         if value < 0:
             raise ModelError("constant weight value must be nonnegative")
         return cls(form="constant", p=float(p), value=float(value))
 
     @classmethod
-    def separable(cls, g, h, p: float) -> "WeightSpec":
+    def separable(cls, g, h, p: float = 1.0) -> "WeightSpec":
         return cls(
             form="separable",
             p=float(p),
@@ -278,7 +282,8 @@ class WeightSpec:
 
     @classmethod
     def polynomial_dip(
-        cls, h, g, points, exponents, level: float, p: float
+        cls, *, points, exponents, level: float, p: float = 1.0,
+        h=(1.0,), g=(0.0,),
     ) -> "WeightSpec":
         pts = tuple(float(c) for c in points)
         exps = tuple(float(c) for c in exponents)
@@ -297,7 +302,7 @@ class WeightSpec:
         )
 
     @classmethod
-    def tabulated(cls, matrix: np.ndarray, p: float) -> "WeightSpec":
+    def tabulated(cls, matrix: np.ndarray, p: float = 1.0) -> "WeightSpec":
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ModelError("tabulated weight must be a square matrix")

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import eigsh
+from scipy.sparse.linalg import ArpackError, eigsh
 
 from .geometry import QuadratureGrid
 from .model import KernelSpec, Kron, LowRank, _kernel
@@ -101,10 +101,14 @@ def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
     # symmetric frame.  Rank-deficient kernels exhaust the Krylov space and
     # make ARPACK restart from random vectors, so the generator is seeded
     # too: repeated runs give identical bits.  tol=0 asks for machine
-    # precision.
-    evals, evecs = eigsh(
-        op.s, k=2, which="LA", v0=np.sqrt(op.grid.weights), tol=0, rng=0
-    )
+    # precision.  A kernel that vanishes on every node (a zero constant
+    # or rank-one kernel) leaves ARPACK a zero start.
+    try:
+        evals, evecs = eigsh(
+            op.s, k=2, which="LA", v0=np.sqrt(op.grid.weights), tol=0, rng=0
+        )
+    except ArpackError as exc:
+        raise OperatorError(f"no principal eigenpair: {exc}") from exc
     lam1, lam2, z = evals[-1], evals[-2], evecs[:, -1]
     if lam1 <= 0:
         raise OperatorError(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -284,3 +285,150 @@ def test_repeat_runs_are_byte_identical(tmp_path):
             + (out / "branch.svg").read_bytes()
         )
     assert blobs[0] == blobs[1]
+
+
+@pytest.mark.parametrize(
+    "section, key",
+    [
+        (None, "grdi"),
+        ("domain", "periodic"),
+        ("grid", "resolutoin"),
+        ("kernel", "length"),
+        ("weight", "valu"),
+        ("run", "lambda_maxx"),
+    ],
+)
+def test_unknown_key_exits_one(tmp_path, capsys, section, key):
+    """A misspelled key in any section is refused and named; the README's
+    old gaussian key ``length`` would otherwise run at the default scale."""
+    cfg = json.loads(Path(write_config(
+        tmp_path / "c.json", kernel={"form": "gaussian", "length_scale": 1.0}
+    )).read_text())
+    (cfg if section is None else cfg[section])[key] = 0.05
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    capsys.readouterr()
+    code = main(["eig", str(tmp_path / "c.json"),
+                 "--output-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [(["eig", "--method", "fields"], "--method"),
+     (["trace", "--lambda", "7"], "--lambda")],
+)
+def test_unread_flag_exits_one(tmp_path, capsys, argv, flag):
+    """A subcommand registers only the flags it reads; `trace --lambda`
+    is not taken as an abbreviation of --lambda-max."""
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([argv[0], cfg, "--output-dir", str(out)] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"kernel": {"form": "tabulated", "matrix": [[1.0, 0.5], [0.5]]}},
+        {"grid": {"rule": "trapezoid", "resolution": "many"}},
+    ],
+)
+def test_malformed_section_exits_one(tmp_path, capsys, section):
+    cfg = write_config(tmp_path / "c.json", **section)
+    capsys.readouterr()
+    assert main(["eig", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "malformed" in err and "Traceback" not in err
+
+
+def test_readme_example_config_runs(tmp_path):
+    """The README's example configuration is accepted as written."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cli = readme[readme.index("## CLI"):]
+    example = cli[cli.index("```json") + len("```json"):]
+    (tmp_path / "c.json").write_text(example[:example.index("```")])
+    assert main(["eig", str(tmp_path / "c.json"), "--resolution", "9",
+                 "--output-dir", str(tmp_path / "out")]) == 0
+
+
+def _traced_17(tmp_path):
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"rule": "trapezoid", "resolution": 17},
+        run={"lambda_max": 2.0},
+    )
+    out = tmp_path / "out"
+    assert main(["trace", cfg, "--output-dir", str(out)]) == 0
+    return cfg, out
+
+
+def _header_index(lines):
+    return next(i for i, s in enumerate(lines) if not s.startswith("#"))
+
+
+def _row_abc(lines):
+    i = _header_index(lines) + 1
+    lines[i] = "abc" + lines[i][lines[i].index(","):]
+
+
+def _no_sup_norm(lines):
+    i = _header_index(lines)
+    lines[i] = lines[i].replace("sup_norm", "sup")
+
+
+def _no_header(lines):
+    del lines[_header_index(lines)]
+
+
+def _seed_abc(lines):
+    i = next(i for i, s in enumerate(lines) if s.startswith("# seed_lambda1"))
+    lines[i] = "# seed_lambda1=abc"
+
+
+def _short_state(lines):
+    lines[-1] = lines[-1].rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "command, name, edit",
+    [
+        ("verify", "branch.csv", _row_abc),
+        ("verify", "states.csv", _short_state),
+        ("export-plot", "branch.csv", _no_sup_norm),
+        ("export-plot", "branch.csv", _no_header),
+        ("export-plot", "branch.csv", _seed_abc),
+    ],
+)
+def test_bad_branch_csv_exits_one(tmp_path, capsys, command, name, edit):
+    """A damaged branch.csv or states.csv is refused with a message that
+    names the file."""
+    cfg, out = _traced_17(tmp_path)
+    lines = (out / name).read_text().splitlines()
+    edit(lines)
+    (out / name).write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([command, cfg, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
+
+
+def test_verify_reads_nan_state(tmp_path, capsys):
+    """states.csv has no header line: a first row starting with nan is a
+    state, and verify reports it as a residual violation."""
+    cfg, out = _traced_17(tmp_path)
+    states = out / "states.csv"
+    lines = states.read_text().splitlines()
+    i = _header_index(lines)
+    lines[i] = "nan" + lines[i][lines[i].index(","):]
+    states.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["verify", cfg, "--output-dir", str(out)]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    reports = json.loads((out / "verify.json").read_text())
+    assert "residual" in {r["name"] for r in reports if not r["holds"]}

@@ -165,6 +165,16 @@ def test_symmetrized_form_is_similar():
     assert np.abs(op.apply(u) - a @ u).max() <= 1e-13 * np.abs(a @ u).max()
 
 
+@pytest.mark.parametrize(
+    "kernel", [KernelSpec.constant(0.0), KernelSpec.rank_one((0.0,))]
+)
+def test_eigenpair_refuses_zero_kernel(kernel):
+    """A kernel that vanishes on every node has no positive principal
+    pair; ARPACK's zero start is reported as an OperatorError."""
+    with pytest.raises(OperatorError):
+        principal_eigenpair(assemble(kernel, unit_grid("trapezoid", 9)))
+
+
 def test_rayleigh_quotient(const_op, const_eigen):
     assert abs(rayleigh(const_op, const_eigen.phi1) - 1.0) < 1e-12
     grid = unit_grid("gauss-legendre-tensor", 16)

@@ -4,6 +4,12 @@ Hypothesis runs derandomized with no example database, so the suite is
 deterministic; `conftest` keeps its constants cache out of the checkout.
 """
 
+import io
+import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,6 +34,7 @@ from dispersal import (
     residual,
     weight_matrix,
 )
+from dispersal.cli import main
 
 from .conftest import dense_a
 
@@ -243,3 +250,71 @@ def test_jacobian_action_matches_dense_and_differences(data, p, lam, seed):
         - residual(op, weight, qw, lam, u - h * v)
     ) / (2.0 * h)
     assert np.abs(action - fd).max() <= 1e-6 * scale
+
+
+@st.composite
+def cli_configs(draw):
+    """A config of valid forms and values, any rule, dimension and
+    resolution 1..9; defaulted keys are sometimes left out."""
+    dim = draw(st.sampled_from((1, 2)))
+    res = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    table = rng.uniform(0.0, 1.0, (res**dim, res**dim))
+    coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)
+    kernel = draw(st.sampled_from([
+        {"form": "constant", "value": draw(st.floats(0.0, 2.0))},
+        {"form": "rank_one", "coeffs": draw(coeffs)},
+        {"form": "gaussian", "length_scale": draw(st.floats(0.05, 2.0))},
+        {"form": "tabulated", "matrix": (table + table.T).tolist()},
+    ]))
+    weight = draw(st.sampled_from([
+        {"form": "constant", "value": draw(st.floats(0.0, 2.0))},
+        {"form": "separable", "g": draw(coeffs), "h": draw(coeffs)},
+        {"form": "polynomial_dip", "points": [draw(st.floats(0.0, 1.0))],
+         "exponents": [draw(st.floats(0.1, 2.0))],
+         "level": draw(st.floats(0.5, 3.0))},
+        {"form": "tabulated", "matrix": table.tolist()},
+    ]))
+    weight["p"] = draw(st.floats(0.5, 3.0))
+    for section in (kernel, weight):
+        optional = [k for k in ("value", "length_scale", "p") if k in section]
+        if optional and draw(st.booleans()):
+            del section[draw(st.sampled_from(optional))]
+    lam = draw(st.floats(0.1, 5.0))
+    return {
+        "domain": {"lower": [0.0] * dim, "upper": [1.0] * dim},
+        "grid": {"rule": draw(st.sampled_from(RULES)), "resolution": res},
+        "kernel": kernel,
+        "weight": weight,
+        "run": {"lambda": lam, "lambda_max": 2.0 * lam, "max_points": 50},
+    }
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    command=st.sampled_from(("eig", "check-hyp", "solve", "trace")),
+    misspell=st.booleans(),
+)
+def test_cli_config_space(data, command, misspell):
+    """Every config of valid forms exits 0, 1 or 2 without a traceback,
+    and a misspelled key in any section exits 1 and is named."""
+    cfg = data.draw(cli_configs())
+    typo = None
+    if misspell:
+        where = data.draw(st.sampled_from([None, *cfg]))
+        section = cfg if where is None else cfg[where]
+        key = data.draw(st.sampled_from(sorted(section)))
+        i = data.draw(st.integers(0, len(key) - 1))
+        typo = key[:i] + key[i + 1:] if len(key) > 1 else key * 2
+        section[typo] = section.pop(key)
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.json"
+        path.write_text(json.dumps(cfg))
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            code = main([command, str(path), "--output-dir", tmp])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if typo is not None:
+        assert code == 1 and repr(typo) in err.getvalue()
