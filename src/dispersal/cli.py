@@ -208,13 +208,10 @@ class RunContext:
 def _branch_csv_lines(branch) -> list[str]:
     lines = [
         f"# seed_lambda1={_fmt(branch.seed_lambda1)}",
-        f"# sigma={_fmt(branch.sigma)}",
-        f"# r={_fmt(branch.r)}",
-        f"# m={branch.m}",
         f"# p={_fmt(branch.p)}",
         f"# termination={branch.termination}",
-        "lambda,sup_norm,p_norm,min_u,gamma_phi_sup,lp_bound_margin,"
-        "newton_iters,residual_norm",
+        "lambda,sup_norm,p_norm,min_u,gamma_phi_sup,newton_iters,"
+        "residual_norm",
     ]
     for pt in branch.points:
         lines.append(
@@ -225,7 +222,6 @@ def _branch_csv_lines(branch) -> list[str]:
                     _fmt(pt.p_norm),
                     _fmt(pt.min_u),
                     _fmt(pt.gamma_phi_sup),
-                    _fmt(pt.lp_bound_margin),
                     str(pt.newton_iters),
                     _fmt(pt.residual_norm),
                 ]
@@ -396,9 +392,6 @@ def _cmd_trace(args) -> int:
             "termination": branch.termination,
             "points": len(branch.points),
             "fold_indices": list(branch.fold_indices),
-            "sigma": branch.sigma,
-            "r": branch.r,
-            "m": branch.m,
             "p": branch.p,
             "lambda_max": cfg.lambda_max,
         },

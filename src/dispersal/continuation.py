@@ -17,10 +17,10 @@ per solve.  The arclength border is eliminated with a second Krylov solve
 J y2 = u (Keller's block elimination), so no bordered matrix is formed.
 
 Accepted points carry diagnostics: the admissibility value
-gamma ||Phi_u||_inf (always < 1 on true solutions), the covering-based
-a-priori margin (m lambda / sigma)^(1/p) - ||u||_p when a positive weight
-floor sigma and a covering count m are available, Newton iteration counts,
-and residual norms.
+gamma ||Phi_u||_inf (always < 1 on true solutions), the L^p norm, Newton
+iteration counts and residual norms.  The tracer reads no certificate:
+the weight floor and the covering-based a-priori bound are checked after
+the fact, from the stored states, by `verification.verify_branch`.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
-from .geometry import QuadratureGrid, cover
+from .geometry import QuadratureGrid
 from .logistic import (
     JacobianAction,
     ReactionError,
@@ -39,7 +39,7 @@ from .logistic import (
     reaction_matrix,
     residual,
 )
-from .model import LowRank, WeightSpec, check_weight_floor
+from .model import LowRank, WeightSpec
 from .operator import DiscreteOperator, PrincipalEigenpair
 
 __all__ = [
@@ -98,7 +98,6 @@ class BranchPoint:
     p_norm: float
     min_u: float
     gamma_phi_sup: float
-    lp_bound_margin: float
     newton_iters: int
     residual_norm: float
 
@@ -109,9 +108,6 @@ class Branch:
     seed_lambda1: float
     termination: str
     fold_indices: tuple
-    sigma: float
-    r: float
-    m: int
     p: float
 
     def monotone_points(self) -> tuple:
@@ -125,34 +121,17 @@ class Branch:
         return tuple(kept)
 
 
-def _floor_cover(weight: WeightSpec, grid: QuadratureGrid):
-    """(floor at r = diameter, sigma, covering) of the a-priori L^p bound;
-    sigma and the covering are None without a positive weight floor."""
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    sigma = floor.sigma
-    if sigma <= 0:
-        return floor, None, None
-    return floor, sigma, cover(grid.domain, grid, floor.r)
-
-
-def _branch_point(op, weight, qw, lam, u, iters, sigma, m) -> BranchPoint:
-    grid = op.grid
+def _branch_point(op, weight, qw, lam, u, iters) -> BranchPoint:
     u = np.asarray(u, dtype=float)
     fld = phi(weight, qw, u)
     res_norm = float(np.abs(op.apply(u) + fld.values * u - lam * u).max())
-    p_norm = grid.lp_norm(u, weight.p)
-    if sigma is not None and sigma > 0 and m is not None and lam > 0:
-        margin = (m * lam / sigma) ** (1.0 / weight.p) - p_norm
-    else:
-        margin = math.nan
     return BranchPoint(
         lam=float(lam),
         u=u.copy(),
         sup_norm=float(np.abs(u).max()),
-        p_norm=p_norm,
+        p_norm=op.grid.lp_norm(u, weight.p),
         min_u=float(u.min()),
         gamma_phi_sup=fld.sup_norm / lam if lam > 0 else math.inf,
-        lp_bound_margin=margin,
         newton_iters=int(iters),
         residual_norm=res_norm,
     )
@@ -249,8 +228,6 @@ def newton_correct(
     lam: float,
     u0: np.ndarray,
     cfg: ContinuationConfig,
-    sigma: float | None = None,
-    m: int | None = None,
 ) -> BranchPoint:
     """Correct u0 to a solution at fixed lambda.
 
@@ -265,7 +242,7 @@ def newton_correct(
             f"Newton did not converge in {cfg.newton_max_iters} iterations "
             f"at lambda={lam}"
         )
-    return _branch_point(op, weight, qw, lam, u, iters, sigma, m)
+    return _branch_point(op, weight, qw, lam, u, iters)
 
 
 def seed_branch(
@@ -291,12 +268,12 @@ def seed_branch(
     return float(lam), u
 
 
-def _bootstrap_first_point(op, weight, qw, eigen, cfg, sigma, m):
+def _bootstrap_first_point(op, weight, qw, eigen, cfg):
     s = cfg.s0
     for _ in range(6):
         lam_g, u_g = seed_branch(eigen, weight, qw, op.grid, s)
         try:
-            pt = newton_correct(op, weight, qw, lam_g, u_g, cfg, sigma, m)
+            pt = newton_correct(op, weight, qw, lam_g, u_g, cfg)
         except ContinuationError:
             s *= 2.0
             continue
@@ -325,10 +302,8 @@ def trace_branch(
         raise ContinuationError(
             f"lambda_max={cfg.lambda_max} must exceed lambda1={eigen.lambda1}"
         )
-    floor, sigma, covering = _floor_cover(weight, grid)
-    m = covering.m if covering else None
     qw = reaction_matrix(weight, grid)
-    first = _bootstrap_first_point(op, weight, qw, eigen, cfg, sigma, m)
+    first = _bootstrap_first_point(op, weight, qw, eigen, cfg)
     points = [first]
     folds: list[int] = []
 
@@ -353,9 +328,7 @@ def trace_branch(
         if clamp:
             u0 = cur.u + t_u * (cfg.lambda_max - cur.lam) / t_lam
             try:
-                pt = newton_correct(
-                    op, weight, qw, cfg.lambda_max, u0, cfg, sigma, m
-                )
+                pt = newton_correct(op, weight, qw, cfg.lambda_max, u0, cfg)
                 ok = pt.min_u > 0
             except ContinuationError:
                 ok = False
@@ -372,9 +345,7 @@ def trace_branch(
             if ok and (u_new.min() <= 0 or np.abs(u_new).max() <= 1e-10):
                 ok = False
             if ok:
-                pt = _branch_point(
-                    op, weight, qw, lam_new, u_new, iters, sigma, m
-                )
+                pt = _branch_point(op, weight, qw, lam_new, u_new, iters)
         if not ok:
             ds *= 0.5
             fast = 0
@@ -410,9 +381,6 @@ def trace_branch(
         seed_lambda1=eigen.lambda1,
         termination=termination,
         fold_indices=tuple(folds),
-        sigma=sigma if sigma is not None else 0.0,
-        r=floor.r,
-        m=m if m is not None else 0,
         p=weight.p,
     )
 

@@ -34,7 +34,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator
 
 from .geometry import QuadratureGrid
-from .model import LowRank, WeightSpec, _weight_factors, weight_matrix
+from .model import LowRank, WeightSpec, _weight
 from .operator import DiscreteOperator
 
 __all__ = [
@@ -71,13 +71,12 @@ def reaction_matrix(
     A `LowRank` (L, w R) when Q = L R^T has factors, else a dense
     read-only array.
     """
-    q = _weight_factors(weight, grid)
-    if q is not None:
+    q = _weight(weight, grid)
+    if isinstance(q, LowRank):
         return LowRank(q.left, grid.weights[:, None] * q.right)
-    qw = weight_matrix(weight, grid)
-    qw *= grid.weights[None, :]
-    qw.setflags(write=False)
-    return qw
+    q *= grid.weights[None, :]
+    q.setflags(write=False)
+    return q
 
 
 def phi(

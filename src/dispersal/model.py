@@ -15,8 +15,9 @@ arrays:
         gaussian kernel, exp(-|x - y|^2 / l^2) = Kx(x1, y1) Ky(x2, y2).
 
 The 1-D gaussian and the tabulated forms exist only densely.  Each
-kernel form is chosen in one place, `_kernel`; `kernel_matrix` is the
-dense form of the same structure.
+kernel form is chosen in one place, `_kernel`, and each weight form,
+row scale included, in `_weight`; `kernel_matrix` and `weight_matrix`
+are the dense forms of the same structures.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
@@ -317,66 +318,59 @@ def _dip_profile(weight: WeightSpec, x: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _plain_factors(weight: WeightSpec, grid: QuadratureGrid):
-    """Q = L R^T over the nodes without the row scale, or None for a
-    tabulated weight.  Every column of L but the first is constant."""
+def _weight(weight: WeightSpec, grid: QuadratureGrid):
+    """Q over the nodes, row scale included: a LowRank (constant,
+    separable, polynomial_dip) or a fresh dense array (tabulated).
+
+    Entries must be >= 0, and a row scale must hold one positive value
+    per node, so it keeps the sign.  Every column of the plain left
+    factor but the first is constant, so a LowRank's smallest entry lies
+    on the row where that column is smallest or largest.
+    """
     n = grid.n
-    if weight.form == "constant":
-        return LowRank(np.full((n, 1), weight.value), np.ones((n, 1)))
-    if weight.form == "separable":
-        x = _coords_1d(grid, "separable weight")
-        return LowRank(_polyval(weight.g, x), _polyval(weight.h, x))
-    if weight.form == "polynomial_dip":
-        x = _coords_1d(grid, "polynomial_dip weight")
-        dip = weight.level - _dip_profile(weight, x)
-        return LowRank(
-            np.column_stack([dip, np.ones(n)]),
-            np.column_stack([_polyval(weight.h, x), _polyval(weight.g, x)]),
-        )
+    scale = weight.row_scale
+    if scale is not None and (
+        np.shape(scale) != (n,) or not np.all(scale > 0)
+    ):
+        raise ModelError("row_scale must hold one positive value per node")
     if weight.form == "tabulated":
         if weight.matrix.shape != (n, n):
             raise ModelError(
                 f"tabulated weight has shape {weight.matrix.shape}, "
                 f"grid needs ({n}, {n})"
             )
-        return None
-    raise ModelError(f"unknown weight form {weight.form!r}")
-
-
-def _row_scale(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
-    if weight.row_scale.shape != (grid.n,):
-        raise ModelError("row_scale must have one value per grid node")
-    return weight.row_scale[:, None]
-
-
-def _weight_factors(weight: WeightSpec, grid: QuadratureGrid):
-    """Q as a LowRank, row scale included, or None for a tabulated weight.
-
-    Entries must be >= 0.  Only the first column of the plain left factor
-    varies, so the smallest entry lies on the row where it is smallest or
-    largest; the row scale is positive and keeps the sign.
-    """
-    q = _plain_factors(weight, grid)
-    if q is None:
-        return None
+        q = weight.matrix.copy()
+        if scale is not None:
+            q *= scale[:, None]
+        if q.min() < 0:
+            raise ModelError("weight is negative at a sampled pair")
+        return q
+    if weight.form == "constant":
+        q = LowRank(np.full((n, 1), weight.value), np.ones((n, 1)))
+    elif weight.form == "separable":
+        x = _coords_1d(grid, "separable weight")
+        q = LowRank(_polyval(weight.g, x), _polyval(weight.h, x))
+    elif weight.form == "polynomial_dip":
+        x = _coords_1d(grid, "polynomial_dip weight")
+        dip = weight.level - _dip_profile(weight, x)
+        q = LowRank(
+            np.column_stack([dip, np.ones(n)]),
+            np.column_stack([_polyval(weight.h, x), _polyval(weight.g, x)]),
+        )
+    else:
+        raise ModelError(f"unknown weight form {weight.form!r}")
     first = q.left[:, 0]
     extreme = LowRank(q.left[[first.argmin(), first.argmax()]], q.right)
     if extreme.dense().min() < 0:
         raise ModelError("weight is negative at a sampled pair")
-    if weight.row_scale is None:
+    if scale is None:
         return q
-    return LowRank(_row_scale(weight, grid) * q.left, q.right)
+    return LowRank(scale[:, None] * q.left, q.right)
 
 
 def weight_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
     """Materialize Q(x_i, x_j) over the grid nodes; entries must be >= 0."""
-    q = _plain_factors(weight, grid)
-    q = weight.matrix.copy() if q is None else q.dense()
-    if weight.row_scale is not None:
-        q *= _row_scale(weight, grid)
-    if q.min() < 0:
-        raise ModelError("weight is negative at a sampled pair")
-    return q
+    return np.asarray(_weight(weight, grid))
 
 
 def check_k1(kernel: KernelSpec, grid: QuadratureGrid) -> tuple[bool, float]:

@@ -20,6 +20,7 @@ return anything violating it.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,11 +103,15 @@ def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
     # make ARPACK restart from random vectors, so the generator is seeded
     # too: repeated runs give identical bits.  tol=0 asks for machine
     # precision.  A kernel that vanishes on every node (a zero constant
-    # or rank-one kernel) leaves ARPACK a zero start.
+    # or rank-one kernel) leaves ARPACK a zero start.  On two nodes
+    # k = n, and eigsh hands the pair to eigh with a warning.
     try:
-        evals, evecs = eigsh(
-            op.s, k=2, which="LA", v0=np.sqrt(op.grid.weights), tol=0, rng=0
-        )
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "k >= N", RuntimeWarning)
+            evals, evecs = eigsh(
+                op.s, k=2, which="LA", v0=np.sqrt(op.grid.weights), tol=0,
+                rng=0,
+            )
     except ArpackError as exc:
         raise OperatorError(f"no principal eigenpair: {exc}") from exc
     lam1, lam2, z = evals[-1], evals[-2], evecs[:, -1]

@@ -81,6 +81,8 @@ __all__ = [
 ]
 
 EXTRAPOLATION_METHODS = ("richardson", "fields")
+# radius of the ball around x0 whose L^p mass the run bounds
+_MASS_RADIUS = 0.5
 
 
 class RegularizedError(RuntimeError):
@@ -312,7 +314,6 @@ def limit_procedure(
     cfg: ContinuationConfig,
     method: str = "richardson",
     x0_index: int | None = None,
-    mass_radius: float = 0.5,
     strict: bool = True,
 ) -> RegularizedRun:
     """Solve the eps = 1/n family and extrapolate to the original problem.
@@ -388,10 +389,10 @@ def limit_procedure(
 
         sup_disp = float(np.abs(op.apply(rs.point.u)).max())
         bound = near_center_mass_bound(
-            sup_disp, theta, weight.p, eps, mass_radius, grid.domain.dim
+            sup_disp, theta, weight.p, eps, _MASS_RADIUS, grid.domain.dim
         )
         d = np.linalg.norm(grid.nodes - grid.nodes[x0_index][None, :], axis=1)
-        inside = d < mass_radius
+        inside = d < _MASS_RADIUS
         measured = float(
             grid.weights[inside] @ np.abs(rs.point.u[inside]) ** weight.p
         )

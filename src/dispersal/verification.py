@@ -19,7 +19,10 @@ increasing in t, so the root exists exactly when lambda > lambda1; below
 that the oracle certifies nonexistence of a positive solution.
 
 Checkers return BoundReport records with the convention margin >= 0
-means the bound is satisfied.
+means the bound is satisfied.  `verify_branch` runs them over a stored
+branch from its states (lambda, u) alone; it is the one place that reads
+the weight floor and the ball covering of the a-priori L^p bound, which
+the tracer does not compute.
 """
 
 from __future__ import annotations
@@ -34,13 +37,12 @@ from .continuation import (
     ContinuationConfig,
     ContinuationError,
     _branch_point,
-    _floor_cover,
     newton_correct,
     window_bounds,
 )
-from .geometry import Covering, QuadratureGrid
+from .geometry import Covering, QuadratureGrid, cover
 from .logistic import phi, reaction_matrix
-from .model import FloorReport, LowRank, WeightSpec
+from .model import FloorReport, LowRank, WeightSpec, check_weight_floor
 from .operator import (
     DiscreteOperator,
     collatz_wielandt_sup,
@@ -64,6 +66,16 @@ __all__ = [
     "pencil_eigenvalue",
     "verify_branch",
 ]
+
+
+# stopping rules of the two oracles
+_FIXED_POINT_TOL = 1e-11
+_FIXED_POINT_MAX_ITERS = 4000
+_SPECTRAL_TOL = 1e-12
+_SPECTRAL_MAX_OUTER = 120
+# random starts of the two nonexistence searches
+_SEARCH_SEED = 0
+_RATE_TRIALS = 20
 
 
 class VerificationError(RuntimeError):
@@ -100,15 +112,13 @@ def oracle_fixed_point(
     lam: float,
     u0: np.ndarray,
     relaxation: float = 0.5,
-    tol: float = 1e-11,
-    max_iters: int = 4000,
 ) -> OracleResult:
     """Damped rearrangement iteration u <- (1-w) u + w L0 u / (lambda - Phi_u).
 
-    Stops when the sup-change drops below tol.  When an iterate leaves
-    the region lambda - Phi_u > 0 the step is retried from the previous
-    iterate with half the damping; exhausting the damping budget yields
-    status "inadmissible" (inconclusive, not fatal).
+    Stops when the sup-change drops below ``_FIXED_POINT_TOL``.  When an
+    iterate leaves the region lambda - Phi_u > 0 the step is retried from
+    the previous iterate with half the damping; exhausting the damping
+    budget yields status "inadmissible" (inconclusive, not fatal).
     """
     if not 0 < relaxation <= 1:
         raise VerificationError("relaxation must lie in (0, 1]")
@@ -121,7 +131,7 @@ def oracle_fixed_point(
     omega = relaxation
     prev = None
     change = math.inf
-    for it in range(1, max_iters + 1):
+    for it in range(1, _FIXED_POINT_MAX_ITERS + 1):
         c = lam - phi(weight, qw, u).values
         if c.min() <= 0:
             if prev is None or omega < 1e-6:
@@ -138,7 +148,7 @@ def oracle_fixed_point(
         nxt = (1.0 - omega) * u + omega * op.apply(u) / c
         change = float(np.abs(nxt - u).max())
         prev, u = u, nxt
-        if change < tol:
+        if change < _FIXED_POINT_TOL:
             return OracleResult(
                 u=u,
                 status="converged",
@@ -149,7 +159,7 @@ def oracle_fixed_point(
     return OracleResult(
         u=u,
         status="not_converged",
-        iters=max_iters,
+        iters=_FIXED_POINT_MAX_ITERS,
         final_change=change,
         residual=_problem_residual(op, weight, qw, lam, u),
     )
@@ -184,8 +194,6 @@ def oracle_spectral(
     op: DiscreteOperator,
     weight: WeightSpec,
     lam: float,
-    tol: float = 1e-12,
-    max_outer: int = 120,
 ) -> OracleResult:
     """Shape/amplitude fixed point built on the symmetric pencil.
 
@@ -234,7 +242,7 @@ def oracle_spectral(
         )
     u = t * shape
     change = math.inf
-    for it in range(1, max_outer + 1):
+    for it in range(1, _SPECTRAL_MAX_OUTER + 1):
         c = lam - phi(weight, qw, u).values
         _, shape_new = pencil_eigenvalue(op, c)
         if shape_new.min() <= 0:
@@ -250,7 +258,7 @@ def oracle_spectral(
         u_new = t_new * shape_new
         change = float(np.abs(u_new - u).max())
         u, shape, t = u_new, shape_new, t_new
-        if change <= tol * max(1.0, float(np.abs(u).max())):
+        if change <= _SPECTRAL_TOL * max(1.0, float(np.abs(u).max())):
             return OracleResult(
                 u=u,
                 status="converged",
@@ -261,7 +269,7 @@ def oracle_spectral(
     return OracleResult(
         u=u,
         status="not_converged",
-        iters=max_outer,
+        iters=_SPECTRAL_MAX_OUTER,
         final_change=change,
         residual=_problem_residual(op, weight, qw, lam, u),
     )
@@ -369,8 +377,6 @@ def check_subcritical_nonexistence(
     weight: WeightSpec,
     lam: float,
     trials: int = 20,
-    seed: int = 0,
-    cfg: ContinuationConfig | None = None,
 ) -> BoundReport:
     """Multi-start search for positive solutions; holds if none is found.
 
@@ -379,9 +385,8 @@ def check_subcritical_nonexistence(
     values, and residual <= 1e-9.  Calling this above lambda1 is the
     checker's own self-test: it must come back not holding.
     """
-    if cfg is None:
-        cfg = ContinuationConfig(lambda_max=max(2.0 * lam, 4.0))
-    rng = np.random.default_rng(seed)
+    cfg = ContinuationConfig(lambda_max=max(2.0 * lam, 4.0))
+    rng = np.random.default_rng(_SEARCH_SEED)
     n = op.grid.n
     qw = reaction_matrix(weight, op.grid)
     tight = replace(cfg, newton_tol=1e-14, newton_max_iters=60)
@@ -421,8 +426,6 @@ def check_rate_nonexistence(
     op: DiscreteOperator,
     g: np.ndarray,
     lambda1: float,
-    trials: int = 20,
-    seed: int = 0,
 ) -> BoundReport:
     """No positive u solves L0 u = g u when g stays above lambda1.
 
@@ -442,12 +445,12 @@ def check_rate_nonexistence(
             context={"note": "min g does not exceed lambda1 strictly"},
             applicable=False,
         )
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_SEARCH_SEED)
     n = op.grid.n
     root_w = np.sqrt(op.grid.weights)
     jac = np.asarray(op.s) - np.diag(g)
     found_sup = 0.0
-    for _ in range(trials):
+    for _ in range(_RATE_TRIALS):
         u = rng.uniform(0.05, 1.0, n)
         for _ in range(50):
             r = op.apply(u) - g * u
@@ -539,9 +542,9 @@ def verify_branch(
     Only the states (lambda, u) are read: ``branch.points`` may hold any
     records with ``lam`` and ``u``.  Each point is rebuilt from them by the
     tracer's own `_branch_point`; lambda1 comes from
-    `principal_eigenpair(op)`, and the weight floor sigma, the radius r
-    and the covering count m from the weight and the grid as in
-    `trace_branch`.  The recorded scalars and the branch metadata,
+    `principal_eigenpair(op)`, and the weight floor sigma at r = the domain
+    diameter and the count m of the ball covering of that radius from the
+    weight and the grid.  The recorded scalars and the branch metadata,
     ``seed_lambda1`` included, are ignored.  Aggregated reports carry the
     worst margin over the branch; the solvability window is attached
     once, evaluated at the last point.
@@ -549,11 +552,9 @@ def verify_branch(
     grid = op.grid
     lambda1 = principal_eigenpair(op).lambda1
     qw = reaction_matrix(weight, grid)
-    floor, sigma, covering = _floor_cover(weight, grid)
-    m = covering.m if covering else None
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
     pts = [
-        _branch_point(op, weight, qw, pt.lam, pt.u, 0, sigma, m)
-        for pt in branch.points
+        _branch_point(op, weight, qw, pt.lam, pt.u, 0) for pt in branch.points
     ]
     positivity = [check_positivity(op, pt.u) for pt in pts]
     reports = [
@@ -566,14 +567,14 @@ def verify_branch(
              for pt in pts if pt.min_u > 0],
         ),
     ]
-    if covering is not None:
+    if floor.q2pp:
+        covering = cover(grid.domain, grid, floor.r)
         reports.append(_worst(
             "lp_covering_bound",
-            [check_covering_bound(pt, covering, sigma, weight.p)
+            [check_covering_bound(pt, covering, floor.sigma, weight.p)
              for pt in pts],
             r=floor.r,
         ))
-    if floor.q2pp:
         reports.append(_worst(
             "phi_floor",
             [check_phi_floor(weight, qw, grid, pt.u, floor.sigma_global)

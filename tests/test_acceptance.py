@@ -179,7 +179,12 @@ def test_criterion_04_branch_point_bounds():
     """Every accepted branch point satisfies the admissibility bound
     gamma sup Phi < 1, the covering p-norm bound, and (under a global
     weight floor) min Phi >= sigma ||u||_p^p, all with margin >= -1e-8."""
-    from dispersal import check_phi_floor, check_weight_floor
+    from dispersal import (
+        check_covering_bound,
+        check_phi_floor,
+        check_weight_floor,
+        cover,
+    )
 
     _warm_up()
     grid = build_grid(UNIT, "trapezoid", 65)
@@ -198,11 +203,13 @@ def test_criterion_04_branch_point_bounds():
         )
         floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
         assert floor.q2pp
+        covering = cover(grid.domain, grid, floor.r)
         qw = reaction_matrix(weight, grid)
         for pt in branch.points:
             points += 1
             worst_adm = min(worst_adm, 1.0 - pt.gamma_phi_sup)
-            worst_lp = min(worst_lp, pt.lp_bound_margin)
+            lp = check_covering_bound(pt, covering, floor.sigma, weight.p)
+            worst_lp = min(worst_lp, lp.margin)
             rep = check_phi_floor(weight, qw, grid, pt.u, floor.sigma_global)
             worst_floor = min(worst_floor, rep.margin)
     ok = worst_adm > 0 and worst_lp >= -1e-8 and worst_floor >= -1e-8

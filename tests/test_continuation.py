@@ -14,7 +14,9 @@ from dispersal import (
     assemble,
     build_grid,
     bifurcation_estimate,
+    check_covering_bound,
     check_weight_floor,
+    cover,
     newton_correct,
     oracle_spectral,
     principal_eigenpair,
@@ -25,7 +27,7 @@ from dispersal import (
     window_bounds,
 )
 
-from .conftest import const_weight, dip_weight, unit_grid
+from .conftest import const_weight, dip_weight, peak_bytes, unit_grid
 
 
 def test_seed_is_exact_for_constant_case(const_eigen, grid65):
@@ -111,7 +113,11 @@ def test_trace_constant_branch_closed_form(const_op, const_eigen):
 
 def test_trace_branch_invariants(const_op, const_eigen):
     cfg = ContinuationConfig(lambda_max=2.5)
-    branch = trace_branch(const_op, const_weight(p=1.0), const_eigen, cfg)
+    weight = const_weight(p=1.0)
+    branch = trace_branch(const_op, weight, const_eigen, cfg)
+    grid = const_op.grid
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    covering = cover(grid.domain, grid, floor.r)
     mono = branch.monotone_points()
     lams = [pt.lam for pt in mono]
     assert all(b > a for a, b in zip(lams, lams[1:]))
@@ -119,7 +125,8 @@ def test_trace_branch_invariants(const_op, const_eigen):
         assert pt.min_u > 0
         assert pt.gamma_phi_sup < 1.0
         assert pt.residual_norm < 1e-9
-        assert math.isnan(pt.lp_bound_margin) or pt.lp_bound_margin >= -1e-8
+        lp = check_covering_bound(pt, covering, floor.sigma, weight.p)
+        assert lp.margin >= -1e-8
 
 
 def test_trace_gaussian_branch_against_spectral_oracle():
@@ -216,6 +223,29 @@ def test_solve_at_lambda_constant(const_op, const_eigen):
     np.testing.assert_allclose(pt.u, 1.5**0.5, atol=1e-10)
 
 
+def test_solve_at_lambda_falls_back_to_a_trace(monkeypatch):
+    """With a weight that grows steeply in x the direct Newton solve at
+    3 lambda1 collapses, and one clamped trace reaches lambda instead."""
+    import dispersal.continuation as continuation
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return trace_branch(*args, **kwargs)
+
+    monkeypatch.setattr(continuation, "trace_branch", counted)
+    grid = unit_grid("trapezoid", 33)
+    op = assemble(KernelSpec.constant(1.0), grid)
+    eigen = principal_eigenpair(op)
+    weight = WeightSpec.separable((0.1, 2.0), (1.0, -0.5), p=1.0)
+    lam = 3.0 * eigen.lambda1
+    pt = solve_at_lambda(op, weight, eigen, lam, ContinuationConfig())
+    assert len(calls) == 1
+    assert pt.lam == lam and pt.min_u > 0
+    assert pt.residual_norm <= 1e-8 * max(1.0, pt.sup_norm)
+
+
 def test_solve_at_lambda_below_threshold(const_op, const_eigen):
     cfg = ContinuationConfig()
     pt = solve_at_lambda(const_op, const_weight(), const_eigen, 0.8, cfg)
@@ -263,3 +293,17 @@ def test_trace_on_64_squared_grid():
     assert branch.termination == "reached_lambda_max"
     assert branch.points[-1].lam == 2.5
     assert min(pt.min_u for pt in branch.points) > 0
+
+
+def test_trace_holds_no_n_squared_array():
+    """On 64 x 64 nodes the trace reads no certificate: with the gaussian
+    S a Kronecker product and Q = 1 of rank one it peaks below n^2 bytes,
+    an eighth of one n x n float array."""
+    grid = build_grid(Domain((0.0, 0.0), (1.0, 1.0)), "trapezoid", 64)
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    eigen = principal_eigenpair(op)
+    peak = peak_bytes(
+        trace_branch, op, WeightSpec.constant(1.0, p=2.0), eigen,
+        ContinuationConfig(lambda_max=2.5),
+    )
+    assert peak < grid.n**2

@@ -1,5 +1,7 @@
 """Kernel/weight materialization and the structural certificates."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from dispersal import (
     check_weight_floor,
     eps_ceiling,
     kernel_matrix,
+    reaction_matrix,
     weight_matrix,
 )
 
@@ -67,6 +70,21 @@ def test_weight_matrix_rejects_negative():
     w = WeightSpec.separable(g=(-0.5, 1.0), h=(1.0,), p=1.0)
     with pytest.raises(ModelError):
         weight_matrix(w, grid)
+
+
+def test_row_scale_checked_by_every_reader():
+    """A row scale must hold one positive value per node, whichever
+    reader builds Q: the solver's reaction_matrix or weight_matrix."""
+    grid = unit_grid("trapezoid", 9)
+    for weight in (
+        WeightSpec.constant(1.0, p=2.0),
+        WeightSpec.tabulated(np.ones((9, 9)), p=2.0),
+    ):
+        for scale in (-np.ones(9), np.ones(8), np.zeros(9)):
+            scaled = replace(weight, row_scale=scale)
+            for reader in (reaction_matrix, weight_matrix):
+                with pytest.raises(ModelError, match="row_scale"):
+                    reader(scaled, grid)
 
 
 def test_floor_constant_weight():

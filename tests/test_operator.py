@@ -1,6 +1,7 @@
 """Nystrom assembly and the principal eigenpair."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -52,6 +53,19 @@ def test_assemble_2d_gaussian_holds_no_n_squared_array():
     grid = build_grid(Domain((0.0, 0.0), (1.0, 1.0)), "trapezoid", 64)
     peak = peak_bytes(assemble, KernelSpec.gaussian(1.0), grid)
     assert peak < grid.n**2 * 8 / 8
+
+
+def test_eigenpair_on_two_nodes_warns_nothing():
+    """On two nodes eigsh hands k = n to eigh; that hand-off is silent and
+    the pair is the dense one."""
+    grid = unit_grid("trapezoid", 2)
+    kernel = KernelSpec.gaussian(1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        eig = principal_eigenpair(assemble(kernel, grid))
+    expected = np.linalg.eigvals(dense_a(kernel, grid)).real.max()
+    assert abs(eig.lambda1 - expected) <= 1e-14
+    np.testing.assert_allclose(eig.phi1, 1.0, atol=1e-14)
 
 
 def test_gaussian_apply_matches_erf():

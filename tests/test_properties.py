@@ -23,15 +23,18 @@ from dispersal import (
     WeightSpec,
     assemble,
     build_q_eps,
+    ContinuationConfig,
     build_grid,
     check_weight_floor,
     collatz_wielandt_sup,
     jacobian,
     kernel_matrix,
+    oracle_spectral,
     phi,
     principal_eigenpair,
     reaction_matrix,
     residual,
+    solve_at_lambda,
     weight_matrix,
 )
 from dispersal.cli import main
@@ -154,6 +157,38 @@ def test_kernel_matrix_matches_formula(data):
     )
 
 
+def _poly(coeffs, x):
+    return sum(c * x**k for k, c in enumerate(coeffs))
+
+
+@PROPERTY
+@given(data=st.data())
+def test_weight_matrix_matches_formula(data):
+    """weight_matrix, the dense form of whatever the solver keeps, equals
+    the weight's formula evaluated pair by pair, times the row scale."""
+    grid = data.draw(grids())
+    weight = data.draw(weights(grid, 1.0))
+    x = grid.nodes[:, 0]
+    if weight.form == "constant":
+        expected = np.full((grid.n, grid.n), weight.value)
+    elif weight.form == "separable":
+        expected = _poly(weight.g, x)[:, None] * _poly(weight.h, x)[None, :]
+    elif weight.form == "polynomial_dip":
+        (center,), (q,) = weight.points, weight.exponents
+        dip = weight.level - np.abs(x - center) ** q
+        expected = (
+            dip[:, None] * _poly(weight.h, x)[None, :]
+            + _poly(weight.g, x)[None, :]
+        )
+    else:
+        expected = weight.matrix
+    if weight.row_scale is not None:
+        expected = weight.row_scale[:, None] * expected
+    np.testing.assert_allclose(
+        weight_matrix(weight, grid), expected, rtol=1e-13, atol=0.0
+    )
+
+
 @PROPERTY
 @given(data=st.data())
 def test_weight_floor_matches_brute_force(data):
@@ -204,6 +239,25 @@ def test_collatz_wielandt_bounds_lambda1(data, seed):
     lambda1 = principal_eigenpair(op).lambda1
     u = _state(seed, grid.n, positive=True)
     assert collatz_wielandt_sup(op, u) >= lambda1 * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(data=st.data(), p=st.floats(0.3, 3.0), t=st.floats(0.3, 0.95))
+def test_no_positive_solution_below_lambda1(data, p, t):
+    """phi1 is positive with sup 1, and at t lambda1 with t < 1 the
+    spectral oracle certifies that no positive solution exists.  For
+    p >= 1 Newton from the seed lands on u = 0; below 1, |u|^p has no
+    derivative at zero and Newton cannot converge there."""
+    grid = data.draw(grids())
+    op = assemble(data.draw(kernels(grid)), grid)
+    weight = data.draw(weights(grid, p))
+    eigen = principal_eigenpair(op)
+    assert eigen.phi1.min() > 0 and eigen.phi1.max() == 1.0
+    lam = t * eigen.lambda1
+    assert oracle_spectral(op, weight, lam).status == "no_positive_solution"
+    if p >= 1:
+        pt = solve_at_lambda(op, weight, eigen, lam, ContinuationConfig())
+        assert pt.sup_norm < 1e-6
 
 
 @PROPERTY

@@ -47,7 +47,6 @@ def _point(lam, u, grid, weight):
         p_norm=grid.lp_norm(u, weight.p),
         min_u=float(u.min()),
         gamma_phi_sup=fld.sup_norm / lam,
-        lp_bound_margin=math.nan,
         newton_iters=0,
         residual_norm=0.0,
     )
