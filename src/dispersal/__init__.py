@@ -48,6 +48,7 @@ from .model import (
     Kron,
     LowRank,
     ModelError,
+    Toeplitz,
     WeightSpec,
     build_a_eps,
     build_q_eps,

@@ -230,20 +230,22 @@ def _branch_csv_lines(branch) -> list[str]:
     return lines
 
 
+def _row(values: np.ndarray) -> str:
+    """The values as one CSV row, each written as `_fmt` writes it."""
+    return ",".join(map("{:.17g}".format, values.tolist()))
+
+
 def _states_csv_lines(points) -> list[str]:
     lines = ["# one row of node values per accepted point, branch.csv order"]
-    for pt in points:
-        lines.append(",".join(_fmt(v) for v in pt.u))
+    lines += [_row(pt.u) for pt in points]
     return lines
 
 
 def _node_csv_lines(grid, name: str, values) -> list[str]:
     """One row per node: its coordinates, then its value."""
     head = ",".join(f"x{i}" for i in range(grid.nodes.shape[1]))
-    lines = [f"{head},{name}"]
-    for row, val in zip(grid.nodes, values):
-        lines.append(",".join(_fmt(c) for c in row) + "," + _fmt(val))
-    return lines
+    table = np.column_stack([grid.nodes, values])
+    return [f"{head},{name}"] + [_row(row) for row in table]
 
 
 def _parse_csv(path: Path, header: bool):

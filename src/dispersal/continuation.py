@@ -398,14 +398,18 @@ def solve_at_lambda(
     Above lambda1 the seed inverts the Galerkin amplitude relation; if the
     direct Newton solve collapses onto the trivial solution the routine
     falls back to a short branch trace clamped at lambda.  At or below
-    lambda1 the Newton result (normally trivial) is returned as is.
+    lambda1, without ``u0``, the trivial point u = 0 is returned unsolved:
+    no positive solution exists there (the paper's nonexistence result,
+    which `verification.oracle_spectral` certifies on the grid), and for
+    p < 1 Newton cannot converge onto u = 0, where |u|^p has no
+    derivative.
     """
     grid = op.grid
     qw = reaction_matrix(weight, grid)
     if u0 is not None:
         return newton_correct(op, weight, qw, lam, np.asarray(u0, float), cfg)
     if lam <= eigen.lambda1:
-        return newton_correct(op, weight, qw, lam, cfg.s0 * eigen.phi1, cfg)
+        return _branch_point(op, weight, qw, lam, np.zeros(grid.n), 0)
     fld = phi(weight, qw, eigen.phi1)
     kappa = grid.inner(fld.values * eigen.phi1, eigen.phi1) / grid.inner(
         eigen.phi1, eigen.phi1

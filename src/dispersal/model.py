@@ -13,11 +13,16 @@ arrays:
         separable weights (rank 1) and the polynomial dip (rank 2).
     Kron(a, b) = a (x) b on the ij-ordered nodes of a 2-D grid: the
         gaussian kernel, exp(-|x - y|^2 / l^2) = Kx(x1, y1) Ky(x2, y2).
+    Toeplitz(col, scale) = diag(scale) T(col) diag(scale), T symmetric
+        Toeplitz, applied by FFT in O(n log n): the 1-D gaussian on the
+        evenly spaced trapezoid and midpoint nodes, where
+        K(x_i, x_j) = exp(-(x_|i-j| - x_0)^2 / l^2) depends on |i - j|.
 
-The 1-D gaussian and the tabulated forms exist only densely.  Each
-kernel form is chosen in one place, `_kernel`, and each weight form,
-row scale included, in `_weight`; `kernel_matrix` and `weight_matrix`
-are the dense forms of the same structures.
+The 1-D gaussian on Gauss-Legendre nodes and the tabulated forms exist
+only densely.  Each kernel form is chosen in one place, `_kernel`, from
+the spec form, the rule and the dimension, and each weight form, row
+scale included, in `_weight`; `kernel_matrix` and `weight_matrix` are
+the dense forms of the same structures.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
@@ -43,6 +48,8 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
+from scipy import fft as sp_fft
+from scipy.linalg import toeplitz
 
 from .geometry import QuadratureGrid
 
@@ -53,6 +60,7 @@ __all__ = [
     "Kron",
     "LowRank",
     "ModelError",
+    "Toeplitz",
     "WeightSpec",
     "build_a_eps",
     "build_q_eps",
@@ -144,6 +152,46 @@ class Kron(_Structured):
         return np.kron(self.a, self.b)
 
 
+class Toeplitz(_Structured):
+    """diag(scale) T diag(scale), with T the symmetric Toeplitz matrix of
+    first column ``col``, applied by FFT.
+
+    T is the leading n x n block of the circulant of length
+    m >= 2n - 1 whose first column is col, m - 2n + 1 zeros, then col
+    reversed without its first entry.  The DFT diagonalizes that
+    circulant, so T v is the first n entries of
+    irfft(rfft(c) rfft(v, m)) (Chan & Ng, SIAM Rev. 38, 1996).
+    """
+
+    def __init__(self, col: np.ndarray, scale: np.ndarray):
+        self.col = np.array(col, dtype=float)
+        self.scale = np.array(scale, dtype=float)
+        n = len(self.col)
+        self._m = sp_fft.next_fast_len(2 * n - 1, real=True)
+        c = np.zeros(self._m)
+        c[:n] = self.col
+        c[self._m - n + 1:] = self.col[:0:-1]
+        self._c_hat = sp_fft.rfft(c)
+        for a in (self.col, self.scale, self._c_hat):
+            a.setflags(write=False)
+        self.shape = (n, n)
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        # v is one vector or a block of columns
+        v = np.asarray(v, dtype=float)
+        column = (-1,) + (1,) * (v.ndim - 1)
+        scale = self.scale.reshape(column)
+        vh = sp_fft.rfft(scale * v, self._m, axis=0)
+        tv = sp_fft.irfft(self._c_hat.reshape(column) * vh, self._m, axis=0)
+        return scale * tv[: self.shape[0]]
+
+    def dense(self) -> np.ndarray:
+        t = toeplitz(self.col)
+        t *= self.scale[:, None]
+        t *= self.scale[None, :]
+        return t
+
+
 def _pairwise_sq_dist(grid: QuadratureGrid) -> np.ndarray:
     """|x_i - x_j|^2, summed one axis at a time: no (n, n, dim) array."""
     d2 = np.zeros((grid.n, grid.n))
@@ -203,8 +251,9 @@ def _gaussian(x: np.ndarray, length_scale: float) -> np.ndarray:
 
 def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
     """K over the nodes: a LowRank (constant, rank_one), a Kron (2-D
-    gaussian) or a fresh dense array (1-D gaussian, tabulated).  Entries
-    must be >= 0."""
+    gaussian), a Toeplitz (1-D gaussian on evenly spaced nodes) or a
+    fresh dense array (1-D gaussian on Gauss-Legendre nodes, tabulated).
+    Entries must be >= 0."""
     n = grid.n
     if kernel.form == "constant":
         return LowRank(np.full((n, 1), kernel.value), np.ones((n, 1)))
@@ -218,7 +267,11 @@ def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
             return Kron(
                 *(_gaussian(x, kernel.length_scale) for x, _ in grid.axes())
             )
-        return _gaussian(grid.nodes[:, 0], kernel.length_scale)
+        x = grid.nodes[:, 0]
+        if grid.rule in ("trapezoid", "midpoint"):  # evenly spaced
+            col = np.exp(-((x - x[0]) ** 2) / kernel.length_scale**2)
+            return Toeplitz(col, np.ones(n))
+        return _gaussian(x, kernel.length_scale)
     if kernel.form == "tabulated":
         if kernel.matrix.shape != (n, n):
             raise ModelError(

@@ -9,9 +9,12 @@ diag(sqrt w)^-1 S diag(sqrt w), so A is never formed.  S is built once,
 in the form the kernel allows: a rank-one `LowRank` for the constant and
 rank-one kernels, `Kron(Sx, Sy)` of the per-axis matrices
 Sa = diag(sqrt wa) Ka diag(sqrt wa) for a gaussian on a 2-D tensor grid,
-and a dense read-only array for the 1-D gaussian and tabulated kernels.
-Every form applies with ``@``, so `apply` and the eigensolver do not
-depend on it; only certificates materialize S, by ``np.asarray``.
+`Toeplitz(col, sqrt w)`, applied by FFT in O(n log n), for a 1-D
+gaussian on the evenly spaced trapezoid and midpoint rules, and a dense
+read-only array for a 1-D gaussian on Gauss-Legendre nodes and for
+tabulated kernels.  Every form applies with ``@``, so `apply` and the
+eigensolver do not depend on it; only certificates materialize S, by
+``np.asarray``.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to
@@ -27,7 +30,7 @@ import numpy as np
 from scipy.sparse.linalg import ArpackError, eigsh
 
 from .geometry import QuadratureGrid
-from .model import KernelSpec, Kron, LowRank, _kernel
+from .model import KernelSpec, Kron, LowRank, Toeplitz, _kernel
 
 __all__ = [
     "DiscreteOperator",
@@ -48,11 +51,11 @@ class OperatorError(ValueError):
 class DiscreteOperator:
     """Symmetrized matrix ``s`` of the operator and the grid it lives on.
 
-    ``s`` is a `LowRank`, a `Kron` or a read-only ndarray (see the module
-    docstring).
+    ``s`` is a `LowRank`, a `Kron`, a `Toeplitz` or a read-only ndarray
+    (see the module docstring).
     """
 
-    s: LowRank | Kron | np.ndarray
+    s: LowRank | Kron | Toeplitz | np.ndarray
     grid: QuadratureGrid
     kernel: KernelSpec
 
@@ -74,6 +77,8 @@ def assemble(kernel: KernelSpec, grid: QuadratureGrid) -> DiscreteOperator:
     elif isinstance(k, Kron):
         ra, rb = (np.sqrt(w)[:, None] for _, w in grid.axes())
         s = Kron(ra * k.a * ra.T, rb * k.b * rb.T)
+    elif isinstance(k, Toeplitz):
+        s = Toeplitz(k.col, root_w[:, 0] * k.scale)
     else:
         s = k
         s *= root_w

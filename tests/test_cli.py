@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersal.cli import main
+from dispersal.cli import _fmt, _row, main
+
+from .conftest import peak_bytes
 
 
 def write_config(path, **overrides):
@@ -63,6 +65,45 @@ def test_solve_constant(tmp_path):
     assert rows[0] == "x0,u"
     vals = np.array([float(r.split(",")[1]) for r in rows[1:]])
     np.testing.assert_allclose(vals, 1.0, atol=1e-8)
+
+
+def test_solve_below_lambda1_returns_trivial_state(tmp_path):
+    """With p < 1, |u|^p has no derivative at u = 0, so Newton cannot
+    converge there; below lambda1 = 2 the solve returns u = 0 unsolved."""
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"rule": "trapezoid", "resolution": 3},
+        kernel={"form": "constant", "value": 2.0},
+        weight={"form": "constant", "value": 1.9471888932322174, "p": 0.5},
+        run={"lambda": 1.0},
+    )
+    out = tmp_path / "out"
+    assert main(["solve", cfg, "--output-dir", str(out)]) == 0
+    data = json.loads((out / "solve.json").read_text())
+    assert data["sup_norm"] == 0.0 and data["newton_iters"] == 0
+
+
+def test_trace_1d_gaussian_holds_no_n_squared_array(tmp_path):
+    """A 1-D gaussian on 4097 trapezoid nodes traces to lambda_max with
+    its S kept as a Toeplitz column: the whole CLI run peaks below n^2
+    bytes, an eighth of one n x n float array."""
+    n = 4097
+    cfg = write_config(
+        tmp_path / "c.json",
+        grid={"rule": "trapezoid", "resolution": n},
+        kernel={"form": "gaussian", "length_scale": 1.0},
+        weight={"form": "constant", "value": 1.0, "p": 2.0},
+        run={"lambda_max": 2.5},
+    )
+    out = tmp_path / "out"
+    argv = ["trace", cfg, "--output-dir", str(out)]
+    codes = []
+    peak = peak_bytes(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    meta = json.loads((out / "trace.json").read_text())
+    assert meta["termination"] == "reached_lambda_max"
+    assert meta["points"] == 28
+    assert peak < n**2
 
 
 def test_trace_reaches_clamped_endpoint(tmp_path):
@@ -233,6 +274,17 @@ def test_sweep_eps_method_flag(tmp_path):
         ])
         == 1
     )
+
+
+def test_csv_row_writes_each_value_as_fmt():
+    """A CSV row is the values formatted one by one with `_fmt`, byte for
+    byte, signed zeros and non-finite values included."""
+    rng = np.random.default_rng(7)
+    values = np.concatenate([
+        rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
+        [0.0, -0.0, 1.0, 0.1, np.nan, np.inf, -np.inf, 5e-324],
+    ])
+    assert _row(values) == ",".join(_fmt(v) for v in values)
 
 
 def test_export_plot_needs_rows(tmp_path):

@@ -55,6 +55,15 @@ def test_assemble_2d_gaussian_holds_no_n_squared_array():
     assert peak < grid.n**2 * 8 / 8
 
 
+def test_assemble_1d_gaussian_holds_no_n_squared_array():
+    """On 4097 evenly spaced nodes the gaussian S is kept as a Toeplitz
+    column: assembly peaks below n^2 bytes, an eighth of one n x n float
+    array."""
+    grid = unit_grid("trapezoid", 4097)
+    peak = peak_bytes(assemble, KernelSpec.gaussian(1.0), grid)
+    assert peak < grid.n**2 * 8 / 8
+
+
 def test_eigenpair_on_two_nodes_warns_nothing():
     """On two nodes eigsh hands k = n to eigh; that hand-off is silent and
     the pair is the dense one."""

@@ -20,6 +20,7 @@ from dispersal import (
     KernelSpec,
     Kron,
     LowRank,
+    Toeplitz,
     WeightSpec,
     assemble,
     build_q_eps,
@@ -118,7 +119,8 @@ def _state(seed, n, positive=False):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_dense_action(data, seed):
     """op.apply(u) is K diag(w) u, with K diag(w) built independently, for
-    S kept as LowRank (constant, rank-one), Kron (2-D gaussian) or dense."""
+    S kept as LowRank (constant, rank-one), Kron (2-D gaussian), Toeplitz
+    (1-D gaussian on evenly spaced nodes) or dense."""
     grid = data.draw(grids())
     kernel = data.draw(kernels(grid))
     op = assemble(kernel, grid)
@@ -126,6 +128,8 @@ def test_apply_matches_dense_action(data, seed):
         assert isinstance(op.s, LowRank) and op.s.left.shape == (grid.n, 1)
     elif kernel.form == "gaussian" and grid.domain.dim == 2:
         assert isinstance(op.s, Kron)
+    elif kernel.form == "gaussian" and grid.rule != "gauss-legendre-tensor":
+        assert isinstance(op.s, Toeplitz)
     else:
         assert isinstance(op.s, np.ndarray)
     a = dense_a(kernel, grid)
@@ -245,9 +249,8 @@ def test_collatz_wielandt_bounds_lambda1(data, seed):
 @given(data=st.data(), p=st.floats(0.3, 3.0), t=st.floats(0.3, 0.95))
 def test_no_positive_solution_below_lambda1(data, p, t):
     """phi1 is positive with sup 1, and at t lambda1 with t < 1 the
-    spectral oracle certifies that no positive solution exists.  For
-    p >= 1 Newton from the seed lands on u = 0; below 1, |u|^p has no
-    derivative at zero and Newton cannot converge there."""
+    spectral oracle certifies that no positive solution exists, and
+    `solve_at_lambda` returns the trivial state for every p."""
     grid = data.draw(grids())
     op = assemble(data.draw(kernels(grid)), grid)
     weight = data.draw(weights(grid, p))
@@ -255,9 +258,8 @@ def test_no_positive_solution_below_lambda1(data, p, t):
     assert eigen.phi1.min() > 0 and eigen.phi1.max() == 1.0
     lam = t * eigen.lambda1
     assert oracle_spectral(op, weight, lam).status == "no_positive_solution"
-    if p >= 1:
-        pt = solve_at_lambda(op, weight, eigen, lam, ContinuationConfig())
-        assert pt.sup_norm < 1e-6
+    pt = solve_at_lambda(op, weight, eigen, lam, ContinuationConfig())
+    assert pt.sup_norm < 1e-6
 
 
 @PROPERTY
