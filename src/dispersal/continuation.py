@@ -11,9 +11,10 @@ length halves on corrector failure, doubles after three fast successes,
 and stays inside [ds_min, ds_max].
 
 Newton is Jacobian-free (Knoll & Keyes, JCP 193, 2004): each step solves
-J y = -r by GMRES on `JacobianAction`, preconditioned by
+J y = -r by GMRES on `JacobianAction`, left-preconditioned by
 diag(Phi_u - lambda)^-1, and the reaction matrix Q diag(w) is built once
-per solve.  The arclength border is eliminated with a second Krylov solve
+per solve.  GMRES is `_krylov`, one NumPy cycle of at most min(n, 50)
+iterations.  The arclength border is eliminated with a second Krylov solve
 J y2 = u (Keller's block elimination), so no bordered matrix is formed.
 
 Accepted points carry diagnostics: the admissibility value
@@ -29,7 +30,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .geometry import QuadratureGrid
 from .logistic import (
@@ -138,19 +138,58 @@ def _branch_point(op, weight, qw, lam, u, iters) -> BranchPoint:
 
 
 def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
-    """GMRES on J x = rhs, preconditioned by diag(Phi_u - lambda)^-1.
+    """GMRES on J x = rhs, left-preconditioned by M = diag(Phi_u - lambda)^-1
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
 
-    At most min(n, 50) iterations and no restart: at a singular J (the
-    trivial state at lambda = lambda1) GMRES cannot converge, and its
-    iterate then goes to the line search instead of failing the step.
+    One cycle from x = 0, with no restart: Arnoldi orthogonalizes each
+    new vector twice against the basis (CGS2), and Givens rotations keep
+    the least-squares residual ||M r|| as it goes.  The cycle stops when
+    ||M r|| <= 1e-12 ||M b||, on breakdown (the Krylov space is
+    invariant), or after min(n, 50) iterations.  At a singular J (the
+    trivial state at lambda = lambda1) it cannot converge, and its iterate
+    then goes to the line search instead of failing the step.
     """
-    prec = LinearOperator(
-        jac.shape, matvec=lambda v: v / jac.shift, dtype=float
-    )
-    x, _ = gmres(
-        jac, rhs, rtol=1e-12, restart=min(rhs.size, 50), maxiter=1, M=prec
-    )
-    return x
+    n = rhs.size
+    m = min(n, 50)
+    eps = np.finfo(float).eps
+    b = rhs / jac.shift
+    g = [float(np.linalg.norm(b))]
+    if g[0] == 0:
+        return np.zeros(n)
+    tol = 1e-12 * g[0]
+    basis = np.empty((m + 1, n))
+    basis[0] = b / g[0]
+    tri = np.zeros((m, m))
+    rot: list[tuple[float, float]] = []
+    for j in range(m):
+        v = basis[: j + 1]
+        w = (jac @ v[j]) / jac.shift
+        w_norm = np.linalg.norm(w)
+        h = v @ w
+        w -= h @ v
+        c = v @ w
+        w -= c @ v
+        h_next = float(np.linalg.norm(w))
+        h = (h + c).tolist()
+        for i, (cs, sn) in enumerate(rot):
+            h[i], h[i + 1] = (
+                cs * h[i] + sn * h[i + 1], cs * h[i + 1] - sn * h[i]
+            )
+        diag = math.hypot(h[j], h_next)
+        cs, sn = (h[j] / diag, h_next / diag) if diag else (1.0, 0.0)
+        rot.append((cs, sn))
+        h[j] = diag
+        tri[: j + 1, j] = h
+        g.append(-sn * g[j])
+        g[j] *= cs
+        if abs(g[j + 1]) <= tol or h_next <= eps * w_norm:
+            break
+        basis[j + 1] = w / h_next
+    # tri y = g is upper triangular; only its last pivot can vanish (at a
+    # singular J), and then that direction is dropped
+    k = j + 1 if tri[j, j] else j
+    y = np.linalg.solve(tri[:k, :k], g[:k])
+    return y @ basis[:k]
 
 
 def _newton(op, weight, qw, lam, u0, cfg, border=None):

@@ -22,8 +22,8 @@ polynomial-dip weights, and for their row-scaled eps-family, QW is a
 tabulated weight gives a dense read-only array.  The dispersal part goes
 through `DiscreteOperator.apply`.  `jacobian` materializes the n x n
 derivative, A and QW included, as a certificate; `JacobianAction`
-applies the same derivative without forming it, which is what the
-Newton-Krylov solver uses.
+applies the same derivative without forming it (``shape``, ``matvec``
+and ``@``), which is what the Newton-Krylov solver uses.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator
 
 from .geometry import QuadratureGrid
 from .model import LowRank, WeightSpec, _weight
@@ -134,13 +133,14 @@ def jacobian(
     return a + np.diag(field - lam) + reaction
 
 
-class JacobianAction(LinearOperator):
+class JacobianAction:
     """``jacobian(op, weight, qw, lam, u)`` applied without forming it.
 
     v -> A v + (Phi_u - lam) v + u * (QW (p |u|^(p-1) sgn(u) v)), one
-    product with S and one with QW, each in its structured form.
-    ``shift`` is the diagonal Phi_u - lam of the local part.  Raises
-    ReactionError where `jacobian` does.
+    product with S and one with QW, each in its structured form;
+    ``action @ v`` is ``action.matvec(v)``.  ``shift`` is the diagonal
+    Phi_u - lam of the local part.  Raises ReactionError where
+    `jacobian` does.
     """
 
     def __init__(
@@ -155,15 +155,17 @@ class JacobianAction(LinearOperator):
         self._slope = _reaction_slope(weight.p, u)
         self._op, self._qw, self._u = op, qw, u
         self.shift = qw @ np.abs(u) ** weight.p - lam
-        super().__init__(np.dtype(float), (op.n, op.n))
+        self.shape = (op.n, op.n)
 
-    def _matvec(self, v):
-        v = np.ravel(v)
+    def matvec(self, v: np.ndarray) -> np.ndarray:
         return (
             self._op.apply(v)
             + self.shift * v
             + self._u * (self._qw @ (self._slope * v))
         )
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        return self.matvec(v)
 
 
 def in_admissible_set(gamma: float, field: PhiField) -> bool:

@@ -48,8 +48,11 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.linalg import toeplitz
+
+# NumPy loads these submodules on first use; importing them here keeps
+# that cost out of the first solve
+from numpy import fft as np_fft
+from numpy.polynomial import polynomial as np_poly
 
 from .geometry import QuadratureGrid
 
@@ -81,7 +84,7 @@ class ModelError(ValueError):
 
 
 def _polyval(coeffs, x: np.ndarray) -> np.ndarray:
-    return np.polynomial.polynomial.polyval(x, np.asarray(coeffs, dtype=float))
+    return np_poly.polyval(x, np.asarray(coeffs, dtype=float))
 
 
 def _coords_1d(grid: QuadratureGrid, what: str) -> np.ndarray:
@@ -152,11 +155,24 @@ class Kron(_Structured):
         return np.kron(self.a, self.b)
 
 
+def _smooth_len(target: int) -> int:
+    """The least 2^a 3^b 5^c >= target, a length the FFT handles fast."""
+    m = target
+    while True:
+        k = m
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+        m += 1
+
+
 class Toeplitz(_Structured):
     """diag(scale) T diag(scale), with T the symmetric Toeplitz matrix of
     first column ``col``, applied by FFT.
 
-    T is the leading n x n block of the circulant of length
+    T is the leading n x n block of the circulant of 5-smooth length
     m >= 2n - 1 whose first column is col, m - 2n + 1 zeros, then col
     reversed without its first entry.  The DFT diagonalizes that
     circulant, so T v is the first n entries of
@@ -167,11 +183,11 @@ class Toeplitz(_Structured):
         self.col = np.array(col, dtype=float)
         self.scale = np.array(scale, dtype=float)
         n = len(self.col)
-        self._m = sp_fft.next_fast_len(2 * n - 1, real=True)
+        self._m = _smooth_len(2 * n - 1)
         c = np.zeros(self._m)
         c[:n] = self.col
         c[self._m - n + 1:] = self.col[:0:-1]
-        self._c_hat = sp_fft.rfft(c)
+        self._c_hat = np_fft.rfft(c)
         for a in (self.col, self.scale, self._c_hat):
             a.setflags(write=False)
         self.shape = (n, n)
@@ -181,12 +197,14 @@ class Toeplitz(_Structured):
         v = np.asarray(v, dtype=float)
         column = (-1,) + (1,) * (v.ndim - 1)
         scale = self.scale.reshape(column)
-        vh = sp_fft.rfft(scale * v, self._m, axis=0)
-        tv = sp_fft.irfft(self._c_hat.reshape(column) * vh, self._m, axis=0)
+        vh = np_fft.rfft(scale * v, self._m, axis=0)
+        tv = np_fft.irfft(self._c_hat.reshape(column) * vh, self._m, axis=0)
         return scale * tv[: self.shape[0]]
 
     def dense(self) -> np.ndarray:
-        t = toeplitz(self.col)
+        """T[i, j] = col[|i - j|], scaled on both sides."""
+        i = np.arange(self.shape[0])
+        t = self.col[np.abs(i[:, None] - i[None, :])]
         t *= self.scale[:, None]
         t *= self.scale[None, :]
         return t
@@ -426,11 +444,23 @@ def weight_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
     return np.asarray(_weight(weight, grid))
 
 
-def check_k1(kernel: KernelSpec, grid: QuadratureGrid) -> tuple[bool, float]:
-    """Symmetry of K on the grid: (symmetric within 1e-12, max asymmetry)."""
-    k = kernel_matrix(kernel, grid)
+def _k1(k: np.ndarray) -> tuple[bool, float]:
     asym = float(np.abs(k - k.T).max())
     return asym <= _SYM_TOL, asym
+
+
+def _k2(
+    k: np.ndarray, grid: QuadratureGrid, delta: float
+) -> tuple[bool, float]:
+    if delta <= 0:
+        raise ModelError("delta must be positive")
+    near = _pairwise_sq_dist(grid) <= delta**2
+    return bool(np.min(k, where=near, initial=np.inf) > 0), delta
+
+
+def check_k1(kernel: KernelSpec, grid: QuadratureGrid) -> tuple[bool, float]:
+    """Symmetry of K on the grid: (symmetric within 1e-12, max asymmetry)."""
+    return _k1(kernel_matrix(kernel, grid))
 
 
 def check_k2(
@@ -440,11 +470,7 @@ def check_k2(
 
     Returns (holds, delta); the certified scale is the one passed in.
     """
-    if delta <= 0:
-        raise ModelError("delta must be positive")
-    k = kernel_matrix(kernel, grid)
-    near = _pairwise_sq_dist(grid) <= delta**2
-    return bool(np.min(k, where=near, initial=np.inf) > 0), delta
+    return _k2(kernel_matrix(kernel, grid), grid, delta)
 
 
 @dataclass(frozen=True, eq=False)
@@ -567,8 +593,9 @@ def certify(
     """Run every grid-level certificate and collect the results."""
     if delta is None:
         delta = r
-    k1, asym = check_k1(kernel, grid)
-    k2, delta = check_k2(kernel, grid, delta)
+    k = kernel_matrix(kernel, grid)
+    k1, asym = _k1(k)
+    k2, delta = _k2(k, grid, delta)
     floor = check_weight_floor(weight, grid, r)
     q3, q3_i0, q3_a, q3_int = _certify_q3(weight, grid)
     return HypothesisReport(

@@ -15,6 +15,9 @@ read-only array for a 1-D gaussian on Gauss-Legendre nodes and for
 tabulated kernels.  Every form applies with ``@``, so `apply` and the
 eigensolver do not depend on it; only certificates materialize S, by
 ``np.asarray``.
+`principal_eigenpair` is one Lanczos run with full reorthogonalization
+on S, for every form, from a fixed start that breaks the grid's
+symmetry: it needs NumPy alone and returns the same bits on every call.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to
@@ -23,11 +26,10 @@ return anything violating it.
 
 from __future__ import annotations
 
-import warnings
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError, eigsh
 
 from .geometry import QuadratureGrid
 from .model import KernelSpec, Kron, LowRank, Toeplitz, _kernel
@@ -41,6 +43,9 @@ __all__ = [
     "principal_eigenpair",
     "rayleigh",
 ]
+
+
+_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 class OperatorError(ValueError):
@@ -102,29 +107,79 @@ class PrincipalEigenpair:
     residual: float
 
 
+def _weyl(n: int, offset: int) -> np.ndarray:
+    """frac(g i) for i = offset + 1 .. offset + n, g the golden ratio.
+
+    A fixed sequence with no symmetry under any reflection or swap of the
+    grid axes, so it has components along odd and even eigenvectors
+    alike.
+    """
+    return np.modf(_GOLDEN * np.arange(offset + 1, offset + n + 1))[0]
+
+
+def _lanczos(s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Top two eigenvalues of the symmetric ``s`` and the unit eigenvector
+    of the first, by Lanczos with full reorthogonalization.
+
+    Every new basis vector is orthogonalized twice against the whole
+    basis (CGS2), so the basis stays orthonormal to rounding and the
+    Ritz residual bound |beta_k y_k| is the true residual.  The loop stops
+    when both top Ritz pairs have a bound at most eps |theta|max, or when
+    the basis spans all n dimensions, where the Ritz pairs are exact.  A
+    breakdown (beta_k = 0: the Krylov space is invariant) leaves the Ritz
+    pairs exact, so it stops the loop once there are two: a rank-one S
+    stops after two steps with lambda2 = 0.  A breakdown at the first
+    step, where the start is an eigenvector (a zero S), goes on from a
+    fresh `_weyl` vector orthogonalized against the start.
+    """
+    n = start.size
+    eps = np.finfo(float).eps
+    basis = np.empty((min(n, 32), n))
+    alpha: list[float] = []
+    beta: list[float] = []
+    q = start / np.linalg.norm(start)
+    for k in range(n):
+        if k == len(basis):
+            basis = np.concatenate((basis, np.empty((min(k, n - k), n))))
+        basis[k] = q
+        v = basis[: k + 1]
+        w = s @ q
+        h = v @ w
+        w -= h @ v
+        c = v @ w
+        w -= c @ v
+        alpha.append(float(h[k] + c[k]))
+        b = float(np.linalg.norm(w))
+        t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
+        theta, y = np.linalg.eigh(t)
+        tol = eps * np.abs(theta).max()
+        if k == n - 1 or (k > 0 and (b * np.abs(y[-1, -2:]) <= tol).all()):
+            break
+        if b > tol:
+            q = w / b
+        else:  # only at k == 0: from k = 1 on, b <= tol meets the stop test
+            b = 0.0
+            q = _weyl(n, n) - 0.5
+            for _ in range(2):
+                q -= (v @ q) @ v
+            q /= np.linalg.norm(q)
+        beta.append(b)
+    return float(theta[-1]), float(theta[-2]), y[:, -1] @ v
+
+
 def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
-    # ARPACK from the fixed start sqrt(w), the constant function in the
-    # symmetric frame.  Rank-deficient kernels exhaust the Krylov space and
-    # make ARPACK restart from random vectors, so the generator is seeded
-    # too: repeated runs give identical bits.  tol=0 asks for machine
-    # precision.  A kernel that vanishes on every node (a zero constant
-    # or rank-one kernel) leaves ARPACK a zero start.  On two nodes
-    # k = n, and eigsh hands the pair to eigh with a warning.
-    try:
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", "k >= N", RuntimeWarning)
-            evals, evecs = eigsh(
-                op.s, k=2, which="LA", v0=np.sqrt(op.grid.weights), tol=0,
-                rng=0,
-            )
-    except ArpackError as exc:
-        raise OperatorError(f"no principal eigenpair: {exc}") from exc
-    lam1, lam2, z = evals[-1], evals[-2], evecs[:, -1]
+    # Lanczos from sqrt(w) (1 + frac(g i)): the constant function in the
+    # symmetric frame, which lies close to the positive eigenvector, plus
+    # a part that breaks the grid's symmetry, without which the odd
+    # eigenvectors, and with them lambda2, stay out of the Krylov space.
+    # Every step is deterministic, so repeated runs give identical bits.
+    root_w = np.sqrt(op.grid.weights)
+    lam1, lam2, z = _lanczos(op.s, root_w * (1.0 + _weyl(op.n, 0)))
     if lam1 <= 0:
         raise OperatorError(
             f"principal eigenvalue must be positive, got {lam1}"
         )
-    phi = z / np.sqrt(op.grid.weights)
+    phi = z / root_w
     if op.grid.inner(phi, np.ones(op.n)) < 0:
         phi = -phi
     if phi.min() <= 1e-12 * phi.max():

@@ -31,7 +31,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .continuation import (
     ContinuationConfig,
@@ -201,6 +200,9 @@ def oracle_spectral(
     amplitude equation nu(t) = 1 has no positive root when
     lambda <= lambda1.
     """
+    # SciPy is imported here, not with the package: no solver path needs it
+    from scipy.optimize import brentq
+
     grid = op.grid
     if lam <= 0:
         raise VerificationError("lambda must be positive")

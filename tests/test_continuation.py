@@ -9,6 +9,7 @@ from dispersal import (
     ContinuationConfig,
     ContinuationError,
     Domain,
+    JacobianAction,
     KernelSpec,
     WeightSpec,
     assemble,
@@ -17,6 +18,7 @@ from dispersal import (
     check_covering_bound,
     check_weight_floor,
     cover,
+    jacobian,
     newton_correct,
     oracle_spectral,
     principal_eigenpair,
@@ -26,6 +28,7 @@ from dispersal import (
     trace_branch,
     window_bounds,
 )
+from dispersal.continuation import _krylov
 
 from .conftest import const_weight, dip_weight, peak_bytes, unit_grid
 
@@ -307,3 +310,38 @@ def test_trace_holds_no_n_squared_array():
         ContinuationConfig(lambda_max=2.5),
     )
     assert peak < grid.n**2
+
+
+def test_krylov_matches_dense_solve():
+    """One GMRES cycle solves J x = b as np.linalg.solve does on the dense
+    jacobian, for S and QW in each form and on n above and below the
+    50-iteration cap; at the singular trivial state lambda = lambda1 (where
+    p >= 1 lets the jacobian exist) its iterate is finite."""
+    rng = np.random.default_rng(11)
+    square = Domain((0.0, 0.0), (1.0, 1.0))
+    table = rng.uniform(0.0, 2.0, (33, 33))
+    cases = (
+        (KernelSpec.gaussian(1.0), unit_grid("trapezoid", 33),
+         dip_weight(2.0)),
+        (KernelSpec.gaussian(0.2), unit_grid("trapezoid", 65),
+         const_weight(1.0)),
+        (KernelSpec.gaussian(0.5), unit_grid("gauss", 33), dip_weight(0.5)),
+        (KernelSpec.constant(1.0), unit_grid("midpoint", 33),
+         WeightSpec.tabulated(table, p=1.5)),
+        (KernelSpec.gaussian(0.3), build_grid(square, "trapezoid", 6),
+         const_weight(2.0)),
+    )
+    for kernel, grid, weight in cases:
+        op = assemble(kernel, grid)
+        qw = reaction_matrix(weight, grid)
+        eigen = principal_eigenpair(op)
+        b = rng.standard_normal(grid.n)
+        for lam in (0.5 * eigen.lambda1, 2.0 * eigen.lambda1):
+            u = rng.uniform(0.2, 1.5, grid.n)
+            x = _krylov(JacobianAction(op, weight, qw, lam, u), b)
+            ref = np.linalg.solve(jacobian(op, weight, qw, lam, u), b)
+            assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
+        if weight.p >= 1:
+            zero = np.zeros(grid.n)
+            trivial = JacobianAction(op, weight, qw, eigen.lambda1, zero)
+            assert np.isfinite(_krylov(trivial, b)).all()

@@ -1,0 +1,76 @@
+"""What importing and running the package loads.
+
+Import time is most of a short CLI run, so the package imports NumPy and
+nothing heavier: SciPy is imported only inside `oracle_spectral`, which
+no CLI path reaches, and `numpy.random`, which the solver does not use,
+stays unloaded.  NumPy submodules the solver needs (`numpy.fft`,
+`numpy.polynomial`) load with the package, not lazily inside a timed
+solve.
+"""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import dispersal
+
+SRC = str(Path(dispersal.__file__).resolve().parents[1])
+
+
+def _run(code: str, tmp_path) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC)
+    out = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_import_loads_no_scipy_and_no_numpy_random(tmp_path):
+    loaded = _run(
+        """
+        import json, sys
+        import dispersal, dispersal.cli
+        print(json.dumps(sorted(sys.modules)))
+        """,
+        tmp_path,
+    )
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert [m for m in loaded if m.startswith("numpy.random")] == []
+
+
+def test_cli_runs_load_no_further_numpy_module(tmp_path):
+    """`eig`, `check-hyp`, `trace` and `verify` on a 1-D gaussian (the FFT
+    form of S) with a dip weight (a polynomial profile) import no NumPy
+    or SciPy module that the package import did not."""
+    config = {
+        "domain": {"lower": [0.0], "upper": [1.0]},
+        "grid": {"rule": "trapezoid", "resolution": 33},
+        "kernel": {"form": "gaussian", "length_scale": 0.5},
+        "weight": {"form": "polynomial_dip", "points": [0.5],
+                   "exponents": [0.4], "level": 3.0, "p": 2.0},
+        "run": {"lambda_max": 1.5},
+    }
+    (tmp_path / "c.json").write_text(json.dumps(config))
+    result = _run(
+        """
+        import contextlib, io, json, sys
+        from dispersal import cli
+        before = set(sys.modules)
+        codes = []
+        with contextlib.redirect_stdout(io.StringIO()):
+            for cmd in ("eig", "check-hyp", "trace", "verify"):
+                codes.append(cli.main([cmd, "c.json", "--output-dir", "out"]))
+        added = sorted(
+            m for m in set(sys.modules) - before
+            if m.split(".")[0] in ("numpy", "scipy")
+        )
+        print(json.dumps({"codes": codes, "added": added}))
+        """,
+        tmp_path,
+    )
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["added"] == []

@@ -65,8 +65,8 @@ def test_assemble_1d_gaussian_holds_no_n_squared_array():
 
 
 def test_eigenpair_on_two_nodes_warns_nothing():
-    """On two nodes eigsh hands k = n to eigh; that hand-off is silent and
-    the pair is the dense one."""
+    """On two nodes the Lanczos basis spans the whole space after two
+    steps; the run is silent and the pair is the dense one."""
     grid = unit_grid("trapezoid", 2)
     kernel = KernelSpec.gaussian(1.0)
     with warnings.catch_warnings():
@@ -193,7 +193,8 @@ def test_symmetrized_form_is_similar():
 )
 def test_eigenpair_refuses_zero_kernel(kernel):
     """A kernel that vanishes on every node has no positive principal
-    pair; ARPACK's zero start is reported as an OperatorError."""
+    pair: Lanczos breaks down on its first step, finds only the
+    eigenvalue 0, and that is reported as an OperatorError."""
     with pytest.raises(OperatorError):
         principal_eigenpair(assemble(kernel, unit_grid("trapezoid", 9)))
 
