@@ -34,8 +34,6 @@ from .logistic import (
     JacobianAction,
     PhiField,
     ReactionError,
-    g_map,
-    in_admissible_set,
     jacobian,
     phi,
     reaction_matrix,
@@ -67,7 +65,6 @@ from .operator import (
     assemble,
     collatz_wielandt_sup,
     principal_eigenpair,
-    rayleigh,
 )
 from .regularized import (
     EXTRAPOLATION_METHODS,
@@ -76,7 +73,6 @@ from .regularized import (
     RegularizedSolve,
     check_dip_margin,
     limit_procedure,
-    multi_point_profile,
     near_center_mass_bound,
     solve_regularized,
     theta_margin,

@@ -40,8 +40,6 @@ __all__ = [
     "JacobianAction",
     "PhiField",
     "ReactionError",
-    "g_map",
-    "in_admissible_set",
     "jacobian",
     "phi",
     "reaction_matrix",
@@ -166,26 +164,3 @@ class JacobianAction:
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return self.matvec(v)
-
-
-def in_admissible_set(gamma: float, field: PhiField) -> bool:
-    """gamma ||Phi_u||_inf < 1 — where the fixed-point form is defined."""
-    return gamma * field.sup_norm < 1.0
-
-
-def g_map(
-    op: DiscreteOperator,
-    weight: WeightSpec,
-    qw: LowRank | np.ndarray,
-    gamma: float,
-    u: np.ndarray,
-) -> np.ndarray:
-    """G(gamma, u) = gamma^2 Phi_u (A u) / (1 - gamma Phi_u)."""
-    u = np.asarray(u, dtype=float)
-    field = phi(weight, qw, u)
-    if not in_admissible_set(gamma, field):
-        raise ReactionError(
-            f"state outside the admissible set: gamma * sup Phi = "
-            f"{gamma * field.sup_norm} >= 1"
-        )
-    return gamma**2 * field.values * op.apply(u) / (1.0 - gamma * field.values)

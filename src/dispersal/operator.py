@@ -18,6 +18,8 @@ eigensolver do not depend on it; only certificates materialize S, by
 `principal_eigenpair` is one Lanczos run with full reorthogonalization
 on S, for every form, from a fixed start that breaks the grid's
 symmetry: it needs NumPy alone and returns the same bits on every call.
+`verification.pencil_eigenvalue` runs the same Lanczos on the diagonal
+rescaling C^-1/2 S C^-1/2 of S.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to
@@ -41,7 +43,6 @@ __all__ = [
     "assemble",
     "collatz_wielandt_sup",
     "principal_eigenpair",
-    "rayleigh",
 ]
 
 
@@ -117,9 +118,10 @@ def _weyl(n: int, offset: int) -> np.ndarray:
     return np.modf(_GOLDEN * np.arange(offset + 1, offset + n + 1))[0]
 
 
-def _lanczos(s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
-    """Top two eigenvalues of the symmetric ``s`` and the unit eigenvector
-    of the first, by Lanczos with full reorthogonalization.
+def _lanczos(apply_s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
+    """Top two eigenvalues of the symmetric matrix that ``apply_s``
+    applies and the unit eigenvector of the first, by Lanczos with full
+    reorthogonalization.
 
     Every new basis vector is orthogonalized twice against the whole
     basis (CGS2), so the basis stays orthonormal to rounding and the
@@ -143,7 +145,7 @@ def _lanczos(s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
             basis = np.concatenate((basis, np.empty((min(k, n - k), n))))
         basis[k] = q
         v = basis[: k + 1]
-        w = s @ q
+        w = apply_s(q)
         h = v @ w
         w -= h @ v
         c = v @ w
@@ -174,7 +176,9 @@ def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
     # eigenvectors, and with them lambda2, stay out of the Krylov space.
     # Every step is deterministic, so repeated runs give identical bits.
     root_w = np.sqrt(op.grid.weights)
-    lam1, lam2, z = _lanczos(op.s, root_w * (1.0 + _weyl(op.n, 0)))
+    lam1, lam2, z = _lanczos(
+        op.s.__matmul__, root_w * (1.0 + _weyl(op.n, 0))
+    )
     if lam1 <= 0:
         raise OperatorError(
             f"principal eigenvalue must be positive, got {lam1}"
@@ -197,15 +201,6 @@ def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
     return PrincipalEigenpair(
         lambda1=float(lam1), phi1=phi, gap=float(lam1 - lam2), residual=residual
     )
-
-
-def rayleigh(op: DiscreteOperator, u: np.ndarray) -> float:
-    """Weighted Rayleigh quotient <A u, u>_w / <u, u>_w."""
-    u = np.asarray(u, dtype=float)
-    denom = op.grid.inner(u, u)
-    if denom <= 0:
-        raise OperatorError("rayleigh quotient needs a nonzero state")
-    return op.grid.inner(op.apply(u), u) / denom
 
 
 def collatz_wielandt_sup(op: DiscreteOperator, u: np.ndarray) -> float:

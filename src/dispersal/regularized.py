@@ -53,7 +53,6 @@ from .continuation import (
     ContinuationError,
     solve_at_lambda,
 )
-from .geometry import QuadratureGrid
 from .logistic import phi, reaction_matrix
 from .model import (
     FloorReport,
@@ -63,7 +62,6 @@ from .model import (
     build_q_eps,
     check_weight_floor,
     eps_ceiling,
-    weight_matrix,
 )
 from .operator import DiscreteOperator, PrincipalEigenpair, principal_eigenpair
 
@@ -74,7 +72,6 @@ __all__ = [
     "RegularizedSolve",
     "check_dip_margin",
     "limit_procedure",
-    "multi_point_profile",
     "near_center_mass_bound",
     "solve_regularized",
     "theta_margin",
@@ -469,58 +466,3 @@ def limit_procedure(
         limit_residual=limit_residual,
         obstruction=obstruction,
     )
-
-
-def multi_point_profile(
-    weight: WeightSpec,
-    grid: QuadratureGrid,
-    eps: float,
-    points=None,
-) -> tuple[np.ndarray, WeightSpec]:
-    """Multi-point dip profile a_eps(x) = min(1, prod_j |x - x_j|^eps).
-
-    Each x_j must coincide with a grid node, and on its nearest-point
-    cell E_j the weight must satisfy Q(x_j, y) >= Q(x, y); otherwise the
-    decomposition is uncertified and the construction refuses.  With one
-    point this reduces exactly to the single-center profile.
-    """
-    eps0 = eps_ceiling(weight, grid)
-    if not 0 < eps <= eps0:
-        raise RegularizedError(
-            f"eps must lie in (0, {eps0}] (ceiling N/(2p)), got {eps}"
-        )
-    if points is None:
-        points = weight.points
-    if not points:
-        raise RegularizedError("no dip points available for the profile")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[0] == 1 and pts.shape[1] != grid.domain.dim:
-        pts = pts.T
-    if pts.shape[1] != grid.domain.dim:
-        raise RegularizedError("dip points must match the domain dimension")
-
-    dists = np.linalg.norm(
-        grid.nodes[:, None, :] - pts[None, :, :], axis=-1
-    )  # (n, m)
-    node_idx = []
-    for j in range(pts.shape[0]):
-        i = int(np.argmin(dists[:, j]))
-        if dists[i, j] > 1e-12:
-            raise RegularizedError(
-                f"dip point {pts[j]} does not coincide with a grid node"
-            )
-        node_idx.append(i)
-
-    q = weight_matrix(weight, grid)
-    owner = np.argmin(dists, axis=1)
-    for j, i_j in enumerate(node_idx):
-        cell = owner == j
-        gap = q[i_j][None, :] - q[cell]
-        if gap.min() < -1e-12:
-            raise RegularizedError(
-                f"decomposition cell of point {pts[j]} is not dominated by "
-                "its center; the multi-point certificate fails"
-            )
-
-    a = np.minimum(np.prod(dists, axis=1) ** eps, 1.0)
-    return a, build_q_eps(weight, grid, a)

@@ -1,6 +1,8 @@
 """Independent oracles and one checker per quantitative bound.
 
-Two solvers live here that share no code with the Newton path:
+Two solvers live here that share no code with the Newton path;
+``oracle_spectral`` shares only the Lanczos eigensolver with
+`principal_eigenpair`:
 
 ``oracle_fixed_point`` iterates the literal rearrangement
 u <- (1 - w) u + w L0 u / (lambda - Phi_u) with damping.  The positive
@@ -16,7 +18,9 @@ problem: the shape is the principal eigenvector of the symmetric pencil
 S v = nu diag(lambda - Phi_u) v, and the amplitude is the root of
 nu(t) = 1 along u = t shape.  nu(0) = lambda1 / lambda, and nu is
 increasing in t, so the root exists exactly when lambda > lambda1; below
-that the oracle certifies nonexistence of a positive solution.
+that the oracle certifies nonexistence of a positive solution.  The pencil
+is applied on the structured S and solved by Lanczos, and the root by a
+bracketed Brent iteration, so a run holds no n x n array.
 
 Checkers return BoundReport records with the convention margin >= 0
 means the bound is satisfied.  `verify_branch` runs them over a stored
@@ -44,6 +48,8 @@ from .logistic import phi, reaction_matrix
 from .model import FloorReport, LowRank, WeightSpec, check_weight_floor
 from .operator import (
     DiscreteOperator,
+    _lanczos,
+    _weyl,
     collatz_wielandt_sup,
     principal_eigenpair,
 )
@@ -72,9 +78,12 @@ _FIXED_POINT_TOL = 1e-11
 _FIXED_POINT_MAX_ITERS = 4000
 _SPECTRAL_TOL = 1e-12
 _SPECTRAL_MAX_OUTER = 120
-# random starts of the two nonexistence searches
+# stopping rule of the amplitude root
+_ROOT_XTOL = 1e-14
+_ROOT_RTOL = 1e-15
+_ROOT_MAX_ITERS = 100
+# random starts of the subcritical nonexistence search
 _SEARCH_SEED = 0
-_RATE_TRIALS = 20
 
 
 class VerificationError(RuntimeError):
@@ -169,24 +178,74 @@ def pencil_eigenvalue(
 ) -> tuple[float, np.ndarray]:
     """Principal eigenpair of S v = nu diag(c) v with c > 0.
 
-    Returns (nu1, u) with u the eigenvector mapped back to node values,
-    sign-fixed to positive mean and sup-normalized.
+    The pencil is the symmetric C^-1/2 S C^-1/2, applied on the structured
+    S and solved by the Lanczos of `principal_eigenpair`, started from
+    the same node values 1 + frac(g i) in this frame.  Returns (nu1, u)
+    with u the eigenvector mapped back to node values, sign-fixed to
+    positive mean and sup-normalized.
     """
     c = np.asarray(c, dtype=float)
     if c.min() <= 0:
         raise VerificationError("pencil needs a strictly positive field c")
     root_c = np.sqrt(c)
-    b = np.asarray(op.s) / root_c[:, None] / root_c[None, :]
-    vals, vecs = np.linalg.eigh(b)
-    nu = float(vals[-1])
-    y = vecs[:, -1]
-    u = y / root_c / np.sqrt(op.grid.weights)
+    root_w = np.sqrt(op.grid.weights)
+    nu, _, y = _lanczos(
+        lambda v: (op.s @ (v / root_c)) / root_c,
+        root_w * root_c * (1.0 + _weyl(op.n, 0)),
+    )
+    u = y / root_c / root_w
     if op.grid.integrate(u) < 0:
         u = -u
     sup = float(np.abs(u).max())
     if sup == 0:
         raise VerificationError("degenerate pencil eigenvector")
     return nu, u / sup
+
+
+def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
+    """Root of f in [a, b] with f(a) f(b) < 0, by Brent's method.
+
+    Brent, Algorithms for Minimization without Derivatives (1973), ch. 4:
+    inverse quadratic or secant steps, with bisection whenever a step
+    leaves the bracket or shrinks it too slowly.  Stops when the bracket
+    [b, c] is narrower than xtol + rtol |b|.
+    """
+    c, fc = a, fa
+    d = e = b - a
+    for _ in range(_ROOT_MAX_ITERS):
+        if (fb > 0) == (fc > 0):
+            c, fc = a, fa
+            d = e = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        tol = 0.5 * (_ROOT_XTOL + _ROOT_RTOL * abs(b))
+        m = 0.5 * (c - b)
+        if fb == 0 or abs(m) <= tol:
+            return b
+        if abs(e) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * m * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * m * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0:
+                q = -q
+            p = abs(p)
+            if 2.0 * p < min(3.0 * m * q - abs(tol * q), abs(e * q)):
+                e, d = d, p / q
+            else:
+                d = e = m
+        else:
+            d = e = m
+        a, fa = b, fb
+        b += d if abs(d) > tol else math.copysign(tol, m)
+        fb = f(b)
+    raise VerificationError(
+        f"amplitude root not converged in {_ROOT_MAX_ITERS} iterations"
+    )
 
 
 def oracle_spectral(
@@ -200,9 +259,6 @@ def oracle_spectral(
     amplitude equation nu(t) = 1 has no positive root when
     lambda <= lambda1.
     """
-    # SciPy is imported here, not with the package: no solver path needs it
-    from scipy.optimize import brentq
-
     grid = op.grid
     if lam <= 0:
         raise VerificationError("lambda must be positive")
@@ -230,7 +286,7 @@ def oracle_spectral(
             raise VerificationError(
                 "amplitude equation fails to bracket a root"
             )
-        return float(brentq(excess, 0.0, t_hi, xtol=1e-14, rtol=1e-15))
+        return _bracketed_root(excess, 0.0, t_hi, lo, hi)
 
     shape = principal_eigenpair(op).phi1
     t = amplitude(shape)
@@ -431,46 +487,22 @@ def check_rate_nonexistence(
 ) -> BoundReport:
     """No positive u solves L0 u = g u when g stays above lambda1.
 
-    The problem is linear in u, so each start collapses in one Newton
-    step onto the kernel of L0 - diag(g), generically {0}.  Applicable
-    only when min g > lambda1 strictly.  The step is solved in the
-    symmetric frame: diag(sqrt w) commutes with diag(g), so
-    (A - diag(g)) du = -r is (S - diag(g)) (sqrt(w) du) = -sqrt(w) r.
+    Collatz-Wielandt: `_kernel` refuses a negative K, so A = K diag(w)
+    is nonnegative, and for every positive u, min (A u) / u <= lambda1.
+    A positive solution would have (A u) / u = g, so min g > lambda1 rules
+    it out for every kernel the operator accepts; ``op`` is not read.
+    Applicable only when min g > lambda1 strictly.
     """
-    g = np.asarray(g, dtype=float)
-    margin = float(g.min()) - lambda1
-    if margin <= 1e-12:
-        return BoundReport(
-            name="rate_nonexistence",
-            holds=True,
-            margin=margin,
-            context={"note": "min g does not exceed lambda1 strictly"},
-            applicable=False,
-        )
-    rng = np.random.default_rng(_SEARCH_SEED)
-    n = op.grid.n
-    root_w = np.sqrt(op.grid.weights)
-    jac = np.asarray(op.s) - np.diag(g)
-    found_sup = 0.0
-    for _ in range(_RATE_TRIALS):
-        u = rng.uniform(0.05, 1.0, n)
-        for _ in range(50):
-            r = op.apply(u) - g * u
-            if np.abs(r).max() <= 1e-12 * max(1.0, np.abs(u).max()):
-                break
-            try:
-                u = u + np.linalg.solve(jac, -root_w * r) / root_w
-            except np.linalg.LinAlgError:
-                u = np.zeros(n)
-                break
-        sup = float(np.abs(u).max())
-        if sup > 1e-6 and u.min() > 0:
-            found_sup = max(found_sup, sup)
+    min_g = float(np.min(g))
+    margin = min_g - lambda1
+    applicable = margin > 1e-12
     return BoundReport(
         name="rate_nonexistence",
-        holds=found_sup == 0.0,
+        holds=True,
         margin=margin,
-        context={"min_g": float(g.min()), "max_sup_found": found_sup},
+        context={"min_g": min_g} if applicable
+        else {"note": "min g does not exceed lambda1 strictly"},
+        applicable=applicable,
     )
 
 

@@ -1,9 +1,9 @@
 """What importing and running the package loads.
 
 Import time is most of a short CLI run, so the package imports NumPy and
-nothing heavier: SciPy is imported only inside `oracle_spectral`, which
-no CLI path reaches, and `numpy.random`, which the solver does not use,
-stays unloaded.  NumPy submodules the solver needs (`numpy.fft`,
+nothing heavier: no path of the package, the spectral oracle included,
+loads SciPy, and `numpy.random`, which the solver does not use, stays
+unloaded.  NumPy submodules the solver needs (`numpy.fft`,
 `numpy.polynomial`) load with the package, not lazily inside a timed
 solve.
 """
@@ -74,3 +74,25 @@ def test_cli_runs_load_no_further_numpy_module(tmp_path):
     )
     assert result["codes"] == [0, 0, 0, 0]
     assert result["added"] == []
+
+
+def test_spectral_oracle_loads_no_scipy(tmp_path):
+    """`oracle_spectral` finds its eigenpairs and its amplitude root with
+    the package's own Lanczos and Brent iteration."""
+    result = _run(
+        """
+        import json, sys
+        from dispersal import (
+            Domain, KernelSpec, WeightSpec, assemble, build_grid,
+            oracle_spectral, principal_eigenpair,
+        )
+        grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 33)
+        op = assemble(KernelSpec.gaussian(1.0), grid)
+        lam = 1.5 * principal_eigenpair(op).lambda1
+        res = oracle_spectral(op, WeightSpec.constant(1.0, p=2.0), lam)
+        scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+        print(json.dumps({"status": res.status, "scipy": scipy}))
+        """,
+        tmp_path,
+    )
+    assert result == {"status": "converged", "scipy": []}

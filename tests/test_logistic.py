@@ -1,4 +1,4 @@
-"""Reaction field, residual, Jacobian, and the fixed-point form."""
+"""Reaction field, residual and Jacobian."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,6 @@ from dispersal import (
     WeightSpec,
     assemble,
     check_weight_floor,
-    g_map,
-    in_admissible_set,
     jacobian,
     phi,
     reaction_matrix,
@@ -180,53 +178,6 @@ def test_reaction_matrix_reproduces_phi(grid65, rng):
     q = weight_matrix(w, grid65)
     expected = (q * grid65.weights[None, :]) @ np.abs(u) ** 1.5
     np.testing.assert_allclose(phi(w, qw, u).values, expected, rtol=1e-14)
-
-
-def test_admissible_set_threshold():
-    from dispersal import PhiField
-
-    assert in_admissible_set(0.5, PhiField(np.ones(3), 1.0, 1.0))
-    assert not in_admissible_set(0.5, PhiField(2 * np.ones(3), 2.0, 1.0))
-
-
-def test_g_map_fixed_point_identity(const_op):
-    n = const_op.n
-    gamma = 0.5
-    u = np.ones(n)
-    qw = reaction_matrix(const_weight(), const_op.grid)
-    g = g_map(const_op, const_weight(), qw, gamma, u)
-    np.testing.assert_allclose(g, 0.5, atol=1e-14)
-    # u = gamma A u + G(gamma, u) at the constant solution
-    np.testing.assert_allclose(
-        gamma * const_op.apply(u) + g, u, atol=1e-14
-    )
-
-
-def test_g_map_zero_state(const_op):
-    qw = reaction_matrix(const_weight(), const_op.grid)
-    g = g_map(const_op, const_weight(), qw, 0.6, np.zeros(const_op.n))
-    np.testing.assert_allclose(g, 0.0)
-
-
-def test_g_map_superlinear_decay(const_op):
-    """||G(gamma, s u)|| scales like s^(1+p), so G = o(||u||) at zero."""
-    u = np.ones(const_op.n)
-    for p, gamma in ((1.0, 0.4), (2.0, 0.9)):
-        w = const_weight(p=p)
-        scales = np.array([1e-2, 1e-3, 1e-4])
-        qw = reaction_matrix(w, const_op.grid)
-        norms = np.array(
-            [np.abs(g_map(const_op, w, qw, gamma, s * u)).max() for s in scales]
-        )
-        slopes = np.diff(np.log(norms)) / np.diff(np.log(scales))
-        assert np.abs(slopes - (1.0 + p)).max() < 0.05
-
-
-def test_g_map_outside_admissible_set(const_op):
-    u = np.full(const_op.n, 3.0)  # gamma * Phi = 0.9 * 3 > 1
-    qw = reaction_matrix(const_weight(), const_op.grid)
-    with pytest.raises(ReactionError):
-        g_map(const_op, const_weight(), qw, 0.9, u)
 
 
 def test_phi_floor_for_dip_weight(grid65, rng):

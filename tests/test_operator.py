@@ -14,7 +14,6 @@ from dispersal import (
     build_grid,
     collatz_wielandt_sup,
     principal_eigenpair,
-    rayleigh,
 )
 
 from .conftest import dense_a, peak_bytes, unit_grid
@@ -197,26 +196,6 @@ def test_eigenpair_refuses_zero_kernel(kernel):
     eigenvalue 0, and that is reported as an OperatorError."""
     with pytest.raises(OperatorError):
         principal_eigenpair(assemble(kernel, unit_grid("trapezoid", 9)))
-
-
-def test_rayleigh_quotient(const_op, const_eigen):
-    assert abs(rayleigh(const_op, const_eigen.phi1) - 1.0) < 1e-12
-    grid = unit_grid("gauss-legendre-tensor", 16)
-    op = assemble(KernelSpec.constant(1.0), grid)
-    x = grid.nodes[:, 0]
-    # (integral x)^2 / integral x^2 = (1/2)^2 / (1/3)
-    assert abs(rayleigh(op, x) - 0.75) < 1e-13
-
-
-def test_rayleigh_bounded_by_lambda1(const_op, const_eigen, rng):
-    for _ in range(100):
-        u = rng.standard_normal(const_op.n)
-        assert rayleigh(const_op, u) <= const_eigen.lambda1 + 1e-10
-
-
-def test_rayleigh_rejects_zero(const_op):
-    with pytest.raises(OperatorError):
-        rayleigh(const_op, np.zeros(const_op.n))
 
 
 def test_collatz_wielandt_at_eigenfunction(const_op, const_eigen):

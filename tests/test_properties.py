@@ -32,6 +32,7 @@ from dispersal import (
     jacobian,
     kernel_matrix,
     oracle_spectral,
+    pencil_eigenvalue,
     phi,
     principal_eigenpair,
     reaction_matrix,
@@ -291,15 +292,22 @@ def eigen_problems(draw, form):
 def test_eigenpair_matches_dense(form, data):
     """The top two eigenvalues of `principal_eigenpair` equal the dense
     ones of S to 1e-12 relative, and a repeated call gives the same bits,
-    for S in every form and on grids with and without symmetry."""
+    for S in every form and on grids with and without symmetry.  The top
+    eigenvalue of the pencil S v = nu diag(c) v, for a random positive c,
+    equals the dense one of C^-1/2 S C^-1/2 to 1e-12 relative."""
     op = data.draw(eigen_problems(form))
     eig = principal_eigenpair(op)
-    top = np.linalg.eigvalsh(np.asarray(op.s))[-2:]
+    dense = np.asarray(op.s)
+    top = np.linalg.eigvalsh(dense)[-2:]
     assert abs(eig.lambda1 - top[1]) <= 1e-12 * top[1]
     assert abs(eig.gap - (top[1] - top[0])) <= 1e-12 * top[1]
     again = principal_eigenpair(op)
     assert again.lambda1 == eig.lambda1 and again.gap == eig.gap
     np.testing.assert_array_equal(again.phi1, eig.phi1)
+    c = _state(data.draw(st.integers(0, 2**32 - 1)), op.n, positive=True)
+    root_c = np.sqrt(c)
+    nu = np.linalg.eigvalsh(dense / root_c[:, None] / root_c[None, :])[-1]
+    assert abs(pencil_eigenvalue(op, c)[0] - nu) <= 1e-12 * nu
 
 
 @PROPERTY

@@ -8,22 +8,18 @@ from dispersal import (
     Domain,
     KernelSpec,
     RegularizedError,
-    WeightSpec,
     assemble,
-    build_a_eps,
     build_grid,
     limit_procedure,
-    multi_point_profile,
     near_center_mass_bound,
     phi,
     reaction_matrix,
     solve_regularized,
     theta_margin,
-    weight_matrix,
 )
 from dispersal import regularized
 
-from .conftest import const_weight, dip_weight, unit_grid
+from .conftest import const_weight, dip_weight
 
 
 def _op129():
@@ -179,53 +175,6 @@ def test_limit_procedure_dip_concentration(monkeypatch):
         limit_procedure(
             op, dip_weight(p=2.0), 2.0, (4, 8, 16, 32, 64), cfg, strict=True
         )
-
-
-def test_multi_point_profile_single_center_reduces():
-    grid = unit_grid("trapezoid", 65)
-    w = dip_weight()
-    a_multi, _ = multi_point_profile(w, grid, 0.4)
-    a_single = build_a_eps(w, grid, np.array([0.5]), 0.4)
-    np.testing.assert_allclose(a_multi, a_single, atol=1e-14)
-
-
-def test_multi_point_profile_two_centers():
-    grid = unit_grid("trapezoid", 5)
-    w = WeightSpec.polynomial_dip(
-        h=(1.0,), g=(0.0,), points=(0.25, 0.75), exponents=(0.4, 0.4),
-        level=2.0, p=1.0,
-    )
-    a, weps = multi_point_profile(w, grid, 0.5)
-    x = grid.nodes[:, 0]
-    i_mid = int(np.argmin(np.abs(x - 0.5)))
-    assert abs(a[i_mid] - 0.25) < 1e-14  # (0.25 * 0.25)^(1/2)
-    for pt in (0.25, 0.75):
-        j = int(np.argmin(np.abs(x - pt)))
-        assert a[j] == 0.0
-    q = weight_matrix(w, grid)
-    qe = weight_matrix(weps, grid)
-    assert (qe >= q - 1e-12).all() and (qe <= 2 * q + 1e-12).all()
-
-
-def test_multi_point_profile_rejects_off_grid_point():
-    grid = unit_grid("trapezoid", 5)
-    w = dip_weight()
-    with pytest.raises(RegularizedError):
-        multi_point_profile(w, grid, 0.5, points=((0.3,),))
-
-
-def test_multi_point_profile_rejects_undominated_cells():
-    grid = unit_grid("trapezoid", 5)
-    # Q(x, y) = x is maximized at the right edge, not at the dip points
-    w = WeightSpec.separable(g=(0.0, 1.0), h=(1.0,), p=1.0)
-    with pytest.raises(RegularizedError):
-        multi_point_profile(w, grid, 0.5, points=((0.25,), (0.75,)))
-
-
-def test_multi_point_profile_eps_gate():
-    grid = unit_grid("trapezoid", 5)
-    with pytest.raises(RegularizedError):
-        multi_point_profile(dip_weight(p=2.0), grid, 0.3)
 
 
 def test_near_center_mass_bound_value():

@@ -10,8 +10,10 @@ from dispersal import (
     ContinuationConfig,
     KernelSpec,
     VerificationError,
+    Domain,
     WeightSpec,
     assemble,
+    build_grid,
     check_admissibility,
     check_collatz_wielandt,
     check_covering_bound,
@@ -32,7 +34,7 @@ from dispersal import (
     verify_branch,
 )
 
-from .conftest import UNIT, const_weight, unit_grid
+from .conftest import UNIT, const_weight, dip_weight, peak_bytes, unit_grid
 
 
 def _point(lam, u, grid, weight):
@@ -131,6 +133,33 @@ def test_spectral_oracle_matches_newton_gaussian():
     res = oracle_spectral(op, const_weight(), 2.0)
     assert res.status == "converged"
     assert np.abs(res.u - pt.u).max() <= 1e-8
+
+
+@pytest.mark.parametrize(
+    "dim, resolution, weight",
+    [(1, 4097, dip_weight(p=2.0)), (2, 64, const_weight(p=2.0))],
+    ids=["1d-4097-dip", "2d-64x64-const"],
+)
+def test_spectral_oracle_holds_no_n_squared_array(dim, resolution, weight):
+    """On 4097 1-D trapezoid nodes with the dip weight and on 64 x 64 with
+    Q = 1 (gaussian length 1, 1.5 lambda1) the oracle converges to
+    Newton's solution to 1e-8 and peaks below n^2 bytes, an eighth of one
+    n x n float array: the pencil is applied on the Toeplitz and Kron
+    forms of S, never formed."""
+    grid = build_grid(
+        Domain((0.0,) * dim, (1.0,) * dim), "trapezoid", resolution
+    )
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    eigen = principal_eigenpair(op)
+    lam = 1.5 * eigen.lambda1
+    pt = solve_at_lambda(
+        op, weight, eigen, lam, ContinuationConfig(lambda_max=lam + 0.5)
+    )
+    results = []
+    peak = peak_bytes(lambda: results.append(oracle_spectral(op, weight, lam)))
+    assert results[0].status == "converged"
+    assert np.abs(results[0].u - pt.u).max() <= 1e-8
+    assert peak < grid.n**2
 
 
 def test_admissibility_margin(const_op, const_eigen):
