@@ -20,9 +20,9 @@ from .continuation import (
     seed_branch,
     solve_at_lambda,
     trace_branch,
-    window_bounds,
 )
 from .geometry import (
+    RULES,
     Covering,
     Domain,
     GeometryError,
@@ -32,11 +32,11 @@ from .geometry import (
 )
 from .logistic import (
     JacobianAction,
-    PhiField,
+    Reaction,
     ReactionError,
     jacobian,
     phi,
-    reaction_matrix,
+    reaction,
     residual,
 )
 from .model import (
@@ -51,8 +51,6 @@ from .model import (
     build_a_eps,
     build_q_eps,
     certify,
-    check_k1,
-    check_k2,
     check_weight_floor,
     eps_ceiling,
     kernel_matrix,
@@ -93,6 +91,7 @@ from .verification import (
     oracle_spectral,
     pencil_eigenvalue,
     verify_branch,
+    window_bounds,
 )
 
 __version__ = "0.1.0"

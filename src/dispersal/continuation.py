@@ -12,8 +12,8 @@ and stays inside [ds_min, ds_max].
 
 Newton is Jacobian-free (Knoll & Keyes, JCP 193, 2004): each step solves
 J y = -r by GMRES on `JacobianAction`, left-preconditioned by
-diag(Phi_u - lambda)^-1, and the reaction matrix Q diag(w) is built once
-per solve.  GMRES is `_krylov`, one NumPy cycle of at most min(n, 50)
+diag(Phi_u - lambda)^-1, and the `Reaction` (Q diag(w) with p) is built
+once per solve.  GMRES is `_krylov`, one NumPy cycle of at most min(n, 50)
 iterations.  The arclength border is eliminated with a second Krylov solve
 J y2 = u (Keller's block elimination), so no bordered matrix is formed.
 
@@ -34,12 +34,13 @@ import numpy as np
 from .geometry import QuadratureGrid
 from .logistic import (
     JacobianAction,
+    Reaction,
     ReactionError,
     phi,
-    reaction_matrix,
+    reaction,
     residual,
 )
-from .model import LowRank, WeightSpec
+from .model import WeightSpec
 from .operator import DiscreteOperator, PrincipalEigenpair
 
 __all__ = [
@@ -54,7 +55,6 @@ __all__ = [
     "seed_branch",
     "solve_at_lambda",
     "trace_branch",
-    "window_bounds",
 ]
 
 
@@ -121,19 +121,18 @@ class Branch:
         return tuple(kept)
 
 
-def _branch_point(op, weight, qw, lam, u, iters) -> BranchPoint:
+def _branch_point(op, rx, lam, u, iters) -> BranchPoint:
     u = np.asarray(u, dtype=float)
-    fld = phi(weight, qw, u)
-    res_norm = float(np.abs(op.apply(u) + fld.values * u - lam * u).max())
+    phi_sup = float(phi(rx, u).max())
     return BranchPoint(
         lam=float(lam),
         u=u.copy(),
         sup_norm=float(np.abs(u).max()),
-        p_norm=op.grid.lp_norm(u, weight.p),
+        p_norm=op.grid.lp_norm(u, rx.p),
         min_u=float(u.min()),
-        gamma_phi_sup=fld.sup_norm / lam if lam > 0 else math.inf,
+        gamma_phi_sup=phi_sup / lam if lam > 0 else math.inf,
         newton_iters=int(iters),
-        residual_norm=res_norm,
+        residual_norm=float(np.abs(residual(op, rx, lam, u)).max()),
     )
 
 
@@ -192,7 +191,7 @@ def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     return y @ basis[:k]
 
 
-def _newton(op, weight, qw, lam, u0, cfg, border=None):
+def _newton(op, rx, lam, u0, cfg, border=None):
     """Damped Newton with a backtracking line search on the sup residual.
 
     Without ``border`` lambda is pinned.  With ``border = (t_u, t_lam,
@@ -211,7 +210,7 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
         c = grid.weights * t_u
 
     def merit(u_, lam_):
-        r_ = residual(op, weight, qw, lam_, u_)
+        r_ = residual(op, rx, lam_, u_)
         cons_ = 0.0
         if border is not None:
             cons_ = (
@@ -227,7 +226,7 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
         if small(fn, u):
             return u, lam, it, True
         try:
-            jac = JacobianAction(op, weight, qw, lam, u)
+            jac = JacobianAction(op, rx, lam, u)
         except ReactionError:
             return u, lam, it, False
         du = _krylov(jac, -r)
@@ -242,7 +241,7 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
         while True:
             u_t = u + alpha * du
             lam_t = lam if border is None else lam + alpha * dlam
-            if weight.p < 1 and u_t.min() <= 1e-10:
+            if rx.p < 1 and u_t.min() <= 1e-10:
                 alpha *= 0.5
                 if alpha < 1e-8:
                     raise PositivityLost(
@@ -262,8 +261,7 @@ def _newton(op, weight, qw, lam, u0, cfg, border=None):
 
 def newton_correct(
     op: DiscreteOperator,
-    weight: WeightSpec,
-    qw: LowRank | np.ndarray,
+    rx: Reaction,
     lam: float,
     u0: np.ndarray,
     cfg: ContinuationConfig,
@@ -272,22 +270,21 @@ def newton_correct(
 
     Converging onto the trivial solution is a legitimate outcome (it is
     how nonexistence below the principal eigenvalue shows up); callers
-    decide what to do with a vanishing sup norm.  ``qw`` is
-    `reaction_matrix(weight, op.grid)`.
+    decide what to do with a vanishing sup norm.  ``rx`` is
+    `reaction(weight, op.grid)`.
     """
-    u, _, iters, converged = _newton(op, weight, qw, lam, u0, cfg)
+    u, _, iters, converged = _newton(op, rx, lam, u0, cfg)
     if not converged:
         raise StepFailure(
             f"Newton did not converge in {cfg.newton_max_iters} iterations "
             f"at lambda={lam}"
         )
-    return _branch_point(op, weight, qw, lam, u, iters)
+    return _branch_point(op, rx, lam, u, iters)
 
 
 def seed_branch(
     eigen: PrincipalEigenpair,
-    weight: WeightSpec,
-    qw: LowRank | np.ndarray,
+    rx: Reaction,
     grid: QuadratureGrid,
     s0: float,
 ) -> tuple[float, np.ndarray]:
@@ -300,19 +297,18 @@ def seed_branch(
     if s0 <= 0:
         raise ContinuationError("seed amplitude s0 must be positive")
     u = s0 * eigen.phi1
-    fld = phi(weight, qw, u)
-    lam = eigen.lambda1 + grid.inner(fld.values * u, eigen.phi1) / grid.inner(
+    lam = eigen.lambda1 + grid.inner(phi(rx, u) * u, eigen.phi1) / grid.inner(
         u, eigen.phi1
     )
     return float(lam), u
 
 
-def _bootstrap_first_point(op, weight, qw, eigen, cfg):
+def _bootstrap_first_point(op, rx, eigen, cfg):
     s = cfg.s0
     for _ in range(6):
-        lam_g, u_g = seed_branch(eigen, weight, qw, op.grid, s)
+        lam_g, u_g = seed_branch(eigen, rx, op.grid, s)
         try:
-            pt = newton_correct(op, weight, qw, lam_g, u_g, cfg)
+            pt = newton_correct(op, rx, lam_g, u_g, cfg)
         except ContinuationError:
             s *= 2.0
             continue
@@ -341,8 +337,8 @@ def trace_branch(
         raise ContinuationError(
             f"lambda_max={cfg.lambda_max} must exceed lambda1={eigen.lambda1}"
         )
-    qw = reaction_matrix(weight, grid)
-    first = _bootstrap_first_point(op, weight, qw, eigen, cfg)
+    rx = reaction(weight, grid)
+    first = _bootstrap_first_point(op, rx, eigen, cfg)
     points = [first]
     folds: list[int] = []
 
@@ -367,7 +363,7 @@ def trace_branch(
         if clamp:
             u0 = cur.u + t_u * (cfg.lambda_max - cur.lam) / t_lam
             try:
-                pt = newton_correct(op, weight, qw, cfg.lambda_max, u0, cfg)
+                pt = newton_correct(op, rx, cfg.lambda_max, u0, cfg)
                 ok = pt.min_u > 0
             except ContinuationError:
                 ok = False
@@ -377,14 +373,14 @@ def trace_branch(
             border = (t_u, t_lam, cur.u, cur.lam, ds)
             try:
                 u_new, lam_new, iters, ok = _newton(
-                    op, weight, qw, lam_pred, u_pred, cfg, border
+                    op, rx, lam_pred, u_pred, cfg, border
                 )
             except PositivityLost:
                 ok = False
             if ok and (u_new.min() <= 0 or np.abs(u_new).max() <= 1e-10):
                 ok = False
             if ok:
-                pt = _branch_point(op, weight, qw, lam_new, u_new, iters)
+                pt = _branch_point(op, rx, lam_new, u_new, iters)
         if not ok:
             ds *= 0.5
             fast = 0
@@ -444,22 +440,20 @@ def solve_at_lambda(
     derivative.
     """
     grid = op.grid
-    qw = reaction_matrix(weight, grid)
+    rx = reaction(weight, grid)
     if u0 is not None:
-        return newton_correct(op, weight, qw, lam, np.asarray(u0, float), cfg)
+        return newton_correct(op, rx, lam, np.asarray(u0, float), cfg)
     if lam <= eigen.lambda1:
-        return _branch_point(op, weight, qw, lam, np.zeros(grid.n), 0)
-    fld = phi(weight, qw, eigen.phi1)
-    kappa = grid.inner(fld.values * eigen.phi1, eigen.phi1) / grid.inner(
-        eigen.phi1, eigen.phi1
-    )
+        return _branch_point(op, rx, lam, np.zeros(grid.n), 0)
+    phi1 = eigen.phi1
+    kappa = grid.inner(phi(rx, phi1) * phi1, phi1) / grid.inner(phi1, phi1)
     if kappa <= 0:
         raise ContinuationError(
             "weight has no reaction at the principal eigenfunction"
         )
     amp = ((lam - eigen.lambda1) / kappa) ** (1.0 / weight.p)
     try:
-        pt = newton_correct(op, weight, qw, lam, amp * eigen.phi1, cfg)
+        pt = newton_correct(op, rx, lam, amp * phi1, cfg)
         if pt.sup_norm >= 0.05 * amp and pt.min_u > 0:
             return pt
     except ContinuationError:
@@ -471,18 +465,6 @@ def solve_at_lambda(
             f"({branch.termination})"
         )
     return branch.points[-1]
-
-
-def window_bounds(lambda1: float, sigma: float, osc: float) -> tuple[float, float]:
-    """Solvability window (lambda1, lambda1 + lambda1 sigma / [Q]).
-
-    [Q] = 0 means the weight is x-independent and the window is unbounded.
-    """
-    if sigma <= 0:
-        raise ContinuationError("window needs a positive weight floor sigma")
-    if osc <= 1e-14:
-        return lambda1, math.inf
-    return lambda1, lambda1 + lambda1 * sigma / osc
 
 
 def bifurcation_estimate(branch: Branch, p: float | None = None) -> float:

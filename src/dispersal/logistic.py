@@ -13,17 +13,19 @@ equivalent to the fixed-point form u = gamma A u + G(gamma, u) with
     G(gamma, u) = gamma^2 Phi_u (A u) / (1 - gamma Phi_u),
 
 defined on the admissible set gamma ||Phi_u||_inf < 1.  All functions are
-pure.  The reaction integral is the matrix QW = Q diag(w) from
-`reaction_matrix`, a required argument of every function here that
-evaluates the reaction: each entry point (a solve, a trace, a checker)
-builds it once and passes it down.  For the constant, separable and
-polynomial-dip weights, and for their row-scaled eps-family, QW is a
-`LowRank` of rank 1 or 2, so Phi_u costs O(n) per evaluation; only a
-tabulated weight gives a dense read-only array.  The dispersal part goes
-through `DiscreteOperator.apply`.  `jacobian` materializes the n x n
-derivative, A and QW included, as a certificate; `JacobianAction`
-applies the same derivative without forming it (``shape``, ``matvec``
-and ``@``), which is what the Newton-Krylov solver uses.
+pure.  The reaction term is one `Reaction` value: the matrix
+QW = Q diag(w) together with the exponent p, built by
+`reaction(weight, grid)` once per entry point (a solve, a trace, a
+checker) and passed down, so a QW always meets the exponent of its own
+weight.  For the constant, separable and polynomial-dip weights, and for
+their row-scaled eps-family, QW is a `LowRank` of rank 1 or 2, so Phi_u
+costs O(n) per evaluation; only a tabulated weight gives a dense
+read-only array.  The dispersal part goes through
+`DiscreteOperator.apply`, and `residual` is the one place that forms
+A u + Phi_u u - lambda u.  `jacobian` materializes the n x n derivative,
+A and QW included, as a certificate; `JacobianAction` applies the same
+derivative without forming it (``shape``, ``matvec`` and ``@``), which
+is what the Newton-Krylov solver uses.
 """
 
 from __future__ import annotations
@@ -38,11 +40,11 @@ from .operator import DiscreteOperator
 
 __all__ = [
     "JacobianAction",
-    "PhiField",
+    "Reaction",
     "ReactionError",
     "jacobian",
     "phi",
-    "reaction_matrix",
+    "reaction",
     "residual",
 ]
 
@@ -52,47 +54,39 @@ class ReactionError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class PhiField:
-    """Sampled reaction field Phi_u with its sup norm and exponent."""
+class Reaction:
+    """The reaction term of one weight on one grid: Phi_u = qw |u|^p.
 
-    values: np.ndarray
-    sup_norm: float
+    ``qw`` is QW = Q diag(w), a `LowRank` (L, w R) when Q = L R^T has
+    factors, else a dense read-only array; ``p`` is the weight's exponent.
+    """
+
+    qw: LowRank | np.ndarray
     p: float
 
 
-def reaction_matrix(
-    weight: WeightSpec, grid: QuadratureGrid
-) -> LowRank | np.ndarray:
-    """QW = Q diag(w), so that Phi_u = QW |u|^p.
-
-    A `LowRank` (L, w R) when Q = L R^T has factors, else a dense
-    read-only array.
-    """
+def reaction(weight: WeightSpec, grid: QuadratureGrid) -> Reaction:
+    """The `Reaction` of ``weight`` over ``grid``, QW built once."""
     q = _weight(weight, grid)
     if isinstance(q, LowRank):
-        return LowRank(q.left, grid.weights[:, None] * q.right)
-    q *= grid.weights[None, :]
-    q.setflags(write=False)
-    return q
+        q = LowRank(q.left, grid.weights[:, None] * q.right)
+    else:
+        q *= grid.weights[None, :]
+        q.setflags(write=False)
+    return Reaction(qw=q, p=weight.p)
 
 
-def phi(
-    weight: WeightSpec, qw: LowRank | np.ndarray, u: np.ndarray
-) -> PhiField:
-    """Phi_u = QW |u|^p with QW = reaction_matrix(weight, grid)."""
-    values = qw @ np.abs(np.asarray(u, dtype=float)) ** weight.p
-    return PhiField(values=values, sup_norm=float(values.max()), p=weight.p)
+def phi(rx: Reaction, u: np.ndarray) -> np.ndarray:
+    """The reaction field Phi_u = QW |u|^p at the nodes."""
+    return rx.qw @ np.abs(np.asarray(u, dtype=float)) ** rx.p
 
 
 def residual(
-    op: DiscreteOperator,
-    weight: WeightSpec,
-    qw: LowRank | np.ndarray,
-    lam: float,
-    u: np.ndarray,
+    op: DiscreteOperator, rx: Reaction, lam: float, u: np.ndarray
 ) -> np.ndarray:
+    """A u + Phi_u u - lambda u."""
     u = np.asarray(u, dtype=float)
-    return op.apply(u) + phi(weight, qw, u).values * u - lam * u
+    return op.apply(u) + phi(rx, u) * u - lam * u
 
 
 def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
@@ -108,11 +102,7 @@ def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
 
 
 def jacobian(
-    op: DiscreteOperator,
-    weight: WeightSpec,
-    qw: LowRank | np.ndarray,
-    lam: float,
-    u: np.ndarray,
+    op: DiscreteOperator, rx: Reaction, lam: float, u: np.ndarray
 ) -> np.ndarray:
     """Derivative of the residual in u, as a dense n x n matrix.
 
@@ -123,16 +113,15 @@ def jacobian(
     singular at zero, so states must stay bounded away from zero there.
     """
     u = np.asarray(u, dtype=float)
-    slope = _reaction_slope(weight.p, u)
+    slope = _reaction_slope(rx.p, u)
     root_w = np.sqrt(op.grid.weights)
     a = np.asarray(op.s) / root_w[:, None] * root_w[None, :]
-    field = qw @ np.abs(u) ** weight.p
-    reaction = u[:, None] * np.asarray(qw) * slope[None, :]
-    return a + np.diag(field - lam) + reaction
+    rank_term = u[:, None] * np.asarray(rx.qw) * slope[None, :]
+    return a + np.diag(phi(rx, u) - lam) + rank_term
 
 
 class JacobianAction:
-    """``jacobian(op, weight, qw, lam, u)`` applied without forming it.
+    """``jacobian(op, rx, lam, u)`` applied without forming it.
 
     v -> A v + (Phi_u - lam) v + u * (QW (p |u|^(p-1) sgn(u) v)), one
     product with S and one with QW, each in its structured form;
@@ -142,17 +131,12 @@ class JacobianAction:
     """
 
     def __init__(
-        self,
-        op: DiscreteOperator,
-        weight: WeightSpec,
-        qw: LowRank | np.ndarray,
-        lam: float,
-        u: np.ndarray,
+        self, op: DiscreteOperator, rx: Reaction, lam: float, u: np.ndarray
     ):
         u = np.asarray(u, dtype=float)
-        self._slope = _reaction_slope(weight.p, u)
-        self._op, self._qw, self._u = op, qw, u
-        self.shift = qw @ np.abs(u) ** weight.p - lam
+        self._slope = _reaction_slope(rx.p, u)
+        self._op, self._qw, self._u = op, rx.qw, u
+        self.shift = phi(rx, u) - lam
         self.shape = (op.n, op.n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:

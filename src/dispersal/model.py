@@ -68,9 +68,8 @@ __all__ = [
     "build_a_eps",
     "build_q_eps",
     "certify",
-    "check_k1",
-    "check_k2",
     "check_weight_floor",
+    "eps_ceiling",
     "kernel_matrix",
     "weight_matrix",
 ]
@@ -193,13 +192,9 @@ class Toeplitz(_Structured):
         self.shape = (n, n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        # v is one vector or a block of columns
-        v = np.asarray(v, dtype=float)
-        column = (-1,) + (1,) * (v.ndim - 1)
-        scale = self.scale.reshape(column)
-        vh = np_fft.rfft(scale * v, self._m, axis=0)
-        tv = np_fft.irfft(self._c_hat.reshape(column) * vh, self._m, axis=0)
-        return scale * tv[: self.shape[0]]
+        vh = np_fft.rfft(self.scale * v, self._m)
+        tv = np_fft.irfft(self._c_hat * vh, self._m)
+        return self.scale * tv[: self.shape[0]]
 
     def dense(self) -> np.ndarray:
         """T[i, j] = col[|i - j|], scaled on both sides."""
@@ -456,21 +451,6 @@ def _k2(
         raise ModelError("delta must be positive")
     near = _pairwise_sq_dist(grid) <= delta**2
     return bool(np.min(k, where=near, initial=np.inf) > 0), delta
-
-
-def check_k1(kernel: KernelSpec, grid: QuadratureGrid) -> tuple[bool, float]:
-    """Symmetry of K on the grid: (symmetric within 1e-12, max asymmetry)."""
-    return _k1(kernel_matrix(kernel, grid))
-
-
-def check_k2(
-    kernel: KernelSpec, grid: QuadratureGrid, delta: float
-) -> tuple[bool, float]:
-    """Positivity of K on pairs with |x - y| <= delta.
-
-    Returns (holds, delta); the certified scale is the one passed in.
-    """
-    return _k2(kernel_matrix(kernel, grid), grid, delta)
 
 
 @dataclass(frozen=True, eq=False)

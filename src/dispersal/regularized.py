@@ -53,10 +53,9 @@ from .continuation import (
     ContinuationError,
     solve_at_lambda,
 )
-from .logistic import phi, reaction_matrix
+from .logistic import Reaction, phi, reaction, residual
 from .model import (
     FloorReport,
-    LowRank,
     WeightSpec,
     build_a_eps,
     build_q_eps,
@@ -128,20 +127,18 @@ def _doubled_weight_obstruction(
 
 def check_dip_margin(
     point,
-    weight_eps: WeightSpec,
-    qw_eps: LowRank | np.ndarray,
+    rx_eps: Reaction,
     a_eps: np.ndarray,
     lambda1: float,
 ) -> tuple[bool, float]:
     """Verify lambda - Phi^eps_u(x) >= theta a_eps(x) at every node.
 
-    ``qw_eps`` is `reaction_matrix(weight_eps, grid)`.  Returns (holds
-    within -1e-8, min margin).  At x0 the bound reduces to
+    ``rx_eps`` is `reaction(weight_eps, grid)`.  Returns (holds within
+    -1e-8, min margin).  At x0 the bound reduces to
     lambda - Phi^eps_u(x0) >= 0, which positivity of u already implies.
     """
     theta = theta_margin(lambda1, point.lam)
-    fld = phi(weight_eps, qw_eps, point.u)
-    margin = point.lam - fld.values - theta * np.asarray(a_eps)
+    margin = point.lam - phi(rx_eps, point.u) - theta * np.asarray(a_eps)
     mmin = float(margin.min())
     return mmin >= -1e-8, mmin
 
@@ -187,8 +184,7 @@ def solve_regularized(
     a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
     weps = build_q_eps(weight, grid, a)
     point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=u0)
-    qw_eps = reaction_matrix(weps, grid)
-    ok, mmin = check_dip_margin(point, weps, qw_eps, a, eigen.lambda1)
+    ok, mmin = check_dip_margin(point, reaction(weps, grid), a, eigen.lambda1)
     if not ok and enforce_margin:
         raise RegularizedError(
             f"margin bound violated by {mmin:.3e} at eps={eps}; "
@@ -268,7 +264,7 @@ class RegularizedRun:
     obstruction: str | None   # doubled-weight obstruction, if it applies
 
 
-def _modulus_check(grid, qsup, x0_index, eps_seq, sols, g_fields, plain, p):
+def _modulus_check(grid, qsup, a_fields, sols, g_fields, plain, p):
     """Uniform-convergence modulus for g_n = Phi^eps_n at u_n.
 
     Exact decomposition for consecutive pairs (a_n from eps_n, a_m from
@@ -280,17 +276,14 @@ def _modulus_check(grid, qsup, x0_index, eps_seq, sols, g_fields, plain, p):
     + 2 ||F_n - F_m||_inf.  The single-term form with only the first
     summand on the right is recorded as a signed diagnostic margin; it
     can dip negative at x0 where a_n = a_m = 0 but F_n != F_m.
-    qsup is ||Q||_inf over the grid; plain holds F_n, p is the exponent.
+    qsup is ||Q||_inf over the grid; a_fields holds a_n, plain holds F_n,
+    p is the exponent.
     """
-    x0 = grid.nodes[x0_index]
-    d = np.linalg.norm(grid.nodes - x0[None, :], axis=1)
-    capped = np.minimum(d, 1.0)
     paper_margin = math.inf
     for i in range(len(sols) - 1):
-        en, em = eps_seq[i], eps_seq[i + 1]
         un = sols[i].u
         gn, gm = g_fields[i], g_fields[i + 1]
-        da = np.abs(capped**en - capped**em)
+        da = np.abs(a_fields[i] - a_fields[i + 1])
         fn, fm = plain[i], plain[i + 1]
         pn = grid.lp_norm(un, p) ** p
         lhs = np.abs(gn - gm)
@@ -364,7 +357,11 @@ def limit_procedure(
     )
     if obstruction is not None and strict:
         raise RegularizedError(obstruction)
-    qw = reaction_matrix(weight, grid)
+    rx = reaction(weight, grid)
+    inside = (
+        np.linalg.norm(grid.nodes - grid.nodes[x0_index][None, :], axis=1)
+        < _MASS_RADIUS
+    )
 
     eps_seq, sols, a_fields, g_fields, margins, near = [], [], [], [], [], []
     plain = []
@@ -379,7 +376,7 @@ def limit_procedure(
         eps_seq.append(eps)
         sols.append(rs.point)
         a_fields.append(rs.a_eps)
-        plain.append(phi(weight, qw, rs.point.u).values)
+        plain.append(phi(rx, rs.point.u))
         g_fields.append((2.0 - rs.a_eps) * plain[-1])  # Q_eps = (2 - a) Q
         margins.append(rs.margin_min)
         warm = rs.point.u
@@ -388,8 +385,6 @@ def limit_procedure(
         bound = near_center_mass_bound(
             sup_disp, theta, weight.p, eps, _MASS_RADIUS, grid.domain.dim
         )
-        d = np.linalg.norm(grid.nodes - grid.nodes[x0_index][None, :], axis=1)
-        inside = d < _MASS_RADIUS
         measured = float(
             grid.weights[inside] @ np.abs(rs.point.u[inside]) ** weight.p
         )
@@ -417,7 +412,7 @@ def limit_procedure(
             break
 
     modulus_ok, paper_margin = _modulus_check(
-        grid, floor.q_sup, x0_index, eps_seq, sols, g_fields, plain, weight.p
+        grid, floor.q_sup, a_fields, sols, g_fields, plain, weight.p
     )
     if not modulus_ok and strict:
         raise RegularizedError("modulus bound on the reaction fields broke")
@@ -440,10 +435,7 @@ def limit_procedure(
             denom = np.maximum(denom, 1e-10)
         u_lim = disp_lim / denom
 
-    fld = phi(weight, qw, u_lim)
-    limit_residual = float(
-        np.abs(op.apply(u_lim) + fld.values * u_lim - lam * u_lim).max()
-    )
+    limit_residual = float(np.abs(residual(op, rx, lam, u_lim)).max())
     return RegularizedRun(
         lam=float(lam),
         theta=theta,

@@ -26,7 +26,8 @@ Checkers return BoundReport records with the convention margin >= 0
 means the bound is satisfied.  `verify_branch` runs them over a stored
 branch from its states (lambda, u) alone; it is the one place that reads
 the weight floor and the ball covering of the a-priori L^p bound, which
-the tracer does not compute.
+the tracer does not compute.  `window_bounds` gives the solvability
+window that `check_solvability_window` reports.
 """
 
 from __future__ import annotations
@@ -41,11 +42,10 @@ from .continuation import (
     ContinuationError,
     _branch_point,
     newton_correct,
-    window_bounds,
 )
 from .geometry import Covering, QuadratureGrid, cover
-from .logistic import phi, reaction_matrix
-from .model import FloorReport, LowRank, WeightSpec, check_weight_floor
+from .logistic import Reaction, phi, reaction, residual
+from .model import FloorReport, WeightSpec, check_weight_floor
 from .operator import (
     DiscreteOperator,
     _lanczos,
@@ -70,6 +70,7 @@ __all__ = [
     "oracle_spectral",
     "pencil_eigenvalue",
     "verify_branch",
+    "window_bounds",
 ]
 
 
@@ -109,9 +110,8 @@ class OracleResult:
     residual: float
 
 
-def _problem_residual(op, weight, qw, lam, u) -> float:
-    fld = phi(weight, qw, u)
-    return float(np.abs(op.apply(u) + fld.values * u - lam * u).max())
+def _problem_residual(op, rx, lam, u) -> float:
+    return float(np.abs(residual(op, rx, lam, u)).max())
 
 
 def oracle_fixed_point(
@@ -135,12 +135,12 @@ def oracle_fixed_point(
     u = np.asarray(u0, dtype=float).copy()
     if u.min() <= 0:
         raise VerificationError("starting state must be positive")
-    qw = reaction_matrix(weight, op.grid)
+    rx = reaction(weight, op.grid)
     omega = relaxation
     prev = None
     change = math.inf
     for it in range(1, _FIXED_POINT_MAX_ITERS + 1):
-        c = lam - phi(weight, qw, u).values
+        c = lam - phi(rx, u)
         if c.min() <= 0:
             if prev is None or omega < 1e-6:
                 return OracleResult(
@@ -148,7 +148,7 @@ def oracle_fixed_point(
                     status="inadmissible",
                     iters=it,
                     final_change=change,
-                    residual=_problem_residual(op, weight, qw, lam, u),
+                    residual=_problem_residual(op, rx, lam, u),
                 )
             u = prev
             omega *= 0.5
@@ -162,14 +162,14 @@ def oracle_fixed_point(
                 status="converged",
                 iters=it,
                 final_change=change,
-                residual=_problem_residual(op, weight, qw, lam, u),
+                residual=_problem_residual(op, rx, lam, u),
             )
     return OracleResult(
         u=u,
         status="not_converged",
         iters=_FIXED_POINT_MAX_ITERS,
         final_change=change,
-        residual=_problem_residual(op, weight, qw, lam, u),
+        residual=_problem_residual(op, rx, lam, u),
     )
 
 
@@ -262,10 +262,10 @@ def oracle_spectral(
     grid = op.grid
     if lam <= 0:
         raise VerificationError("lambda must be positive")
-    qw = reaction_matrix(weight, grid)
+    rx = reaction(weight, grid)
 
     def amplitude(shape: np.ndarray):
-        fhat = phi(weight, qw, shape).values
+        fhat = phi(rx, shape)
         fsup = float(fhat.max())
         if fsup <= 0:
             raise VerificationError(
@@ -301,7 +301,7 @@ def oracle_spectral(
     u = t * shape
     change = math.inf
     for it in range(1, _SPECTRAL_MAX_OUTER + 1):
-        c = lam - phi(weight, qw, u).values
+        c = lam - phi(rx, u)
         _, shape_new = pencil_eigenvalue(op, c)
         if shape_new.min() <= 0:
             raise VerificationError("pencil eigenvector lost positivity")
@@ -322,14 +322,14 @@ def oracle_spectral(
                 status="converged",
                 iters=it,
                 final_change=change,
-                residual=_problem_residual(op, weight, qw, lam, u),
+                residual=_problem_residual(op, rx, lam, u),
             )
     return OracleResult(
         u=u,
         status="not_converged",
         iters=_SPECTRAL_MAX_OUTER,
         final_change=change,
-        residual=_problem_residual(op, weight, qw, lam, u),
+        residual=_problem_residual(op, rx, lam, u),
     )
 
 
@@ -368,16 +368,14 @@ def check_covering_bound(
 
 
 def check_phi_floor(
-    weight: WeightSpec,
-    qw: LowRank | np.ndarray,
+    rx: Reaction,
     grid: QuadratureGrid,
     u: np.ndarray,
     sigma: float,
 ) -> BoundReport:
     """min_x Phi_u(x) >= sigma ||u||_p^p under a global weight floor."""
-    fld = phi(weight, qw, u)
-    floor_val = sigma * grid.lp_norm(u, weight.p) ** weight.p
-    margin = float(fld.values.min()) - floor_val
+    floor_val = sigma * grid.lp_norm(u, rx.p) ** rx.p
+    margin = float(phi(rx, u).min()) - floor_val
     return BoundReport(
         name="phi_floor",
         holds=margin >= -1e-8,
@@ -446,13 +444,13 @@ def check_subcritical_nonexistence(
     cfg = ContinuationConfig(lambda_max=max(2.0 * lam, 4.0))
     rng = np.random.default_rng(_SEARCH_SEED)
     n = op.grid.n
-    qw = reaction_matrix(weight, op.grid)
+    rx = reaction(weight, op.grid)
     tight = replace(cfg, newton_tol=1e-14, newton_max_iters=60)
     found_sup = 0.0
     for _ in range(trials):
         u0 = rng.uniform(0.05, 1.0, n)
         try:
-            pt = newton_correct(op, weight, qw, lam, u0, cfg)
+            pt = newton_correct(op, rx, lam, u0, cfg)
             if (
                 pt.sup_norm > 1e-6
                 and pt.min_u > 0
@@ -461,7 +459,7 @@ def check_subcritical_nonexistence(
                 # at lambda = lambda1 the trivial root is degenerate and
                 # Newton can stall at a small residual while the iterate
                 # is still above the cut; polish before counting a find
-                pt = newton_correct(op, weight, qw, lam, pt.u, tight)
+                pt = newton_correct(op, rx, lam, pt.u, tight)
                 if pt.sup_norm > 1e-6 and pt.min_u > 0:
                     found_sup = max(found_sup, pt.sup_norm)
         except ContinuationError:
@@ -504,6 +502,20 @@ def check_rate_nonexistence(
         else {"note": "min g does not exceed lambda1 strictly"},
         applicable=applicable,
     )
+
+
+def window_bounds(
+    lambda1: float, sigma: float, osc: float
+) -> tuple[float, float]:
+    """Solvability window (lambda1, lambda1 + lambda1 sigma / [Q]).
+
+    [Q] = 0 means the weight is x-independent and the window is unbounded.
+    """
+    if sigma <= 0:
+        raise ContinuationError("window needs a positive weight floor sigma")
+    if osc <= 1e-14:
+        return lambda1, math.inf
+    return lambda1, lambda1 + lambda1 * sigma / osc
 
 
 def check_solvability_window(
@@ -585,11 +597,9 @@ def verify_branch(
     """
     grid = op.grid
     lambda1 = principal_eigenpair(op).lambda1
-    qw = reaction_matrix(weight, grid)
+    rx = reaction(weight, grid)
     floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    pts = [
-        _branch_point(op, weight, qw, pt.lam, pt.u, 0) for pt in branch.points
-    ]
+    pts = [_branch_point(op, rx, pt.lam, pt.u, 0) for pt in branch.points]
     positivity = [check_positivity(op, pt.u) for pt in pts]
     reports = [
         _worst("residual", [_check_residual(pt) for pt in pts]),
@@ -611,7 +621,7 @@ def verify_branch(
         ))
         reports.append(_worst(
             "phi_floor",
-            [check_phi_floor(weight, qw, grid, pt.u, floor.sigma_global)
+            [check_phi_floor(rx, grid, pt.u, floor.sigma_global)
              for pt in pts],
         ))
     reports.append(

@@ -29,7 +29,7 @@ from dispersal import (
     oracle_fixed_point,
     oracle_spectral,
     principal_eigenpair,
-    reaction_matrix,
+    reaction,
     residual,
     solve_at_lambda,
     trace_branch,
@@ -204,13 +204,13 @@ def test_criterion_04_branch_point_bounds():
         floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
         assert floor.q2pp
         covering = cover(grid.domain, grid, floor.r)
-        qw = reaction_matrix(weight, grid)
+        rx = reaction(weight, grid)
         for pt in branch.points:
             points += 1
             worst_adm = min(worst_adm, 1.0 - pt.gamma_phi_sup)
             lp = check_covering_bound(pt, covering, floor.sigma, weight.p)
             worst_lp = min(worst_lp, lp.margin)
-            rep = check_phi_floor(weight, qw, grid, pt.u, floor.sigma_global)
+            rep = check_phi_floor(rx, grid, pt.u, floor.sigma_global)
             worst_floor = min(worst_floor, rep.margin)
     ok = worst_adm > 0 and worst_lp >= -1e-8 and worst_floor >= -1e-8
     _report(
@@ -269,22 +269,22 @@ def test_criterion_06_jacobian_vs_finite_differences():
     worst = 0.0
     for p in (0.5, 1.0, 2.0):
         weight = _dip(p)
-        qw = reaction_matrix(weight, grid)
+        rx = reaction(weight, grid)
         for _ in range(10):
             if p == 0.5:
                 u = rng.uniform(0.2, 1.5, grid.n)
             else:
                 u = rng.standard_normal(grid.n)
                 u += np.where(u >= 0, 0.2, -0.2)  # keep |u| off the kink
-            jac = jacobian(op, weight, qw, lam, u)
+            jac = jacobian(op, rx, lam, u)
             h = 1e-6
             fd = np.empty_like(jac)
             for k in range(grid.n):
                 e = np.zeros(grid.n)
                 e[k] = h
                 fd[:, k] = (
-                    residual(op, weight, qw, lam, u + e)
-                    - residual(op, weight, qw, lam, u - e)
+                    residual(op, rx, lam, u + e)
+                    - residual(op, rx, lam, u - e)
                 ) / (2.0 * h)
             rel = np.abs(jac - fd).max() / max(np.abs(jac).max(), 1.0)
             worst = max(worst, rel)

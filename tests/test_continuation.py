@@ -22,7 +22,7 @@ from dispersal import (
     newton_correct,
     oracle_spectral,
     principal_eigenpair,
-    reaction_matrix,
+    reaction,
     seed_branch,
     solve_at_lambda,
     trace_branch,
@@ -36,12 +36,12 @@ from .conftest import const_weight, dip_weight, peak_bytes, unit_grid
 def test_seed_is_exact_for_constant_case(const_eigen, grid65):
     w1, w2 = const_weight(p=1.0), const_weight(p=2.0)
     lam, u = seed_branch(
-        const_eigen, w1, reaction_matrix(w1, grid65), grid65, 0.1
+        const_eigen, reaction(w1, grid65), grid65, 0.1
     )
     assert abs(lam - 1.1) < 1e-12
     np.testing.assert_allclose(u, 0.1)
     lam2, _ = seed_branch(
-        const_eigen, w2, reaction_matrix(w2, grid65), grid65, 0.1
+        const_eigen, reaction(w2, grid65), grid65, 0.1
     )
     assert abs(lam2 - 1.01) < 1e-12
 
@@ -49,7 +49,7 @@ def test_seed_is_exact_for_constant_case(const_eigen, grid65):
 def test_seed_approaches_lambda1(const_eigen, grid65):
     w = const_weight(p=1.0)
     lam, _ = seed_branch(
-        const_eigen, w, reaction_matrix(w, grid65), grid65, 1e-8
+        const_eigen, reaction(w, grid65), grid65, 1e-8
     )
     assert abs(lam - const_eigen.lambda1) < 1e-7
 
@@ -57,16 +57,15 @@ def test_seed_approaches_lambda1(const_eigen, grid65):
 def test_seed_rejects_nonpositive_amplitude(const_eigen, grid65):
     with pytest.raises(ContinuationError):
         seed_branch(
-            const_eigen, const_weight(),
-            reaction_matrix(const_weight(), grid65), grid65, 0.0,
+            const_eigen, reaction(const_weight(), grid65), grid65, 0.0,
         )
 
 
 def test_newton_finds_constant_solution(const_op):
     cfg = ContinuationConfig()
-    qw = reaction_matrix(const_weight(), const_op.grid)
+    rx = reaction(const_weight(), const_op.grid)
     pt = newton_correct(
-        const_op, const_weight(), qw, 2.0, np.full(const_op.n, 0.8), cfg
+        const_op, rx, 2.0, np.full(const_op.n, 0.8), cfg
     )
     np.testing.assert_allclose(pt.u, 1.0, atol=1e-12)
     assert pt.newton_iters <= 6
@@ -79,21 +78,21 @@ def test_newton_collapses_below_threshold(const_op):
     Newton halts with a tiny residual while the iterate is still small
     but nonzero; a tighter tolerance drives it further down."""
     cfg = ContinuationConfig()
-    qw = reaction_matrix(const_weight(), const_op.grid)
+    rx = reaction(const_weight(), const_op.grid)
     pt = newton_correct(
-        const_op, const_weight(), qw, 0.9, np.full(const_op.n, 0.5), cfg
+        const_op, rx, 0.9, np.full(const_op.n, 0.5), cfg
     )
     assert pt.sup_norm < 1e-8
 
     pt = newton_correct(
-        const_op, const_weight(), qw, 1.0, np.full(const_op.n, 0.5), cfg
+        const_op, rx, 1.0, np.full(const_op.n, 0.5), cfg
     )
     assert pt.sup_norm < 1e-4
     assert pt.residual_norm < 1e-10
     import dataclasses
 
     tight = dataclasses.replace(cfg, newton_tol=1e-14, newton_max_iters=60)
-    pt2 = newton_correct(const_op, const_weight(), qw, 1.0, pt.u, tight)
+    pt2 = newton_correct(const_op, rx, 1.0, pt.u, tight)
     assert pt2.sup_norm < 1e-6
 
 
@@ -333,15 +332,15 @@ def test_krylov_matches_dense_solve():
     )
     for kernel, grid, weight in cases:
         op = assemble(kernel, grid)
-        qw = reaction_matrix(weight, grid)
+        rx = reaction(weight, grid)
         eigen = principal_eigenpair(op)
         b = rng.standard_normal(grid.n)
         for lam in (0.5 * eigen.lambda1, 2.0 * eigen.lambda1):
             u = rng.uniform(0.2, 1.5, grid.n)
-            x = _krylov(JacobianAction(op, weight, qw, lam, u), b)
-            ref = np.linalg.solve(jacobian(op, weight, qw, lam, u), b)
+            x = _krylov(JacobianAction(op, rx, lam, u), b)
+            ref = np.linalg.solve(jacobian(op, rx, lam, u), b)
             assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
         if weight.p >= 1:
             zero = np.zeros(grid.n)
-            trivial = JacobianAction(op, weight, qw, eigen.lambda1, zero)
+            trivial = JacobianAction(op, rx, eigen.lambda1, zero)
             assert np.isfinite(_krylov(trivial, b)).all()

@@ -8,11 +8,14 @@ unloaded.  NumPy submodules the solver needs (`numpy.fft`,
 solve.
 """
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import textwrap
+import types
 from pathlib import Path
 
 import dispersal
@@ -96,3 +99,19 @@ def test_spectral_oracle_loads_no_scipy(tmp_path):
         tmp_path,
     )
     assert result == {"status": "converged", "scipy": []}
+
+
+def test_package_exports_every_module_all():
+    """`dispersal` exports exactly the union of its library modules'
+    `__all__` (every module but the `cli` command), so a name listed in
+    a module is reachable from the package and the reverse."""
+    listed = set()
+    for info in pkgutil.iter_modules(dispersal.__path__):
+        if info.name != "cli":
+            module = importlib.import_module(f"dispersal.{info.name}")
+            listed.update(module.__all__)
+    public = {
+        name for name, value in vars(dispersal).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    assert public == listed

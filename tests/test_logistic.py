@@ -13,7 +13,7 @@ from dispersal import (
     check_weight_floor,
     jacobian,
     phi,
-    reaction_matrix,
+    reaction,
     residual,
     weight_matrix,
 )
@@ -24,71 +24,69 @@ from .conftest import const_weight, dense_a, dip_weight, unit_grid
 def test_phi_constant_cases(grid65):
     u = np.full(grid65.n, 2.0)
     w1, w2 = const_weight(p=1.0), const_weight(p=2.0)
-    fld = phi(w1, reaction_matrix(w1, grid65), u)
-    np.testing.assert_allclose(fld.values, 2.0, atol=1e-14)
-    assert abs(fld.sup_norm - 2.0) < 1e-14
-    fld2 = phi(w2, reaction_matrix(w2, grid65), u)
-    np.testing.assert_allclose(fld2.values, 4.0, atol=1e-13)
+    fld = phi(reaction(w1, grid65), u)
+    np.testing.assert_allclose(fld, 2.0, atol=1e-14)
+    assert abs(fld.max() - 2.0) < 1e-14
+    fld2 = phi(reaction(w2, grid65), u)
+    np.testing.assert_allclose(fld2, 4.0, atol=1e-13)
 
 
 def test_phi_homogeneous_in_amplitude(grid65, rng):
     w = const_weight(p=0.7)
     u = rng.uniform(0.1, 1.0, grid65.n)
-    qw = reaction_matrix(w, grid65)
-    base = phi(w, qw, u).values
+    rx = reaction(w, grid65)
+    base = phi(rx, u)
     for t in (0.0, 0.5, 2.0):
-        scaled = phi(w, qw, t * u).values
+        scaled = phi(rx, t * u)
         assert np.abs(scaled - t**0.7 * base).max() < 1e-13
 
 
 def test_phi_uniform_bound(grid65, rng):
     w = dip_weight(p=1.5)
     qsup = weight_matrix(w, grid65).max()
-    qw = reaction_matrix(w, grid65)
+    rx = reaction(w, grid65)
     vol = grid65.domain.volume
     for _ in range(100):
         u = rng.standard_normal(grid65.n)
-        fld = phi(w, qw, u)
-        assert fld.sup_norm <= qsup * np.abs(u).max() ** 1.5 * vol + 1e-12
+        fld = phi(rx, u)
+        assert fld.max() <= qsup * np.abs(u).max() ** 1.5 * vol + 1e-12
 
 
 def test_phi_difference_bound(grid65, rng):
     w = const_weight(p=2.0)
-    qw = reaction_matrix(w, grid65)
+    rx = reaction(w, grid65)
     for _ in range(50):
         u = rng.standard_normal(grid65.n)
         v = rng.standard_normal(grid65.n)
-        du = phi(w, qw, u).values - phi(w, qw, v).values
+        du = phi(rx, u) - phi(rx, v)
         lip = grid65.integrate(np.abs(np.abs(u) ** 2 - np.abs(v) ** 2))
         assert np.abs(du).max() <= lip + 1e-12
 
 
 def test_residual_trivial_and_constant(const_op):
     grid = const_op.grid
-    qw = reaction_matrix(const_weight(), grid)
-    zero = residual(const_op, const_weight(), qw, 2.0, np.zeros(grid.n))
+    rx = reaction(const_weight(), grid)
+    zero = residual(const_op, rx, 2.0, np.zeros(grid.n))
     np.testing.assert_allclose(zero, 0.0)
     # u = 1 solves the constant problem at lambda = 2 exactly
-    r = residual(const_op, const_weight(), qw, 2.0, np.ones(grid.n))
+    r = residual(const_op, rx, 2.0, np.ones(grid.n))
     assert np.abs(r).max() < 1e-14
 
 
 def test_residual_at_eigenfunction(const_op, const_eigen):
     """At lambda1 the linear part cancels and the crowding term remains."""
-    qw = reaction_matrix(const_weight(), const_op.grid)
-    r = residual(
-        const_op, const_weight(), qw, const_eigen.lambda1, const_eigen.phi1
-    )
-    fld = phi(const_weight(), qw, const_eigen.phi1)
-    np.testing.assert_allclose(r, fld.values * const_eigen.phi1, atol=1e-10)
+    rx = reaction(const_weight(), const_op.grid)
+    r = residual(const_op, rx, const_eigen.lambda1, const_eigen.phi1)
+    fld = phi(rx, const_eigen.phi1)
+    np.testing.assert_allclose(r, fld * const_eigen.phi1, atol=1e-10)
     assert r.min() > 0
 
 
 def test_jacobian_at_zero_state(const_op):
     n = const_op.n
     w = const_weight(p=2.0)
-    qw = reaction_matrix(w, const_op.grid)
-    j = jacobian(const_op, w, qw, 1.7, np.zeros(n))
+    rx = reaction(w, const_op.grid)
+    j = jacobian(const_op, rx, 1.7, np.zeros(n))
     a = dense_a(KernelSpec.constant(1.0), const_op.grid)
     np.testing.assert_allclose(j, a - 1.7 * np.eye(n), atol=1e-14)
 
@@ -96,8 +94,8 @@ def test_jacobian_at_zero_state(const_op):
 def test_jacobian_constant_row_sums(const_op):
     n = const_op.n
     w = const_weight(p=1.0)
-    qw = reaction_matrix(w, const_op.grid)
-    j = jacobian(const_op, w, qw, 2.0, np.ones(n))
+    rx = reaction(w, const_op.grid)
+    j = jacobian(const_op, rx, 2.0, np.ones(n))
     # A + diag(Phi) - 2 I contributes zero row sum; the rank term adds one
     np.testing.assert_allclose(j @ np.ones(n), 1.0, atol=1e-13)
 
@@ -108,18 +106,18 @@ def test_jacobian_matches_finite_differences(rng):
     lam = 1.8
     for p in (0.5, 1.0, 2.0):
         w = dip_weight(p=p)
-        qw = reaction_matrix(w, grid)
+        rx = reaction(w, grid)
         for _ in range(3):
             u = rng.uniform(0.3, 1.2, grid.n)
-            j = jacobian(op, w, qw, lam, u)
+            j = jacobian(op, rx, lam, u)
             h = 1e-6
             fd = np.empty_like(j)
             for k in range(grid.n):
                 e = np.zeros(grid.n)
                 e[k] = h
                 fd[:, k] = (
-                    residual(op, w, qw, lam, u + e)
-                    - residual(op, w, qw, lam, u - e)
+                    residual(op, rx, lam, u + e)
+                    - residual(op, rx, lam, u - e)
                 ) / (2.0 * h)
             denom = max(np.abs(j).max(), 1.0)
             assert np.abs(j - fd).max() / denom < 1e-6
@@ -130,7 +128,7 @@ def test_jacobian_p_below_one_needs_interior_state(const_op):
     u[7] = 0.0
     w = const_weight(p=0.5)
     with pytest.raises(ReactionError):
-        jacobian(const_op, w, reaction_matrix(w, const_op.grid), 2.0, u)
+        jacobian(const_op, reaction(w, const_op.grid), 2.0, u)
 
 
 def test_jacobian_action_matches_dense(rng):
@@ -146,18 +144,18 @@ def test_jacobian_action_matches_dense(rng):
     weights = [dip_weight(p=p) for p in (0.5, 1.0, 2.0)]
     weights.append(WeightSpec.tabulated(table, p=1.5))
     for w in weights:
-        qw = reaction_matrix(w, grid)
+        rx = reaction(w, grid)
         for _ in range(5):
             u = rng.uniform(0.2, 1.5, grid.n)
             if w.p >= 1:
                 u *= rng.choice((-1.0, 1.0), grid.n)
             v = rng.standard_normal(grid.n)
-            dense = jacobian(op, w, qw, lam, u) @ v
+            dense = jacobian(op, rx, lam, u) @ v
             scale = np.abs(dense).max()
-            action = JacobianAction(op, w, qw, lam, u)
+            action = JacobianAction(op, rx, lam, u)
             assert np.abs(action @ v - dense).max() <= 1e-12 * scale
     w = weights[2]
-    j = jacobian(op, w, reaction_matrix(w, grid), lam, np.zeros(grid.n))
+    j = jacobian(op, reaction(w, grid), lam, np.zeros(grid.n))
     a = dense_a(KernelSpec.gaussian(1.0), grid)
     np.testing.assert_allclose(j, a - lam * np.eye(grid.n), rtol=0, atol=1e-14)
     u = np.full(grid.n, 0.5)
@@ -165,28 +163,30 @@ def test_jacobian_action_matches_dense(rng):
     w = dip_weight(p=0.5)
     for call in (jacobian, JacobianAction):
         with pytest.raises(ReactionError):
-            call(op, w, reaction_matrix(w, grid), lam, u)
+            call(op, reaction(w, grid), lam, u)
 
 
-def test_reaction_matrix_reproduces_phi(grid65, rng):
+def test_reaction_reproduces_phi(grid65, rng):
     w = dip_weight(p=1.5)
-    qw = reaction_matrix(w, grid65)
+    rx = reaction(w, grid65)
+    assert rx.p == 1.5
     # the dip weight is kept as rank-two read-only factors
+    qw = rx.qw
     assert isinstance(qw, LowRank) and qw.left.shape == (grid65.n, 2)
     assert not (qw.left.flags.writeable or qw.right.flags.writeable)
     u = rng.standard_normal(grid65.n)
     q = weight_matrix(w, grid65)
     expected = (q * grid65.weights[None, :]) @ np.abs(u) ** 1.5
-    np.testing.assert_allclose(phi(w, qw, u).values, expected, rtol=1e-14)
+    np.testing.assert_allclose(phi(rx, u), expected, rtol=1e-14)
 
 
 def test_phi_floor_for_dip_weight(grid65, rng):
     w = dip_weight(p=1.0)
     rep = check_weight_floor(w, grid65, r=grid65.domain.diameter)
     assert rep.q2pp
-    qw = reaction_matrix(w, grid65)
+    rx = reaction(w, grid65)
     for _ in range(20):
         u = rng.uniform(0.0, 2.0, grid65.n)
-        fld = phi(w, qw, u)
+        fld = phi(rx, u)
         floor_val = rep.sigma_global * grid65.lp_norm(u, 1.0)
-        assert fld.values.min() >= floor_val - 1e-12
+        assert fld.min() >= floor_val - 1e-12

@@ -14,12 +14,10 @@ from dispersal import (
     build_grid,
     build_q_eps,
     certify,
-    check_k1,
-    check_k2,
     check_weight_floor,
     eps_ceiling,
     kernel_matrix,
-    reaction_matrix,
+    reaction,
     weight_matrix,
 )
 
@@ -28,32 +26,38 @@ from .conftest import dip_weight, peak_bytes, unit_grid
 SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
 
 
+def _kernel_report(kernel, grid, delta=None):
+    """`certify` of ``kernel`` with Q = 1 at r = 0.25, for its k1/k2."""
+    return certify(kernel, WeightSpec.constant(1.0), grid, 0.25, delta)
+
+
 def test_k1_constant_and_gaussian():
     grid = unit_grid("trapezoid", 33)
-    ok, asym = check_k1(KernelSpec.constant(2.0), grid)
-    assert ok and asym == 0.0
-    ok, asym = check_k1(KernelSpec.gaussian(0.7), grid)
-    assert ok and asym <= 1e-15
+    rep = _kernel_report(KernelSpec.constant(2.0), grid)
+    assert rep.k1 and rep.max_asymmetry == 0.0
+    rep = _kernel_report(KernelSpec.gaussian(0.7), grid)
+    assert rep.k1 and rep.max_asymmetry <= 1e-15
 
 
 def test_k1_detects_asymmetry():
     grid = unit_grid("midpoint", 8)
     k = np.ones((8, 8))
     k[0, 1] += 0.1
-    ok, asym = check_k1(KernelSpec.tabulated(k), grid)
-    assert not ok
-    assert abs(asym - 0.1) < 1e-15
+    rep = _kernel_report(KernelSpec.tabulated(k), grid)
+    assert not rep.k1
+    assert abs(rep.max_asymmetry - 0.1) < 1e-15
 
 
 def test_k2_positive_near_diagonal():
     grid = unit_grid("midpoint", 16)
-    assert check_k2(KernelSpec.constant(1.0), grid, 0.2)[0]
-    assert check_k2(KernelSpec.gaussian(1.0), grid, 0.2)[0]
+    assert _kernel_report(KernelSpec.constant(1.0), grid, 0.2).k2
+    rep = _kernel_report(KernelSpec.gaussian(1.0), grid, 0.2)
+    assert rep.k2 and rep.delta == 0.2
     k = np.ones((16, 16))
     np.fill_diagonal(k, 0.0)
-    assert not check_k2(KernelSpec.tabulated(k), grid, 0.1)[0]
+    assert not _kernel_report(KernelSpec.tabulated(k), grid, 0.1).k2
     with pytest.raises(ModelError):
-        check_k2(KernelSpec.constant(1.0), grid, 0.0)
+        _kernel_report(KernelSpec.constant(1.0), grid, 0.0)
 
 
 def test_kernel_matrix_rejects_negative():
@@ -74,7 +78,7 @@ def test_weight_matrix_rejects_negative():
 
 def test_row_scale_checked_by_every_reader():
     """A row scale must hold one positive value per node, whichever
-    reader builds Q: the solver's reaction_matrix or weight_matrix."""
+    reader builds Q: the solver's reaction or weight_matrix."""
     grid = unit_grid("trapezoid", 9)
     for weight in (
         WeightSpec.constant(1.0, p=2.0),
@@ -82,7 +86,7 @@ def test_row_scale_checked_by_every_reader():
     ):
         for scale in (-np.ones(9), np.ones(8), np.zeros(9)):
             scaled = replace(weight, row_scale=scale)
-            for reader in (reaction_matrix, weight_matrix):
+            for reader in (reaction, weight_matrix):
                 with pytest.raises(ModelError, match="row_scale"):
                     reader(scaled, grid)
 

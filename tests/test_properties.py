@@ -35,7 +35,7 @@ from dispersal import (
     pencil_eigenvalue,
     phi,
     principal_eigenpair,
-    reaction_matrix,
+    reaction,
     residual,
     solve_at_lambda,
     weight_matrix,
@@ -228,10 +228,10 @@ def test_phi_is_p_homogeneous(data, p, t, seed):
     """Phi_{t u} = t^p Phi_u for t >= 0."""
     grid = data.draw(grids())
     weight = data.draw(weights(grid, p))
-    qw = reaction_matrix(weight, grid)
+    rx = reaction(weight, grid)
     u = _state(seed, grid.n)
-    base = phi(weight, qw, u).values
-    scaled = phi(weight, qw, t * u).values
+    base = phi(rx, u)
+    scaled = phi(rx, t * u)
     expected = t**p * base
     assert np.abs(scaled - expected).max() <= 1e-12 * np.abs(expected).max()
 
@@ -340,12 +340,15 @@ def test_no_positive_solution_below_lambda1(data, p, t):
 
 @PROPERTY
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
-def test_reaction_matrix_matches_dense_weight(data, seed):
-    """reaction_matrix applies Q diag(w), with Q from weight_matrix, for
-    every weight form and its eps-family; only a tabulated Q is dense."""
+def test_reaction_matches_dense_weight(data, seed):
+    """`reaction` applies Q diag(w), with Q from weight_matrix, for every
+    weight form and its eps-family, and keeps the weight's p; only a
+    tabulated Q is dense."""
     grid = data.draw(grids())
     weight = data.draw(weights(grid, 2.0))
-    qw = reaction_matrix(weight, grid)
+    rx = reaction(weight, grid)
+    assert rx.p == weight.p
+    qw = rx.qw
     assert isinstance(qw, np.ndarray) == (weight.form == "tabulated")
     dense = weight_matrix(weight, grid) * grid.weights[None, :]
     v = _state(seed, grid.n)
@@ -366,20 +369,20 @@ def test_jacobian_action_matches_dense_and_differences(data, p, lam, seed):
     grid = data.draw(grids())
     op = assemble(data.draw(kernels(grid)), grid)
     weight = data.draw(weights(grid, p))
-    qw = reaction_matrix(weight, grid)
+    rx = reaction(weight, grid)
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.2, 1.5, grid.n)
     if p >= 1:  # |u|^p is smooth away from zero: signs are allowed
         u *= rng.choice((-1.0, 1.0), grid.n)
     v = rng.standard_normal(grid.n)
-    j = jacobian(op, weight, qw, lam, u)
+    j = jacobian(op, rx, lam, u)
     scale = (np.abs(j) @ np.abs(v)).max()
-    action = JacobianAction(op, weight, qw, lam, u) @ v
+    action = JacobianAction(op, rx, lam, u) @ v
     assert np.abs(action - j @ v).max() <= 1e-12 * scale
     h = 1e-6
     fd = (
-        residual(op, weight, qw, lam, u + h * v)
-        - residual(op, weight, qw, lam, u - h * v)
+        residual(op, rx, lam, u + h * v)
+        - residual(op, rx, lam, u - h * v)
     ) / (2.0 * h)
     assert np.abs(action - fd).max() <= 1e-6 * scale
 

@@ -13,7 +13,7 @@ from dispersal import (
     limit_procedure,
     near_center_mass_bound,
     phi,
-    reaction_matrix,
+    reaction,
     solve_regularized,
     theta_margin,
 )
@@ -53,12 +53,8 @@ def test_regularized_reaction_dominates_plain():
     grid = op.grid
     cfg = ContinuationConfig(lambda_max=3.0)
     rs = solve_regularized(op, const_weight(), 2.0, 0.5, cfg, x0_index=64)
-    plain = phi(
-        const_weight(), reaction_matrix(const_weight(), grid), rs.point.u
-    ).values
-    reg = phi(
-        rs.weight_eps, reaction_matrix(rs.weight_eps, grid), rs.point.u
-    ).values
+    plain = phi(reaction(const_weight(), grid), rs.point.u)
+    reg = phi(reaction(rs.weight_eps, grid), rs.point.u)
     assert (reg >= plain - 1e-12).all()
 
 

@@ -28,7 +28,7 @@ from dispersal import (
     oracle_spectral,
     pencil_eigenvalue,
     principal_eigenpair,
-    reaction_matrix,
+    reaction,
     solve_at_lambda,
     trace_branch,
     verify_branch,
@@ -41,14 +41,14 @@ def _point(lam, u, grid, weight):
     from dispersal import phi
 
     u = np.asarray(u, dtype=float)
-    fld = phi(weight, reaction_matrix(weight, grid), u)
+    fld = phi(reaction(weight, grid), u)
     return BranchPoint(
         lam=lam,
         u=u,
         sup_norm=float(np.abs(u).max()),
         p_norm=grid.lp_norm(u, weight.p),
         min_u=float(u.min()),
-        gamma_phi_sup=fld.sup_norm / lam,
+        gamma_phi_sup=float(fld.max()) / lam,
         newton_iters=0,
         residual_norm=0.0,
     )
@@ -191,14 +191,12 @@ def test_covering_bound_constant_solution(const_op):
 
 def test_phi_floor_margins(grid65, rng):
     u = rng.uniform(0.1, 1.0, grid65.n)
-    qw = reaction_matrix(const_weight(), grid65)
-    rep = check_phi_floor(const_weight(), qw, grid65, u, sigma=1.0)
+    rep = check_phi_floor(reaction(const_weight(), grid65), grid65, u, 1.0)
     assert rep.holds
     assert abs(rep.margin) < 1e-12  # Q = 1 attains its floor exactly
 
     w2 = WeightSpec.constant(2.0, p=1.0)
-    qw2 = reaction_matrix(w2, grid65)
-    rep2 = check_phi_floor(w2, qw2, grid65, u, sigma=1.0)
+    rep2 = check_phi_floor(reaction(w2, grid65), grid65, u, sigma=1.0)
     assert rep2.holds
     assert abs(rep2.margin - grid65.lp_norm(u, 1.0)) < 1e-12
 
