@@ -312,7 +312,8 @@ def _cmd_eig(args) -> int:
 
 def _cmd_check_hyp(args) -> int:
     ctx = RunContext(args)
-    r = float(ctx.run.get("r") or ctx.domain.diameter)
+    r = ctx.run.get("r")
+    r = float(ctx.domain.diameter if r is None else r)
     delta = ctx.run.get("delta")
     report = certify(
         ctx.kernel, ctx.weight, ctx.grid, r=r,

@@ -12,8 +12,8 @@ and stays inside [ds_min, ds_max].
 
 Newton is Jacobian-free (Knoll & Keyes, JCP 193, 2004): each step solves
 J y = -r by GMRES on `JacobianAction`, left-preconditioned by
-diag(Phi_u - lambda)^-1, and the `Reaction` (Q diag(w) with p) is built
-once per solve.  GMRES is `_krylov`, one NumPy cycle of at most min(n, 50)
+diag(Phi_u - lambda)^-1, and the `Reaction` (Q, w and p) is built once
+per solve.  GMRES is `_krylov`, one NumPy cycle of at most min(n, 50)
 iterations.  The arclength border is eliminated with a second Krylov solve
 J y2 = u (Keller's block elimination), so no bordered matrix is formed.
 
@@ -27,7 +27,8 @@ the fact, from the stored states, by `verification.verify_branch`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+import numbers
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -82,6 +83,21 @@ class ContinuationConfig:
     max_points: int = 5000
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            integral = f.type == "int"
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Integral) if integral
+                else isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                what = "an integer" if integral else "a finite real number"
+                raise ContinuationError(
+                    f"{f.name} must be {what}, got {value!r}"
+                )
+        if self.max_points < 1:
+            raise ContinuationError(
+                f"max_points must be at least 1, got {self.max_points}"
+            )
         if not (0 < self.ds_min <= self.ds <= self.ds_max):
             raise ContinuationError(
                 "need 0 < ds_min <= ds <= ds_max in the continuation config"

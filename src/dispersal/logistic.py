@@ -13,19 +13,18 @@ equivalent to the fixed-point form u = gamma A u + G(gamma, u) with
     G(gamma, u) = gamma^2 Phi_u (A u) / (1 - gamma Phi_u),
 
 defined on the admissible set gamma ||Phi_u||_inf < 1.  All functions are
-pure.  The reaction term is one `Reaction` value: the matrix
-QW = Q diag(w) together with the exponent p, built by
+pure.  The reaction term is one `Reaction` value: the matrix Q exactly as
+`model` builds it, the quadrature weights w and the exponent p, built by
 `reaction(weight, grid)` once per entry point (a solve, a trace, a
-checker) and passed down, so a QW always meets the exponent of its own
-weight.  For the constant, separable and polynomial-dip weights, and for
-their row-scaled eps-family, QW is a `LowRank` of rank 1 or 2, so Phi_u
-costs O(n) per evaluation; only a tabulated weight gives a dense
-read-only array.  The dispersal part goes through
-`DiscreteOperator.apply`, and `residual` is the one place that forms
-A u + Phi_u u - lambda u.  `jacobian` materializes the n x n derivative,
-A and QW included, as a certificate; `JacobianAction` applies the same
-derivative without forming it (``shape``, ``matvec`` and ``@``), which
-is what the Newton-Krylov solver uses.
+checker) and passed down, so a Q always meets the exponent of its own
+weight.  `phi` computes Q (w |u|^p), so Phi_u costs what one product
+with Q costs in its form: O(n) for every weight but a tabulated one.
+The dispersal part goes through `DiscreteOperator.apply`, and `residual`
+is the one place that forms A u + Phi_u u - lambda u.  `jacobian`
+materializes the n x n derivative, K diag(w) and Q included, as a
+certificate; `JacobianAction` applies the same derivative without
+forming it (``shape``, ``matvec`` and ``@``), which is what the
+Newton-Krylov solver uses.
 """
 
 from __future__ import annotations
@@ -55,30 +54,26 @@ class ReactionError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class Reaction:
-    """The reaction term of one weight on one grid: Phi_u = qw |u|^p.
+    """The reaction term of one weight on one grid: Phi_u = Q (w |u|^p).
 
-    ``qw`` is QW = Q diag(w), a `LowRank` (L, w R) when Q = L R^T has
-    factors, else a dense read-only array; ``p`` is the weight's exponent.
+    ``q`` is Q in the form `model` builds it (a `LowRank`, or an ndarray
+    for a tabulated weight), ``w`` the grid's quadrature weights and
+    ``p`` the weight's exponent.
     """
 
-    qw: LowRank | np.ndarray
+    q: LowRank | np.ndarray
+    w: np.ndarray
     p: float
 
 
 def reaction(weight: WeightSpec, grid: QuadratureGrid) -> Reaction:
-    """The `Reaction` of ``weight`` over ``grid``, QW built once."""
-    q = _weight(weight, grid)
-    if isinstance(q, LowRank):
-        q = LowRank(q.left, grid.weights[:, None] * q.right)
-    else:
-        q *= grid.weights[None, :]
-        q.setflags(write=False)
-    return Reaction(qw=q, p=weight.p)
+    """The `Reaction` of ``weight`` over ``grid``, Q built once."""
+    return Reaction(q=_weight(weight, grid), w=grid.weights, p=weight.p)
 
 
 def phi(rx: Reaction, u: np.ndarray) -> np.ndarray:
-    """The reaction field Phi_u = QW |u|^p at the nodes."""
-    return rx.qw @ np.abs(np.asarray(u, dtype=float)) ** rx.p
+    """The reaction field Phi_u = Q (w |u|^p) at the nodes."""
+    return rx.q @ (rx.w * np.abs(np.asarray(u, dtype=float)) ** rx.p)
 
 
 def residual(
@@ -106,25 +101,24 @@ def jacobian(
 ) -> np.ndarray:
     """Derivative of the residual in u, as a dense n x n matrix.
 
-    The dispersal part is A = diag(sqrt w)^-1 S diag(sqrt w); A and a
-    structured QW are materialized only here.  The reaction contributes
-    diag(Phi_u) plus the rank-structure term
-    D_ij = u_i p Q_ij |u_j|^(p-1) sgn(u_j) w_j.  For p < 1 that factor is
-    singular at zero, so states must stay bounded away from zero there.
+    The dispersal part is A = K diag(w); A and a structured Q are
+    materialized only here.  The reaction contributes diag(Phi_u) plus
+    the rank-structure term D_ij = u_i Q_ij w_j p |u_j|^(p-1) sgn(u_j).
+    For p < 1 that factor is singular at zero, so states must stay
+    bounded away from zero there.
     """
     u = np.asarray(u, dtype=float)
-    slope = _reaction_slope(rx.p, u)
-    root_w = np.sqrt(op.grid.weights)
-    a = np.asarray(op.s) / root_w[:, None] * root_w[None, :]
-    rank_term = u[:, None] * np.asarray(rx.qw) * slope[None, :]
+    slope = rx.w * _reaction_slope(rx.p, u)
+    a = np.asarray(op.k) * op.grid.weights[None, :]
+    rank_term = u[:, None] * np.asarray(rx.q) * slope[None, :]
     return a + np.diag(phi(rx, u) - lam) + rank_term
 
 
 class JacobianAction:
     """``jacobian(op, rx, lam, u)`` applied without forming it.
 
-    v -> A v + (Phi_u - lam) v + u * (QW (p |u|^(p-1) sgn(u) v)), one
-    product with S and one with QW, each in its structured form;
+    v -> A v + (Phi_u - lam) v + u * (Q (w p |u|^(p-1) sgn(u) v)), one
+    product with K and one with Q, each in its structured form;
     ``action @ v`` is ``action.matvec(v)``.  ``shift`` is the diagonal
     Phi_u - lam of the local part.  Raises ReactionError where
     `jacobian` does.
@@ -134,8 +128,8 @@ class JacobianAction:
         self, op: DiscreteOperator, rx: Reaction, lam: float, u: np.ndarray
     ):
         u = np.asarray(u, dtype=float)
-        self._slope = _reaction_slope(rx.p, u)
-        self._op, self._qw, self._u = op, rx.qw, u
+        self._slope = rx.w * _reaction_slope(rx.p, u)
+        self._op, self._q, self._u = op, rx.q, u
         self.shift = phi(rx, u) - lam
         self.shape = (op.n, op.n)
 
@@ -143,7 +137,7 @@ class JacobianAction:
         return (
             self._op.apply(v)
             + self.shift * v
-            + self._u * (self._qw @ (self._slope * v))
+            + self._u * (self._q @ (self._slope * v))
         )
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:

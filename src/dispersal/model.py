@@ -13,16 +13,19 @@ arrays:
         separable weights (rank 1) and the polynomial dip (rank 2).
     Kron(a, b) = a (x) b on the ij-ordered nodes of a 2-D grid: the
         gaussian kernel, exp(-|x - y|^2 / l^2) = Kx(x1, y1) Ky(x2, y2).
-    Toeplitz(col, scale) = diag(scale) T(col) diag(scale), T symmetric
-        Toeplitz, applied by FFT in O(n log n): the 1-D gaussian on the
-        evenly spaced trapezoid and midpoint nodes, where
+    Toeplitz(col), the symmetric Toeplitz matrix of first column col,
+        applied by FFT in O(n log n): the 1-D gaussian on the evenly
+        spaced trapezoid and midpoint nodes, where
         K(x_i, x_j) = exp(-(x_|i-j| - x_0)^2 / l^2) depends on |i - j|.
 
 The 1-D gaussian on Gauss-Legendre nodes and the tabulated forms exist
 only densely.  Each kernel form is chosen in one place, `_kernel`, from
 the spec form, the rule and the dimension, and each weight form, row
 scale included, in `_weight`; `kernel_matrix` and `weight_matrix` are
-the dense forms of the same structures.
+the dense forms of the same structures.  The solver holds exactly these
+matrices and applies the quadrature weights at the product, K (w u) and
+Q (w |u|^p), so no other module knows the forms.  Every form applies
+with ``@`` and materializes with ``np.asarray``.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
@@ -168,8 +171,8 @@ def _smooth_len(target: int) -> int:
 
 
 class Toeplitz(_Structured):
-    """diag(scale) T diag(scale), with T the symmetric Toeplitz matrix of
-    first column ``col``, applied by FFT.
+    """The symmetric Toeplitz matrix T of first column ``col``, applied
+    by FFT.
 
     T is the leading n x n block of the circulant of 5-smooth length
     m >= 2n - 1 whose first column is col, m - 2n + 1 zeros, then col
@@ -178,31 +181,26 @@ class Toeplitz(_Structured):
     irfft(rfft(c) rfft(v, m)) (Chan & Ng, SIAM Rev. 38, 1996).
     """
 
-    def __init__(self, col: np.ndarray, scale: np.ndarray):
+    def __init__(self, col: np.ndarray):
         self.col = np.array(col, dtype=float)
-        self.scale = np.array(scale, dtype=float)
         n = len(self.col)
         self._m = _smooth_len(2 * n - 1)
         c = np.zeros(self._m)
         c[:n] = self.col
         c[self._m - n + 1:] = self.col[:0:-1]
         self._c_hat = np_fft.rfft(c)
-        for a in (self.col, self.scale, self._c_hat):
+        for a in (self.col, self._c_hat):
             a.setflags(write=False)
         self.shape = (n, n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        vh = np_fft.rfft(self.scale * v, self._m)
-        tv = np_fft.irfft(self._c_hat * vh, self._m)
-        return self.scale * tv[: self.shape[0]]
+        vh = np_fft.rfft(v, self._m)
+        return np_fft.irfft(self._c_hat * vh, self._m)[: self.shape[0]]
 
     def dense(self) -> np.ndarray:
-        """T[i, j] = col[|i - j|], scaled on both sides."""
+        """T[i, j] = col[|i - j|]."""
         i = np.arange(self.shape[0])
-        t = self.col[np.abs(i[:, None] - i[None, :])]
-        t *= self.scale[:, None]
-        t *= self.scale[None, :]
-        return t
+        return self.col[np.abs(i[:, None] - i[None, :])]
 
 
 def _pairwise_sq_dist(grid: QuadratureGrid) -> np.ndarray:
@@ -283,7 +281,7 @@ def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
         x = grid.nodes[:, 0]
         if grid.rule in ("trapezoid", "midpoint"):  # evenly spaced
             col = np.exp(-((x - x[0]) ** 2) / kernel.length_scale**2)
-            return Toeplitz(col, np.ones(n))
+            return Toeplitz(col)
         return _gaussian(x, kernel.length_scale)
     if kernel.form == "tabulated":
         if kernel.matrix.shape != (n, n):
@@ -542,12 +540,16 @@ def _certify_q3(weight: WeightSpec, grid: QuadratureGrid):
 
     prof = _dip_profile(weight, x)
     i0 = int(np.argmin(prof))
-    m_coef = float(_polyval(weight.h, x).min())
+    q = _weight(weight, grid)
+    h = q.right[:, 0]
+    m_coef = float(h.min())
     a = m_coef * (prof - prof[i0])
 
-    q = weight_matrix(weight, grid)
-    gap = q[i0][None, :] - q          # Q(x0, y) - Q(x, y)
-    pointwise_ok = bool((gap - a[:, None]).min() >= -_MAX_TOL)
+    # Q(x0, y) - Q(x, y) = d(x) h(y), d the change of the dip column of
+    # the factors, so its minimum over y is d(x) min h or d(x) max h
+    d = q.left[i0, 0] - q.left[:, 0]
+    gap = np.where(d >= 0, d * m_coef, d * h.max())
+    pointwise_ok = bool((gap - a).min() >= -_MAX_TOL)
 
     supported = a >= 1e-14
     integrals = {}
@@ -571,6 +573,8 @@ def certify(
     delta: Optional[float] = None,
 ) -> HypothesisReport:
     """Run every grid-level certificate and collect the results."""
+    if r <= 0:
+        raise ModelError("r must be positive")
     if delta is None:
         delta = r
     k = kernel_matrix(kernel, grid)

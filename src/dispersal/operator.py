@@ -1,25 +1,18 @@
 """Nystrom discretization of the dispersal operator and its principal pair.
 
 The operator (Lu)(x) = integral of K(x, y) u(y) dy becomes the matrix
-A = K * diag(w) acting on node values.  A is similar to the symmetric
+A = K diag(w) acting on node values.  `DiscreteOperator` holds K exactly
+as `model` builds it, in the form its structure allows, and `apply`
+computes K (w u), so A is never formed.  A is similar to the symmetric
 matrix S = diag(sqrt w) K diag(sqrt w), so its spectrum is real and the
-largest eigenvalue is the maximum of the weighted Rayleigh quotient.
-Only S is stored; `DiscreteOperator.apply` applies A as
-diag(sqrt w)^-1 S diag(sqrt w), so A is never formed.  S is built once,
-in the form the kernel allows: a rank-one `LowRank` for the constant and
-rank-one kernels, `Kron(Sx, Sy)` of the per-axis matrices
-Sa = diag(sqrt wa) Ka diag(sqrt wa) for a gaussian on a 2-D tensor grid,
-`Toeplitz(col, sqrt w)`, applied by FFT in O(n log n), for a 1-D
-gaussian on the evenly spaced trapezoid and midpoint rules, and a dense
-read-only array for a 1-D gaussian on Gauss-Legendre nodes and for
-tabulated kernels.  Every form applies with ``@``, so `apply` and the
-eigensolver do not depend on it; only certificates materialize S, by
-``np.asarray``.
-`principal_eigenpair` is one Lanczos run with full reorthogonalization
-on S, for every form, from a fixed start that breaks the grid's
-symmetry: it needs NumPy alone and returns the same bits on every call.
-`verification.pencil_eigenvalue` runs the same Lanczos on the diagonal
-rescaling C^-1/2 S C^-1/2 of S.
+largest eigenvalue is the maximum of the weighted Rayleigh quotient.  S
+exists only as a matrix-vector product inside `_pencil`, which solves
+the pencil S v = nu diag(c) v for a positive field c: one Lanczos run
+with full reorthogonalization on C^-1/2 S C^-1/2, applied as
+d (K (d v)) with d = sqrt(w / c), from a fixed start that breaks the
+grid's symmetry.  It needs NumPy alone and returns the same bits on
+every call.  `principal_eigenpair` is that pencil at c = 1, and
+`verification.pencil_eigenvalue` is the same pencil at the oracle's c.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to
@@ -55,42 +48,23 @@ class OperatorError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Symmetrized matrix ``s`` of the operator and the grid it lives on.
+    """Kernel matrix ``k`` over the nodes of ``grid``, in the form
+    `model` builds it (a `LowRank`, `Kron`, `Toeplitz` or ndarray)."""
 
-    ``s`` is a `LowRank`, a `Kron`, a `Toeplitz` or a read-only ndarray
-    (see the module docstring).
-    """
-
-    s: LowRank | Kron | Toeplitz | np.ndarray
+    k: LowRank | Kron | Toeplitz | np.ndarray
     grid: QuadratureGrid
-    kernel: KernelSpec
 
     @property
     def n(self) -> int:
         return self.grid.n
 
     def apply(self, u: np.ndarray) -> np.ndarray:
-        """A u = (S (sqrt(w) u)) / sqrt(w)."""
-        root_w = np.sqrt(self.grid.weights)
-        return (self.s @ (root_w * np.asarray(u, dtype=float))) / root_w
+        """A u = K (w u)."""
+        return self.k @ (self.grid.weights * np.asarray(u, dtype=float))
 
 
 def assemble(kernel: KernelSpec, grid: QuadratureGrid) -> DiscreteOperator:
-    k = _kernel(kernel, grid)
-    root_w = np.sqrt(grid.weights)[:, None]
-    if isinstance(k, LowRank):
-        s = LowRank(root_w * k.left, root_w * k.right)
-    elif isinstance(k, Kron):
-        ra, rb = (np.sqrt(w)[:, None] for _, w in grid.axes())
-        s = Kron(ra * k.a * ra.T, rb * k.b * rb.T)
-    elif isinstance(k, Toeplitz):
-        s = Toeplitz(k.col, root_w[:, 0] * k.scale)
-    else:
-        s = k
-        s *= root_w
-        s *= root_w.T
-        s.setflags(write=False)
-    return DiscreteOperator(s=s, grid=grid, kernel=kernel)
+    return DiscreteOperator(k=_kernel(kernel, grid), grid=grid)
 
 
 @dataclass(frozen=True, eq=False)
@@ -169,30 +143,44 @@ def _lanczos(apply_s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
     return float(theta[-1]), float(theta[-2]), y[:, -1] @ v
 
 
-def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
-    # Lanczos from sqrt(w) (1 + frac(g i)): the constant function in the
-    # symmetric frame, which lies close to the positive eigenvector, plus
-    # a part that breaks the grid's symmetry, without which the odd
-    # eigenvectors, and with them lambda2, stay out of the Krylov space.
-    # Every step is deterministic, so repeated runs give identical bits.
-    root_w = np.sqrt(op.grid.weights)
-    lam1, lam2, z = _lanczos(
-        op.s.__matmul__, root_w * (1.0 + _weyl(op.n, 0))
+def _pencil(
+    op: DiscreteOperator, c: np.ndarray | float
+) -> tuple[float, float, np.ndarray]:
+    """Top two eigenvalues of the pencil S v = nu diag(c) v, c > 0, with
+    the node values u = v / sqrt(w) of the first eigenvector, sign-fixed
+    to a positive integral and sup-normalized.
+
+    Lanczos runs on C^-1/2 S C^-1/2 = D K D, D = diag(sqrt(w / c)), from
+    sqrt(w c) (1 + frac(g i)): node values 1 plus a part that breaks the
+    grid's symmetry, without which the odd eigenvectors, and with them
+    the second eigenvalue, stay out of the Krylov space.  The constant
+    lies close to the positive eigenvector.  Every step is
+    deterministic, so repeated runs give identical bits.
+    """
+    w = op.grid.weights
+    d = np.sqrt(w / c)
+    e = np.sqrt(w * c)
+    nu1, nu2, y = _lanczos(
+        lambda v: d * (op.k @ (d * v)), e * (1.0 + _weyl(op.n, 0))
     )
+    u = y / e
+    if op.grid.integrate(u) < 0:
+        u = -u
+    return nu1, nu2, u / np.abs(u).max()
+
+
+def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
+    lam1, lam2, phi = _pencil(op, 1.0)
     if lam1 <= 0:
         raise OperatorError(
             f"principal eigenvalue must be positive, got {lam1}"
         )
-    phi = z / root_w
-    if op.grid.inner(phi, np.ones(op.n)) < 0:
-        phi = -phi
-    if phi.min() <= 1e-12 * phi.max():
+    if phi.min() <= 1e-12:
         raise OperatorError(
             "principal eigenfunction is not strictly positive "
             "(positivity of the principal pair fails; the kernel likely "
             "violates symmetry or near-diagonal positivity)"
         )
-    phi = phi / np.abs(phi).max()
     residual = float(np.abs(op.apply(phi) - lam1 * phi).max())
     if residual > 1e-10 * lam1:
         raise OperatorError(

@@ -1,8 +1,8 @@
 """Independent oracles and one checker per quantitative bound.
 
 Two solvers live here that share no code with the Newton path;
-``oracle_spectral`` shares only the Lanczos eigensolver with
-`principal_eigenpair`:
+``oracle_spectral`` shares only the pencil solver `operator._pencil`
+with `principal_eigenpair`:
 
 ``oracle_fixed_point`` iterates the literal rearrangement
 u <- (1 - w) u + w L0 u / (lambda - Phi_u) with damping.  The positive
@@ -19,8 +19,8 @@ S v = nu diag(lambda - Phi_u) v, and the amplitude is the root of
 nu(t) = 1 along u = t shape.  nu(0) = lambda1 / lambda, and nu is
 increasing in t, so the root exists exactly when lambda > lambda1; below
 that the oracle certifies nonexistence of a positive solution.  The pencil
-is applied on the structured S and solved by Lanczos, and the root by a
-bracketed Brent iteration, so a run holds no n x n array.
+is applied through the structured K and solved by Lanczos, and the root
+by a bracketed Brent iteration, so a run holds no n x n array.
 
 Checkers return BoundReport records with the convention margin >= 0
 means the bound is satisfied.  `verify_branch` runs them over a stored
@@ -48,8 +48,7 @@ from .logistic import Reaction, phi, reaction, residual
 from .model import FloorReport, WeightSpec, check_weight_floor
 from .operator import (
     DiscreteOperator,
-    _lanczos,
-    _weyl,
+    _pencil,
     collatz_wielandt_sup,
     principal_eigenpair,
 )
@@ -176,30 +175,20 @@ def oracle_fixed_point(
 def pencil_eigenvalue(
     op: DiscreteOperator, c: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Principal eigenpair of S v = nu diag(c) v with c > 0.
+    """Principal eigenpair of S v = nu diag(c) v with c > 0 finite.
 
-    The pencil is the symmetric C^-1/2 S C^-1/2, applied on the structured
-    S and solved by the Lanczos of `principal_eigenpair`, started from
-    the same node values 1 + frac(g i) in this frame.  Returns (nu1, u)
-    with u the eigenvector mapped back to node values, sign-fixed to
-    positive mean and sup-normalized.
+    The pencil of `principal_eigenpair`, at this c: Lanczos on the
+    symmetric C^-1/2 S C^-1/2, applied through the structured K.
+    Returns (nu1, u) with u the eigenvector as node values, sign-fixed
+    to a positive integral and sup-normalized.
     """
     c = np.asarray(c, dtype=float)
-    if c.min() <= 0:
-        raise VerificationError("pencil needs a strictly positive field c")
-    root_c = np.sqrt(c)
-    root_w = np.sqrt(op.grid.weights)
-    nu, _, y = _lanczos(
-        lambda v: (op.s @ (v / root_c)) / root_c,
-        root_w * root_c * (1.0 + _weyl(op.n, 0)),
-    )
-    u = y / root_c / root_w
-    if op.grid.integrate(u) < 0:
-        u = -u
-    sup = float(np.abs(u).max())
-    if sup == 0:
-        raise VerificationError("degenerate pencil eigenvector")
-    return nu, u / sup
+    if not (np.isfinite(c).all() and c.min() > 0):
+        raise VerificationError(
+            "pencil needs a strictly positive, finite field c"
+        )
+    nu, _, u = _pencil(op, c)
+    return nu, u
 
 
 def _bracketed_root(f, a: float, b: float, fa: float, fb: float) -> float:
@@ -478,17 +467,13 @@ def check_subcritical_nonexistence(
     )
 
 
-def check_rate_nonexistence(
-    op: DiscreteOperator,
-    g: np.ndarray,
-    lambda1: float,
-) -> BoundReport:
+def check_rate_nonexistence(g: np.ndarray, lambda1: float) -> BoundReport:
     """No positive u solves L0 u = g u when g stays above lambda1.
 
     Collatz-Wielandt: `_kernel` refuses a negative K, so A = K diag(w)
     is nonnegative, and for every positive u, min (A u) / u <= lambda1.
     A positive solution would have (A u) / u = g, so min g > lambda1 rules
-    it out for every kernel the operator accepts; ``op`` is not read.
+    it out for every kernel the operator accepts.
     Applicable only when min g > lambda1 strictly.
     """
     min_g = float(np.min(g))

@@ -59,6 +59,12 @@ def dense_a(kernel, grid):
     return kernel_matrix(kernel, grid) * grid.weights[None, :]
 
 
+def dense_s(op):
+    """The symmetric S = diag(sqrt w) K diag(sqrt w) of an operator."""
+    root_w = np.sqrt(op.grid.weights)
+    return root_w[:, None] * np.asarray(op.k) * root_w[None, :]
+
+
 def peak_bytes(fn, *args, **kwargs):
     """Peak traced allocation above the baseline while ``fn`` runs."""
     tracemalloc.start()

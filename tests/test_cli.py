@@ -38,7 +38,7 @@ def test_eig_outputs(tmp_path):
     assert len(lines) == 66
 
 
-def test_check_hyp_pass_and_fail(tmp_path):
+def test_check_hyp_pass_and_fail(tmp_path, capsys):
     cfg = write_config(tmp_path / "ok.json")
     out = tmp_path / "out"
     assert main(["check-hyp", cfg, "--output-dir", str(out)]) == 0
@@ -52,6 +52,14 @@ def test_check_hyp_pass_and_fail(tmp_path):
         weight={"form": "separable", "g": [0.0, 1.0], "h": [1.0], "p": 1.0},
     )
     assert main(["check-hyp", bad, "--output-dir", str(out)]) == 2
+
+    # r is read as given: zero and negative radii are refused by name
+    (out / "hypotheses.json").unlink()
+    for r in ("0", "-1"):
+        capsys.readouterr()
+        assert main(["check-hyp", cfg, "--r", r, "--output-dir", str(out)]) == 1
+        assert "r must be positive" in capsys.readouterr().err
+        assert not (out / "hypotheses.json").exists()
 
 
 def test_solve_constant(tmp_path):
@@ -365,6 +373,26 @@ def test_unknown_key_exits_one(tmp_path, capsys, section, key):
     assert code == 1
     assert repr(key) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        {"newton_max_iters": 2.5},
+        {"lambda_max": "2.5"},
+        {"max_points": 10.5},
+        {"max_points": 0},
+    ],
+)
+def test_trace_refuses_mistyped_run_value(tmp_path, capsys, run):
+    """A continuation setting of the wrong type or out of range is
+    refused before tracing starts, and the message names its key."""
+    cfg = write_config(tmp_path / "c.json", run=run)
+    capsys.readouterr()
+    assert main(["trace", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    (key,) = run
+    assert key in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

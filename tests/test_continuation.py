@@ -281,6 +281,18 @@ def test_config_validation():
         ContinuationConfig(s0=-0.1)
     with pytest.raises(ContinuationError):
         ContinuationConfig(newton_tol=0.0)
+    for bad in (
+        {"newton_max_iters": 2.5},
+        {"max_points": 10.5},
+        {"max_points": 0},
+        {"lambda_max": "2.5"},
+        {"lambda_max": float("nan")},
+        {"ds": None},
+        {"newton_tol": True},
+    ):
+        (key,) = bad
+        with pytest.raises(ContinuationError, match=key):
+            ContinuationConfig(**bad)
 
 
 def test_trace_on_64_squared_grid():

@@ -5,9 +5,11 @@ nothing heavier: no path of the package, the spectral oracle included,
 loads SciPy, and `numpy.random`, which the solver does not use, stays
 unloaded.  NumPy submodules the solver needs (`numpy.fft`,
 `numpy.polynomial`) load with the package, not lazily inside a timed
-solve.
+solve.  The last test pins where the structured matrix forms and the
+eigensolver are used.
 """
 
+import ast
 import importlib
 import json
 import os
@@ -115,3 +117,36 @@ def test_package_exports_every_module_all():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == listed
+
+
+FORMS = {"LowRank", "Kron", "Toeplitz"}
+
+
+def _names(node) -> set:
+    """The bare and dotted names a node mentions."""
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def test_forms_and_lanczos_stay_in_their_modules():
+    """Only `model` builds a `LowRank`, `Kron` or `Toeplitz` or tests for
+    one, so every other module applies K and Q as `model` returns them;
+    only `operator` runs the Lanczos solver and its start vector."""
+    users = {"forms": set(), "lanczos": set()}
+    for path in Path(dispersal.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            called = _names(node.func)
+            if called & FORMS or (
+                "isinstance" in called
+                and len(node.args) == 2
+                and _names(node.args[1]) & FORMS
+            ):
+                users["forms"].add(path.name)
+            if called & {"_lanczos", "_weyl"}:
+                users["lanczos"].add(path.name)
+    assert users == {"forms": {"model.py"}, "lanczos": {"operator.py"}}

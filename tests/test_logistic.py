@@ -171,9 +171,9 @@ def test_reaction_reproduces_phi(grid65, rng):
     rx = reaction(w, grid65)
     assert rx.p == 1.5
     # the dip weight is kept as rank-two read-only factors
-    qw = rx.qw
-    assert isinstance(qw, LowRank) and qw.left.shape == (grid65.n, 2)
-    assert not (qw.left.flags.writeable or qw.right.flags.writeable)
+    q = rx.q
+    assert isinstance(q, LowRank) and q.left.shape == (grid65.n, 2)
+    assert not (q.left.flags.writeable or q.right.flags.writeable)
     u = rng.standard_normal(grid65.n)
     q = weight_matrix(w, grid65)
     expected = (q * grid65.weights[None, :]) @ np.abs(u) ** 1.5

@@ -21,6 +21,8 @@ from dispersal import (
     weight_matrix,
 )
 
+from dispersal.model import _certify_q3
+
 from .conftest import dip_weight, peak_bytes, unit_grid
 
 SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
@@ -212,6 +214,38 @@ def test_certify_q3_none_outside_preset():
     )
     assert rep.q3 is None
     assert rep.q3_a is None
+
+
+def test_certify_q3_holds_no_n_squared_array():
+    """On 2049 dip nodes the q3 certificate reads Q's factors: it peaks
+    below n^2 bytes, an eighth of one n x n float array."""
+    grid = unit_grid("trapezoid", 2049)
+    assert _certify_q3(dip_weight(), grid)[0] is True
+    assert peak_bytes(_certify_q3, dip_weight(), grid) < grid.n**2
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_certify_q3_matches_dense_comparison(seed):
+    """On random dip parameters the q3 verdict from the factors equals
+    the one from the dense comparison Q(x0, y) - Q(x, y) >= a(x)."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(1, 3))
+    weight = WeightSpec.polynomial_dip(
+        points=rng.uniform(0.0, 1.0, k),
+        exponents=rng.uniform(0.1, 1.5, k),
+        level=1.0 + rng.uniform(0.1, 3.0),
+        p=rng.uniform(0.5, 3.0),
+        h=(rng.uniform(-0.2, 2.0), rng.uniform(-0.5, 0.5)),
+        g=(rng.uniform(5.0, 6.0), rng.uniform(-0.5, 0.5)),
+    )
+    grid = unit_grid("trapezoid", int(rng.integers(5, 130)))
+    ok, i0, a, _ = _certify_q3(weight, grid)
+    q = weight_matrix(weight, grid)
+    pointwise = (q[i0][None, :] - q - a[:, None]).min() >= -1e-12
+    h = np.polynomial.polynomial.polyval(grid.nodes[:, 0], weight.h)
+    gate = max(weight.exponents) < 1 / weight.p
+    expected = pointwise and h.min() > 0 and gate
+    assert ok == expected
 
 
 def test_eps_ceiling_value():

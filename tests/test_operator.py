@@ -16,7 +16,7 @@ from dispersal import (
     principal_eigenpair,
 )
 
-from .conftest import dense_a, peak_bytes, unit_grid
+from .conftest import dense_a, dense_s, peak_bytes, unit_grid
 
 # reference eigenvalue for exp(-|x-y|^2) on (0,1): 200-, 400-, and
 # 800-point Gauss-Legendre runs of the assembly below agree to 1e-14
@@ -27,14 +27,14 @@ def test_assemble_constant_midpoint():
     grid = unit_grid("midpoint", 4)
     op = assemble(KernelSpec.constant(1.0), grid)
     np.testing.assert_allclose(dense_a(KernelSpec.constant(1.0), grid), 0.25)
-    np.testing.assert_allclose(op.s, 0.25)
+    np.testing.assert_allclose(op.k, 1.0)
     np.testing.assert_allclose(op.apply(np.ones(4)), 1.0)
 
 
 def test_assemble_rank_one_is_rank_one():
     grid = unit_grid("trapezoid", 33)
     op = assemble(KernelSpec.rank_one((1.0, 1.0)), grid)
-    for mat in (op.s, dense_a(KernelSpec.rank_one((1.0, 1.0)), grid)):
+    for mat in (op.k, dense_a(KernelSpec.rank_one((1.0, 1.0)), grid)):
         s = np.linalg.svd(mat, compute_uv=False)
         assert s[1] <= 1e-14 * s[0]
 
@@ -47,7 +47,7 @@ def test_assemble_peak_memory():
 
 
 def test_assemble_2d_gaussian_holds_no_n_squared_array():
-    """On 64 x 64 nodes the gaussian S is kept as Kron(Sx, Sy): assembly
+    """On 64 x 64 nodes the gaussian K is kept as Kron(Kx, Ky): assembly
     peaks below n^2 bytes, an eighth of one n x n float array."""
     grid = build_grid(Domain((0.0, 0.0), (1.0, 1.0)), "trapezoid", 64)
     peak = peak_bytes(assemble, KernelSpec.gaussian(1.0), grid)
@@ -55,7 +55,7 @@ def test_assemble_2d_gaussian_holds_no_n_squared_array():
 
 
 def test_assemble_1d_gaussian_holds_no_n_squared_array():
-    """On 4097 evenly spaced nodes the gaussian S is kept as a Toeplitz
+    """On 4097 evenly spaced nodes the gaussian K is kept as a Toeplitz
     column: assembly peaks below n^2 bytes, an eighth of one n x n float
     array."""
     grid = unit_grid("trapezoid", 4097)
@@ -156,7 +156,7 @@ def test_eigenpair_matches_dense_and_repeats_bitwise():
     ):
         op = assemble(kernel, unit_grid("trapezoid", res))
         eig = principal_eigenpair(op)
-        top = np.linalg.eigvalsh(op.s)[-2:]
+        top = np.linalg.eigvalsh(dense_s(op))[-2:]
         assert abs(eig.lambda1 - top[1]) <= 1e-13
         assert abs(eig.gap - (top[1] - top[0])) <= 1e-13
         again = principal_eigenpair(op)
@@ -180,7 +180,7 @@ def test_symmetrized_form_is_similar():
     grid = unit_grid("trapezoid", 49)
     op = assemble(KernelSpec.gaussian(1.0), grid)
     a = dense_a(KernelSpec.gaussian(1.0), grid)
-    vals_s = np.linalg.eigvalsh(op.s)
+    vals_s = np.linalg.eigvalsh(dense_s(op))
     vals_a = np.sort(np.linalg.eigvals(a).real)
     assert np.abs(vals_s - vals_a).max() < 1e-12
     u = np.linspace(-1.0, 2.0, grid.n)

@@ -42,7 +42,7 @@ from dispersal import (
 )
 from dispersal.cli import main
 
-from .conftest import dense_a
+from .conftest import dense_a, dense_s
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=40
@@ -121,19 +121,21 @@ def _state(seed, n, positive=False):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_dense_action(data, seed):
     """op.apply(u) is K diag(w) u, with K diag(w) built independently, for
-    S kept as LowRank (constant, rank-one), Kron (2-D gaussian), Toeplitz
-    (1-D gaussian on evenly spaced nodes) or dense."""
+    K kept as LowRank (constant, rank-one), Kron (2-D gaussian), Toeplitz
+    (1-D gaussian on evenly spaced nodes) or dense, and op.k is the
+    kernel matrix bit for bit."""
     grid = data.draw(grids())
     kernel = data.draw(kernels(grid))
     op = assemble(kernel, grid)
     if kernel.form in ("constant", "rank_one"):
-        assert isinstance(op.s, LowRank) and op.s.left.shape == (grid.n, 1)
+        assert isinstance(op.k, LowRank) and op.k.left.shape == (grid.n, 1)
     elif kernel.form == "gaussian" and grid.domain.dim == 2:
-        assert isinstance(op.s, Kron)
+        assert isinstance(op.k, Kron)
     elif kernel.form == "gaussian" and grid.rule != "gauss-legendre-tensor":
-        assert isinstance(op.s, Toeplitz)
+        assert isinstance(op.k, Toeplitz)
     else:
-        assert isinstance(op.s, np.ndarray)
+        assert isinstance(op.k, np.ndarray)
+    np.testing.assert_array_equal(np.asarray(op.k), kernel_matrix(kernel, grid))
     a = dense_a(kernel, grid)
     u = _state(seed, grid.n)
     scale = (np.abs(a) @ np.abs(u)).max()
@@ -236,10 +238,10 @@ def test_phi_is_p_homogeneous(data, p, t, seed):
     assert np.abs(scaled - expected).max() <= 1e-12 * np.abs(expected).max()
 
 
-# the kernel of each form of S: LowRank, Toeplitz (1-D gaussian on an
+# the kernel of each form of K: LowRank, Toeplitz (1-D gaussian on an
 # evenly spaced rule), Kron (2-D gaussian), dense (1-D gaussian on
 # Gauss-Legendre nodes, tabulated)
-S_FORMS = ("constant", "rank_one", "toeplitz", "kron", "gauss", "tabulated")
+K_FORMS = ("constant", "rank_one", "toeplitz", "kron", "gauss", "tabulated")
 
 
 @st.composite
@@ -286,18 +288,19 @@ def eigen_problems(draw, form):
     return assemble(kernel, grid)
 
 
-@pytest.mark.parametrize("form", S_FORMS)
+@pytest.mark.parametrize("form", K_FORMS)
 @settings(PROPERTY, max_examples=12)
 @given(data=st.data())
 def test_eigenpair_matches_dense(form, data):
     """The top two eigenvalues of `principal_eigenpair` equal the dense
-    ones of S to 1e-12 relative, and a repeated call gives the same bits,
-    for S in every form and on grids with and without symmetry.  The top
+    ones of S = diag(sqrt w) K diag(sqrt w), built here from op.k, to
+    1e-12 relative, and a repeated call gives the same bits, for K in
+    every form and on grids with and without symmetry.  The top
     eigenvalue of the pencil S v = nu diag(c) v, for a random positive c,
     equals the dense one of C^-1/2 S C^-1/2 to 1e-12 relative."""
     op = data.draw(eigen_problems(form))
     eig = principal_eigenpair(op)
-    dense = np.asarray(op.s)
+    dense = dense_s(op)
     top = np.linalg.eigvalsh(dense)[-2:]
     assert abs(eig.lambda1 - top[1]) <= 1e-12 * top[1]
     assert abs(eig.gap - (top[1] - top[0])) <= 1e-12 * top[1]
@@ -343,17 +346,17 @@ def test_no_positive_solution_below_lambda1(data, p, t):
 def test_reaction_matches_dense_weight(data, seed):
     """`reaction` applies Q diag(w), with Q from weight_matrix, for every
     weight form and its eps-family, and keeps the weight's p; only a
-    tabulated Q is dense."""
+    tabulated Q is dense, and rx.q is the weight matrix bit for bit."""
     grid = data.draw(grids())
     weight = data.draw(weights(grid, 2.0))
     rx = reaction(weight, grid)
     assert rx.p == weight.p
-    qw = rx.qw
-    assert isinstance(qw, np.ndarray) == (weight.form == "tabulated")
+    assert isinstance(rx.q, np.ndarray) == (weight.form == "tabulated")
+    np.testing.assert_array_equal(np.asarray(rx.q), weight_matrix(weight, grid))
     dense = weight_matrix(weight, grid) * grid.weights[None, :]
     v = _state(seed, grid.n)
     scale = (np.abs(dense) @ np.abs(v)).max()
-    assert np.abs(qw @ v - dense @ v).max() <= 1e-13 * scale
+    assert np.abs(rx.q @ (rx.w * v) - dense @ v).max() <= 1e-13 * scale
 
 
 @PROPERTY

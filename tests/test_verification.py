@@ -242,12 +242,12 @@ def test_subcritical_checker_self_test_above(const_op):
 def test_rate_nonexistence(const_op, const_eigen):
     n = const_op.n
     lam1 = const_eigen.lambda1
-    rep = check_rate_nonexistence(const_op, np.full(n, lam1 + 0.5), lam1)
+    rep = check_rate_nonexistence(np.full(n, lam1 + 0.5), lam1)
     assert rep.holds and rep.applicable
 
-    at = check_rate_nonexistence(const_op, np.full(n, lam1), lam1)
+    at = check_rate_nonexistence(np.full(n, lam1), lam1)
     assert at.holds and not at.applicable
-    below = check_rate_nonexistence(const_op, np.full(n, lam1 - 0.5), lam1)
+    below = check_rate_nonexistence(np.full(n, lam1 - 0.5), lam1)
     assert below.holds and not below.applicable
 
 
