@@ -232,7 +232,8 @@ def _branch_csv_lines(branch) -> list[str]:
 
 def _row(values: np.ndarray) -> str:
     """The values as one CSV row, each written as `_fmt` writes it."""
-    return ",".join(map("{:.17g}".format, values.tolist()))
+    values = tuple(values.tolist())
+    return ",".join(["%.17g"] * len(values)) % values
 
 
 def _states_csv_lines(points) -> list[str]:
@@ -267,7 +268,7 @@ def _parse_csv(path: Path, header: bool):
             columns = line.split(",")
             continue
         try:
-            row = [float(tok) for tok in line.split(",")]
+            row = list(map(float, line.split(",")))
         except ValueError:
             raise UsageError(
                 f"{path} line {num}: not a row of numbers"

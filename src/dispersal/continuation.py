@@ -443,6 +443,7 @@ def solve_at_lambda(
     lam: float,
     cfg: ContinuationConfig,
     u0: np.ndarray | None = None,
+    rx: Reaction | None = None,
 ) -> BranchPoint:
     """Solve at one fixed lambda.
 
@@ -453,10 +454,12 @@ def solve_at_lambda(
     no positive solution exists there (the paper's nonexistence result,
     which `verification.oracle_spectral` certifies on the grid), and for
     p < 1 Newton cannot converge onto u = 0, where |u|^p has no
-    derivative.
+    derivative.  ``rx`` is `reaction(weight, op.grid)` when the caller
+    has built it already.
     """
     grid = op.grid
-    rx = reaction(weight, grid)
+    if rx is None:
+        rx = reaction(weight, grid)
     if u0 is not None:
         return newton_correct(op, rx, lam, np.asarray(u0, float), cfg)
     if lam <= eigen.lambda1:

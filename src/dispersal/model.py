@@ -4,9 +4,8 @@ A kernel K(x, y) >= 0 drives the nonlocal dispersal operator; a crowding
 weight Q(x, y) >= 0 together with an exponent p > 0 drives the nonlocal
 reaction term.  Both are described by small frozen spec objects.  Over a
 quadrature grid each spec has a dense matrix (`kernel_matrix`,
-`weight_matrix`), which the certificates below read, and, where its form
-allows, a structured one that the solver applies without forming n x n
-arrays:
+`weight_matrix`) and, where its form allows, a structured one that the
+solver and the certificates read without forming n x n arrays:
 
     LowRank(left, right) = left @ right.T, kept as its factors: the
         constant and rank-one kernels (rank 1), the constant and
@@ -25,16 +24,23 @@ scale included, in `_weight`; `kernel_matrix` and `weight_matrix` are
 the dense forms of the same structures.  The solver holds exactly these
 matrices and applies the quadrature weights at the product, K (w u) and
 Q (w |u|^p), so no other module knows the forms.  Every form applies
-with ``@`` and materializes with ``np.asarray``.
+with ``@``, forms a block of its rows with ``rows``, and materializes
+with ``np.asarray``.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
 diagonal, a positive floor of Q on nearby pairs (locally or globally), the
 existence of a maximizing point x0 with Q(x0, .) >= Q(x, .), and, for the
 polynomial-dip preset, a certified comparison function a(x) with
-Q(x0, y) >= Q(x, y) + a(x) and integrable inverse.  `check_weight_floor`
-reads every fact about Q in one pass over its matrix, including the
-oscillation sup_{x,z,y} |Q(x,y) - Q(z,y)| that closes the solvability
+Q(x0, y) >= Q(x, y) + a(x) and integrable inverse.  They read K and Q
+in the form `_kernel` and `_weight` return, and each value equals the
+reduction of the dense matrix bit for bit.  The symmetry of K and, when
+every pair of nodes lies within delta, its least entry come from the
+structure; so do the floor and x0 of a LowRank whose left columns but
+the first are constant.  Everything else streams in blocks of about
+2^20 entries, with the squared distances of each block built one axis
+at a time.  `check_weight_floor` returns every fact about Q, including
+the oscillation sup_{x,z,y} |Q(x,y) - Q(z,y)| that closes the solvability
 window and the sup of Q.
 
 `build_a_eps` and `build_q_eps` produce the regularized weight family: a
@@ -47,6 +53,8 @@ rank of Q.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -79,6 +87,8 @@ __all__ = [
 
 _SYM_TOL = 1e-12
 _MAX_TOL = 1e-12
+# entries in one block of rows that a certificate streams
+_BLOCK = 1 << 20
 
 
 class ModelError(ValueError):
@@ -97,7 +107,8 @@ def _coords_1d(grid: QuadratureGrid, what: str) -> np.ndarray:
 
 class _Structured:
     """A matrix applied through its structure: ``@`` on a vector is
-    `matvec`, and ``np.asarray`` materializes it with `dense`."""
+    `matvec`, ``rows(s)`` forms the rows s alone, and ``np.asarray``
+    materializes it with `dense`, which is every row."""
 
     dtype = np.dtype(float)
     # numpy arithmetic with an ndarray raises instead of materializing
@@ -108,6 +119,9 @@ class _Structured:
 
     def __array__(self, dtype=None, copy=None):
         return self.dense()
+
+    def dense(self) -> np.ndarray:
+        return self.rows(slice(None))
 
 
 class LowRank(_Structured):
@@ -121,13 +135,18 @@ class LowRank(_Structured):
         self.right.setflags(write=False)
         self.shape = (self.left.shape[0], self.right.shape[0])
 
+    @property
+    def T(self) -> "LowRank":
+        return LowRank(self.right, self.left)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return self.left @ (self.right.T @ v)
 
-    def dense(self) -> np.ndarray:
-        """sum_k outer(left_k, right_k), entry by entry."""
-        out = np.multiply.outer(self.left[:, 0], self.right[:, 0])
-        for lk, rk in zip(self.left.T[1:], self.right.T[1:]):
+    def rows(self, s) -> np.ndarray:
+        """sum_k outer(left_k[s], right_k), entry by entry."""
+        left = self.left[s]
+        out = np.multiply.outer(left[:, 0], self.right[:, 0])
+        for lk, rk in zip(left.T[1:], self.right.T[1:]):
             out += np.multiply.outer(lk, rk)
         return out
 
@@ -149,12 +168,19 @@ class Kron(_Structured):
         n = len(self.a) * len(self.b)
         self.shape = (n, n)
 
+    @property
+    def T(self) -> "Kron":
+        return Kron(self.a.T, self.b.T)
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v).reshape(len(self.a), len(self.b))
         return (self.a @ v @ self.b.T).ravel()
 
-    def dense(self) -> np.ndarray:
-        return np.kron(self.a, self.b)
+    def rows(self, s) -> np.ndarray:
+        """Entry (i len(b) + k, j len(b) + l) is a_ij b_kl, as in np.kron."""
+        i, k = np.divmod(np.arange(self.shape[0])[s], len(self.b))
+        out = self.a[i][:, :, None] * self.b[k][:, None, :]
+        return out.reshape(len(i), -1)
 
 
 def _smooth_len(target: int) -> int:
@@ -193,22 +219,18 @@ class Toeplitz(_Structured):
             a.setflags(write=False)
         self.shape = (n, n)
 
+    @property
+    def T(self) -> "Toeplitz":
+        return self
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
         vh = np_fft.rfft(v, self._m)
         return np_fft.irfft(self._c_hat * vh, self._m)[: self.shape[0]]
 
-    def dense(self) -> np.ndarray:
+    def rows(self, s) -> np.ndarray:
         """T[i, j] = col[|i - j|]."""
         i = np.arange(self.shape[0])
-        return self.col[np.abs(i[:, None] - i[None, :])]
-
-
-def _pairwise_sq_dist(grid: QuadratureGrid) -> np.ndarray:
-    """|x_i - x_j|^2, summed one axis at a time: no (n, n, dim) array."""
-    d2 = np.zeros((grid.n, grid.n))
-    for c in grid.nodes.T:
-        d2 += np.subtract.outer(c, c) ** 2
-    return d2
+        return self.col[np.abs(i[s, None] - i[None, :])]
 
 
 @dataclass(frozen=True, eq=False)
@@ -424,8 +446,7 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
     else:
         raise ModelError(f"unknown weight form {weight.form!r}")
     first = q.left[:, 0]
-    extreme = LowRank(q.left[[first.argmin(), first.argmax()]], q.right)
-    if extreme.dense().min() < 0:
+    if q.rows([first.argmin(), first.argmax()]).min() < 0:
         raise ModelError("weight is negative at a sampled pair")
     if scale is None:
         return q
@@ -437,18 +458,115 @@ def weight_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
     return np.asarray(_weight(weight, grid))
 
 
-def _k1(k: np.ndarray) -> tuple[bool, float]:
-    asym = float(np.abs(k - k.T).max())
+def _rows(m, s) -> np.ndarray:
+    """Rows s of K or Q in the form `_kernel` or `_weight` returns, with
+    the arithmetic of its dense form."""
+    return m[s] if isinstance(m, np.ndarray) else m.rows(s)
+
+
+def _row_blocks(n: int) -> list:
+    """Slices of rows covering range(n), each of about _BLOCK entries."""
+    step = max(1, _BLOCK // n)
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _sq_dist(grid: QuadratureGrid, s) -> np.ndarray:
+    """|x_i - x_j|^2 for the nodes i in s, summed one axis at a time."""
+    d2 = np.zeros((len(grid.nodes[s]), grid.n))
+    for c in grid.nodes.T:
+        d2 += np.subtract.outer(c[s], c) ** 2
+    return d2
+
+
+def _all_within(grid: QuadratureGrid, r: float) -> bool:
+    """Whether `_sq_dist` puts every pair of nodes within r.
+
+    Floating-point subtraction, squaring and addition are monotone, so
+    no pair exceeds the sum of the squared per-axis spans."""
+    d2 = 0.0
+    for c in grid.nodes.T:
+        span = c.max() - c.min()
+        d2 += span * span
+    return d2 <= r**2
+
+
+def _near_min(m, grid: QuadratureGrid, r: float) -> float:
+    """min m_ij over the pairs with |x_i - x_j| <= r, row block by block."""
+    low = np.inf
+    for s in _row_blocks(grid.n):
+        near = _sq_dist(grid, s) <= r**2
+        low = np.minimum(low, np.min(_rows(m, s), where=near, initial=np.inf))
+    return float(low)
+
+
+def _extreme_rows(m) -> Optional[np.ndarray]:
+    """The rows of a LowRank where its first left column is least and
+    greatest, if every other left column is constant and the two rows
+    are finite; else None.
+
+    Entry (i, j) is then a monotone function of left[i, 0], since
+    floating-point x -> x r and x -> x + c are monotone, so the two rows
+    hold every column's least and greatest entry.
+    """
+    if not isinstance(m, LowRank) or (m.left[:, 1:] != m.left[0, 1:]).any():
+        return None
+    first = m.left[:, 0]
+    ext = m.rows([first.argmin(), first.argmax()])
+    return ext if np.isfinite(ext).all() else None
+
+
+def _extremes(k) -> Optional[tuple]:
+    """The least and greatest entry of K from its structure, when every
+    entry is finite; else None.  Multiplying values >= 0 is monotone, so
+    a Kron of nonnegative factors has them at the factors' extremes."""
+    if isinstance(k, Toeplitz):
+        low, high = k.col.min(), k.col.max()
+    elif isinstance(k, Kron) and k.a.min() >= 0 and k.b.min() >= 0:
+        low, high = k.a.min() * k.b.min(), k.a.max() * k.b.max()
+    elif (ext := _extreme_rows(k)) is not None:
+        low, high = ext.min(), ext.max()
+    else:
+        return None
+    return (low, high) if np.isfinite([low, high]).all() else None
+
+
+def _symmetric(k) -> bool:
+    """Whether K is symmetric by construction: a Toeplitz, a Kron of
+    symmetric factors, or a LowRank whose factor columns pair up equal
+    (f(x) f(y)) or both constant (the constant kernel)."""
+    if isinstance(k, Toeplitz):
+        return True
+    if isinstance(k, Kron):
+        return np.array_equal(k.a, k.a.T) and np.array_equal(k.b, k.b.T)
+    if isinstance(k, LowRank):
+        return all(
+            np.array_equal(lk, rk)
+            or (lk == lk[0]).all() and (rk == rk[0]).all()
+            for lk, rk in zip(k.left.T, k.right.T)
+        )
+    return False
+
+
+def _k1(k) -> tuple[bool, float]:
+    """max |K - K^T|: 0 for a finite K symmetric by construction, else
+    streamed over blocks of rows of K and of K^T."""
+    if _symmetric(k) and _extremes(k) is not None:
+        asym = 0.0
+    else:
+        kt = k.T
+        asym = float(np.max([
+            np.abs(_rows(k, s) - _rows(kt, s)).max()
+            for s in _row_blocks(k.shape[0])
+        ]))
     return asym <= _SYM_TOL, asym
 
 
-def _k2(
-    k: np.ndarray, grid: QuadratureGrid, delta: float
-) -> tuple[bool, float]:
-    if delta <= 0:
-        raise ModelError("delta must be positive")
-    near = _pairwise_sq_dist(grid) <= delta**2
-    return bool(np.min(k, where=near, initial=np.inf) > 0), delta
+def _k2(k, grid: QuadratureGrid, delta: float) -> bool:
+    """Whether K > 0 on every pair with |x - y| <= delta."""
+    ext = _extremes(k)
+    if ext is not None and _all_within(grid, delta):
+        return bool(ext[0] > 0)
+    return _near_min(k, grid, delta) > 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -468,31 +586,81 @@ class FloorReport:
     q_sup: float          # max Q over all pairs
 
 
+def _lead_row(q: LowRank, col_max: np.ndarray) -> int:
+    """The first row i maximizing min_j (Q_ij - col_max_j), for a Q that
+    `_extreme_rows` accepts, in O(n log n).
+
+    Row i depends on t = left[i, 0] alone.  Its gaps Q_ij - col_max_j
+    rise with t where right[j, 0] >= 0 and fall where it is negative, so
+    the least gap of each kind, up(t) and down(t), is monotone and their
+    minimum rises, then falls.  Bisection over the distinct values of t
+    finds where up and down cross, then the run of values at the top;
+    the row wanted is the first whose t lies in that run.
+    """
+    t = q.left[:, 0]
+    values, first = np.unique(t, return_index=True)
+    rising = q.right[:, 0] >= 0
+
+    @functools.cache
+    def parts(k):
+        gap = q.rows([first[k]])[0] - col_max
+        return (
+            gap[rising].min(initial=np.inf),
+            gap[~rising].min(initial=np.inf),
+        )
+
+    def adv(k):
+        return min(parts(k))
+
+    def crossed(k):
+        up, down = parts(k)
+        return up >= down
+
+    m = len(values)
+    cross = bisect_left(range(m), True, key=crossed)
+    peak = max((k for k in (cross - 1, cross) if 0 <= k < m), key=adv)
+    top = adv(peak)
+    lo = bisect_left(range(peak + 1), True, key=lambda k: adv(k) >= top)
+    hi = peak - 1 + bisect_left(
+        range(peak, m), True, key=lambda k: adv(k) < top
+    )
+    return int(np.argmax((t >= values[lo]) & (t <= values[hi])))
+
+
 def check_weight_floor(
     weight: WeightSpec, grid: QuadratureGrid, r: float
 ) -> FloorReport:
     """Certify the positive floor of Q and locate a maximizing node x0.
 
-    One `weight_matrix` call; the advantage of each row over the column
-    maxima is taken in place, so one n x n array is held.
+    Q is read in the form `_weight` returns.  For a LowRank that
+    `_extreme_rows` accepts, two rows give the column extremes and
+    `_lead_row` gives x0; otherwise rows of Q stream in blocks, with
+    O(n b) memory.  Every value equals the dense computation bit for
+    bit.
     """
-    if r <= 0:
+    if not r > 0:
         raise ModelError("r must be positive")
-    q = weight_matrix(weight, grid)
-    sigma_global = float(q.min())
+    q = _weight(weight, grid)
+    ext = _extreme_rows(q)
+    if ext is None:
+        col_min, col_max = np.full(grid.n, np.inf), np.full(grid.n, -np.inf)
+        for s in _row_blocks(grid.n):
+            rows = _rows(q, s)
+            np.minimum(col_min, rows.min(axis=0), out=col_min)
+            np.maximum(col_max, rows.max(axis=0), out=col_max)
+        i0 = int(np.argmax(np.concatenate([
+            (_rows(q, s) - col_max).min(axis=1) for s in _row_blocks(grid.n)
+        ])))
+    else:
+        col_min, col_max = ext.min(axis=0), ext.max(axis=0)
+        i0 = _lead_row(q, col_max)
+    sigma_global = float(col_min.min())
     if r >= grid.domain.diameter:
         # every pair of nodes in the box lies within its diameter
         sigma = sigma_global
     else:
-        near = _pairwise_sq_dist(grid) <= r**2
-        sigma = float(np.min(q, where=near, initial=np.inf))
-
-    col_max = q.max(axis=0)
-    osc = float((col_max - q.min(axis=0)).max())
-    q -= col_max[None, :]
-    advantage = q.min(axis=1)
-    i0 = int(np.argmax(advantage))
-    defect = float(-advantage[i0])
+        sigma = _near_min(q, grid, r)
+    defect = float(-(_rows(q, [i0]) - col_max).min())
     return FloorReport(
         q2=sigma > 0,
         sigma=sigma,
@@ -503,7 +671,7 @@ def check_weight_floor(
         x0_index=i0,
         x0=grid.nodes[i0].copy(),
         q4_defect=defect,
-        oscillation=osc,
+        oscillation=float((col_max - col_min).max()),
         q_sup=float(col_max.max()),
     )
 
@@ -518,6 +686,12 @@ class HypothesisReport:
     m = min h, and ``q3_integrals`` records the quadrature values of
     a^(-1), a^(-p) and a^(-q) for q = max(1, p), over nodes with
     a >= 1e-14.
+
+    The pointwise check Q(x0, y) - Q(x, y) >= a(x) holds by
+    construction: m is the minimum of h over the nodes y runs over, so
+    the difference is (P(x) - P(x0)) (h(y) - m) >= 0 and can fail only
+    by rounding.  The q3 verdict rests on the exponent gate q_i < N / p
+    and the sign of min h.
     """
 
     k1: bool
@@ -572,20 +746,25 @@ def certify(
     r: float,
     delta: Optional[float] = None,
 ) -> HypothesisReport:
-    """Run every grid-level certificate and collect the results."""
-    if r <= 0:
-        raise ModelError("r must be positive")
+    """Run every grid-level certificate and collect the results.
+
+    K is read in the form `_kernel` returns, Q as `check_weight_floor`
+    reads it.
+    """
     if delta is None:
         delta = r
-    k = kernel_matrix(kernel, grid)
+    if not r > 0:
+        raise ModelError("r must be positive")
+    if not delta > 0:
+        raise ModelError("delta must be positive")
+    k = _kernel(kernel, grid)
     k1, asym = _k1(k)
-    k2, delta = _k2(k, grid, delta)
     floor = check_weight_floor(weight, grid, r)
     q3, q3_i0, q3_a, q3_int = _certify_q3(weight, grid)
     return HypothesisReport(
         k1=k1,
         max_asymmetry=asym,
-        k2=k2,
+        k2=_k2(k, grid, delta),
         delta=delta,
         floor=floor,
         q3=q3,

@@ -183,8 +183,9 @@ def solve_regularized(
         )
     a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
     weps = build_q_eps(weight, grid, a)
-    point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=u0)
-    ok, mmin = check_dip_margin(point, reaction(weps, grid), a, eigen.lambda1)
+    rx_eps = reaction(weps, grid)
+    point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=u0, rx=rx_eps)
+    ok, mmin = check_dip_margin(point, rx_eps, a, eigen.lambda1)
     if not ok and enforce_margin:
         raise RegularizedError(
             f"margin bound violated by {mmin:.3e} at eps={eps}; "

@@ -53,12 +53,21 @@ def test_check_hyp_pass_and_fail(tmp_path, capsys):
     )
     assert main(["check-hyp", bad, "--output-dir", str(out)]) == 2
 
-    # r is read as given: zero and negative radii are refused by name
+    # r and delta are read as given: zero, negative and NaN values are
+    # refused by name, where a NaN would empty the near-pair mask
     (out / "hypotheses.json").unlink()
-    for r in ("0", "-1"):
+    nan_delta = write_config(
+        tmp_path / "nan_delta.json", run={"delta": float("nan")}
+    )
+    for name, argv in [
+        ("r", [cfg, "--r", "0"]),
+        ("r", [cfg, "--r", "-1"]),
+        ("r", [cfg, "--r", "nan"]),
+        ("delta", [nan_delta]),
+    ]:
         capsys.readouterr()
-        assert main(["check-hyp", cfg, "--r", r, "--output-dir", str(out)]) == 1
-        assert "r must be positive" in capsys.readouterr().err
+        assert main(["check-hyp", *argv, "--output-dir", str(out)]) == 1
+        assert f"{name} must be positive" in capsys.readouterr().err
         assert not (out / "hypotheses.json").exists()
 
 
@@ -285,14 +294,19 @@ def test_sweep_eps_method_flag(tmp_path):
 
 
 def test_csv_row_writes_each_value_as_fmt():
-    """A CSV row is the values formatted one by one with `_fmt`, byte for
-    byte, signed zeros and non-finite values included."""
+    """A CSV row is the values formatted one by one with `_fmt`, and with
+    ``str.format`` value by value, byte for byte, signed zeros and
+    non-finite values included."""
     rng = np.random.default_rng(7)
     values = np.concatenate([
         rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
+        rng.uniform(-1.0, 1.0, 50),
         [0.0, -0.0, 1.0, 0.1, np.nan, np.inf, -np.inf, 5e-324],
     ])
     assert _row(values) == ",".join(_fmt(v) for v in values)
+    assert _row(values) == ",".join(map("{:.17g}".format, values.tolist()))
+    assert _row(np.array([-0.0])) == "-0"
+    assert _row(np.array([])) == ""
 
 
 def test_export_plot_needs_rows(tmp_path):

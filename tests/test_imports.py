@@ -5,8 +5,8 @@ nothing heavier: no path of the package, the spectral oracle included,
 loads SciPy, and `numpy.random`, which the solver does not use, stays
 unloaded.  NumPy submodules the solver needs (`numpy.fft`,
 `numpy.polynomial`) load with the package, not lazily inside a timed
-solve.  The last test pins where the structured matrix forms and the
-eigensolver are used.
+solve.  The last tests pin where the structured matrix forms and the
+eigensolver are used, and that no function materializes K or Q.
 """
 
 import ast
@@ -150,3 +150,53 @@ def test_forms_and_lanczos_stay_in_their_modules():
             if called & {"_lanczos", "_weyl"}:
                 users["lanczos"].add(path.name)
     assert users == {"forms": {"model.py"}, "lanczos": {"operator.py"}}
+
+
+DENSE = {"kernel_matrix", "weight_matrix"}
+FORM_CALLS = {"_kernel", "_weight"}
+# the attributes that hold a `_kernel` or `_weight` result:
+# DiscreteOperator.k and Reaction.q
+HELD = {"k", "q"}
+# functions that materialize by definition: the public dense forms,
+# numpy's conversion hook of a structured form and the dense Jacobian
+EXEMPT = {"kernel_matrix", "weight_matrix", "__array__", "jacobian"}
+
+
+def _is_structure(node, held: set) -> bool:
+    """Whether an expression is a `_kernel`/`_weight` call, a name bound
+    to one, or an attribute that holds one."""
+    if isinstance(node, ast.Call):
+        return bool(_names(node.func) & FORM_CALLS)
+    if isinstance(node, ast.Name):
+        return node.id in held
+    return isinstance(node, ast.Attribute) and node.attr in HELD
+
+
+def test_no_function_materializes_k_or_q():
+    """No `src/` function calls `kernel_matrix` or `weight_matrix`, or
+    `np.asarray` on K or Q as `_kernel` and `_weight` return them, so
+    every certificate and solver path reads the structure."""
+    offenders = set()
+    for path in Path(dispersal.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name in EXEMPT:
+                continue
+            held = {
+                target.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign)
+                and _is_structure(node.value, set())
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(fn):
+                if not isinstance(node, ast.Call):
+                    continue
+                called = _names(node.func)
+                if called & DENSE or (
+                    "asarray" in called
+                    and node.args
+                    and _is_structure(node.args[0], held)
+                ):
+                    offenders.add(f"{path.name}:{fn.name}")
+    assert offenders == set()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from dispersal import (
+    RULES,
     Domain,
     KernelSpec,
     ModelError,
@@ -60,6 +61,15 @@ def test_k2_positive_near_diagonal():
     assert not _kernel_report(KernelSpec.tabulated(k), grid, 0.1).k2
     with pytest.raises(ModelError):
         _kernel_report(KernelSpec.constant(1.0), grid, 0.0)
+
+
+def test_k2_reads_only_pairs_within_delta():
+    """exp(-1 / 0.03^2) underflows to 0 on the two ends of [0, 1], and
+    only there: k2 fails once delta reaches that pair, not before."""
+    grid = unit_grid("trapezoid", 3)
+    kernel = KernelSpec.gaussian(0.03)
+    assert _kernel_report(kernel, grid, 1.0 - 1e-9).k2
+    assert not _kernel_report(kernel, grid, 1.0).k2
 
 
 def test_kernel_matrix_rejects_negative():
@@ -138,14 +148,63 @@ def test_floor_at_diameter_counts_every_pair():
 
 
 def test_weight_floor_peak_memory():
-    """On 33 x 33 nodes the floor check holds one n x n array: its peak
-    stays below one and a half."""
+    """On 33 x 33 nodes the floor check of a constant weight reads its
+    rank-one factors: its peak stays below 16 float arrays of length n."""
     grid = build_grid(SQUARE, "trapezoid", 33)
     peak = peak_bytes(
         check_weight_floor, WeightSpec.constant(1.0, p=2.0), grid,
         r=grid.domain.diameter,
     )
-    assert peak <= 1.5 * grid.n**2 * 8
+    assert peak <= 16 * grid.n * 8
+
+
+def test_certify_holds_no_n_squared_array():
+    """On 64 x 64 nodes (gaussian K as a Kron, Q = 1) every certificate
+    reads the structure: the peak stays below n^2 bytes, an eighth of
+    one n x n float array."""
+    grid = build_grid(SQUARE, "trapezoid", 64)
+    peak = peak_bytes(
+        certify, KernelSpec.gaussian(1.0), WeightSpec.constant(1.0, p=2.0),
+        grid, r=grid.domain.diameter,
+    )
+    assert peak < grid.n**2
+
+
+def test_dip_floor_at_65537_nodes_peaks_under_64_mib():
+    """The dip weight's floor on 65537 nodes comes from its rank-2
+    factors, where a dense Q would take 32 GiB."""
+    grid = unit_grid("trapezoid", 65537)
+    peak = peak_bytes(
+        check_weight_floor, dip_weight(p=2.0), grid, r=grid.domain.diameter
+    )
+    assert peak < 64 * 2**20
+
+
+@pytest.mark.parametrize("g0", [50.0, 1e16])
+def test_floor_x0_from_factors_matches_dense(g0):
+    """x0 and the q4 defect of a dip weight come from its factors, and
+    equal the dense argmax and maximum bit for bit.  h changes sign, so
+    some columns rise with the dip and others fall; g0 = 1e16 swamps the
+    dip, so rounding makes distinct rows equal and the first of them
+    must win."""
+    rng = np.random.default_rng(int(g0) % 2**32)
+    for _ in range(60):
+        lo = float(rng.uniform(0.0, 1.0))
+        hi = lo + float(rng.uniform(0.25, 2.0))
+        grid = build_grid(
+            Domain((lo,), (hi,)), str(rng.choice(RULES)),
+            int(rng.integers(3, 40)),
+        )
+        weight = WeightSpec.polynomial_dip(
+            h=(1.0, -float(rng.uniform(0.0, 3.0))), g=(g0,),
+            points=(float(rng.uniform(lo, hi)),),
+            exponents=(float(rng.uniform(0.2, 2.0)),), level=5.0,
+        )
+        q = weight_matrix(weight, grid)
+        advantage = (q - q.max(axis=0)).min(axis=1)
+        floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+        assert floor.x0_index == int(np.argmax(advantage))
+        assert floor.q4_defect == -advantage.max()
 
 
 def test_floor_requires_positive_radius():

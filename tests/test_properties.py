@@ -9,6 +9,7 @@ import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from dispersal import (
     build_q_eps,
     ContinuationConfig,
     build_grid,
+    certify,
     check_weight_floor,
     collatz_wielandt_sup,
     jacobian,
@@ -40,6 +42,7 @@ from dispersal import (
     solve_at_lambda,
     weight_matrix,
 )
+from dispersal import model
 from dispersal.cli import main
 
 from .conftest import dense_a, dense_s
@@ -217,6 +220,102 @@ def test_weight_floor_matches_brute_force(data):
     assert floor.q4_defect == (q - q[floor.x0_index][None, :]).max()
     assert floor.q4_defect == -advantage.max()
     np.testing.assert_array_equal(floor.x0, grid.nodes[floor.x0_index])
+
+
+def _dense_certificates(kernel, weight, grid, r, delta):
+    """k1, k2 and the floor as the dense matrices give them: K, Q and
+    the squared distances formed in full, each fact one reduction."""
+    k = kernel_matrix(kernel, grid)
+    q = weight_matrix(weight, grid)
+    d2 = sum(np.subtract.outer(c, c) ** 2 for c in grid.nodes.T)
+    asym = float(np.abs(k - k.T).max())
+    sigma_global = float(q.min())
+    sigma = sigma_global
+    if r < grid.domain.diameter:
+        sigma = float(np.min(q, where=d2 <= r**2, initial=np.inf))
+    col_max = q.max(axis=0)
+    advantage = (q - col_max).min(axis=1)
+    i0 = int(np.argmax(advantage))
+    defect = float(-advantage[i0])
+    return {
+        "k1": asym <= 1e-12,
+        "max_asymmetry": asym,
+        "k2": bool(np.min(k, where=d2 <= delta**2, initial=np.inf) > 0),
+        "q2": sigma > 0,
+        "sigma": sigma,
+        "r": r,
+        "q2pp": sigma_global > 0,
+        "sigma_global": sigma_global,
+        "q4": defect <= 1e-12,
+        "x0_index": i0,
+        "x0": grid.nodes[i0],
+        "q4_defect": defect,
+        "oscillation": float((col_max - q.min(axis=0)).max()),
+        "q_sup": float(col_max.max()),
+    }
+
+
+@PROPERTY
+@given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+def test_certificates_match_dense_bit_for_bit(data, seed):
+    """`certify` reads K and Q in their structured forms, and streams
+    rows in blocks where the structure gives no shortcut; k1, k2 and
+    every floor fact equal the dense reduction bit for bit.
+
+    Beyond `kernels` and `weights` this draws an asymmetric table, a
+    gaussian short enough to underflow to 0 on far pairs, a dip whose h
+    changes sign, so its rows do not all rise together, and a weight
+    that falls with distance.  r and
+    delta fall below, at or above the diameter or on the gap between two
+    nodes, and the block size is drawn small enough to split the rows."""
+    grid = data.draw(grids())
+    rng = np.random.default_rng(seed)
+    extra = data.draw(st.sampled_from(("none", "asymmetric", "short")))
+    if extra == "asymmetric":
+        kernel = KernelSpec.tabulated(rng.uniform(0.0, 1.0, (grid.n,) * 2))
+    elif extra == "short":
+        kernel = KernelSpec.gaussian(data.draw(st.floats(0.01, 0.1)))
+    else:
+        kernel = data.draw(kernels(grid))
+    form = data.draw(st.sampled_from(("drawn", "mixed", "distance")))
+    if form == "mixed" and grid.domain.dim == 1:
+        center = float(grid.nodes[grid.n // 3, 0])
+        weight = WeightSpec.polynomial_dip(
+            h=(1.0, -1.5), g=(20.0,), points=(center,), exponents=(0.4,),
+            level=5.0,
+        )
+        if data.draw(st.booleans()):
+            weight = build_q_eps(weight, grid, rng.uniform(0.0, 1.0, grid.n))
+    elif form == "distance":
+        # least on the farthest pair within r
+        d2 = sum(np.subtract.outer(c, c) ** 2 for c in grid.nodes.T)
+        weight = WeightSpec.tabulated(1.0 / (1.0 + d2))
+    else:
+        weight = data.draw(weights(grid, 1.0))
+    last = grid.nodes[:, -1]
+    radii = (
+        st.sampled_from((0.3, 1.0, 1.5)).map(grid.domain.diameter.__mul__)
+        | st.floats(0.05, 2.0).map(grid.domain.diameter.__mul__)
+        # a pair at exactly this distance sits on the edge of the mask
+        | st.integers(1, grid.resolution - 1).map(
+            lambda j: float(abs(last[j] - last[0]))
+        )
+    )
+    r, delta = data.draw(radii), data.draw(radii)
+    block = data.draw(st.sampled_from((model._BLOCK, 3 * grid.n + 1, 1)))
+
+    with patch.object(model, "_BLOCK", block):
+        report = certify(kernel, weight, grid, r, delta)
+    got = {
+        "k1": report.k1, "max_asymmetry": report.max_asymmetry,
+        "k2": report.k2, **vars(report.floor),
+    }
+    want = _dense_certificates(kernel, weight, grid, r, delta)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        assert type(got[key]) is type(value), key
+        bits = np.asarray(value).tobytes()
+        assert np.asarray(got[key]).tobytes() == bits, key
 
 
 @PROPERTY
