@@ -137,19 +137,27 @@ class Branch:
         return tuple(kept)
 
 
-def _branch_point(op, rx, lam, u, iters) -> BranchPoint:
+def _branch_point(op, rx, lam, u, iters, phi_u=None, r=None) -> BranchPoint:
+    """The record of the state (lam, u); ``phi_u`` and the residual ``r``
+    at that state are computed unless the caller has them already."""
     u = np.asarray(u, dtype=float)
-    phi_sup = float(phi(rx, u).max())
+    if phi_u is None:
+        phi_u = phi(rx, u)
+    if r is None:
+        r = residual(op, rx, lam, u, phi_u)
     return BranchPoint(
         lam=float(lam),
         u=u.copy(),
         sup_norm=float(np.abs(u).max()),
         p_norm=op.grid.lp_norm(u, rx.p),
         min_u=float(u.min()),
-        gamma_phi_sup=phi_sup / lam if lam > 0 else math.inf,
+        gamma_phi_sup=float(phi_u.max()) / lam if lam > 0 else math.inf,
         newton_iters=int(iters),
-        residual_norm=float(np.abs(residual(op, rx, lam, u)).max()),
+        residual_norm=float(np.abs(r).max()),
     )
+
+
+_EPS = float(np.finfo(float).eps)
 
 
 def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
@@ -166,9 +174,9 @@ def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     """
     n = rhs.size
     m = min(n, 50)
-    eps = np.finfo(float).eps
     b = rhs / jac.shift
-    g = [float(np.linalg.norm(b))]
+    # sqrt(w @ w) is what np.linalg.norm computes for a real vector
+    g = [math.sqrt(b @ b)]
     if g[0] == 0:
         return np.zeros(n)
     tol = 1e-12 * g[0]
@@ -179,12 +187,12 @@ def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     for j in range(m):
         v = basis[: j + 1]
         w = (jac @ v[j]) / jac.shift
-        w_norm = np.linalg.norm(w)
+        w_norm = math.sqrt(w @ w)
         h = v @ w
         w -= h @ v
         c = v @ w
         w -= c @ v
-        h_next = float(np.linalg.norm(w))
+        h_next = math.sqrt(w @ w)
         h = (h + c).tolist()
         for i, (cs, sn) in enumerate(rot):
             h[i], h[i + 1] = (
@@ -197,7 +205,7 @@ def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
         tri[: j + 1, j] = h
         g.append(-sn * g[j])
         g[j] *= cs
-        if abs(g[j + 1]) <= tol or h_next <= eps * w_norm:
+        if abs(g[j + 1]) <= tol or h_next <= _EPS * w_norm:
             break
         basis[j + 1] = w / h_next
     # tri y = g is upper triangular; only its last pivot can vanish (at a
@@ -217,7 +225,8 @@ def _newton(op, rx, lam, u0, cfg, border=None):
     dlam = (-cons - c.y1) / (c.y2 + t_lam) with c = w t_u, and
     du = y1 + dlam y2.  For p < 1 every iterate must stay strictly
     positive; the line search halves the step until it does and raises
-    PositivityLost if it cannot.  Returns (u, lam, iters, converged).
+    PositivityLost if it cannot.  Returns (u, lam, iters, converged,
+    phi_u, r), the last two being Phi_u and the residual at (u, lam).
     """
     grid = op.grid
     u = np.asarray(u0, dtype=float).copy()
@@ -226,25 +235,26 @@ def _newton(op, rx, lam, u0, cfg, border=None):
         c = grid.weights * t_u
 
     def merit(u_, lam_):
-        r_ = residual(op, rx, lam_, u_)
+        phi_ = phi(rx, u_)
+        r_ = residual(op, rx, lam_, u_, phi_)
         cons_ = 0.0
         if border is not None:
             cons_ = (
                 grid.inner(t_u, u_ - u_prev) + t_lam * (lam_ - lam_prev) - ds
             )
-        return r_, cons_, max(float(np.abs(r_).max()), abs(cons_))
+        return phi_, r_, cons_, max(float(np.abs(r_).max()), abs(cons_))
 
     def small(fn_, u_):
         return fn_ <= cfg.newton_tol * max(1.0, float(np.abs(u_).max()))
 
-    r, cons, fn = merit(u, lam)
+    phi_u, r, cons, fn = merit(u, lam)
     for it in range(cfg.newton_max_iters):
         if small(fn, u):
-            return u, lam, it, True
+            return u, lam, it, True, phi_u, r
         try:
-            jac = JacobianAction(op, rx, lam, u)
+            jac = JacobianAction(op, rx, lam, u, phi_u)
         except ReactionError:
-            return u, lam, it, False
+            return u, lam, it, False, phi_u, r
         du = _krylov(jac, -r)
         dlam = 0.0
         if border is not None:
@@ -252,7 +262,7 @@ def _newton(op, rx, lam, u0, cfg, border=None):
             dlam = float((-cons - c @ du) / (c @ y2 + t_lam))
             du = du + dlam * y2
         if not (math.isfinite(dlam) and np.isfinite(du).all()):
-            return u, lam, it, False
+            return u, lam, it, False, phi_u, r
         alpha = 1.0
         while True:
             u_t = u + alpha * du
@@ -265,14 +275,14 @@ def _newton(op, rx, lam, u0, cfg, border=None):
                         "(p < 1 branch)"
                     )
                 continue
-            r_t, cons_t, fn_t = merit(u_t, lam_t)
+            phi_t, r_t, cons_t, fn_t = merit(u_t, lam_t)
             if fn_t <= (1.0 - 1e-4 * alpha) * fn or fn_t <= cfg.newton_tol:
                 break
             alpha *= 0.5
             if alpha < 1e-8:
-                return u, lam, it, False
-        u, lam, r, cons, fn = u_t, lam_t, r_t, cons_t, fn_t
-    return u, lam, cfg.newton_max_iters, small(fn, u)
+                return u, lam, it, False, phi_u, r
+        u, lam, phi_u, r, cons, fn = u_t, lam_t, phi_t, r_t, cons_t, fn_t
+    return u, lam, cfg.newton_max_iters, small(fn, u), phi_u, r
 
 
 def newton_correct(
@@ -289,13 +299,13 @@ def newton_correct(
     decide what to do with a vanishing sup norm.  ``rx`` is
     `reaction(weight, op.grid)`.
     """
-    u, _, iters, converged = _newton(op, rx, lam, u0, cfg)
+    u, _, iters, converged, phi_u, r = _newton(op, rx, lam, u0, cfg)
     if not converged:
         raise StepFailure(
             f"Newton did not converge in {cfg.newton_max_iters} iterations "
             f"at lambda={lam}"
         )
-    return _branch_point(op, rx, lam, u, iters)
+    return _branch_point(op, rx, lam, u, iters, phi_u, r)
 
 
 def seed_branch(
@@ -388,7 +398,7 @@ def trace_branch(
             lam_pred = cur.lam + ds * t_lam
             border = (t_u, t_lam, cur.u, cur.lam, ds)
             try:
-                u_new, lam_new, iters, ok = _newton(
+                u_new, lam_new, iters, ok, phi_u, r = _newton(
                     op, rx, lam_pred, u_pred, cfg, border
                 )
             except PositivityLost:
@@ -396,7 +406,7 @@ def trace_branch(
             if ok and (u_new.min() <= 0 or np.abs(u_new).max() <= 1e-10):
                 ok = False
             if ok:
-                pt = _branch_point(op, rx, lam_new, u_new, iters)
+                pt = _branch_point(op, rx, lam_new, u_new, iters, phi_u, r)
         if not ok:
             ds *= 0.5
             fast = 0

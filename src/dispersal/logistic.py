@@ -77,11 +77,18 @@ def phi(rx: Reaction, u: np.ndarray) -> np.ndarray:
 
 
 def residual(
-    op: DiscreteOperator, rx: Reaction, lam: float, u: np.ndarray
+    op: DiscreteOperator,
+    rx: Reaction,
+    lam: float,
+    u: np.ndarray,
+    phi_u: np.ndarray | None = None,
 ) -> np.ndarray:
-    """A u + Phi_u u - lambda u."""
+    """A u + Phi_u u - lambda u; ``phi_u`` is `phi(rx, u)` when the
+    caller has it already."""
     u = np.asarray(u, dtype=float)
-    return op.apply(u) + phi(rx, u) * u - lam * u
+    if phi_u is None:
+        phi_u = phi(rx, u)
+    return op.apply(u) + phi_u * u - lam * u
 
 
 def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
@@ -119,23 +126,31 @@ class JacobianAction:
 
     v -> A v + (Phi_u - lam) v + u * (Q (w p |u|^(p-1) sgn(u) v)), one
     product with K and one with Q, each in its structured form;
-    ``action @ v`` is ``action.matvec(v)``.  ``shift`` is the diagonal
-    Phi_u - lam of the local part.  Raises ReactionError where
-    `jacobian` does.
+    ``action @ v`` is ``action.matvec(v)`` for a float vector v.
+    ``shift`` is the diagonal Phi_u - lam of the local part, with
+    ``phi_u`` = `phi(rx, u)` when the caller has it already.  Raises
+    ReactionError where `jacobian` does.
     """
 
     def __init__(
-        self, op: DiscreteOperator, rx: Reaction, lam: float, u: np.ndarray
+        self,
+        op: DiscreteOperator,
+        rx: Reaction,
+        lam: float,
+        u: np.ndarray,
+        phi_u: np.ndarray | None = None,
     ):
         u = np.asarray(u, dtype=float)
         self._slope = rx.w * _reaction_slope(rx.p, u)
-        self._op, self._q, self._u = op, rx.q, u
-        self.shift = phi(rx, u) - lam
+        self._k, self._w, self._q, self._u = op.k, op.grid.weights, rx.q, u
+        if phi_u is None:
+            phi_u = phi(rx, u)
+        self.shift = phi_u - lam
         self.shape = (op.n, op.n)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return (
-            self._op.apply(v)
+            self._k @ (self._w * v)
             + self.shift * v
             + self._u * (self._q @ (self._slope * v))
         )

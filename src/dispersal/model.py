@@ -25,7 +25,9 @@ the dense forms of the same structures.  The solver holds exactly these
 matrices and applies the quadrature weights at the product, K (w u) and
 Q (w |u|^p), so no other module knows the forms.  Every form applies
 with ``@``, forms a block of its rows with ``rows``, and materializes
-with ``np.asarray``.
+with ``np.asarray``.  No form can be written in place: the factors,
+the dense forms, a tabulated spec's matrix and a row scale are all
+read-only arrays.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
@@ -60,10 +62,9 @@ from typing import Optional
 
 import numpy as np
 
-# NumPy loads these submodules on first use; importing them here keeps
-# that cost out of the first solve
+# NumPy loads this submodule on first use; importing it here keeps that
+# cost out of the first solve
 from numpy import fft as np_fft
-from numpy.polynomial import polynomial as np_poly
 
 from .geometry import QuadratureGrid
 
@@ -96,7 +97,29 @@ class ModelError(ValueError):
 
 
 def _polyval(coeffs, x: np.ndarray) -> np.ndarray:
-    return np_poly.polyval(x, np.asarray(coeffs, dtype=float))
+    """sum_k coeffs[k] x^k by Horner's rule, in the operation order of
+    `numpy.polynomial.polynomial.polyval`, so the values are its bits."""
+    c = np.asarray(coeffs, dtype=float)
+    out = c[-1] + x * 0
+    for ck in c[-2::-1]:
+        out = ck + out * x
+    return out
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
+def _frozen(a) -> Optional[np.ndarray]:
+    """``a`` as a read-only float array: itself if it is one, else a
+    read-only copy, so a spec cannot change under its holders."""
+    if a is None or (
+        isinstance(a, np.ndarray) and a.dtype == float
+        and not a.flags.writeable
+    ):
+        return a
+    return _read_only(np.array(a, dtype=float))
 
 
 def _coords_1d(grid: QuadratureGrid, what: str) -> np.ndarray:
@@ -140,7 +163,9 @@ class LowRank(_Structured):
         return LowRank(self.right, self.left)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        return self.left @ (self.right.T @ v)
+        # the bits of left @ (right.T @ v), without NumPy's slow path for
+        # an (n, 1) @ (1,) product
+        return (v @ self.right) @ self.left.T
 
     def rows(self, s) -> np.ndarray:
         """sum_k outer(left_k[s], right_k), entry by entry."""
@@ -241,6 +266,8 @@ class KernelSpec:
     rank_one:  K(x, y) = f(x) f(y) for a 1-D polynomial f (coeffs low to high)
     gaussian:  K(x, y) = exp(-|x - y|^2 / length_scale^2)
     tabulated: explicit (n, n) matrix over the grid nodes
+
+    ``matrix`` is held read-only: a writable array is copied.
     """
 
     FORMS = ("constant", "rank_one", "gaussian", "tabulated")
@@ -250,6 +277,9 @@ class KernelSpec:
     coeffs: Optional[tuple] = None
     length_scale: float = 1.0
     matrix: Optional[np.ndarray] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "KernelSpec":
@@ -272,7 +302,7 @@ class KernelSpec:
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ModelError("tabulated kernel must be a square matrix")
-        return cls(form="tabulated", matrix=m)
+        return cls(form="tabulated", matrix=_read_only(m))
 
 
 def _gaussian(x: np.ndarray, length_scale: float) -> np.ndarray:
@@ -285,8 +315,8 @@ def _gaussian(x: np.ndarray, length_scale: float) -> np.ndarray:
 def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
     """K over the nodes: a LowRank (constant, rank_one), a Kron (2-D
     gaussian), a Toeplitz (1-D gaussian on evenly spaced nodes) or a
-    fresh dense array (1-D gaussian on Gauss-Legendre nodes, tabulated).
-    Entries must be >= 0."""
+    read-only dense array (1-D gaussian on Gauss-Legendre nodes, or the
+    spec's own matrix when tabulated).  Entries must be >= 0."""
     n = grid.n
     if kernel.form == "constant":
         return LowRank(np.full((n, 1), kernel.value), np.ones((n, 1)))
@@ -304,7 +334,7 @@ def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
         if grid.rule in ("trapezoid", "midpoint"):  # evenly spaced
             col = np.exp(-((x - x[0]) ** 2) / kernel.length_scale**2)
             return Toeplitz(col)
-        return _gaussian(x, kernel.length_scale)
+        return _read_only(_gaussian(x, kernel.length_scale))
     if kernel.form == "tabulated":
         if kernel.matrix.shape != (n, n):
             raise ModelError(
@@ -313,13 +343,14 @@ def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
             )
         if kernel.matrix.min() < 0:
             raise ModelError("kernel is negative at a sampled pair")
-        return kernel.matrix.copy()
+        return kernel.matrix
     raise ModelError(f"unknown kernel form {kernel.form!r}")
 
 
 def kernel_matrix(kernel: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Materialize K(x_i, x_j) over the grid nodes; entries must be >= 0."""
-    return np.asarray(_kernel(kernel, grid))
+    """Materialize K(x_i, x_j) over the grid nodes, as a fresh array;
+    entries must be >= 0."""
+    return np.array(_kernel(kernel, grid))
 
 
 @dataclass(frozen=True, eq=False)
@@ -332,7 +363,8 @@ class WeightSpec:
     tabulated:      explicit (n, n) matrix over the grid nodes
 
     ``row_scale``, set only by `build_q_eps`, multiplies row x by
-    row_scale(x) on every materialization.
+    row_scale(x) on every materialization.  ``matrix`` and ``row_scale``
+    are held read-only: a writable array is copied.
     """
 
     FORMS = ("constant", "separable", "polynomial_dip", "tabulated")
@@ -351,6 +383,8 @@ class WeightSpec:
     def __post_init__(self):
         if self.p <= 0:
             raise ModelError("reaction exponent p must be positive")
+        for name in ("matrix", "row_scale"):
+            object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @classmethod
     def constant(cls, value: float = 1.0, p: float = 1.0) -> "WeightSpec":
@@ -393,7 +427,7 @@ class WeightSpec:
         m = np.array(matrix, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ModelError("tabulated weight must be a square matrix")
-        return cls(form="tabulated", p=float(p), matrix=m)
+        return cls(form="tabulated", p=float(p), matrix=_read_only(m))
 
 
 def _dip_profile(weight: WeightSpec, x: np.ndarray) -> np.ndarray:
@@ -406,7 +440,7 @@ def _dip_profile(weight: WeightSpec, x: np.ndarray) -> np.ndarray:
 
 def _weight(weight: WeightSpec, grid: QuadratureGrid):
     """Q over the nodes, row scale included: a LowRank (constant,
-    separable, polynomial_dip) or a fresh dense array (tabulated).
+    separable, polynomial_dip) or a read-only dense array (tabulated).
 
     Entries must be >= 0, and a row scale must hold one positive value
     per node, so it keeps the sign.  Every column of the plain left
@@ -425,9 +459,9 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
                 f"tabulated weight has shape {weight.matrix.shape}, "
                 f"grid needs ({n}, {n})"
             )
-        q = weight.matrix.copy()
+        q = weight.matrix
         if scale is not None:
-            q *= scale[:, None]
+            q = _read_only(q * scale[:, None])
         if q.min() < 0:
             raise ModelError("weight is negative at a sampled pair")
         return q
@@ -454,8 +488,9 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
 
 
 def weight_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Materialize Q(x_i, x_j) over the grid nodes; entries must be >= 0."""
-    return np.asarray(_weight(weight, grid))
+    """Materialize Q(x_i, x_j) over the grid nodes, as a fresh array;
+    entries must be >= 0."""
+    return np.array(_weight(weight, grid))
 
 
 def _rows(m, s) -> np.ndarray:
@@ -810,5 +845,4 @@ def build_q_eps(
     scale = 2.0 - a
     if weight.row_scale is not None:
         scale *= weight.row_scale
-    scale.setflags(write=False)
-    return replace(weight, row_scale=scale)
+    return replace(weight, row_scale=_read_only(scale))

@@ -39,11 +39,25 @@ residual in the original equation: 0.145, 0.78 and 5.80 at
 lambda / lambda1 = 1.25, 1.5 and 2.  "fields" does not escape the x0
 node either: its quadrature weight carries u_n(x0) into both fields,
 which leaves a residual of 2.2e-3 at lambda = 1.25 lambda1.
+
+One family, two extrapolants.  The eps = 1/n solves, the a_eps, Phi and
+g fields, the dip margins, the near-center mass, the Cauchy gaps and the
+modulus check do not depend on the extrapolation method, so
+`limit_procedure` keeps the last family it solved in a one-slot memo,
+and the second method of a pair costs one extrapolation.  The memo keys
+on ``op`` and ``weight`` by identity, through weak references that keep
+neither alive, and on lam, n_values, cfg, the validated x0_index and
+strict by value.  It holds one family, shared by the runs built from it,
+and every array in that family is read-only, as is every array reachable
+from its key: the forms of K and Q, a tabulated spec's matrix, a row
+scale and the grid.  `solve_regularized` keeps no memo.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +71,7 @@ from .logistic import Reaction, phi, reaction, residual
 from .model import (
     FloorReport,
     WeightSpec,
+    _read_only,
     build_a_eps,
     build_q_eps,
     check_weight_floor,
@@ -93,6 +108,21 @@ def _locate_x0(floor: FloorReport) -> int:
             f"(defect {floor.q4_defect:.3e}); regularization needs one"
         )
     return floor.x0_index
+
+
+def _node_index(x0_index, n: int) -> int:
+    """``x0_index`` as a node index in [0, n); a bool or a non-integral
+    value is refused, a NumPy integer accepted."""
+    if (
+        isinstance(x0_index, bool)
+        or not isinstance(x0_index, numbers.Integral)
+        or not 0 <= x0_index < n
+    ):
+        raise RegularizedError(
+            f"x0_index must be an integer node index in [0, {n}), "
+            f"got {x0_index!r}"
+        )
+    return int(x0_index)
 
 
 def theta_margin(lambda1: float, lam: float) -> float:
@@ -170,6 +200,8 @@ def solve_regularized(
     raised, so sweeps can report how the bound degrades.
     """
     grid = op.grid
+    if x0_index is not None:
+        x0_index = _node_index(x0_index, grid.n)
     if eigen is None:
         eigen = principal_eigenpair(op)
     if lam <= eigen.lambda1:
@@ -297,68 +329,43 @@ def _modulus_check(grid, qsup, a_fields, sols, g_fields, plain, p):
     return True, paper_margin
 
 
-def limit_procedure(
-    op: DiscreteOperator,
-    weight: WeightSpec,
-    lam: float,
-    n_values,
-    cfg: ContinuationConfig,
-    method: str = "richardson",
-    x0_index: int | None = None,
-    strict: bool = True,
-) -> RegularizedRun:
-    """Solve the eps = 1/n family and extrapolate to the original problem.
+class _Memo:
+    """One solved family with the arguments it was solved for: ``op`` and
+    ``weight`` by identity, through weak references, so the memo keeps
+    neither alive, and ``key`` = (lam, n_values, cfg, x0_index, strict)
+    by value.  The memo empties itself when either referent dies."""
 
-    method "richardson" takes the last solution plus one Richardson step
-    in 1/n; "fields" extrapolates the dispersal and plain-reaction
-    fields to eps = 0 and reconstructs u = L/(lambda - F), which
-    measures one to two orders more accurate.  Neither solves the
-    original problem on a fixed grid: u_n converges to the solution
-    whose x0 row stays doubled (see the module docstring for the
-    measured residuals).
+    def __init__(self, op, weight, key: tuple, family: dict, plain: tuple):
+        self.refs = (weakref.ref(op, _forget), weakref.ref(weight, _forget))
+        self.key, self.family, self.plain = key, family, plain
 
-    Before the first solve the run checks the doubled-weight
-    obstruction: lambda >= 2 lambda1 (relative tolerance 1e-10) with
-    rows of Q that differ, or lambda above 2 lambda1 for any weight.
-    There the limiting reaction at x0 is capped at lambda/2 below the
-    lambda - lambda1 a positive solution needs.  The check is necessary,
-    not sufficient: the limit can fail below 2 lambda1 as well.
+    def holds(self, op, weight, key: tuple) -> bool:
+        return (
+            self.refs[0]() is op
+            and self.refs[1]() is weight
+            and self.key == key
+        )
 
-    n_values must be increasing with 1/n <= N/(2p) throughout.  With
-    strict=True the run fails loudly if the obstruction applies, the
-    dip margin is violated, the gap sequence ||u_n - u_next||_inf grows
-    over three consecutive pairs, the modulus bound on g_n breaks, or
-    the near-center mass exceeds its bound.  With strict=False each
-    finding is recorded in the run report instead (the obstruction in
-    `obstruction`), so the degradation itself can be measured.
-    """
+
+# the family of the last `limit_procedure` call that solved one, or None
+_last_family: _Memo | None = None
+
+
+def _forget(ref) -> None:
+    global _last_family
+    memo = _last_family
+    if memo is not None and any(ref is r for r in memo.refs):
+        _last_family = None
+
+
+def _solve_family(
+    op, weight, rx, eigen, q_sup, lam, theta, n_values, cfg, x0_index, strict
+) -> tuple[dict, tuple]:
+    """The eps = 1/n solves and every check on them, none of which
+    depends on the extrapolation method.  Returns the `RegularizedRun`
+    fields they fill and the plain-weight reaction fields Phi_{u_n}; every
+    array in either is read-only."""
     grid = op.grid
-    n_values = tuple(int(n) for n in n_values)
-    if len(n_values) < 2 or any(
-        b <= a for a, b in zip(n_values, n_values[1:])
-    ):
-        raise RegularizedError("n_values must be at least two increasing ints")
-    eps0 = eps_ceiling(weight, grid)
-    if 1.0 / n_values[0] > eps0:
-        raise RegularizedError(
-            f"smallest n gives eps={1.0 / n_values[0]} above the ceiling {eps0}"
-        )
-    if method not in EXTRAPOLATION_METHODS:
-        raise RegularizedError(
-            f"unknown extrapolation method {method!r}; "
-            f"expected one of {EXTRAPOLATION_METHODS}"
-        )
-    eigen = principal_eigenpair(op)
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    if x0_index is None:
-        x0_index = _locate_x0(floor)
-    theta = theta_margin(eigen.lambda1, lam)
-    obstruction = _doubled_weight_obstruction(
-        lam, eigen.lambda1, floor.oscillation
-    )
-    if obstruction is not None and strict:
-        raise RegularizedError(obstruction)
-    rx = reaction(weight, grid)
     inside = (
         np.linalg.norm(grid.nodes - grid.nodes[x0_index][None, :], axis=1)
         < _MASS_RADIUS
@@ -374,11 +381,13 @@ def limit_procedure(
             op, weight, lam, eps, cfg, eigen=eigen, x0_index=x0_index,
             u0=warm, enforce_margin=strict,
         )
+        _read_only(rs.point.u)
         eps_seq.append(eps)
         sols.append(rs.point)
-        a_fields.append(rs.a_eps)
-        plain.append(phi(rx, rs.point.u))
-        g_fields.append((2.0 - rs.a_eps) * plain[-1])  # Q_eps = (2 - a) Q
+        a_fields.append(_read_only(rs.a_eps))
+        plain.append(_read_only(phi(rx, rs.point.u)))
+        # Q_eps = (2 - a) Q
+        g_fields.append(_read_only((2.0 - rs.a_eps) * plain[-1]))
         margins.append(rs.margin_min)
         warm = rs.point.u
 
@@ -413,19 +422,122 @@ def limit_procedure(
             break
 
     modulus_ok, paper_margin = _modulus_check(
-        grid, floor.q_sup, a_fields, sols, g_fields, plain, weight.p
+        grid, q_sup, a_fields, sols, g_fields, plain, weight.p
     )
     if not modulus_ok and strict:
         raise RegularizedError("modulus bound on the reaction fields broke")
+    family = dict(
+        eps_sequence=tuple(eps_seq),
+        solutions=tuple(sols),
+        a_fields=tuple(a_fields),
+        g_fields=tuple(g_fields),
+        margins=tuple(margins),
+        margins_ok=margins_ok,
+        cauchy_gaps=tuple(gaps),
+        gaps_contracting=contracting,
+        modulus_ok=modulus_ok,
+        modulus_paper_margin=paper_margin,
+        near_mass=tuple(near),
+        near_mass_ok=near_ok,
+    )
+    return family, tuple(plain)
 
-    eps_arr = np.array(eps_seq)
+
+def limit_procedure(
+    op: DiscreteOperator,
+    weight: WeightSpec,
+    lam: float,
+    n_values,
+    cfg: ContinuationConfig,
+    method: str = "richardson",
+    x0_index: int | None = None,
+    strict: bool = True,
+) -> RegularizedRun:
+    """Solve the eps = 1/n family and extrapolate to the original problem.
+
+    method "richardson" takes the last solution plus one Richardson step
+    in 1/n; "fields" extrapolates the dispersal and plain-reaction
+    fields to eps = 0 and reconstructs u = L/(lambda - F), which
+    measures one to two orders more accurate.  Neither solves the
+    original problem on a fixed grid: u_n converges to the solution
+    whose x0 row stays doubled (see the module docstring for the
+    measured residuals).
+
+    Before the first solve the run checks the doubled-weight
+    obstruction: lambda >= 2 lambda1 (relative tolerance 1e-10) with
+    rows of Q that differ, or lambda above 2 lambda1 for any weight.
+    There the limiting reaction at x0 is capped at lambda/2 below the
+    lambda - lambda1 a positive solution needs.  The check is necessary,
+    not sufficient: the limit can fail below 2 lambda1 as well.
+
+    n_values must be increasing with 1/n <= N/(2p) throughout, and
+    x0_index, when given, an integer node index.  With strict=True the
+    run fails loudly if the obstruction applies, the dip margin is
+    violated, the gap sequence ||u_n - u_next||_inf grows over three
+    consecutive pairs, the modulus bound on g_n breaks, or the
+    near-center mass exceeds its bound.  With strict=False each finding
+    is recorded in the run report instead (the obstruction in
+    `obstruction`), so the degradation itself can be measured.
+
+    The family does not depend on ``method``, so the last one solved is
+    kept in a one-slot memo and a call that differs from the previous
+    one in ``method`` alone only extrapolates.  The memo keys on ``op``
+    and ``weight`` by identity, held weakly so that it keeps neither
+    alive, and on lam, n_values, cfg, the validated x0_index and strict
+    by value.  Validation, the eigenpair, the weight floor and the
+    obstruction check run on every call, before the lookup.  Runs built
+    from one family share its solutions and fields, and every array
+    among them is read-only.
+    """
+    global _last_family
+    grid = op.grid
+    n_values = tuple(int(n) for n in n_values)
+    if len(n_values) < 2 or any(
+        b <= a for a, b in zip(n_values, n_values[1:])
+    ):
+        raise RegularizedError("n_values must be at least two increasing ints")
+    eps0 = eps_ceiling(weight, grid)
+    if 1.0 / n_values[0] > eps0:
+        raise RegularizedError(
+            f"smallest n gives eps={1.0 / n_values[0]} above the ceiling {eps0}"
+        )
+    if method not in EXTRAPOLATION_METHODS:
+        raise RegularizedError(
+            f"unknown extrapolation method {method!r}; "
+            f"expected one of {EXTRAPOLATION_METHODS}"
+        )
+    if x0_index is not None:
+        x0_index = _node_index(x0_index, grid.n)
+    eigen = principal_eigenpair(op)
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    if x0_index is None:
+        x0_index = _locate_x0(floor)
+    theta = theta_margin(eigen.lambda1, lam)
+    obstruction = _doubled_weight_obstruction(
+        lam, eigen.lambda1, floor.oscillation
+    )
+    if obstruction is not None and strict:
+        raise RegularizedError(obstruction)
+    rx = reaction(weight, grid)
+
+    key = (float(lam), n_values, cfg, x0_index, bool(strict))
+    memo = _last_family
+    if memo is None or not memo.holds(op, weight, key):
+        family, plain = _solve_family(
+            op, weight, rx, eigen, floor.q_sup, lam, theta, n_values, cfg,
+            x0_index, strict,
+        )
+        memo = _last_family = _Memo(op, weight, key, family, plain)
+    sols = memo.family["solutions"]
+
     if method == "richardson":
         n1, n2 = n_values[-2], n_values[-1]
         u_lim = (n2 * sols[-1].u - n1 * sols[-2].u) / (n2 - n1)
     else:
+        eps_arr = np.array(memo.family["eps_sequence"])
         disp = [op.apply(pt.u) for pt in sols]
         disp_lim = _neville_at_zero(eps_arr, disp)
-        reac_lim = _neville_at_zero(eps_arr, plain)
+        reac_lim = _neville_at_zero(eps_arr, memo.plain)
         denom = lam - reac_lim
         if denom.min() <= 1e-10:
             if strict:
@@ -440,22 +552,11 @@ def limit_procedure(
     return RegularizedRun(
         lam=float(lam),
         theta=theta,
-        x0_index=int(x0_index),
+        x0_index=x0_index,
         n_values=n_values,
-        eps_sequence=tuple(eps_seq),
-        solutions=tuple(sols),
-        a_fields=tuple(a_fields),
-        g_fields=tuple(g_fields),
-        margins=tuple(margins),
-        margins_ok=margins_ok,
-        cauchy_gaps=tuple(gaps),
-        gaps_contracting=contracting,
-        modulus_ok=modulus_ok,
-        modulus_paper_margin=paper_margin,
-        near_mass=tuple(near),
-        near_mass_ok=near_ok,
         method=method,
         limit=u_lim,
         limit_residual=limit_residual,
         obstruction=obstruction,
+        **memo.family,
     )

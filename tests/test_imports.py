@@ -2,10 +2,10 @@
 
 Import time is most of a short CLI run, so the package imports NumPy and
 nothing heavier: no path of the package, the spectral oracle included,
-loads SciPy, and `numpy.random`, which the solver does not use, stays
-unloaded.  NumPy submodules the solver needs (`numpy.fft`,
-`numpy.polynomial`) load with the package, not lazily inside a timed
-solve.  The last tests pin where the structured matrix forms and the
+loads SciPy, and `numpy.random` and `numpy.polynomial`, which the solver
+does not use, stay unloaded.  The NumPy submodule the solver needs
+(`numpy.fft`) loads with the package, not lazily inside a timed solve.
+The last tests pin where the structured matrix forms and the
 eigensolver are used, and that no function materializes K or Q.
 """
 
@@ -45,6 +45,8 @@ def test_import_loads_no_scipy_and_no_numpy_random(tmp_path):
     )
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
     assert [m for m in loaded if m.startswith("numpy.random")] == []
+    # polynomials are evaluated by `model._polyval`
+    assert [m for m in loaded if m.startswith("numpy.polynomial")] == []
 
 
 def test_cli_runs_load_no_further_numpy_module(tmp_path):

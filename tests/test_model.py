@@ -22,7 +22,7 @@ from dispersal import (
     weight_matrix,
 )
 
-from dispersal.model import _certify_q3
+from dispersal.model import _certify_q3, _polyval
 
 from .conftest import dip_weight, peak_bytes, unit_grid
 
@@ -305,6 +305,18 @@ def test_certify_q3_matches_dense_comparison(seed):
     gate = max(weight.exponents) < 1 / weight.p
     expected = pointwise and h.min() > 0 and gate
     assert ok == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_polyval_matches_numpy_bitwise(seed):
+    """Horner's rule in `_polyval` gives the bits of NumPy's polyval, for
+    one to six coefficients, at signed and large arguments."""
+    rng = np.random.default_rng(seed)
+    scale = 10.0 ** rng.integers(-3, 4)
+    coeffs = tuple(rng.standard_normal(seed % 6 + 1) * scale)
+    x = np.concatenate([rng.uniform(-3.0, 3.0, 50), [0.0, -0.0, 1e8]])
+    expected = np.polynomial.polynomial.polyval(x, np.asarray(coeffs))
+    np.testing.assert_array_equal(_polyval(coeffs, x), expected)
 
 
 def test_eps_ceiling_value():

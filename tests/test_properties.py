@@ -126,7 +126,8 @@ def test_apply_matches_dense_action(data, seed):
     """op.apply(u) is K diag(w) u, with K diag(w) built independently, for
     K kept as LowRank (constant, rank-one), Kron (2-D gaussian), Toeplitz
     (1-D gaussian on evenly spaced nodes) or dense, and op.k is the
-    kernel matrix bit for bit."""
+    kernel matrix bit for bit.  A LowRank applies with the bits of
+    left @ (right.T @ v)."""
     grid = data.draw(grids())
     kernel = data.draw(kernels(grid))
     op = assemble(kernel, grid)
@@ -143,6 +144,9 @@ def test_apply_matches_dense_action(data, seed):
     u = _state(seed, grid.n)
     scale = (np.abs(a) @ np.abs(u)).max()
     assert np.abs(op.apply(u) - a @ u).max() <= 1e-13 * scale
+    if isinstance(op.k, LowRank):
+        k = op.k
+        np.testing.assert_array_equal(k @ u, k.left @ (k.right.T @ u))
 
 
 @PROPERTY
@@ -445,7 +449,9 @@ def test_no_positive_solution_below_lambda1(data, p, t):
 def test_reaction_matches_dense_weight(data, seed):
     """`reaction` applies Q diag(w), with Q from weight_matrix, for every
     weight form and its eps-family, and keeps the weight's p; only a
-    tabulated Q is dense, and rx.q is the weight matrix bit for bit."""
+    tabulated Q is dense, and rx.q is the weight matrix bit for bit.  A
+    LowRank Q (rank 1 or 2) applies with the bits of left @ (right.T @ v).
+    """
     grid = data.draw(grids())
     weight = data.draw(weights(grid, 2.0))
     rx = reaction(weight, grid)
@@ -456,6 +462,9 @@ def test_reaction_matches_dense_weight(data, seed):
     v = _state(seed, grid.n)
     scale = (np.abs(dense) @ np.abs(v)).max()
     assert np.abs(rx.q @ (rx.w * v) - dense @ v).max() <= 1e-13 * scale
+    if isinstance(rx.q, LowRank):
+        q = rx.q
+        np.testing.assert_array_equal(q @ v, q.left @ (q.right.T @ v))
 
 
 @PROPERTY

@@ -1,5 +1,9 @@
 """Regularized weight family, its margin bound, and the limit run."""
 
+import gc
+import pickle
+import weakref
+
 import numpy as np
 import pytest
 
@@ -8,8 +12,11 @@ from dispersal import (
     Domain,
     KernelSpec,
     RegularizedError,
+    WeightSpec,
     assemble,
     build_grid,
+    build_q_eps,
+    kernel_matrix,
     limit_procedure,
     near_center_mass_bound,
     phi,
@@ -65,7 +72,7 @@ def test_solve_regularized_needs_supercritical_lambda():
         solve_regularized(op, const_weight(), 0.9, 0.5, cfg, x0_index=64)
 
 
-def test_limit_procedure_validates_inputs():
+def test_limit_procedure_validates_inputs(monkeypatch):
     op = _op129()
     cfg = ContinuationConfig(lambda_max=3.0)
     with pytest.raises(RegularizedError):
@@ -76,6 +83,26 @@ def test_limit_procedure_validates_inputs():
         limit_procedure(op, const_weight(), 2.0, (8,), cfg)
     with pytest.raises(RegularizedError):
         limit_procedure(op, const_weight(), 2.0, (4, 8), cfg, method="spline")
+
+    # x0_index must be a node index: a negative one would wrap to the
+    # last node, and a bool or a float is no index at all; each is
+    # refused before the eigenpair is computed
+    weight = dip_weight(p=2.0)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("x0_index must be refused before any work")
+
+    with monkeypatch.context() as m:
+        m.setattr(regularized, "principal_eigenpair", no_work)
+        for bad in (-1, 129, 64.0, True, np.float64(64.0)):
+            with pytest.raises(RegularizedError, match="x0_index"):
+                limit_procedure(op, weight, 1.5, (4, 8), cfg, x0_index=bad)
+            with pytest.raises(RegularizedError, match="x0_index"):
+                solve_regularized(op, weight, 1.5, 0.25, cfg, x0_index=bad)
+    run = limit_procedure(
+        op, weight, 1.5, (4, 8), cfg, x0_index=np.int64(64), strict=False
+    )
+    assert type(run.x0_index) is int and run.x0_index == 64
 
 
 def test_limit_procedure_constant_weight_clean():
@@ -145,9 +172,15 @@ def test_limit_procedure_dip_concentration(monkeypatch):
     run reports the doubled-weight obstruction; strict mode refuses
     before any solve."""
     op = _op129()
+    weight = dip_weight(p=2.0)
     cfg = ContinuationConfig(lambda_max=3.0)
+    # below twice lambda1 the pre-flight stays silent
+    assert limit_procedure(
+        op, weight, 1.5, (4, 8), cfg, strict=False
+    ).obstruction is None
+
     run = limit_procedure(
-        op, dip_weight(p=2.0), 2.0, (4, 8, 16, 32, 64), cfg, strict=False
+        op, weight, 2.0, (4, 8, 16, 32, 64), cfg, strict=False
     )
     assert run.x0_index == 64
     assert run.margins_ok
@@ -158,18 +191,15 @@ def test_limit_procedure_dip_concentration(monkeypatch):
     assert "lambda/2 = 1," in run.obstruction
     assert "lambda - lambda1 = 1 there" in run.obstruction
 
-    # below twice lambda1 the pre-flight stays silent
-    assert limit_procedure(
-        op, dip_weight(p=2.0), 1.5, (4, 8), cfg, strict=False
-    ).obstruction is None
-
     def no_solve(*args, **kwargs):
         raise AssertionError("pre-flight must refuse before any solve")
 
+    # the memo now holds this family with strict=False; the strict run
+    # of the same op and weight still refuses before any solve
     monkeypatch.setattr(regularized, "solve_at_lambda", no_solve)
     with pytest.raises(RegularizedError, match="lambda/lambda1 = 2 reaches 2"):
         limit_procedure(
-            op, dip_weight(p=2.0), 2.0, (4, 8, 16, 32, 64), cfg, strict=True
+            op, weight, 2.0, (4, 8, 16, 32, 64), cfg, strict=True
         )
 
 
@@ -185,3 +215,132 @@ def test_near_center_mass_bound_gates():
         near_center_mass_bound(1.0, 0.5, 1.0, 0.5, 1.5, 1)
     with pytest.raises(RegularizedError):
         near_center_mass_bound(1.0, 0.5, 2.0, 0.5, 0.5, 1)
+
+
+def _count_solves(monkeypatch) -> list:
+    """Empty the family memo and record each call of solve_at_lambda."""
+    monkeypatch.setattr(regularized, "_last_family", None)
+    calls = []
+    solve = regularized.solve_at_lambda
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(regularized, "solve_at_lambda", counted)
+    return calls
+
+
+def test_second_extrapolant_reuses_the_family(monkeypatch):
+    """On criterion 8's family the second method solves nothing, and
+    each run pickles to the bytes of a run computed without the memo."""
+    calls = _count_solves(monkeypatch)
+    op, weight = _op129(), dip_weight(p=2.0)
+    args = (op, weight, 2.0, (4, 8, 16, 32, 64),
+            ContinuationConfig(lambda_max=3.0))
+    rich = limit_procedure(*args, strict=False)
+    assert len(calls) == 5
+    fields = limit_procedure(*args, method="fields", strict=False)
+    assert len(calls) == 5
+    assert fields.solutions is rich.solutions
+
+    monkeypatch.setattr(regularized, "_last_family", None)
+    fresh = limit_procedure(*args, method="fields", strict=False)
+    assert len(calls) == 10
+    assert pickle.dumps(fields) == pickle.dumps(fresh)
+    again = limit_procedure(*args, strict=False)
+    assert len(calls) == 10
+    assert pickle.dumps(again) == pickle.dumps(rich)
+
+
+@pytest.mark.parametrize(
+    "change, solves",
+    [
+        (lambda: {"lam": 1.25}, True),
+        (lambda: {"n_values": (4, 16)}, True),
+        (lambda: {"cfg": ContinuationConfig(lambda_max=3.0, ds=0.01)}, True),
+        (lambda: {"x0_index": 63}, True),
+        (lambda: {"strict": True}, True),
+        (lambda: {"op": _op129()}, True),
+        (lambda: {"weight": dip_weight(p=2.0)}, True),
+        # equal by value: an equal config, the located x0 named, NumPy
+        # scalars, a list of n, and the other method
+        (lambda: {"cfg": ContinuationConfig(lambda_max=3.0)}, False),
+        (lambda: {"x0_index": np.int64(64)}, False),
+        (lambda: {"lam": np.float64(1.5), "n_values": [4, 8]}, False),
+        (lambda: {"method": "fields"}, False),
+    ],
+    ids=["lam", "n_values", "cfg", "x0_index", "strict", "op", "weight",
+         "equal_cfg", "equal_x0", "equal_scalars", "method"],
+)
+def test_family_memo_key(monkeypatch, change, solves):
+    """The memo keys on every argument but the method: op and weight by
+    identity, the rest by value, x0_index after validation."""
+    calls = _count_solves(monkeypatch)
+    base = dict(
+        op=_op129(), weight=dip_weight(p=2.0), lam=1.5, n_values=(4, 8),
+        cfg=ContinuationConfig(lambda_max=3.0), x0_index=None, strict=False,
+    )
+    limit_procedure(**base)
+    assert len(calls) == 2
+    limit_procedure(**{**base, **change()})
+    assert (len(calls) > 2) == solves
+
+
+def test_family_memo_keeps_no_operator_or_weight_alive(monkeypatch):
+    monkeypatch.setattr(regularized, "_last_family", None)
+    op, weight = _op129(), dip_weight(p=2.0)
+    limit_procedure(
+        op, weight, 1.5, (4, 8), ContinuationConfig(lambda_max=3.0),
+        strict=False,
+    )
+    refs = weakref.ref(op), weakref.ref(weight)
+    assert regularized._last_family is not None
+    del op, weight
+    gc.collect()
+    assert [r() for r in refs] == [None, None]
+    # and the family goes with them
+    assert regularized._last_family is None
+
+
+def test_memoized_and_tabulated_arrays_are_read_only(monkeypatch):
+    """No array a memoized family hands out, and none reachable from its
+    key, can be written in place."""
+    monkeypatch.setattr(regularized, "_last_family", None)
+    op, dip = _op129(), dip_weight(p=2.0)
+    run = limit_procedure(
+        op, dip, 1.5, (4, 8),
+        ContinuationConfig(lambda_max=3.0), strict=False,
+    )
+    grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 9)
+    gauss = build_grid(Domain((0.0,), (1.0,)), "gauss-legendre-tensor", 9)
+    table = np.ones((9, 9))
+    kernel = KernelSpec.tabulated(table)
+    weight = WeightSpec.tabulated(table, p=2.0)
+    # built without the presets, a spec copies a writable array too
+    direct = WeightSpec(
+        form="tabulated", p=2.0, matrix=table, row_scale=np.ones(9)
+    )
+    arrays = [
+        run.solutions[0].u,
+        run.a_fields[0],
+        run.g_fields[1],
+        regularized._last_family.plain[0],
+        kernel.matrix,
+        weight.matrix,
+        KernelSpec(form="tabulated", matrix=table).matrix,
+        direct.matrix,
+        direct.row_scale,
+        assemble(kernel, grid).k,
+        assemble(KernelSpec.gaussian(0.5), gauss).k,
+        reaction(weight, grid).q,
+        reaction(build_q_eps(weight, grid, np.full(9, 0.5)), grid).q,
+    ]
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 2.0
+    # the specs copy what they are given, and the dense API hands out a
+    # fresh array
+    table[0, 0] = 2.0
+    assert kernel_matrix(kernel, grid).flags.writeable
+    assert kernel.matrix[0, 0] == direct.matrix[0, 0] == 1.0
