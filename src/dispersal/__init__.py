@@ -34,7 +34,6 @@ from .logistic import (
     JacobianAction,
     Reaction,
     ReactionError,
-    jacobian,
     phi,
     reaction,
     residual,
@@ -53,8 +52,6 @@ from .model import (
     certify,
     check_weight_floor,
     eps_ceiling,
-    kernel_matrix,
-    weight_matrix,
 )
 from .operator import (
     DiscreteOperator,
@@ -84,7 +81,6 @@ from .verification import (
     check_covering_bound,
     check_phi_floor,
     check_positivity,
-    check_rate_nonexistence,
     check_solvability_window,
     check_subcritical_nonexistence,
     oracle_fixed_point,

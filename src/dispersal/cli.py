@@ -44,6 +44,7 @@ from .operator import OperatorError, assemble, principal_eigenpair
 from .regularized import (
     EXTRAPOLATION_METHODS,
     RegularizedError,
+    _n_values,
     limit_procedure,
 )
 from .verification import VerificationError, verify_branch
@@ -419,6 +420,11 @@ def _cmd_sweep_eps(args) -> int:
             f"unknown extrapolation method {method!r}; "
             f"expected one of {EXTRAPOLATION_METHODS}"
         )
+    try:
+        n_values = _n_values(n_values, ctx.weight, ctx.grid)
+    except RegularizedError as exc:
+        # a malformed config, not a bound failure
+        raise UsageError(str(exc)) from None
     op = ctx.operator()
     cfg = ctx.continuation_config()
     run = limit_procedure(

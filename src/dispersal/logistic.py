@@ -20,11 +20,10 @@ checker) and passed down, so a Q always meets the exponent of its own
 weight.  `phi` computes Q (w |u|^p), so Phi_u costs what one product
 with Q costs in its form: O(n) for every weight but a tabulated one.
 The dispersal part goes through `DiscreteOperator.apply`, and `residual`
-is the one place that forms A u + Phi_u u - lambda u.  `jacobian`
-materializes the n x n derivative, K diag(w) and Q included, as a
-certificate; `JacobianAction` applies the same derivative without
-forming it (``shape``, ``matvec`` and ``@``), which is what the
-Newton-Krylov solver uses.
+is the one place that forms A u + Phi_u u - lambda u.  `JacobianAction`
+applies its derivative in u without forming it (``shape``, ``matvec``
+and ``@``); it is the only Jacobian, the one the Newton-Krylov solver
+uses.
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ __all__ = [
     "JacobianAction",
     "Reaction",
     "ReactionError",
-    "jacobian",
     "phi",
     "reaction",
     "residual",
@@ -103,33 +101,17 @@ def _reaction_slope(p: float, u: np.ndarray) -> np.ndarray:
     return p * np.abs(u) ** (p - 1) * np.sign(u)
 
 
-def jacobian(
-    op: DiscreteOperator, rx: Reaction, lam: float, u: np.ndarray
-) -> np.ndarray:
-    """Derivative of the residual in u, as a dense n x n matrix.
-
-    The dispersal part is A = K diag(w); A and a structured Q are
-    materialized only here.  The reaction contributes diag(Phi_u) plus
-    the rank-structure term D_ij = u_i Q_ij w_j p |u_j|^(p-1) sgn(u_j).
-    For p < 1 that factor is singular at zero, so states must stay
-    bounded away from zero there.
-    """
-    u = np.asarray(u, dtype=float)
-    slope = rx.w * _reaction_slope(rx.p, u)
-    a = np.asarray(op.k) * op.grid.weights[None, :]
-    rank_term = u[:, None] * np.asarray(rx.q) * slope[None, :]
-    return a + np.diag(phi(rx, u) - lam) + rank_term
-
-
 class JacobianAction:
-    """``jacobian(op, rx, lam, u)`` applied without forming it.
+    """The derivative of `residual` in u at (lam, u), applied without
+    forming it.
 
-    v -> A v + (Phi_u - lam) v + u * (Q (w p |u|^(p-1) sgn(u) v)), one
-    product with K and one with Q, each in its structured form;
-    ``action @ v`` is ``action.matvec(v)`` for a float vector v.
-    ``shift`` is the diagonal Phi_u - lam of the local part, with
-    ``phi_u`` = `phi(rx, u)` when the caller has it already.  Raises
-    ReactionError where `jacobian` does.
+    v -> A v + (Phi_u - lam) v + u * (Q (w p |u|^(p-1) sgn(u) v)), with
+    A = K diag(w): one product with K and one with Q, each in its
+    structured form; ``action @ v`` is ``action.matvec(v)`` for a float
+    vector v.  ``shift`` is the diagonal Phi_u - lam of the local part,
+    with ``phi_u`` = `phi(rx, u)` when the caller has it already.  For
+    p < 1 the factor |u|^(p-1) is singular at zero, so a state with
+    min |u| <= 1e-10 raises ReactionError.
     """
 
     def __init__(

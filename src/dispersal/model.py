@@ -3,9 +3,9 @@
 A kernel K(x, y) >= 0 drives the nonlocal dispersal operator; a crowding
 weight Q(x, y) >= 0 together with an exponent p > 0 drives the nonlocal
 reaction term.  Both are described by small frozen spec objects.  Over a
-quadrature grid each spec has a dense matrix (`kernel_matrix`,
-`weight_matrix`) and, where its form allows, a structured one that the
-solver and the certificates read without forming n x n arrays:
+quadrature grid each spec has one matrix, structured where its form
+allows, that the solver and the certificates read without forming n x n
+arrays:
 
     LowRank(left, right) = left @ right.T, kept as its factors: the
         constant and rank-one kernels (rank 1), the constant and
@@ -20,8 +20,7 @@ solver and the certificates read without forming n x n arrays:
 The 1-D gaussian on Gauss-Legendre nodes and the tabulated forms exist
 only densely.  Each kernel form is chosen in one place, `_kernel`, from
 the spec form, the rule and the dimension, and each weight form, row
-scale included, in `_weight`; `kernel_matrix` and `weight_matrix` are
-the dense forms of the same structures.  The solver holds exactly these
+scale included, in `_weight`.  The solver holds exactly these
 matrices and applies the quadrature weights at the product, K (w u) and
 Q (w |u|^p), so no other module knows the forms.  Every form applies
 with ``@``, forms a block of its rows with ``rows``, and materializes
@@ -33,8 +32,8 @@ The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
 diagonal, a positive floor of Q on nearby pairs (locally or globally), the
 existence of a maximizing point x0 with Q(x0, .) >= Q(x, .), and, for the
-polynomial-dip preset, a certified comparison function a(x) with
-Q(x0, y) >= Q(x, y) + a(x) and integrable inverse.  They read K and Q
+polynomial-dip preset, the exponent gate of Q3 with the comparison
+function a(x) and the integrals of its inverse.  They read K and Q
 in the form `_kernel` and `_weight` return, and each value equals the
 reduction of the dense matrix bit for bit.  The symmetry of K and, when
 every pair of nodes lies within delta, its least entry come from the
@@ -82,8 +81,6 @@ __all__ = [
     "certify",
     "check_weight_floor",
     "eps_ceiling",
-    "kernel_matrix",
-    "weight_matrix",
 ]
 
 _SYM_TOL = 1e-12
@@ -131,7 +128,7 @@ def _coords_1d(grid: QuadratureGrid, what: str) -> np.ndarray:
 class _Structured:
     """A matrix applied through its structure: ``@`` on a vector is
     `matvec`, ``rows(s)`` forms the rows s alone, and ``np.asarray``
-    materializes it with `dense`, which is every row."""
+    materializes every row."""
 
     dtype = np.dtype(float)
     # numpy arithmetic with an ndarray raises instead of materializing
@@ -141,9 +138,6 @@ class _Structured:
         return self.matvec(v)
 
     def __array__(self, dtype=None, copy=None):
-        return self.dense()
-
-    def dense(self) -> np.ndarray:
         return self.rows(slice(None))
 
 
@@ -347,12 +341,6 @@ def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
     raise ModelError(f"unknown kernel form {kernel.form!r}")
 
 
-def kernel_matrix(kernel: KernelSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Materialize K(x_i, x_j) over the grid nodes, as a fresh array;
-    entries must be >= 0."""
-    return np.array(_kernel(kernel, grid))
-
-
 @dataclass(frozen=True, eq=False)
 class WeightSpec:
     """Crowding weight Q(x, y) >= 0 plus the reaction exponent p > 0.
@@ -485,12 +473,6 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
     if scale is None:
         return q
     return LowRank(scale[:, None] * q.left, q.right)
-
-
-def weight_matrix(weight: WeightSpec, grid: QuadratureGrid) -> np.ndarray:
-    """Materialize Q(x_i, x_j) over the grid nodes, as a fresh array;
-    entries must be >= 0."""
-    return np.array(_weight(weight, grid))
 
 
 def _rows(m, s) -> np.ndarray:
@@ -716,17 +698,16 @@ class HypothesisReport:
     """Certificates for one (kernel, weight, grid) triple.
 
     ``q3`` is None when the weight form carries no symbolic certificate
-    (only the polynomial_dip preset does).  When present, ``q3_a`` samples
-    the certified comparison function a(x) = m * (P(x) - min P) with
-    m = min h, and ``q3_integrals`` records the quadrature values of
-    a^(-1), a^(-p) and a^(-q) for q = max(1, p), over nodes with
-    a >= 1e-14.
+    (only the polynomial_dip preset does).  When present, it is the
+    exponent gate q_i < N / p for every dip exponent together with
+    min h > 0 over the nodes, and nothing else.  ``q3_a`` samples the
+    comparison function a(x) = m * (P(x) - min P) with m = min h, and
+    ``q3_integrals`` records the quadrature values of a^(-1), a^(-p) and
+    a^(-q) for q = max(1, p), over nodes with a >= 1e-14.
 
-    The pointwise check Q(x0, y) - Q(x, y) >= a(x) holds by
-    construction: m is the minimum of h over the nodes y runs over, so
-    the difference is (P(x) - P(x0)) (h(y) - m) >= 0 and can fail only
-    by rounding.  The q3 verdict rests on the exponent gate q_i < N / p
-    and the sign of min h.
+    No pointwise comparison is made: Q(x0, y) - Q(x, y) >= a(x) holds
+    by construction, since m is the minimum of h over the nodes y runs
+    over, so the difference is (P(x) - P(x0)) (h(y) - m) >= 0.
     """
 
     k1: bool
@@ -749,16 +730,8 @@ def _certify_q3(weight: WeightSpec, grid: QuadratureGrid):
 
     prof = _dip_profile(weight, x)
     i0 = int(np.argmin(prof))
-    q = _weight(weight, grid)
-    h = q.right[:, 0]
-    m_coef = float(h.min())
+    m_coef = float(_polyval(weight.h, x).min())
     a = m_coef * (prof - prof[i0])
-
-    # Q(x0, y) - Q(x, y) = d(x) h(y), d the change of the dip column of
-    # the factors, so its minimum over y is d(x) min h or d(x) max h
-    d = q.left[i0, 0] - q.left[:, 0]
-    gap = np.where(d >= 0, d * m_coef, d * h.max())
-    pointwise_ok = bool((gap - a).min() >= -_MAX_TOL)
 
     supported = a >= 1e-14
     integrals = {}
@@ -770,7 +743,7 @@ def _certify_q3(weight: WeightSpec, grid: QuadratureGrid):
         integrals[label] = float(
             grid.weights[supported] @ a[supported] ** (-expo)
         )
-    ok = exponents_ok and pointwise_ok and m_coef > 0
+    ok = exponents_ok and m_coef > 0
     return ok, i0, a, integrals
 
 

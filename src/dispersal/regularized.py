@@ -125,6 +125,36 @@ def _node_index(x0_index, n: int) -> int:
     return int(x0_index)
 
 
+def _n_values(n_values, weight: WeightSpec, grid) -> tuple:
+    """``n_values`` as a tuple of ints: at least two, increasing, with
+    eps = 1/n at most the `eps_ceiling` from the first on.  As in
+    `_node_index`, a bool or a non-integral entry is refused, a NumPy
+    integer accepted."""
+    try:
+        values = tuple(n_values)
+    except TypeError:
+        values = ()
+    if (
+        len(values) < 2
+        or any(
+            isinstance(n, bool) or not isinstance(n, numbers.Integral)
+            for n in values
+        )
+        or any(b <= a for a, b in zip(values, values[1:]))
+    ):
+        raise RegularizedError(
+            f"n_values must be at least two increasing integers, "
+            f"got {n_values!r}"
+        )
+    ceiling = eps_ceiling(weight, grid)
+    if values[0] < 1 or 1.0 / values[0] > ceiling:
+        raise RegularizedError(
+            f"n_values must start at an n >= 1 with eps = 1/n at most the "
+            f"ceiling N/(2p) = {ceiling}, got n = {values[0]}"
+        )
+    return tuple(int(n) for n in values)
+
+
 def theta_margin(lambda1: float, lam: float) -> float:
     return min(lambda1, lam - lambda1)
 
@@ -470,11 +500,11 @@ def limit_procedure(
     lambda - lambda1 a positive solution needs.  The check is necessary,
     not sufficient: the limit can fail below 2 lambda1 as well.
 
-    n_values must be increasing with 1/n <= N/(2p) throughout, and
-    x0_index, when given, an integer node index.  With strict=True the
-    run fails loudly if the obstruction applies, the dip margin is
-    violated, the gap sequence ||u_n - u_next||_inf grows over three
-    consecutive pairs, the modulus bound on g_n breaks, or the
+    n_values must be at least two increasing integers with 1/n <= N/(2p)
+    throughout, and x0_index, when given, an integer node index.  With
+    strict=True the run fails loudly if the obstruction applies, the dip
+    margin is violated, the gap sequence ||u_n - u_next||_inf grows over
+    three consecutive pairs, the modulus bound on g_n breaks, or the
     near-center mass exceeds its bound.  With strict=False each finding
     is recorded in the run report instead (the obstruction in
     `obstruction`), so the degradation itself can be measured.
@@ -491,16 +521,7 @@ def limit_procedure(
     """
     global _last_family
     grid = op.grid
-    n_values = tuple(int(n) for n in n_values)
-    if len(n_values) < 2 or any(
-        b <= a for a, b in zip(n_values, n_values[1:])
-    ):
-        raise RegularizedError("n_values must be at least two increasing ints")
-    eps0 = eps_ceiling(weight, grid)
-    if 1.0 / n_values[0] > eps0:
-        raise RegularizedError(
-            f"smallest n gives eps={1.0 / n_values[0]} above the ceiling {eps0}"
-        )
+    n_values = _n_values(n_values, weight, grid)
     if method not in EXTRAPOLATION_METHODS:
         raise RegularizedError(
             f"unknown extrapolation method {method!r}; "

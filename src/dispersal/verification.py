@@ -23,11 +23,13 @@ is applied through the structured K and solved by Lanczos, and the root
 by a bracketed Brent iteration, so a run holds no n x n array.
 
 Checkers return BoundReport records with the convention margin >= 0
-means the bound is satisfied.  `verify_branch` runs them over a stored
-branch from its states (lambda, u) alone; it is the one place that reads
-the weight floor and the ball covering of the a-priori L^p bound, which
-the tracer does not compute.  `window_bounds` gives the solvability
-window that `check_solvability_window` reports.
+means the bound is satisfied.  Every checker but the informational
+`check_solvability_window` can report its bound violated.
+`verify_branch` runs them over a stored branch from its states
+(lambda, u) alone; it is the one place that reads the weight floor and
+the ball covering of the a-priori L^p bound, which the tracer does not
+compute.  `window_bounds` gives the window that
+`check_solvability_window` reports.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ __all__ = [
     "check_covering_bound",
     "check_phi_floor",
     "check_positivity",
-    "check_rate_nonexistence",
     "check_solvability_window",
     "check_subcritical_nonexistence",
     "oracle_fixed_point",
@@ -464,28 +465,6 @@ def check_subcritical_nonexistence(
         holds=found_sup == 0.0,
         margin=margin,
         context={"lambda": lam, "trials": trials, "max_sup_found": found_sup},
-    )
-
-
-def check_rate_nonexistence(g: np.ndarray, lambda1: float) -> BoundReport:
-    """No positive u solves L0 u = g u when g stays above lambda1.
-
-    Collatz-Wielandt: `_kernel` refuses a negative K, so A = K diag(w)
-    is nonnegative, and for every positive u, min (A u) / u <= lambda1.
-    A positive solution would have (A u) / u = g, so min g > lambda1 rules
-    it out for every kernel the operator accepts.
-    Applicable only when min g > lambda1 strictly.
-    """
-    min_g = float(np.min(g))
-    margin = min_g - lambda1
-    applicable = margin > 1e-12
-    return BoundReport(
-        name="rate_nonexistence",
-        holds=True,
-        margin=margin,
-        context={"min_g": min_g} if applicable
-        else {"note": "min g does not exceed lambda1 strictly"},
-        applicable=applicable,
     )
 
 

@@ -1,8 +1,10 @@
 """Shared builders for the test suite.
 
 Everything here is deliberately small: a grid on the unit interval, the
-assembled constant-kernel operator, and the dipped-weight preset used
-across the continuation and regularization tests.
+assembled constant-kernel operator, the dipped-weight preset used
+across the continuation and regularization tests, and the dense
+references: K and Q materialized from the forms the solver holds, and
+the Jacobian written out entry by entry from them.
 """
 
 import tempfile
@@ -18,8 +20,8 @@ from dispersal import (
     WeightSpec,
     assemble,
     build_grid,
-    kernel_matrix,
     principal_eigenpair,
+    reaction,
 )
 
 UNIT = Domain((0.0,), (1.0,))
@@ -52,6 +54,31 @@ def dip_weight(p=1.0):
     return WeightSpec.polynomial_dip(
         h=(1.0,), g=(0.0,), points=(0.5,), exponents=(0.4,), level=3.0, p=p
     )
+
+
+def kernel_matrix(kernel, grid):
+    """K over the nodes as a fresh dense array, from the form that
+    `assemble` holds."""
+    return np.array(assemble(kernel, grid).k)
+
+
+def weight_matrix(weight, grid):
+    """Q over the nodes, row scale included, as a fresh dense array,
+    from the form that `reaction` holds."""
+    return np.array(reaction(weight, grid).q)
+
+
+def dense_jacobian(op, rx, lam, u):
+    """The derivative of the residual A u + Phi_u u - lam u in u, as a
+    dense n x n matrix: K diag(w) + diag(Phi_u - lam) plus the entries
+    u_i Q_ij w_j p |u_j|^(p-1) sgn(u_j), with K, Q and Phi_u formed
+    densely.  For p < 1 the state must stay away from zero."""
+    u = np.asarray(u, dtype=float)
+    w = op.grid.weights
+    k, q = np.array(op.k), np.array(rx.q)
+    phi_u = q @ (w * np.abs(u) ** rx.p)
+    slope = w * rx.p * np.abs(u) ** (rx.p - 1) * np.sign(u)
+    return k * w[None, :] + np.diag(phi_u - lam) + u[:, None] * q * slope
 
 
 def dense_a(kernel, grid):

@@ -293,6 +293,23 @@ def test_sweep_eps_method_flag(tmp_path):
     )
 
 
+def test_sweep_eps_refuses_bad_n_values(tmp_path, capsys):
+    """A malformed n_values is a usage error (exit 1) naming n_values:
+    not a traceback, not a silently truncated n and not the exit 2 of a
+    bound failure."""
+    out = tmp_path / "out"
+    for bad in ("abc", [4.5, 8], [8, 4], [1, 2]):
+        cfg = write_config(
+            tmp_path / "c.json",
+            weight={"form": "constant", "value": 1.0, "p": 2.0},
+            run={"lambda": 1.5, "n_values": bad},
+        )
+        capsys.readouterr()
+        assert main(["sweep-eps", cfg, "--output-dir", str(out)]) == 1, bad
+        assert "n_values" in capsys.readouterr().err
+        assert not (out / "sweep.json").exists()
+
+
 def test_csv_row_writes_each_value_as_fmt():
     """A CSV row is the values formatted one by one with `_fmt`, and with
     ``str.format`` value by value, byte for byte, signed zeros and

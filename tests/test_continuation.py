@@ -18,7 +18,6 @@ from dispersal import (
     check_covering_bound,
     check_weight_floor,
     cover,
-    jacobian,
     newton_correct,
     oracle_spectral,
     principal_eigenpair,
@@ -30,7 +29,13 @@ from dispersal import (
 )
 from dispersal.continuation import _krylov
 
-from .conftest import const_weight, dip_weight, peak_bytes, unit_grid
+from .conftest import (
+    const_weight,
+    dense_jacobian,
+    dip_weight,
+    peak_bytes,
+    unit_grid,
+)
 
 
 def test_seed_is_exact_for_constant_case(const_eigen, grid65):
@@ -325,7 +330,7 @@ def test_trace_holds_no_n_squared_array():
 
 def test_krylov_matches_dense_solve():
     """One GMRES cycle solves J x = b as np.linalg.solve does on the dense
-    jacobian, for S and QW in each form and on n above and below the
+    reference Jacobian, for S and QW in each form and on n above and below the
     50-iteration cap; at the singular trivial state lambda = lambda1 (where
     p >= 1 lets the jacobian exist) its iterate is finite."""
     rng = np.random.default_rng(11)
@@ -350,7 +355,7 @@ def test_krylov_matches_dense_solve():
         for lam in (0.5 * eigen.lambda1, 2.0 * eigen.lambda1):
             u = rng.uniform(0.2, 1.5, grid.n)
             x = _krylov(JacobianAction(op, rx, lam, u), b)
-            ref = np.linalg.solve(jacobian(op, rx, lam, u), b)
+            ref = np.linalg.solve(dense_jacobian(op, rx, lam, u), b)
             assert np.abs(x - ref).max() <= 1e-9 * np.abs(ref).max()
         if weight.p >= 1:
             zero = np.zeros(grid.n)

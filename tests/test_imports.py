@@ -154,14 +154,14 @@ def test_forms_and_lanczos_stay_in_their_modules():
     assert users == {"forms": {"model.py"}, "lanczos": {"operator.py"}}
 
 
-DENSE = {"kernel_matrix", "weight_matrix"}
 FORM_CALLS = {"_kernel", "_weight"}
 # the attributes that hold a `_kernel` or `_weight` result:
 # DiscreteOperator.k and Reaction.q
 HELD = {"k", "q"}
-# functions that materialize by definition: the public dense forms,
-# numpy's conversion hook of a structured form and the dense Jacobian
-EXEMPT = {"kernel_matrix", "weight_matrix", "__array__", "jacobian"}
+# numpy's conversion hook of a structured form materializes by definition
+EXEMPT = {"__array__"}
+# the numpy calls that materialize a structured form
+CONVERT = {"array", "asarray"}
 
 
 def _is_structure(node, held: set) -> bool:
@@ -175,9 +175,9 @@ def _is_structure(node, held: set) -> bool:
 
 
 def test_no_function_materializes_k_or_q():
-    """No `src/` function calls `kernel_matrix` or `weight_matrix`, or
-    `np.asarray` on K or Q as `_kernel` and `_weight` return them, so
-    every certificate and solver path reads the structure."""
+    """No `src/` function calls `np.array` or `np.asarray` on K or Q as
+    `_kernel` and `_weight` return them, so every certificate and solver
+    path reads the structure."""
     offenders = set()
     for path in Path(dispersal.__file__).parent.glob("*.py"):
         for fn in ast.walk(ast.parse(path.read_text())):
@@ -194,9 +194,8 @@ def test_no_function_materializes_k_or_q():
             for node in ast.walk(fn):
                 if not isinstance(node, ast.Call):
                     continue
-                called = _names(node.func)
-                if called & DENSE or (
-                    "asarray" in called
+                if (
+                    _names(node.func) & CONVERT
                     and node.args
                     and _is_structure(node.args[0], held)
                 ):

@@ -11,14 +11,19 @@ from dispersal import (
     WeightSpec,
     assemble,
     check_weight_floor,
-    jacobian,
     phi,
     reaction,
     residual,
-    weight_matrix,
 )
 
-from .conftest import const_weight, dense_a, dip_weight, unit_grid
+from .conftest import (
+    const_weight,
+    dense_a,
+    dense_jacobian,
+    dip_weight,
+    unit_grid,
+    weight_matrix,
+)
 
 
 def test_phi_constant_cases(grid65):
@@ -82,25 +87,28 @@ def test_residual_at_eigenfunction(const_op, const_eigen):
     assert r.min() > 0
 
 
-def test_jacobian_at_zero_state(const_op):
+def test_jacobian_at_zero_state(const_op, rng):
     n = const_op.n
     w = const_weight(p=2.0)
     rx = reaction(w, const_op.grid)
-    j = jacobian(const_op, rx, 1.7, np.zeros(n))
+    action = JacobianAction(const_op, rx, 1.7, np.zeros(n))
     a = dense_a(KernelSpec.constant(1.0), const_op.grid)
-    np.testing.assert_allclose(j, a - 1.7 * np.eye(n), atol=1e-14)
+    v = rng.standard_normal(n)
+    np.testing.assert_allclose(action @ v, a @ v - 1.7 * v, atol=1e-14)
 
 
 def test_jacobian_constant_row_sums(const_op):
     n = const_op.n
     w = const_weight(p=1.0)
     rx = reaction(w, const_op.grid)
-    j = jacobian(const_op, rx, 2.0, np.ones(n))
+    action = JacobianAction(const_op, rx, 2.0, np.ones(n))
     # A + diag(Phi) - 2 I contributes zero row sum; the rank term adds one
-    np.testing.assert_allclose(j @ np.ones(n), 1.0, atol=1e-13)
+    np.testing.assert_allclose(action @ np.ones(n), 1.0, atol=1e-13)
 
 
 def test_jacobian_matches_finite_differences(rng):
+    """The dense reference Jacobian of the tests matches central
+    differences of the residual."""
     grid = unit_grid("trapezoid", 21)
     op = assemble(KernelSpec.gaussian(1.0), grid)
     lam = 1.8
@@ -109,7 +117,7 @@ def test_jacobian_matches_finite_differences(rng):
         rx = reaction(w, grid)
         for _ in range(3):
             u = rng.uniform(0.3, 1.2, grid.n)
-            j = jacobian(op, rx, lam, u)
+            j = dense_jacobian(op, rx, lam, u)
             h = 1e-6
             fd = np.empty_like(j)
             for k in range(grid.n):
@@ -128,13 +136,13 @@ def test_jacobian_p_below_one_needs_interior_state(const_op):
     u[7] = 0.0
     w = const_weight(p=0.5)
     with pytest.raises(ReactionError):
-        jacobian(const_op, reaction(w, const_op.grid), 2.0, u)
+        JacobianAction(const_op, reaction(w, const_op.grid), 2.0, u)
 
 
 def test_jacobian_action_matches_dense(rng):
-    """The matrix-free action is the dense Jacobian applied to v, to
-    relative 1e-12, on the finite-difference gate's grid (gaussian kernel,
-    21 trapezoid nodes, lambda = 1.8) for the dip weight at three
+    """The matrix-free action is the dense reference Jacobian applied to
+    v, to relative 1e-12, on the finite-difference gate's grid (gaussian
+    kernel, 21 trapezoid nodes, lambda = 1.8) for the dip weight at three
     exponents and for a tabulated weight, with the dispersal part
     checked against an independently built K diag(w)."""
     grid = unit_grid("trapezoid", 21)
@@ -150,20 +158,15 @@ def test_jacobian_action_matches_dense(rng):
             if w.p >= 1:
                 u *= rng.choice((-1.0, 1.0), grid.n)
             v = rng.standard_normal(grid.n)
-            dense = jacobian(op, rx, lam, u) @ v
+            dense = dense_jacobian(op, rx, lam, u) @ v
             scale = np.abs(dense).max()
             action = JacobianAction(op, rx, lam, u)
             assert np.abs(action @ v - dense).max() <= 1e-12 * scale
     w = weights[2]
-    j = jacobian(op, reaction(w, grid), lam, np.zeros(grid.n))
+    action = JacobianAction(op, reaction(w, grid), lam, np.zeros(grid.n))
     a = dense_a(KernelSpec.gaussian(1.0), grid)
-    np.testing.assert_allclose(j, a - lam * np.eye(grid.n), rtol=0, atol=1e-14)
-    u = np.full(grid.n, 0.5)
-    u[7] = 0.0
-    w = dip_weight(p=0.5)
-    for call in (jacobian, JacobianAction):
-        with pytest.raises(ReactionError):
-            call(op, reaction(w, grid), lam, u)
+    v = rng.standard_normal(grid.n)
+    np.testing.assert_allclose(action @ v, a @ v - lam * v, rtol=0, atol=1e-14)
 
 
 def test_reaction_reproduces_phi(grid65, rng):

@@ -1,4 +1,4 @@
-"""Kernel/weight materialization and the structural certificates."""
+"""Kernel/weight construction and the structural certificates."""
 
 from dataclasses import replace
 
@@ -11,20 +11,19 @@ from dispersal import (
     KernelSpec,
     ModelError,
     WeightSpec,
+    assemble,
     build_a_eps,
     build_grid,
     build_q_eps,
     certify,
     check_weight_floor,
     eps_ceiling,
-    kernel_matrix,
     reaction,
-    weight_matrix,
 )
 
 from dispersal.model import _certify_q3, _polyval
 
-from .conftest import dip_weight, peak_bytes, unit_grid
+from .conftest import dip_weight, peak_bytes, unit_grid, weight_matrix
 
 SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
 
@@ -77,7 +76,7 @@ def test_kernel_matrix_rejects_negative():
     k = np.ones((4, 4))
     k[2, 3] = k[3, 2] = -0.5
     with pytest.raises(ModelError):
-        kernel_matrix(KernelSpec.tabulated(k), grid)
+        assemble(KernelSpec.tabulated(k), grid)
 
 
 def test_weight_matrix_rejects_negative():
@@ -85,12 +84,12 @@ def test_weight_matrix_rejects_negative():
     # g(x) = x - 1/2 changes sign on the interval
     w = WeightSpec.separable(g=(-0.5, 1.0), h=(1.0,), p=1.0)
     with pytest.raises(ModelError):
-        weight_matrix(w, grid)
+        reaction(w, grid)
 
 
 def test_row_scale_checked_by_every_reader():
     """A row scale must hold one positive value per node, whichever
-    reader builds Q: the solver's reaction or weight_matrix."""
+    reader builds Q: the solver's reaction or the certificates."""
     grid = unit_grid("trapezoid", 9)
     for weight in (
         WeightSpec.constant(1.0, p=2.0),
@@ -98,9 +97,10 @@ def test_row_scale_checked_by_every_reader():
     ):
         for scale in (-np.ones(9), np.ones(8), np.zeros(9)):
             scaled = replace(weight, row_scale=scale)
-            for reader in (reaction, weight_matrix):
-                with pytest.raises(ModelError, match="row_scale"):
-                    reader(scaled, grid)
+            with pytest.raises(ModelError, match="row_scale"):
+                reaction(scaled, grid)
+            with pytest.raises(ModelError, match="row_scale"):
+                check_weight_floor(scaled, grid, r=1.0)
 
 
 def test_floor_constant_weight():
@@ -283,6 +283,20 @@ def test_certify_q3_holds_no_n_squared_array():
     assert peak_bytes(_certify_q3, dip_weight(), grid) < grid.n**2
 
 
+def test_certify_q3_is_scale_invariant():
+    """Scaling Q by a positive constant leaves Q3 as it is: the dip
+    weight on 129 trapezoid nodes certifies at level 3 and at level 1e5,
+    with h = 1 and with h = 1e4."""
+    grid = unit_grid("trapezoid", 129)
+    for level, h in ((3.0, (1.0,)), (3.0, (1e4,)), (1e5, (1.0,))):
+        weight = WeightSpec.polynomial_dip(
+            h=h, g=(0.0,), points=(0.5,), exponents=(0.4,), level=level,
+            p=2.0,
+        )
+        rep = certify(KernelSpec.constant(1.0), weight, grid, r=0.5)
+        assert rep.q3 is True, (level, h)
+
+
 @pytest.mark.parametrize("seed", range(12))
 def test_certify_q3_matches_dense_comparison(seed):
     """On random dip parameters the q3 verdict from the factors equals
@@ -440,4 +454,4 @@ def test_tabulated_shape_must_match_grid():
     grid = unit_grid("midpoint", 8)
     k = KernelSpec.tabulated(np.ones((4, 4)))
     with pytest.raises(ModelError):
-        kernel_matrix(k, grid)
+        assemble(k, grid)

@@ -31,8 +31,6 @@ from dispersal import (
     certify,
     check_weight_floor,
     collatz_wielandt_sup,
-    jacobian,
-    kernel_matrix,
     oracle_spectral,
     pencil_eigenvalue,
     phi,
@@ -40,12 +38,17 @@ from dispersal import (
     reaction,
     residual,
     solve_at_lambda,
-    weight_matrix,
 )
 from dispersal import model
 from dispersal.cli import main
 
-from .conftest import dense_a, dense_s
+from .conftest import (
+    dense_a,
+    dense_jacobian,
+    dense_s,
+    kernel_matrix,
+    weight_matrix,
+)
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=40
@@ -123,11 +126,10 @@ def _state(seed, n, positive=False):
 @PROPERTY
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_dense_action(data, seed):
-    """op.apply(u) is K diag(w) u, with K diag(w) built independently, for
-    K kept as LowRank (constant, rank-one), Kron (2-D gaussian), Toeplitz
-    (1-D gaussian on evenly spaced nodes) or dense, and op.k is the
-    kernel matrix bit for bit.  A LowRank applies with the bits of
-    left @ (right.T @ v)."""
+    """op.apply(u) is K diag(w) u, with K diag(w) materialized entry by
+    entry, for K kept as LowRank (constant, rank-one), Kron (2-D
+    gaussian), Toeplitz (1-D gaussian on evenly spaced nodes) or dense.
+    A LowRank applies with the bits of left @ (right.T @ v)."""
     grid = data.draw(grids())
     kernel = data.draw(kernels(grid))
     op = assemble(kernel, grid)
@@ -139,7 +141,6 @@ def test_apply_matches_dense_action(data, seed):
         assert isinstance(op.k, Toeplitz)
     else:
         assert isinstance(op.k, np.ndarray)
-    np.testing.assert_array_equal(np.asarray(op.k), kernel_matrix(kernel, grid))
     a = dense_a(kernel, grid)
     u = _state(seed, grid.n)
     scale = (np.abs(a) @ np.abs(u)).max()
@@ -152,8 +153,8 @@ def test_apply_matches_dense_action(data, seed):
 @PROPERTY
 @given(data=st.data())
 def test_kernel_matrix_matches_formula(data):
-    """kernel_matrix, the dense form of whatever `assemble` keeps, equals
-    the kernel's formula evaluated pair by pair."""
+    """The K that `assemble` keeps, in whatever form, equals the
+    kernel's formula evaluated pair by pair."""
     grid = data.draw(grids())
     kernel = data.draw(kernels(grid))
     x = grid.nodes
@@ -168,7 +169,7 @@ def test_kernel_matrix_matches_formula(data):
     else:
         expected = kernel.matrix
     np.testing.assert_allclose(
-        kernel_matrix(kernel, grid), expected, rtol=1e-13, atol=0.0
+        np.asarray(assemble(kernel, grid).k), expected, rtol=1e-13, atol=0.0
     )
 
 
@@ -179,8 +180,8 @@ def _poly(coeffs, x):
 @PROPERTY
 @given(data=st.data())
 def test_weight_matrix_matches_formula(data):
-    """weight_matrix, the dense form of whatever the solver keeps, equals
-    the weight's formula evaluated pair by pair, times the row scale."""
+    """The Q that `reaction` keeps, in whatever form, equals the weight's
+    formula evaluated pair by pair, times the row scale."""
     grid = data.draw(grids())
     weight = data.draw(weights(grid, 1.0))
     x = grid.nodes[:, 0]
@@ -200,7 +201,7 @@ def test_weight_matrix_matches_formula(data):
     if weight.row_scale is not None:
         expected = weight.row_scale[:, None] * expected
     np.testing.assert_allclose(
-        weight_matrix(weight, grid), expected, rtol=1e-13, atol=0.0
+        np.asarray(reaction(weight, grid).q), expected, rtol=1e-13, atol=0.0
     )
 
 
@@ -447,18 +448,17 @@ def test_no_positive_solution_below_lambda1(data, p, t):
 @PROPERTY
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_reaction_matches_dense_weight(data, seed):
-    """`reaction` applies Q diag(w), with Q from weight_matrix, for every
-    weight form and its eps-family, and keeps the weight's p; only a
-    tabulated Q is dense, and rx.q is the weight matrix bit for bit.  A
-    LowRank Q (rank 1 or 2) applies with the bits of left @ (right.T @ v).
+    """`reaction` applies Q diag(w), with Q materialized entry by entry,
+    for every weight form and its eps-family, and keeps the weight's p;
+    only a tabulated Q is dense.  A LowRank Q (rank 1 or 2) applies with
+    the bits of left @ (right.T @ v).
     """
     grid = data.draw(grids())
     weight = data.draw(weights(grid, 2.0))
     rx = reaction(weight, grid)
     assert rx.p == weight.p
     assert isinstance(rx.q, np.ndarray) == (weight.form == "tabulated")
-    np.testing.assert_array_equal(np.asarray(rx.q), weight_matrix(weight, grid))
-    dense = weight_matrix(weight, grid) * grid.weights[None, :]
+    dense = np.asarray(rx.q) * grid.weights[None, :]
     v = _state(seed, grid.n)
     scale = (np.abs(dense) @ np.abs(v)).max()
     assert np.abs(rx.q @ (rx.w * v) - dense @ v).max() <= 1e-13 * scale
@@ -475,8 +475,9 @@ def test_reaction_matches_dense_weight(data, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_jacobian_action_matches_dense_and_differences(data, p, lam, seed):
-    """JacobianAction v equals the dense jacobian times v, and the central
-    difference (R(u + h v) - R(u - h v)) / 2h of the residual."""
+    """JacobianAction v equals the dense reference Jacobian times v, and
+    the central difference (R(u + h v) - R(u - h v)) / 2h of the
+    residual."""
     grid = data.draw(grids())
     op = assemble(data.draw(kernels(grid)), grid)
     weight = data.draw(weights(grid, p))
@@ -486,7 +487,7 @@ def test_jacobian_action_matches_dense_and_differences(data, p, lam, seed):
     if p >= 1:  # |u|^p is smooth away from zero: signs are allowed
         u *= rng.choice((-1.0, 1.0), grid.n)
     v = rng.standard_normal(grid.n)
-    j = jacobian(op, rx, lam, u)
+    j = dense_jacobian(op, rx, lam, u)
     scale = (np.abs(j) @ np.abs(v)).max()
     action = JacobianAction(op, rx, lam, u) @ v
     assert np.abs(action - j @ v).max() <= 1e-12 * scale

@@ -19,7 +19,6 @@ from dispersal import (
     check_covering_bound,
     check_phi_floor,
     check_positivity,
-    check_rate_nonexistence,
     check_solvability_window,
     check_subcritical_nonexistence,
     check_weight_floor,
@@ -237,18 +236,6 @@ def test_subcritical_checker_self_test_above(const_op):
     )
     assert not rep.holds
     assert rep.context["max_sup_found"] > 0.4
-
-
-def test_rate_nonexistence(const_op, const_eigen):
-    n = const_op.n
-    lam1 = const_eigen.lambda1
-    rep = check_rate_nonexistence(np.full(n, lam1 + 0.5), lam1)
-    assert rep.holds and rep.applicable
-
-    at = check_rate_nonexistence(np.full(n, lam1), lam1)
-    assert at.holds and not at.applicable
-    below = check_rate_nonexistence(np.full(n, lam1 - 0.5), lam1)
-    assert below.holds and not below.applicable
 
 
 def test_solvability_window_reports(grid65):
