@@ -81,7 +81,6 @@ from .verification import (
     check_covering_bound,
     check_phi_floor,
     check_positivity,
-    check_solvability_window,
     check_subcritical_nonexistence,
     oracle_fixed_point,
     oracle_spectral,

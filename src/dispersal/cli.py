@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import inspect
 import json
 import math
@@ -39,6 +40,7 @@ from .model import (
     ModelError,
     WeightSpec,
     certify,
+    eps_ceiling,
 )
 from .operator import OperatorError, assemble, principal_eigenpair
 from .regularized import (
@@ -413,7 +415,13 @@ def _cmd_sweep_eps(args) -> int:
     lam = ctx.require_lambda()
     n_values = ctx.run.get("n_values")
     if n_values is None:
-        n_values = (4, 8, 16, 32, 64)
+        # five doublings from the least power of two n >= 4 whose
+        # eps = 1/n is at most the ceiling N/(2p)
+        ceiling = eps_ceiling(ctx.weight, ctx.grid)
+        first = 4
+        while 1.0 / first > ceiling:
+            first *= 2
+        n_values = tuple(first << k for k in range(5))
     method = ctx.run.get("method", "richardson")
     if method not in EXTRAPOLATION_METHODS:
         raise UsageError(
@@ -604,6 +612,9 @@ def _render_svg(lams, sups, lambda1) -> str:
     return "\n".join(parts) + "\n"
 
 
+# built once per process: a caller that runs `main` several times (the
+# tests, a scripted pipeline) pays for the argparse set-up once
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(
         prog="dispersal",

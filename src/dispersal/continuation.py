@@ -11,11 +11,15 @@ length halves on corrector failure, doubles after three fast successes,
 and stays inside [ds_min, ds_max].
 
 Newton is Jacobian-free (Knoll & Keyes, JCP 193, 2004): each step solves
-J y = -r by GMRES on `JacobianAction`, left-preconditioned by
-diag(Phi_u - lambda)^-1, and the `Reaction` (Q, w and p) is built once
-per solve.  GMRES is `_krylov`, one NumPy cycle of at most min(n, 50)
-iterations.  The arclength border is eliminated with a second Krylov solve
-J y2 = u (Keller's block elimination), so no bordered matrix is formed.
+J y = -r on `JacobianAction`, and the `Reaction` (Q, w and p) is built
+once per solve.  The forms of K and Q choose the solve, in `_solve`.
+When both are LowRank, J = diag(Phi_u - lambda) + U V^T with rank r <= 3,
+and the Sherman-Morrison-Woodbury identity gives the exact step in
+O(n r^2).  Otherwise the step is `_krylov`, one NumPy GMRES cycle of at
+most min(n, 50) iterations, left-preconditioned by
+diag(Phi_u - lambda)^-1.  The arclength border is eliminated with a
+second solve J y2 = u (Keller's block elimination), so no bordered matrix
+is formed.
 
 Accepted points carry diagnostics: the admissibility value
 gamma ||Phi_u||_inf (always < 1 on true solutions), the L^p norm, Newton
@@ -215,6 +219,30 @@ def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     return y @ basis[:k]
 
 
+def _solve(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
+    """J x = rhs: exactly when J = D + U V^T is low rank, else `_krylov`.
+
+    With D = diag(Phi_u - lambda) and (U, V) = ``jac.low_rank``, the
+    Sherman-Morrison-Woodbury identity (Hager, SIAM Rev. 31, 1989) gives
+    x = D^-1 b - D^-1 U (I + V^T D^-1 U)^-1 V^T D^-1 b in O(n r^2).  An
+    exactly singular capacitance I + V^T D^-1 U (the trivial state at
+    lambda = lambda1 under a constant kernel) goes to `_krylov`, whose
+    iterate at a singular J reaches the line search.
+    """
+    if jac.low_rank is None:
+        return _krylov(jac, rhs)
+    left, right = jac.low_rank
+    d_left = left / jac.shift[:, None]
+    d_rhs = rhs / jac.shift
+    try:
+        y = np.linalg.solve(
+            np.eye(left.shape[1]) + right.T @ d_left, right.T @ d_rhs
+        )
+    except np.linalg.LinAlgError:
+        return _krylov(jac, rhs)
+    return d_rhs - d_left @ y
+
+
 def _newton(op, rx, lam, u0, cfg, border=None):
     """Damped Newton with a backtracking line search on the sup residual.
 
@@ -255,10 +283,10 @@ def _newton(op, rx, lam, u0, cfg, border=None):
             jac = JacobianAction(op, rx, lam, u, phi_u)
         except ReactionError:
             return u, lam, it, False, phi_u, r
-        du = _krylov(jac, -r)
+        du = _solve(jac, -r)
         dlam = 0.0
         if border is not None:
-            y2 = _krylov(jac, u)
+            y2 = _solve(jac, u)
             dlam = float((-cons - c @ du) / (c @ y2 + t_lam))
             du = du + dlam * y2
         if not (math.isfinite(dlam) and np.isfinite(du).all()):

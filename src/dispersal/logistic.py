@@ -22,7 +22,8 @@ with Q costs in its form: O(n) for every weight but a tabulated one.
 The dispersal part goes through `DiscreteOperator.apply`, and `residual`
 is the one place that forms A u + Phi_u u - lambda u.  `JacobianAction`
 applies its derivative in u without forming it (``shape``, ``matvec``
-and ``@``); it is the only Jacobian, the one the Newton-Krylov solver
+and ``@``), and carries the factors of its low-rank part when K and Q
+are both LowRank; it is the only Jacobian, the one the Newton solver
 uses.
 """
 
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import QuadratureGrid
-from .model import LowRank, WeightSpec, _weight
+from .model import LowRank, WeightSpec, _factors, _weight
 from .operator import DiscreteOperator
 
 __all__ = [
@@ -112,6 +113,11 @@ class JacobianAction:
     with ``phi_u`` = `phi(rx, u)` when the caller has it already.  For
     p < 1 the factor |u|^(p-1) is singular at zero, so a state with
     min |u| <= 1e-10 raises ReactionError.
+
+    When K and Q are both LowRank, the action is diag(shift) + U V^T
+    with U = [K.left | u Q.left] and V = [w K.right | slope Q.right],
+    slope = w p |u|^(p-1) sgn(u); ``low_rank`` holds (U, V), and is
+    None for every other pair of forms.
     """
 
     def __init__(
@@ -129,6 +135,11 @@ class JacobianAction:
             phi_u = phi(rx, u)
         self.shift = phi_u - lam
         self.shape = (op.n, op.n)
+        k, q = _factors(op.k), _factors(rx.q)
+        self.low_rank = None if k is None or q is None else (
+            np.hstack([k[0], u[:, None] * q[0]]),
+            np.hstack([self._w[:, None] * k[1], self._slope[:, None] * q[1]]),
+        )
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         return (

@@ -475,6 +475,12 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
     return LowRank(scale[:, None] * q.left, q.right)
 
 
+def _factors(m) -> Optional[tuple]:
+    """The (left, right) factors of K or Q if `_kernel` or `_weight`
+    returned a LowRank, else None."""
+    return (m.left, m.right) if isinstance(m, LowRank) else None
+
+
 def _rows(m, s) -> np.ndarray:
     """Rows s of K or Q in the form `_kernel` or `_weight` returns, with
     the arithmetic of its dense form."""

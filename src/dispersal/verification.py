@@ -23,13 +23,13 @@ is applied through the structured K and solved by Lanczos, and the root
 by a bracketed Brent iteration, so a run holds no n x n array.
 
 Checkers return BoundReport records with the convention margin >= 0
-means the bound is satisfied.  Every checker but the informational
-`check_solvability_window` can report its bound violated.
-`verify_branch` runs them over a stored branch from its states
-(lambda, u) alone; it is the one place that reads the weight floor and
-the ball covering of the a-priori L^p bound, which the tracer does not
-compute.  `window_bounds` gives the window that
-`check_solvability_window` reports.
+means the bound is satisfied, and every checker can report its bound
+violated.  `verify_branch` runs them over a stored branch from its
+states (lambda, u) alone; it is the one place that reads the weight
+floor and the ball covering of the a-priori L^p bound, which the tracer
+does not compute.  `window_bounds` gives the solvability window
+(lambda1, lambda1 + lambda1 sigma / [Q]), a sufficient condition that
+no stored state can violate, so no report carries it.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from .continuation import (
 )
 from .geometry import Covering, QuadratureGrid, cover
 from .logistic import Reaction, phi, reaction, residual
-from .model import FloorReport, WeightSpec, check_weight_floor
+from .model import WeightSpec, check_weight_floor
 from .operator import (
     DiscreteOperator,
     _pencil,
@@ -64,7 +64,6 @@ __all__ = [
     "check_covering_bound",
     "check_phi_floor",
     "check_positivity",
-    "check_solvability_window",
     "check_subcritical_nonexistence",
     "oracle_fixed_point",
     "oracle_spectral",
@@ -482,42 +481,6 @@ def window_bounds(
     return lambda1, lambda1 + lambda1 * sigma / osc
 
 
-def check_solvability_window(
-    lambda1: float,
-    floor: FloorReport,
-    lam: float | None = None,
-) -> BoundReport:
-    """Window (lambda1, lambda1 + lambda1 sigma / [Q]); informational.
-
-    ``floor`` is `check_weight_floor(weight, grid, r)` at any r; only its
-    global floor and its oscillation [Q] are read.  Membership of a
-    particular lambda is recorded in the context; lying beyond the upper
-    end is not a violation (the window is a sufficient condition), so the
-    report always holds when computable.
-    """
-    if not floor.q2pp:
-        return BoundReport(
-            name="solvability_window",
-            holds=True,
-            margin=math.nan,
-            context={"note": "no global weight floor"},
-            applicable=False,
-        )
-    lower, upper = window_bounds(
-        lambda1, floor.sigma_global, floor.oscillation
-    )
-    ctx = {"lower": lower, "upper": upper, "sigma": floor.sigma_global}
-    if lam is not None:
-        ctx["lambda"] = lam
-        ctx["inside"] = bool(lower < lam < upper)
-    return BoundReport(
-        name="solvability_window",
-        holds=True,
-        margin=upper - lower,
-        context=ctx,
-    )
-
-
 def _worst(name: str, reports: list, **context) -> BoundReport | None:
     """One report over a branch: the worst margin, and whether all hold."""
     if not reports:
@@ -556,8 +519,7 @@ def verify_branch(
     diameter and the count m of the ball covering of that radius from the
     weight and the grid.  The recorded scalars and the branch metadata,
     ``seed_lambda1`` included, are ignored.  Aggregated reports carry the
-    worst margin over the branch; the solvability window is attached
-    once, evaluated at the last point.
+    worst margin over the branch.
     """
     grid = op.grid
     lambda1 = principal_eigenpair(op).lambda1
@@ -588,9 +550,4 @@ def verify_branch(
             [check_phi_floor(rx, grid, pt.u, floor.sigma_global)
              for pt in pts],
         ))
-    reports.append(
-        check_solvability_window(
-            lambda1, floor, lam=pts[-1].lam if pts else None
-        )
-    )
     return [r for r in reports if r is not None]

@@ -310,6 +310,25 @@ def test_sweep_eps_refuses_bad_n_values(tmp_path, capsys):
         assert not (out / "sweep.json").exists()
 
 
+def test_sweep_eps_default_n_values_follow_the_ceiling(tmp_path):
+    """Without n_values, sweep-eps takes five doublings from the least
+    power of two n >= 4 with 1/n at most N/(2p): 4..64 for p = 2, and
+    8..128 for p = 3, where 1/4 lies above the ceiling 1/6."""
+    for p, resolution, expected in (
+        (2.0, 65, [4, 8, 16, 32, 64]), (3.0, 33, [8, 16, 32, 64, 128]),
+    ):
+        cfg = write_config(
+            tmp_path / "c.json",
+            grid={"rule": "trapezoid", "resolution": resolution},
+            weight={"form": "constant", "value": 1.0, "p": p},
+            run={"lambda": 1.5},
+        )
+        out = tmp_path / f"out{p}"
+        assert main(["sweep-eps", cfg, "--output-dir", str(out)]) == 0, p
+        data = json.loads((out / "sweep.json").read_text())
+        assert data["n_values"] == expected
+
+
 def test_csv_row_writes_each_value_as_fmt():
     """A CSV row is the values formatted one by one with `_fmt`, and with
     ``str.format`` value by value, byte for byte, signed zeros and

@@ -15,11 +15,14 @@ from dispersal import (
     assemble,
     build_grid,
     bifurcation_estimate,
+    build_a_eps,
+    build_q_eps,
     check_covering_bound,
     check_weight_floor,
     cover,
     newton_correct,
     oracle_spectral,
+    phi,
     principal_eigenpair,
     reaction,
     seed_branch,
@@ -27,7 +30,8 @@ from dispersal import (
     trace_branch,
     window_bounds,
 )
-from dispersal.continuation import _krylov
+from dispersal import continuation
+from dispersal.continuation import _krylov, _newton, _solve
 
 from .conftest import (
     const_weight,
@@ -361,3 +365,87 @@ def test_krylov_matches_dense_solve():
             zero = np.zeros(grid.n)
             trivial = JacobianAction(op, rx, eigen.lambda1, zero)
             assert np.isfinite(_krylov(trivial, b)).all()
+
+
+def test_low_rank_solve_matches_dense_solve():
+    """When K and Q are both LowRank, `_solve` is the exact Woodbury step:
+    it matches np.linalg.solve on the dense reference Jacobian to 1e-12
+    relative for the constant and rank_one kernels against the constant,
+    separable, polynomial_dip and row-scaled dip weights, p in {0.5, 1, 2}.
+
+    lambda lies lambda1 below or above every Phi_u, so |D| >= lambda1 and
+    J is well conditioned; where D = diag(Phi_u - lambda) nearly vanishes,
+    the two solves differ by up to about cond(J) eps."""
+    rng = np.random.default_rng(17)
+    grid = unit_grid("trapezoid", 33)
+    a_eps = build_a_eps(dip_weight(), grid, np.array([0.5]), 0.25)
+    for kernel in (KernelSpec.constant(1.0), KernelSpec.rank_one((1.0, 0.5))):
+        op = assemble(kernel, grid)
+        lambda1 = principal_eigenpair(op).lambda1
+        for p in (0.5, 1.0, 2.0):
+            for weight in (
+                const_weight(p),
+                WeightSpec.separable((0.5, 1.0), (1.0, -0.5), p=p),
+                dip_weight(p),
+                build_q_eps(dip_weight(p), grid, a_eps),
+            ):
+                rx = reaction(weight, grid)
+                u = rng.uniform(0.2, 1.5, grid.n)
+                phi_u = phi(rx, u)
+                for lam in (phi_u.min() - lambda1, phi_u.max() + lambda1):
+                    b = rng.standard_normal(grid.n)
+                    jac = JacobianAction(op, rx, lam, u)
+                    assert jac.low_rank is not None
+                    x = _solve(jac, b)
+                    ref = np.linalg.solve(dense_jacobian(op, rx, lam, u), b)
+                    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_low_rank_solve_at_singular_capacitance():
+    """At the trivial state at lambda1 under a constant kernel on
+    trapezoid nodes, I + V^T D^-1 U is exactly singular: the step is the
+    GMRES iterate, finite, and a bordered Newton from there raises
+    nothing."""
+    grid = unit_grid("trapezoid", 65)
+    op = assemble(KernelSpec.constant(1.0), grid)
+    eigen = principal_eigenpair(op)
+    rx = reaction(const_weight(2.0), grid)
+    zero = np.zeros(grid.n)
+    trivial = JacobianAction(op, rx, eigen.lambda1, zero)
+    left, right = trivial.low_rank
+    capacitance = np.eye(left.shape[1]) + right.T @ (
+        left / trivial.shift[:, None]
+    )
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(capacitance, np.ones(left.shape[1]))
+    b = np.random.default_rng(5).standard_normal(grid.n)
+    x = _solve(trivial, b)
+    assert np.isfinite(x).all()
+    assert np.array_equal(x, _krylov(trivial, b))
+    border = (eigen.phi1, 1.0, zero, eigen.lambda1, 0.01)
+    _newton(op, rx, eigen.lambda1, zero, ContinuationConfig(), border)
+
+
+def _krylov_calls(monkeypatch, kernel) -> int:
+    """The `_krylov` calls of one fixed-lambda solve at 1.5 lambda1."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _krylov(*args)
+
+    monkeypatch.setattr(continuation, "_krylov", counted)
+    op = assemble(kernel, unit_grid("trapezoid", 33))
+    eigen = principal_eigenpair(op)
+    pt = solve_at_lambda(
+        op, dip_weight(2.0), eigen, 1.5 * eigen.lambda1, ContinuationConfig()
+    )
+    assert pt.newton_iters > 0
+    return len(calls)
+
+
+def test_forms_choose_the_newton_solve(monkeypatch):
+    """A constant kernel with a LowRank Q solves every Newton step
+    exactly; a gaussian kernel takes the GMRES cycle."""
+    assert _krylov_calls(monkeypatch, KernelSpec.constant(1.0)) == 0
+    assert _krylov_calls(monkeypatch, KernelSpec.gaussian(1.0)) >= 1

@@ -1,7 +1,5 @@
 """Independent oracles and the per-bound checkers."""
 
-import math
-
 import numpy as np
 import pytest
 
@@ -19,9 +17,7 @@ from dispersal import (
     check_covering_bound,
     check_phi_floor,
     check_positivity,
-    check_solvability_window,
     check_subcritical_nonexistence,
-    check_weight_floor,
     cover,
     oracle_fixed_point,
     oracle_spectral,
@@ -238,21 +234,6 @@ def test_subcritical_checker_self_test_above(const_op):
     assert rep.context["max_sup_found"] > 0.4
 
 
-def test_solvability_window_reports(grid65):
-    r = grid65.domain.diameter
-    w = const_weight()
-    floor = check_weight_floor(w, grid65, r=r)
-    rep = check_solvability_window(1.0, floor, lam=2.0)
-    assert rep.holds
-    assert rep.context["upper"] == math.inf
-    assert rep.context["inside"]
-
-    w = WeightSpec.separable(g=(0.0, 1.0), h=(1.0,), p=1.0)
-    floor = check_weight_floor(w, grid65, r=r)
-    rep2 = check_solvability_window(1.0, floor)
-    assert not rep2.applicable
-
-
 def test_verify_branch_all_hold(const_op, const_eigen):
     cfg = ContinuationConfig(lambda_max=2.5)
     branch = trace_branch(const_op, const_weight(), const_eigen, cfg)
@@ -265,7 +246,8 @@ def test_verify_branch_all_hold(const_op, const_eigen):
         "collatz_wielandt",
         "lp_covering_bound",
         "phi_floor",
-        "solvability_window",
     ):
         assert expected in names
+    # the solvability window always holds, so it is no report
+    assert "solvability_window" not in names
     assert all(r.holds for r in reports)
