@@ -6,7 +6,9 @@ section's keys are the parameters of the constructor it feeds, and an
 unknown key is refused; each subcommand registers only the flags it
 reads.  All outputs are deterministic for a fixed config: floats are
 written with 17 significant digits, JSON keys are sorted, and the SVG
-plot is assembled by hand.
+plot is assembled by hand.  The CSV tables are NumPy text tables
+(``np.savetxt`` in ``%.17g``, read back by ``np.loadtxt``), so every
+stored value round-trips bit for bit.
 
 Exit codes: 0 success, 2 a quantitative bound or hypothesis failed,
 1 usage, config, solver, or I/O errors.
@@ -105,8 +107,20 @@ def _write_json(path: Path, obj) -> None:
     path.write_text(text + "\n")
 
 
-def _write_lines(path: Path, lines) -> None:
-    path.write_text("\n".join(lines) + "\n")
+def _write_table(path: Path, head, table) -> None:
+    """The ``head`` lines, then one CSV row per table row in ``%.17g``."""
+    # given a path, np.savetxt opens the file twice and routes it through
+    # np.lib's DataSource, which imports gzip on first use
+    with path.open("w") as fh:
+        np.savetxt(fh, np.atleast_2d(table), fmt="%.17g", delimiter=",",
+                   header="\n".join(head), comments="")
+
+
+def _write_nodes(path: Path, grid, name: str, values) -> None:
+    """One row per node: its coordinates, then its value."""
+    head = ",".join(f"x{i}" for i in range(grid.nodes.shape[1]))
+    _write_table(path, [f"{head},{name}"],
+                 np.column_stack([grid.nodes, values]))
 
 
 def _load_config(path: str) -> dict:
@@ -175,7 +189,7 @@ class RunContext:
                             "domain section")
         grid = _section(self.cfg, "grid")
         for key in ("rule", "resolution"):
-            if getattr(args, key):
+            if getattr(args, key) is not None:
                 grid[key] = getattr(args, key)
         self.grid = _call(lambda rule="midpoint", resolution=64: build_grid(
             self.domain, rule, int(resolution)), grid, "grid section")
@@ -208,88 +222,41 @@ class RunContext:
         return assemble(self.kernel, self.grid)
 
 
-def _branch_csv_lines(branch) -> list[str]:
-    lines = [
-        f"# seed_lambda1={_fmt(branch.seed_lambda1)}",
-        f"# p={_fmt(branch.p)}",
-        f"# termination={branch.termination}",
-        "lambda,sup_norm,p_norm,min_u,gamma_phi_sup,newton_iters,"
-        "residual_norm",
-    ]
-    for pt in branch.points:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(pt.lam),
-                    _fmt(pt.sup_norm),
-                    _fmt(pt.p_norm),
-                    _fmt(pt.min_u),
-                    _fmt(pt.gamma_phi_sup),
-                    str(pt.newton_iters),
-                    _fmt(pt.residual_norm),
-                ]
-            )
-        )
-    return lines
-
-
-def _row(values: np.ndarray) -> str:
-    """The values as one CSV row, each written as `_fmt` writes it."""
-    values = tuple(values.tolist())
-    return ",".join(["%.17g"] * len(values)) % values
-
-
-def _states_csv_lines(points) -> list[str]:
-    lines = ["# one row of node values per accepted point, branch.csv order"]
-    lines += [_row(pt.u) for pt in points]
-    return lines
-
-
-def _node_csv_lines(grid, name: str, values) -> list[str]:
-    """One row per node: its coordinates, then its value."""
-    head = ",".join(f"x{i}" for i in range(grid.nodes.shape[1]))
-    table = np.column_stack([grid.nodes, values])
-    return [f"{head},{name}"] + [_row(row) for row in table]
-
-
-def _parse_csv(path: Path, header: bool):
-    """(meta, columns, rows): ``# key=value`` lines fill meta; with
-    ``header`` the first other line names the columns, and every row
-    must have one number per column."""
+def _read_table(path: Path, header: bool):
+    """(meta, columns, table): ``# key=value`` lines fill meta; with
+    ``header`` the first other line names the columns, and the rest is a
+    table of numbers, one per column."""
     if not path.exists():
         raise UsageError(f"missing csv file {path}")
-    meta, columns, rows = {}, None, []
-    for num, line in enumerate(path.read_text().splitlines(), 1):
+    meta, columns, data = {}, None, []
+    for line in path.read_text().splitlines():
         if not line.strip():
             continue
         if line.startswith("#"):
             key, eq, val = line[1:].partition("=")
             if eq:
                 meta[key.strip()] = val.strip()
-            continue
-        if header and columns is None:
+        elif header and columns is None:
             columns = line.split(",")
-            continue
-        try:
-            row = list(map(float, line.split(",")))
-        except ValueError:
-            raise UsageError(
-                f"{path} line {num}: not a row of numbers"
-            ) from None
-        if columns is not None and len(row) != len(columns):
-            raise UsageError(
-                f"{path} line {num}: {len(row)} fields, "
-                f"{len(columns)} columns"
-            )
-        rows.append(row)
-    return meta, columns, rows
+        else:
+            data.append(line)
+    if not data:
+        # np.loadtxt warns on empty input
+        return meta, columns, np.empty((0, len(columns or ())))
+    try:
+        table = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
+    except ValueError as exc:
+        raise UsageError(f"{path}: not a table of numbers: {exc}") from None
+    if columns is not None and table.shape[1] != len(columns):
+        raise UsageError(f"{path} has {table.shape[1]} fields per row, "
+                         f"{len(columns)} columns")
+    return meta, columns, table
 
 
-def _column(path: Path, columns, rows, name: str) -> list[float]:
+def _column(path: Path, columns, table, name: str) -> list[float]:
     if not columns or name not in columns:
         raise UsageError(f"{path} has no {name} column")
-    i = columns.index(name)
-    return [row[i] for row in rows]
+    return table[:, columns.index(name)].tolist()
 
 
 def _cmd_eig(args) -> int:
@@ -308,8 +275,7 @@ def _cmd_eig(args) -> int:
             "n": ctx.grid.n,
         },
     )
-    _write_lines(ctx.out_dir / "phi1.csv",
-                 _node_csv_lines(ctx.grid, "phi1", eigen.phi1))
+    _write_nodes(ctx.out_dir / "phi1.csv", ctx.grid, "phi1", eigen.phi1)
     print(f"lambda1={_fmt(eigen.lambda1)} gap={_fmt(eigen.gap)} -> {out}")
     return 0
 
@@ -373,8 +339,7 @@ def _cmd_solve(args) -> int:
             "residual_norm": pt.residual_norm,
         },
     )
-    _write_lines(ctx.out_dir / "solution.csv",
-                 _node_csv_lines(ctx.grid, "u", pt.u))
+    _write_nodes(ctx.out_dir / "solution.csv", ctx.grid, "u", pt.u)
     print(
         f"lambda={_fmt(pt.lam)} sup={_fmt(pt.sup_norm)} "
         f"-> {ctx.out_dir / 'solve.json'}"
@@ -388,9 +353,21 @@ def _cmd_trace(args) -> int:
     eigen = principal_eigenpair(op)
     cfg = ctx.continuation_config()
     branch = trace_branch(op, ctx.weight, eigen, cfg)
-    _write_lines(ctx.out_dir / "branch.csv", _branch_csv_lines(branch))
-    _write_lines(
-        ctx.out_dir / "states.csv", _states_csv_lines(branch.points)
+    head = [
+        f"# seed_lambda1={_fmt(branch.seed_lambda1)}",
+        f"# p={_fmt(branch.p)}",
+        f"# termination={branch.termination}",
+        "lambda,sup_norm,p_norm,min_u,gamma_phi_sup,newton_iters,"
+        "residual_norm",
+    ]
+    _write_table(ctx.out_dir / "branch.csv", head, [
+        [pt.lam, pt.sup_norm, pt.p_norm, pt.min_u, pt.gamma_phi_sup,
+         pt.newton_iters, pt.residual_norm] for pt in branch.points
+    ])
+    _write_table(
+        ctx.out_dir / "states.csv",
+        ["# one row of node values per accepted point, branch.csv order"],
+        [pt.u for pt in branch.points],
     )
     _write_json(
         ctx.out_dir / "trace.json",
@@ -438,29 +415,19 @@ def _cmd_sweep_eps(args) -> int:
     run = limit_procedure(
         op, ctx.weight, lam, n_values, cfg, method=method
     )
-    lines = [
+    head = [
         f"# lambda={_fmt(run.lam)}",
         f"# theta={_fmt(run.theta)}",
         f"# x0_index={run.x0_index}",
         f"# method={run.method}",
         "n,eps,sup_norm,dip_min_margin,cauchy_gap",
     ]
-    for i, n in enumerate(run.n_values):
-        gap = run.cauchy_gaps[i - 1] if i > 0 else math.nan
-        lines.append(
-            ",".join(
-                [
-                    str(n),
-                    _fmt(run.eps_sequence[i]),
-                    _fmt(run.solutions[i].sup_norm),
-                    _fmt(run.margins[i]),
-                    _fmt(gap),
-                ]
-            )
-        )
-    _write_lines(ctx.out_dir / "sweep.csv", lines)
-    _write_lines(ctx.out_dir / "limit.csv",
-                 _node_csv_lines(ctx.grid, "u_limit", run.limit))
+    gaps = [math.nan, *run.cauchy_gaps]
+    _write_table(ctx.out_dir / "sweep.csv", head, [
+        [n, run.eps_sequence[i], run.solutions[i].sup_norm, run.margins[i],
+         gaps[i]] for i, n in enumerate(run.n_values)
+    ])
+    _write_nodes(ctx.out_dir / "limit.csv", ctx.grid, "u_limit", run.limit)
     _write_json(
         ctx.out_dir / "sweep.json",
         {
@@ -493,28 +460,26 @@ def _load_branch(ctx: RunContext, args) -> SimpleNamespace:
     matter."""
     branch_path = Path(args.branch or ctx.out_dir / "branch.csv")
     states_path = branch_path.with_name("states.csv")
-    _, columns, rows = _parse_csv(branch_path, header=True)
-    _, _, urows = _parse_csv(states_path, header=False)
+    _, columns, rows = _read_table(branch_path, header=True)
+    _, _, states = _read_table(states_path, header=False)
     lams = _column(branch_path, columns, rows, "lambda")
-    if len(rows) != len(urows):
+    if len(rows) != len(states):
         raise UsageError(
             f"{branch_path} and {states_path} have mismatched row counts"
         )
-    for i, uvals in enumerate(urows, 1):
-        if len(uvals) != ctx.grid.n:
-            raise UsageError(f"{states_path} row {i} has {len(uvals)} "
-                             f"values for {ctx.grid.n} grid nodes")
+    if not len(states):
+        raise UsageError("branch csv has no rows to verify")
+    if states.shape[1] != ctx.grid.n:
+        raise UsageError(f"{states_path} has {states.shape[1]} values per "
+                         f"row for {ctx.grid.n} grid nodes")
     return SimpleNamespace(points=tuple(
-        SimpleNamespace(lam=lam, u=np.array(uvals))
-        for lam, uvals in zip(lams, urows)
+        SimpleNamespace(lam=lam, u=u) for lam, u in zip(lams, states)
     ))
 
 
 def _cmd_verify(args) -> int:
     ctx = RunContext(args)
     branch = _load_branch(ctx, args)
-    if not branch.points:
-        raise UsageError("branch csv has no rows to verify")
     op = ctx.operator()
     reports = verify_branch(op, ctx.weight, branch)
     payload = [
@@ -544,8 +509,8 @@ def _cmd_verify(args) -> int:
 def _cmd_export_plot(args) -> int:
     ctx = RunContext(args)
     branch_path = Path(args.branch or ctx.out_dir / "branch.csv")
-    meta, columns, rows = _parse_csv(branch_path, header=True)
-    if not rows:
+    meta, columns, rows = _read_table(branch_path, header=True)
+    if not len(rows):
         raise UsageError(f"{branch_path} has no data rows to plot")
     lams = _column(branch_path, columns, rows, "lambda")
     sups = _column(branch_path, columns, rows, "sup_norm")

@@ -1,12 +1,13 @@
 """Command-line interface: exit codes, artifacts, and determinism."""
 
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from dispersal.cli import _fmt, _row, main
+from dispersal.cli import _fmt, _read_table, _write_table, main
 
 from .conftest import peak_bytes
 
@@ -329,20 +330,28 @@ def test_sweep_eps_default_n_values_follow_the_ceiling(tmp_path):
         assert data["n_values"] == expected
 
 
-def test_csv_row_writes_each_value_as_fmt():
-    """A CSV row is the values formatted one by one with `_fmt`, and with
-    ``str.format`` value by value, byte for byte, signed zeros and
-    non-finite values included."""
+def test_csv_row_writes_each_value_as_fmt(tmp_path):
+    """A written CSV row is the values formatted one by one with `_fmt`,
+    byte for byte, and reading it back returns the same bits: signed
+    zeros, subnormals and non-finite values included."""
     rng = np.random.default_rng(7)
     values = np.concatenate([
         rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50),
         rng.uniform(-1.0, 1.0, 50),
         [0.0, -0.0, 1.0, 0.1, np.nan, np.inf, -np.inf, 5e-324],
     ])
-    assert _row(values) == ",".join(_fmt(v) for v in values)
-    assert _row(values) == ",".join(map("{:.17g}".format, values.tolist()))
-    assert _row(np.array([-0.0])) == "-0"
-    assert _row(np.array([])) == ""
+    path = tmp_path / "t.csv"
+    _write_table(path, ["# k=v"], values)
+    row = ",".join(_fmt(v) for v in values)
+    assert path.read_text() == f"# k=v\n{row}\n"
+    assert row == ",".join(map("{:.17g}".format, values.tolist()))
+    meta, columns, table = _read_table(path, header=False)
+    assert meta == {"k": "v"} and columns is None
+    assert table.shape == (1, values.size)
+    assert table[0].tobytes() == values.tobytes()
+    _write_table(path, ["a"], np.array([-0.0]))
+    assert path.read_text() == "a\n-0\n"
+    assert np.signbit(_read_table(path, header=True)[2]).all()
 
 
 def test_export_plot_needs_rows(tmp_path):
@@ -351,6 +360,30 @@ def test_export_plot_needs_rows(tmp_path):
     out.mkdir()
     (out / "branch.csv").write_text("# seed_lambda1=1.0\nlambda,sup_norm\n")
     assert main(["export-plot", cfg, "--output-dir", str(out)]) == 1
+
+
+@pytest.mark.parametrize(
+    "command, message",
+    [("verify", "branch csv has no rows to verify"),
+     ("export-plot", "no data rows to plot")],
+)
+def test_empty_tables_exit_one_without_warning(tmp_path, capsys, command,
+                                               message):
+    """A branch.csv with only its column line (and a states.csv with only
+    its comment) is refused as having no rows; NumPy is never asked to
+    read an empty table, so nothing warns."""
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "branch.csv").write_text("lambda,sup_norm\n")
+    (out / "states.csv").write_text("# one row of node values\n")
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([command, cfg, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def test_usage_errors_exit_one(tmp_path):
@@ -525,11 +558,37 @@ def _short_state(lines):
     lines[-1] = lines[-1].rsplit(",", 1)[0]
 
 
+def _all_states_short(lines):
+    lines[:] = [s if s.startswith("#") else s.rsplit(",", 1)[0]
+                for s in lines]
+
+
+def _state_abc(lines):
+    cells = lines[-1].split(",")
+    cells[3] = "abc"
+    lines[-1] = ",".join(cells)
+
+
+def _last_cell_comment(lines):
+    # NumPy's default comment handling would cut " # x" off the last
+    # cell and read the row as valid
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1.0 # x"
+
+
+def _last_cell_underscore(lines):
+    lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1_0"
+
+
 @pytest.mark.parametrize(
     "command, name, edit",
     [
         ("verify", "branch.csv", _row_abc),
         ("verify", "states.csv", _short_state),
+        ("verify", "states.csv", _all_states_short),
+        ("verify", "states.csv", _state_abc),
+        ("verify", "states.csv", _last_cell_comment),
+        ("verify", "branch.csv", _last_cell_comment),
+        ("verify", "branch.csv", _last_cell_underscore),
         ("export-plot", "branch.csv", _no_sup_norm),
         ("export-plot", "branch.csv", _no_header),
         ("export-plot", "branch.csv", _seed_abc),
@@ -562,3 +621,16 @@ def test_verify_reads_nan_state(tmp_path, capsys):
     assert "Traceback" not in capsys.readouterr().err
     reports = json.loads((out / "verify.json").read_text())
     assert "residual" in {r["name"] for r in reports if not r["holds"]}
+
+
+@pytest.mark.parametrize("flag, value", [("--resolution", "0"),
+                                         ("--rule", "")])
+def test_grid_flags_are_read_when_falsy(tmp_path, capsys, flag, value):
+    """`--resolution 0` and `--rule ""` reach the grid and are refused
+    there, rather than silently falling back to the config's grid."""
+    cfg = write_config(tmp_path / "c.json")
+    capsys.readouterr()
+    assert main(["eig", cfg, "--output-dir", str(tmp_path / "out"),
+                 flag, value]) == 1
+    err = capsys.readouterr().err
+    assert "grid section" in err and "Traceback" not in err
