@@ -65,11 +65,8 @@ from .regularized import (
     EXTRAPOLATION_METHODS,
     RegularizedError,
     RegularizedRun,
-    RegularizedSolve,
-    check_dip_margin,
     limit_procedure,
     near_center_mass_bound,
-    solve_regularized,
     theta_margin,
 )
 from .verification import (

@@ -42,15 +42,9 @@ from .model import (
     ModelError,
     WeightSpec,
     certify,
-    eps_ceiling,
 )
 from .operator import OperatorError, assemble, principal_eigenpair
-from .regularized import (
-    EXTRAPOLATION_METHODS,
-    RegularizedError,
-    _n_values,
-    limit_procedure,
-)
+from .regularized import RegularizedError, _InputError, limit_procedure
 from .verification import VerificationError, verify_branch
 
 __all__ = ["main"]
@@ -228,8 +222,8 @@ def _read_table(path: Path, header: bool):
     table of numbers, one per column."""
     if not path.exists():
         raise UsageError(f"missing csv file {path}")
-    meta, columns, data = {}, None, []
-    for line in path.read_text().splitlines():
+    meta, columns, data, nums = {}, None, [], []
+    for num, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
@@ -240,17 +234,32 @@ def _read_table(path: Path, header: bool):
             columns = line.split(",")
         else:
             data.append(line)
+            nums.append(num)
     if not data:
         # np.loadtxt warns on empty input
         return meta, columns, np.empty((0, len(columns or ())))
+    width = None if columns is None else len(columns)
     try:
         table = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
-    except ValueError as exc:
-        raise UsageError(f"{path}: not a table of numbers: {exc}") from None
-    if columns is not None and table.shape[1] != len(columns):
-        raise UsageError(f"{path} has {table.shape[1]} fields per row, "
-                         f"{len(columns)} columns")
+    except ValueError:
+        table = None
+    if table is None or width not in (None, table.shape[1]):
+        raise UsageError(_refused_line(path, data, nums, width))
     return meta, columns, table
+
+
+def _refused_line(path: Path, data, nums, width) -> str:
+    """Why the first data line of a refused table is refused, named by
+    its file line; ``width`` is the column count, else the first row's."""
+    for line, num in zip(data, nums):
+        try:
+            fields = np.loadtxt([line], delimiter=",", comments=None).size
+        except ValueError:
+            return f"{path} line {num}: not a row of numbers"
+        width = width or fields
+        if fields != width:
+            return f"{path} line {num}: {fields} fields, {width} columns"
+    return f"{path}: not a table of numbers"
 
 
 def _column(path: Path, columns, table, name: str) -> list[float]:
@@ -390,30 +399,9 @@ def _cmd_trace(args) -> int:
 def _cmd_sweep_eps(args) -> int:
     ctx = RunContext(args)
     lam = ctx.require_lambda()
-    n_values = ctx.run.get("n_values")
-    if n_values is None:
-        # five doublings from the least power of two n >= 4 whose
-        # eps = 1/n is at most the ceiling N/(2p)
-        ceiling = eps_ceiling(ctx.weight, ctx.grid)
-        first = 4
-        while 1.0 / first > ceiling:
-            first *= 2
-        n_values = tuple(first << k for k in range(5))
-    method = ctx.run.get("method", "richardson")
-    if method not in EXTRAPOLATION_METHODS:
-        raise UsageError(
-            f"unknown extrapolation method {method!r}; "
-            f"expected one of {EXTRAPOLATION_METHODS}"
-        )
-    try:
-        n_values = _n_values(n_values, ctx.weight, ctx.grid)
-    except RegularizedError as exc:
-        # a malformed config, not a bound failure
-        raise UsageError(str(exc)) from None
-    op = ctx.operator()
-    cfg = ctx.continuation_config()
     run = limit_procedure(
-        op, ctx.weight, lam, n_values, cfg, method=method
+        ctx.operator(), ctx.weight, lam, ctx.run.get("n_values"),
+        ctx.continuation_config(), method=ctx.run.get("method", "richardson"),
     )
     head = [
         f"# lambda={_fmt(run.lam)}",
@@ -630,7 +618,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, _InputError) as exc:
+        # a refused regularized input is a malformed config
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except RegularizedError as exc:

@@ -47,10 +47,13 @@ modulus check do not depend on the extrapolation method, so
 and the second method of a pair costs one extrapolation.  The memo keys
 on ``op`` and ``weight`` by identity, through weak references that keep
 neither alive, and on lam, n_values, cfg, the validated x0_index and
-strict by value.  It holds one family, shared by the runs built from it,
-and every array in that family is read-only, as is every array reachable
-from its key: the forms of K and Q, a tabulated spec's matrix, a row
-scale and the grid.  `solve_regularized` keeps no memo.
+strict by value.  Validation, the eigenpair, the weight floor, the
+obstruction check and the lambda > lambda1 check run on every call,
+before the lookup, so every refusal comes whether the memo holds the
+family or not.  The memo holds one family, shared by the runs built from
+it, and every array in that family is read-only, as is every array
+reachable from its key: the forms of K and Q, a tabulated spec's matrix,
+a row scale and the grid.
 """
 
 from __future__ import annotations
@@ -62,12 +65,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import (
-    ContinuationConfig,
-    ContinuationError,
-    solve_at_lambda,
-)
-from .logistic import Reaction, phi, reaction, residual
+from .continuation import ContinuationConfig, solve_at_lambda
+from .logistic import phi, reaction, residual
 from .model import (
     FloorReport,
     WeightSpec,
@@ -77,17 +76,14 @@ from .model import (
     check_weight_floor,
     eps_ceiling,
 )
-from .operator import DiscreteOperator, PrincipalEigenpair, principal_eigenpair
+from .operator import DiscreteOperator, principal_eigenpair
 
 __all__ = [
     "EXTRAPOLATION_METHODS",
     "RegularizedError",
     "RegularizedRun",
-    "RegularizedSolve",
-    "check_dip_margin",
     "limit_procedure",
     "near_center_mass_bound",
-    "solve_regularized",
     "theta_margin",
 ]
 
@@ -98,6 +94,10 @@ _MASS_RADIUS = 0.5
 
 class RegularizedError(RuntimeError):
     pass
+
+
+class _InputError(RegularizedError, ValueError):
+    """A refused argument of `limit_procedure`, not a failed bound."""
 
 
 def _locate_x0(floor: FloorReport) -> int:
@@ -118,7 +118,7 @@ def _node_index(x0_index, n: int) -> int:
         or not isinstance(x0_index, numbers.Integral)
         or not 0 <= x0_index < n
     ):
-        raise RegularizedError(
+        raise _InputError(
             f"x0_index must be an integer node index in [0, {n}), "
             f"got {x0_index!r}"
         )
@@ -127,9 +127,16 @@ def _node_index(x0_index, n: int) -> int:
 
 def _n_values(n_values, weight: WeightSpec, grid) -> tuple:
     """``n_values`` as a tuple of ints: at least two, increasing, with
-    eps = 1/n at most the `eps_ceiling` from the first on.  As in
-    `_node_index`, a bool or a non-integral entry is refused, a NumPy
-    integer accepted."""
+    eps = 1/n at most the `eps_ceiling` from the first on.  None stands
+    for five doublings from the least power of two n >= 4 within the
+    ceiling.  As in `_node_index`, a bool or a non-integral entry is
+    refused, a NumPy integer accepted."""
+    ceiling = eps_ceiling(weight, grid)
+    if n_values is None:
+        first = 4
+        while 1.0 / first > ceiling:
+            first *= 2
+        return tuple(first << k for k in range(5))
     try:
         values = tuple(n_values)
     except TypeError:
@@ -142,13 +149,12 @@ def _n_values(n_values, weight: WeightSpec, grid) -> tuple:
         )
         or any(b <= a for a, b in zip(values, values[1:]))
     ):
-        raise RegularizedError(
+        raise _InputError(
             f"n_values must be at least two increasing integers, "
             f"got {n_values!r}"
         )
-    ceiling = eps_ceiling(weight, grid)
     if values[0] < 1 or 1.0 / values[0] > ceiling:
-        raise RegularizedError(
+        raise _InputError(
             f"n_values must start at an n >= 1 with eps = 1/n at most the "
             f"ceiling N/(2p) = {ceiling}, got n = {values[0]}"
         )
@@ -182,84 +188,6 @@ def _doubled_weight_obstruction(
         f"lambda - lambda1 = {lam - lambda1:.6g} there, with equality only "
         f"for rows of Q that agree (oscillation {osc:.3e}); the limit "
         "cannot solve the original problem"
-    )
-
-
-def check_dip_margin(
-    point,
-    rx_eps: Reaction,
-    a_eps: np.ndarray,
-    lambda1: float,
-) -> tuple[bool, float]:
-    """Verify lambda - Phi^eps_u(x) >= theta a_eps(x) at every node.
-
-    ``rx_eps`` is `reaction(weight_eps, grid)`.  Returns (holds within
-    -1e-8, min margin).  At x0 the bound reduces to
-    lambda - Phi^eps_u(x0) >= 0, which positivity of u already implies.
-    """
-    theta = theta_margin(lambda1, point.lam)
-    margin = point.lam - phi(rx_eps, point.u) - theta * np.asarray(a_eps)
-    mmin = float(margin.min())
-    return mmin >= -1e-8, mmin
-
-
-@dataclass(frozen=True, eq=False)
-class RegularizedSolve:
-    point: object            # BranchPoint at the regularized weight
-    a_eps: np.ndarray
-    weight_eps: WeightSpec
-    eps: float
-    theta: float
-    margin_min: float
-
-
-def solve_regularized(
-    op: DiscreteOperator,
-    weight: WeightSpec,
-    lam: float,
-    eps: float,
-    cfg: ContinuationConfig,
-    eigen: PrincipalEigenpair | None = None,
-    x0_index: int | None = None,
-    u0: np.ndarray | None = None,
-    enforce_margin: bool = True,
-) -> RegularizedSolve:
-    """Solve the regularized problem at one eps and certify its margin.
-
-    With enforce_margin=False a violated margin is recorded instead of
-    raised, so sweeps can report how the bound degrades.
-    """
-    grid = op.grid
-    if x0_index is not None:
-        x0_index = _node_index(x0_index, grid.n)
-    if eigen is None:
-        eigen = principal_eigenpair(op)
-    if lam <= eigen.lambda1:
-        raise RegularizedError(
-            f"lambda={lam} must exceed the principal eigenvalue "
-            f"{eigen.lambda1}"
-        )
-    if x0_index is None:
-        x0_index = _locate_x0(
-            check_weight_floor(weight, grid, r=grid.domain.diameter)
-        )
-    a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
-    weps = build_q_eps(weight, grid, a)
-    rx_eps = reaction(weps, grid)
-    point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=u0, rx=rx_eps)
-    ok, mmin = check_dip_margin(point, rx_eps, a, eigen.lambda1)
-    if not ok and enforce_margin:
-        raise RegularizedError(
-            f"margin bound violated by {mmin:.3e} at eps={eps}; "
-            "the grid resolution is too coarse for this margin check"
-        )
-    return RegularizedSolve(
-        point=point,
-        a_eps=a,
-        weight_eps=weps,
-        eps=eps,
-        theta=theta_margin(eigen.lambda1, lam),
-        margin_min=mmin,
     )
 
 
@@ -360,10 +288,9 @@ def _modulus_check(grid, qsup, a_fields, sols, g_fields, plain, p):
 
 
 class _Memo:
-    """One solved family with the arguments it was solved for: ``op`` and
-    ``weight`` by identity, through weak references, so the memo keeps
-    neither alive, and ``key`` = (lam, n_values, cfg, x0_index, strict)
-    by value.  The memo empties itself when either referent dies."""
+    """One solved family with the arguments it was solved for, as the
+    module docstring keys it; it empties itself when ``op`` or ``weight``
+    dies."""
 
     def __init__(self, op, weight, key: tuple, family: dict, plain: tuple):
         self.refs = (weakref.ref(op, _forget), weakref.ref(weight, _forget))
@@ -407,27 +334,32 @@ def _solve_family(
     warm = None
     for n in n_values:
         eps = 1.0 / n
-        rs = solve_regularized(
-            op, weight, lam, eps, cfg, eigen=eigen, x0_index=x0_index,
-            u0=warm, enforce_margin=strict,
-        )
-        _read_only(rs.point.u)
+        a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
+        weps = build_q_eps(weight, grid, a)
+        rx_eps = reaction(weps, grid)
+        point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=warm, rx=rx_eps)
+        u = warm = _read_only(point.u)
+        # lambda - Phi^eps_u >= theta a_eps; at x0 it reduces to
+        # lambda - Phi^eps_u(x0) >= 0, which u > 0 already implies
+        margin = float((point.lam - phi(rx_eps, u) - theta * a).min())
+        if not margin >= -1e-8 and strict:
+            raise RegularizedError(
+                f"margin bound violated by {margin:.3e} at eps={eps}; "
+                "the grid resolution is too coarse for this margin check"
+            )
         eps_seq.append(eps)
-        sols.append(rs.point)
-        a_fields.append(_read_only(rs.a_eps))
-        plain.append(_read_only(phi(rx, rs.point.u)))
+        sols.append(point)
+        a_fields.append(_read_only(a))
+        plain.append(_read_only(phi(rx, u)))
         # Q_eps = (2 - a) Q
-        g_fields.append(_read_only((2.0 - rs.a_eps) * plain[-1]))
-        margins.append(rs.margin_min)
-        warm = rs.point.u
+        g_fields.append(_read_only((2.0 - a) * plain[-1]))
+        margins.append(margin)
 
-        sup_disp = float(np.abs(op.apply(rs.point.u)).max())
+        sup_disp = float(np.abs(op.apply(u)).max())
         bound = near_center_mass_bound(
             sup_disp, theta, weight.p, eps, _MASS_RADIUS, grid.domain.dim
         )
-        measured = float(
-            grid.weights[inside] @ np.abs(rs.point.u[inside]) ** weight.p
-        )
+        measured = float(grid.weights[inside] @ np.abs(u[inside]) ** weight.p)
         if measured > bound + 1e-10:
             if strict:
                 raise RegularizedError(
@@ -500,8 +432,11 @@ def limit_procedure(
     lambda - lambda1 a positive solution needs.  The check is necessary,
     not sufficient: the limit can fail below 2 lambda1 as well.
 
-    n_values must be at least two increasing integers with 1/n <= N/(2p)
-    throughout, and x0_index, when given, an integer node index.  With
+    lambda must exceed lambda1.  n_values must be at least two increasing
+    integers with 1/n <= N/(2p) throughout, None taking five doublings
+    from the least power of two n >= 4 that fits, and x0_index, when
+    given, an integer node index; a refused method, n_values or x0_index
+    raises a `RegularizedError` that is also a ValueError.  With
     strict=True the run fails loudly if the obstruction applies, the dip
     margin is violated, the gap sequence ||u_n - u_next||_inf grows over
     three consecutive pairs, the modulus bound on g_n breaks, or the
@@ -509,24 +444,17 @@ def limit_procedure(
     is recorded in the run report instead (the obstruction in
     `obstruction`), so the degradation itself can be measured.
 
-    The family does not depend on ``method``, so the last one solved is
-    kept in a one-slot memo and a call that differs from the previous
-    one in ``method`` alone only extrapolates.  The memo keys on ``op``
-    and ``weight`` by identity, held weakly so that it keeps neither
-    alive, and on lam, n_values, cfg, the validated x0_index and strict
-    by value.  Validation, the eigenpair, the weight floor and the
-    obstruction check run on every call, before the lookup.  Runs built
-    from one family share its solutions and fields, and every array
-    among them is read-only.
+    The family is memoized, so a call that differs from the previous one
+    in ``method`` alone only extrapolates (see the module docstring).
     """
     global _last_family
     grid = op.grid
-    n_values = _n_values(n_values, weight, grid)
     if method not in EXTRAPOLATION_METHODS:
-        raise RegularizedError(
+        raise _InputError(
             f"unknown extrapolation method {method!r}; "
             f"expected one of {EXTRAPOLATION_METHODS}"
         )
+    n_values = _n_values(n_values, weight, grid)
     if x0_index is not None:
         x0_index = _node_index(x0_index, grid.n)
     eigen = principal_eigenpair(op)
@@ -539,6 +467,11 @@ def limit_procedure(
     )
     if obstruction is not None and strict:
         raise RegularizedError(obstruction)
+    if lam <= eigen.lambda1:
+        raise RegularizedError(
+            f"lambda={lam} must exceed the principal eigenvalue "
+            f"{eigen.lambda1}"
+        )
     rx = reaction(weight, grid)
 
     key = (float(lam), n_values, cfg, x0_index, bool(strict))

@@ -274,7 +274,7 @@ def test_sweep_eps_outputs(tmp_path):
     assert len(limit) == 66
 
 
-def test_sweep_eps_method_flag(tmp_path):
+def test_sweep_eps_method_flag(tmp_path, capsys):
     cfg = write_config(
         tmp_path / "c.json", run={"lambda": 1.5, "n_values": [4, 8, 16]}
     )
@@ -286,12 +286,34 @@ def test_sweep_eps_method_flag(tmp_path):
         == 0
     )
     assert json.loads((out / "sweep.json").read_text())["method"] == "fields"
+    capsys.readouterr()
     assert (
         main([
             "sweep-eps", cfg, "--output-dir", str(out), "--method", "nope",
         ])
         == 1
     )
+    assert "error: unknown extrapolation method 'nope'" in (
+        capsys.readouterr().err
+    )
+
+
+def test_sweep_eps_below_lambda1_is_a_bound_failure(tmp_path, capsys):
+    """lambda = lambda1 / 2 is a failed bound (exit 2), not a malformed
+    config."""
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    assert main(["eig", cfg, "--output-dir", str(out)]) == 0
+    lambda1 = json.loads((out / "eig.json").read_text())["lambda1"]
+    cfg = write_config(
+        tmp_path / "c.json", run={"lambda": 0.5 * lambda1, "n_values": [4, 8]}
+    )
+    capsys.readouterr()
+    assert main(["sweep-eps", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bound failure: ")
+    assert "must exceed the principal eigenvalue" in err
+    assert not (out / "sweep.json").exists()
 
 
 def test_sweep_eps_refuses_bad_n_values(tmp_path, capsys):
@@ -535,9 +557,23 @@ def _header_index(lines):
     return next(i for i, s in enumerate(lines) if not s.startswith("#"))
 
 
-def _row_abc(lines):
-    i = _header_index(lines) + 1
+# Each edit damages a table in place and returns the file line (from 1)
+# that the error must name, or None when no single line is at fault.
+
+def _row_abc(lines, row=0):
+    i = _header_index(lines) + 1 + row
     lines[i] = "abc" + lines[i][lines[i].index(","):]
+    return i + 1
+
+
+def _second_row_abc(lines):
+    return _row_abc(lines, row=1)
+
+
+def _all_rows_short(lines):
+    start = _header_index(lines) + 1
+    lines[start:] = [s.rsplit(",", 1)[0] for s in lines[start:]]
+    return start + 1
 
 
 def _no_sup_norm(lines):
@@ -554,8 +590,14 @@ def _seed_abc(lines):
     lines[i] = "# seed_lambda1=abc"
 
 
-def _short_state(lines):
-    lines[-1] = lines[-1].rsplit(",", 1)[0]
+def _short_state(lines, i=-1):
+    i %= len(lines)
+    lines[i] = lines[i].rsplit(",", 1)[0]
+    return i + 1
+
+
+def _second_state_short(lines):
+    return _short_state(lines, _header_index(lines) + 1)
 
 
 def _all_states_short(lines):
@@ -567,23 +609,29 @@ def _state_abc(lines):
     cells = lines[-1].split(",")
     cells[3] = "abc"
     lines[-1] = ",".join(cells)
+    return len(lines)
 
 
 def _last_cell_comment(lines):
     # NumPy's default comment handling would cut " # x" off the last
     # cell and read the row as valid
     lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1.0 # x"
+    return len(lines)
 
 
 def _last_cell_underscore(lines):
     lines[-1] = lines[-1].rsplit(",", 1)[0] + ",1_0"
+    return len(lines)
 
 
 @pytest.mark.parametrize(
     "command, name, edit",
     [
         ("verify", "branch.csv", _row_abc),
+        ("verify", "branch.csv", _second_row_abc),
+        ("verify", "branch.csv", _all_rows_short),
         ("verify", "states.csv", _short_state),
+        ("verify", "states.csv", _second_state_short),
         ("verify", "states.csv", _all_states_short),
         ("verify", "states.csv", _state_abc),
         ("verify", "states.csv", _last_cell_comment),
@@ -596,15 +644,17 @@ def _last_cell_underscore(lines):
 )
 def test_bad_branch_csv_exits_one(tmp_path, capsys, command, name, edit):
     """A damaged branch.csv or states.csv is refused with a message that
-    names the file."""
+    names the file and, where one line is at fault, its file line."""
     cfg, out = _traced_17(tmp_path)
     lines = (out / name).read_text().splitlines()
-    edit(lines)
+    line = edit(lines)
     (out / name).write_text("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main([command, cfg, "--output-dir", str(out)]) == 1
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+    if line is not None:
+        assert f"{name} line {line}:" in err, err
 
 
 def test_verify_reads_nan_state(tmp_path, capsys):

@@ -14,13 +14,13 @@ from dispersal import (
     RegularizedError,
     WeightSpec,
     assemble,
+    build_a_eps,
     build_grid,
     build_q_eps,
     limit_procedure,
     near_center_mass_bound,
     phi,
     reaction,
-    solve_regularized,
     theta_margin,
 )
 from dispersal import regularized
@@ -38,37 +38,45 @@ def test_theta_margin_values():
     assert theta_margin(1.0, 3.0) == 1.0
 
 
-def test_solve_regularized_frozen_point():
+def test_regularized_frozen_point():
     """Constant weight, p = 2, eps = 1/4, lambda = 2, center 1/2: the
     regularized solution exists, is positive, and is far from constant."""
     op = _op129()
     cfg = ContinuationConfig(lambda_max=3.0)
-    rs = solve_regularized(
-        op, const_weight(p=2.0), 2.0, 0.25, cfg, x0_index=64
+    run = limit_procedure(
+        op, const_weight(p=2.0), 2.0, (4, 8), cfg, x0_index=64, strict=False
     )
-    u = rs.point.u
+    point = run.solutions[0]
+    u = point.u
     assert abs(float(np.abs(u).max()) - 1.6556155231407552) < 1e-8
     assert u.min() > 0
     assert float(np.abs(u).max()) - float(u.min()) > 0.5
-    assert rs.point.residual_norm < 1e-9
-    assert rs.margin_min >= -1e-8
+    assert point.residual_norm < 1e-9
+    assert run.margins[0] >= -1e-8
 
 
 def test_regularized_reaction_dominates_plain():
     op = _op129()
     grid = op.grid
     cfg = ContinuationConfig(lambda_max=3.0)
-    rs = solve_regularized(op, const_weight(), 2.0, 0.5, cfg, x0_index=64)
-    plain = phi(reaction(const_weight(), grid), rs.point.u)
-    reg = phi(reaction(rs.weight_eps, grid), rs.point.u)
+    u = limit_procedure(
+        op, const_weight(), 2.0, (2, 4), cfg, x0_index=64, strict=False
+    ).solutions[0].u
+    a = build_a_eps(const_weight(), grid, grid.nodes[64], 0.5)
+    plain = phi(reaction(const_weight(), grid), u)
+    reg = phi(reaction(build_q_eps(const_weight(), grid, a), grid), u)
     assert (reg >= plain - 1e-12).all()
 
 
-def test_solve_regularized_needs_supercritical_lambda():
+def test_limit_procedure_needs_supercritical_lambda(monkeypatch):
+    """lambda <= lambda1 is a bound failure, not a refused input, and is
+    refused before any solve."""
     op = _op129()
     cfg = ContinuationConfig(lambda_max=3.0)
-    with pytest.raises(RegularizedError):
-        solve_regularized(op, const_weight(), 0.9, 0.5, cfg, x0_index=64)
+    monkeypatch.setattr(regularized, "_last_family", None)
+    monkeypatch.setattr(regularized, "solve_at_lambda", None)
+    with pytest.raises(RegularizedError, match="must exceed the principal"):
+        limit_procedure(op, const_weight(), 0.9, (2, 4), cfg, x0_index=64)
 
 
 def test_limit_procedure_validates_inputs(monkeypatch):
@@ -100,12 +108,32 @@ def test_limit_procedure_validates_inputs(monkeypatch):
         for bad in (-1, 129, 64.0, True, np.float64(64.0)):
             with pytest.raises(RegularizedError, match="x0_index"):
                 limit_procedure(op, weight, 1.5, (4, 8), cfg, x0_index=bad)
-            with pytest.raises(RegularizedError, match="x0_index"):
-                solve_regularized(op, weight, 1.5, 0.25, cfg, x0_index=bad)
     run = limit_procedure(
         op, weight, 1.5, (4, 8), cfg, x0_index=np.int64(64), strict=False
     )
     assert type(run.x0_index) is int and run.x0_index == 64
+
+
+def test_input_refusals_are_value_errors():
+    """A refused method, n_values or x0_index is a malformed input: a
+    `RegularizedError` that is also a ValueError.  The doubled-weight
+    obstruction and lambda <= lambda1 are failed bounds, not inputs."""
+    op = _op129()
+    cfg = ContinuationConfig(lambda_max=3.0)
+    for change in (
+        {"method": "spline"}, {"n_values": (8, 4)}, {"n_values": (2, 4)},
+        {"n_values": "abc"}, {"x0_index": 129}, {"x0_index": True},
+    ):
+        args = {"n_values": (4, 8), "x0_index": 64, **change}
+        with pytest.raises(RegularizedError) as info:
+            limit_procedure(op, const_weight(p=2.0), 1.5, cfg=cfg, **args)
+        assert isinstance(info.value, ValueError), change
+    for lam, match in ((2.5, "caps the limiting reaction"),
+                       (0.9, "must exceed the principal eigenvalue")):
+        with pytest.raises(RegularizedError, match=match) as info:
+            limit_procedure(op, const_weight(p=2.0), lam, (4, 8), cfg,
+                            x0_index=64)
+        assert not isinstance(info.value, ValueError)
 
 
 def test_limit_procedure_constant_weight_clean():
