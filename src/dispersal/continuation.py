@@ -415,26 +415,24 @@ def trace_branch(
             break
         clamp = t_lam > 0 and cur.lam + ds * t_lam > cfg.lambda_max
         if clamp:
-            u0 = cur.u + t_u * (cfg.lambda_max - cur.lam) / t_lam
-            try:
-                pt = newton_correct(op, rx, cfg.lambda_max, u0, cfg)
-                ok = pt.min_u > 0
-            except ContinuationError:
-                ok = False
+            # land exactly on lambda_max, with lambda pinned there
+            lam_pred = cfg.lambda_max
+            u_pred = cur.u + t_u * (cfg.lambda_max - cur.lam) / t_lam
+            border = None
         else:
             u_pred = cur.u + ds * t_u
             lam_pred = cur.lam + ds * t_lam
             border = (t_u, t_lam, cur.u, cur.lam, ds)
-            try:
-                u_new, lam_new, iters, ok, phi_u, r = _newton(
-                    op, rx, lam_pred, u_pred, cfg, border
-                )
-            except PositivityLost:
-                ok = False
-            if ok and (u_new.min() <= 0 or np.abs(u_new).max() <= 1e-10):
-                ok = False
-            if ok:
-                pt = _branch_point(op, rx, lam_new, u_new, iters, phi_u, r)
+        try:
+            u_new, lam_new, iters, ok, phi_u, r = _newton(
+                op, rx, lam_pred, u_pred, cfg, border
+            )
+        except PositivityLost:
+            ok = False
+        if ok and (u_new.min() <= 0 or np.abs(u_new).max() <= 1e-10):
+            ok = False
+        if ok:
+            pt = _branch_point(op, rx, lam_new, u_new, iters, phi_u, r)
         if not ok:
             ds *= 0.5
             fast = 0
@@ -480,26 +478,21 @@ def solve_at_lambda(
     eigen: PrincipalEigenpair,
     lam: float,
     cfg: ContinuationConfig,
-    u0: np.ndarray | None = None,
-    rx: Reaction | None = None,
 ) -> BranchPoint:
     """Solve at one fixed lambda.
 
     Above lambda1 the seed inverts the Galerkin amplitude relation; if the
     direct Newton solve collapses onto the trivial solution the routine
     falls back to a short branch trace clamped at lambda.  At or below
-    lambda1, without ``u0``, the trivial point u = 0 is returned unsolved:
-    no positive solution exists there (the paper's nonexistence result,
-    which `verification.oracle_spectral` certifies on the grid), and for
+    lambda1 the trivial point u = 0 is returned unsolved: no positive
+    solution exists there (the paper's nonexistence result, which
+    `verification.oracle_spectral` certifies on the grid), and for
     p < 1 Newton cannot converge onto u = 0, where |u|^p has no
-    derivative.  ``rx`` is `reaction(weight, op.grid)` when the caller
-    has built it already.
+    derivative.  To correct a known state at lambda instead, call
+    `newton_correct`.
     """
     grid = op.grid
-    if rx is None:
-        rx = reaction(weight, grid)
-    if u0 is not None:
-        return newton_correct(op, rx, lam, np.asarray(u0, float), cfg)
+    rx = reaction(weight, grid)
     if lam <= eigen.lambda1:
         return _branch_point(op, rx, lam, np.zeros(grid.n), 0)
     phi1 = eigen.phi1

@@ -2,11 +2,13 @@
 
 Everything downstream reduces integrals over the habitat to weighted sums
 over a fixed node set, so this module stays deliberately small: a `Domain`
-is an axis-aligned box in one or two dimensions, `build_grid` produces
-nodes and strictly positive weights for one of three classical rules, and
+is an axis-aligned box in R^N for any N >= 1, `build_grid` produces nodes
+and strictly positive weights for one of three classical rules, and
 `cover` returns a finite set of ball centers whose closed balls of radius
-r/2 cover every grid node.  Grids and coverings are frozen after
-construction and are safe to share between threads.
+r/2 cover every grid node.  Both are tensor products of per-axis
+constructions, built the same way in every dimension.  Grids and
+coverings are frozen after construction and are safe to share between
+threads.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ class GeometryError(ValueError):
 
 @dataclass(frozen=True)
 class Domain:
-    """Axis-aligned box in R^N, N in {1, 2}.
+    """Axis-aligned box in R^N, N >= 1.
 
     ``lower`` and ``upper`` are per-axis bounds.
     """
@@ -55,8 +57,8 @@ class Domain:
         object.__setattr__(self, "upper", hi)
         if len(lo) != len(hi):
             raise GeometryError("lower and upper must have the same length")
-        if not 1 <= len(lo) <= 2:
-            raise GeometryError("only 1-D and 2-D box domains are supported")
+        if not lo:
+            raise GeometryError("a box needs at least one axis")
         if any(b <= a for a, b in zip(lo, hi)):
             raise GeometryError(f"degenerate box: lower={lo} upper={hi}")
 
@@ -177,13 +179,8 @@ def build_grid(domain: Domain, rule: str, resolution: int) -> QuadratureGrid:
         raise GeometryError("resolution must be at least 2")
 
     axes = _axes(domain, rule, resolution)
-    if domain.dim == 1:
-        nodes = axes[0][0][:, None]
-        weights = axes[0][1].copy()
-    else:
-        gx, gy = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        nodes = np.column_stack([gx.ravel(), gy.ravel()])
-        weights = np.outer(axes[0][1], axes[1][1]).ravel()
+    nodes = _mesh([x for x, _ in axes])
+    weights = np.prod(_mesh([w for _, w in axes]), axis=1)
 
     if not math.isclose(weights.sum(), domain.volume, rel_tol=1e-12):
         raise GeometryError("weights do not sum to the domain volume")
@@ -196,6 +193,13 @@ def build_grid(domain: Domain, rule: str, resolution: int) -> QuadratureGrid:
     return QuadratureGrid(domain, rule, resolution, nodes, weights)
 
 
+def _mesh(axes: list) -> np.ndarray:
+    """The product of per-axis values as (n, N) rows, last axis fastest."""
+    return np.column_stack(
+        [g.ravel() for g in np.meshgrid(*axes, indexing="ij")]
+    )
+
+
 def cover(domain: Domain, grid: QuadratureGrid, r: float) -> Covering:
     """Cover the grid nodes with closed balls of radius r/2.
 
@@ -203,25 +207,25 @@ def cover(domain: Domain, grid: QuadratureGrid, r: float) -> Covering:
     than r/sqrt(N), and the centers of the resulting cells are the ball
     centers.  The half cell diagonal is then at most r/2, so every point of
     the box (in particular every node) is within r/2 of some center, and
-    the per-axis counts are minimal for that cell shape.
+    the per-axis counts are minimal for that cell shape.  The nearest
+    center to a node is the center of its own cell along each axis, so
+    the reach check runs one axis at a time, in O(n N) memory.
     """
     if r <= 0:
         raise GeometryError("covering radius r must be positive")
-    dim = domain.dim
-    max_cell = r / math.sqrt(dim)
+    max_cell = r / math.sqrt(domain.dim)
     axes = []
-    for lo, hi in zip(domain.lower, domain.upper):
+    d2 = np.zeros(grid.n)
+    for lo, hi, x in zip(domain.lower, domain.upper, grid.nodes.T):
         k = max(1, math.ceil((hi - lo) / max_cell - 1e-12))
         cell = (hi - lo) / k
-        axes.append(lo + (np.arange(k) + 0.5) * cell)
-    if dim == 1:
-        centers = axes[0][:, None]
-    else:
-        gx, gy = np.meshgrid(axes[0], axes[1], indexing="ij")
-        centers = np.column_stack([gx.ravel(), gy.ravel()])
+        mid = lo + (np.arange(k) + 0.5) * cell
+        own = np.clip(np.floor((x - lo) / cell), 0, k - 1).astype(int)
+        d2 += (x - mid[own]) ** 2
+        axes.append(mid)
 
-    dist = np.linalg.norm(grid.nodes[:, None, :] - centers[None, :, :], axis=-1)
-    if dist.min(axis=1).max() > 0.5 * r + 1e-12:
+    if np.sqrt(d2.max()) > 0.5 * r + 1e-12:
         raise GeometryError("covering construction failed to reach every node")
+    centers = _mesh(axes)
     centers.setflags(write=False)
     return Covering(centers, 0.5 * r)

@@ -10,22 +10,22 @@ arrays:
     LowRank(left, right) = left @ right.T, kept as its factors: the
         constant and rank-one kernels (rank 1), the constant and
         separable weights (rank 1) and the polynomial dip (rank 2).
-    Kron(a, b) = a (x) b on the ij-ordered nodes of a 2-D grid: the
-        gaussian kernel, exp(-|x - y|^2 / l^2) = Kx(x1, y1) Ky(x2, y2).
+    Kron(f_1, ..., f_N) = f_1 (x) ... (x) f_N on the ij-ordered nodes
+        of a tensor grid in any dimension N: the gaussian kernel,
+        exp(-|x - y|^2 / l^2) = prod_k exp(-(x_k - y_k)^2 / l^2).
     Toeplitz(col), the symmetric Toeplitz matrix of first column col,
-        applied by FFT in O(n log n): the 1-D gaussian on the evenly
-        spaced trapezoid and midpoint nodes, where
+        applied by FFT in O(n log n): the gaussian on one evenly spaced
+        axis (trapezoid and midpoint nodes), where
         K(x_i, x_j) = exp(-(x_|i-j| - x_0)^2 / l^2) depends on |i - j|.
 
-The 1-D gaussian on Gauss-Legendre nodes and the tabulated forms exist
-only densely.  Each kernel form is chosen in one place, `_kernel`, from
-the spec form, the rule and the dimension, and each weight form, row
-scale included, in `_weight`.  The solver holds exactly these
-matrices and applies the quadrature weights at the product, K (w u) and
-Q (w |u|^p), so no other module knows the forms.  Every form applies
-with ``@``, forms a block of its rows with ``rows``, and materializes
-with ``np.asarray``.  No form can be written in place: the factors,
-the dense forms, a tabulated spec's matrix and a row scale are all
+Only the tabulated forms are dense.  Each kernel form is chosen in one
+place, `_kernel`, from the spec form, the rule and the number of axes,
+and each weight form, row scale included, in `_weight`.  The solver
+holds exactly these matrices and applies the quadrature weights at the
+product, K (w u) and Q (w |u|^p), so no other module knows the forms.
+Every form applies with ``@``, forms a block of its rows with ``rows``,
+and materializes with ``np.asarray``.  No form can be written in place:
+the factors, a tabulated spec's matrix and a row scale are all
 read-only arrays.
 
 The checkers in this module certify, at grid level, the structural
@@ -36,7 +36,7 @@ polynomial-dip preset, the exponent gate of Q3 with the comparison
 function a(x) and the integrals of its inverse.  They read K and Q
 in the form `_kernel` and `_weight` return, and each value equals the
 reduction of the dense matrix bit for bit.  The symmetry of K and, when
-every pair of nodes lies within delta, its least entry come from the
+delta reaches the diameter of the box, its least entry come from the
 structure; so do the floor and x0 of a LowRank whose left columns but
 the first are constant.  Everything else streams in blocks of about
 2^20 entries, with the squared distances of each block built one axis
@@ -55,6 +55,7 @@ rank of Q.
 from __future__ import annotations
 
 import functools
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -171,35 +172,45 @@ class LowRank(_Structured):
 
 
 class Kron(_Structured):
-    """The Kronecker product a (x) b of square matrices, applied on
-    ij-ordered tensor nodes.
+    """The Kronecker product f_1 (x) ... (x) f_N of square matrices on
+    ij-ordered tensor nodes (Van Loan, J. Comput. Appl. Math. 123, 2000).
 
-    Node i * len(b) + j pairs row i of ``a`` with row j of ``b``, as
-    `build_grid` orders them, so (a (x) b) v = (a @ V @ b.T).ravel()
-    with V = v.reshape(len(a), len(b)).
+    Node (i_1, ..., i_N), the last index fastest as `build_grid` orders
+    them, pairs row i_k of each f_k.  Each factor but the last
+    left-multiplies the node values as a stack of (n_k, rest) blocks,
+    and the last right-multiplies rows of length n_N, so two factors
+    give (f_1 @ V @ f_2.T).ravel() with V = v.reshape(n_1, n_2).
     """
 
-    def __init__(self, a: np.ndarray, b: np.ndarray):
-        self.a = np.array(a, dtype=float)
-        self.b = np.array(b, dtype=float)
-        self.a.setflags(write=False)
-        self.b.setflags(write=False)
-        n = len(self.a) * len(self.b)
+    def __init__(self, *factors: np.ndarray):
+        self.factors = tuple(
+            _read_only(np.array(f, dtype=float)) for f in factors
+        )
+        n = math.prod(len(f) for f in self.factors)
         self.shape = (n, n)
 
     @property
     def T(self) -> "Kron":
-        return Kron(self.a.T, self.b.T)
+        return Kron(*(f.T for f in self.factors))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        v = np.asarray(v).reshape(len(self.a), len(self.b))
-        return (self.a @ v @ self.b.T).ravel()
+        v = np.asarray(v)
+        pre = 1
+        for f in self.factors[:-1]:
+            v = f @ v.reshape(pre, len(f), -1)
+            pre *= len(f)
+        last = self.factors[-1]
+        return (v.reshape(-1, len(last)) @ last.T).ravel()
 
     def rows(self, s) -> np.ndarray:
-        """Entry (i len(b) + k, j len(b) + l) is a_ij b_kl, as in np.kron."""
-        i, k = np.divmod(np.arange(self.shape[0])[s], len(self.b))
-        out = self.a[i][:, :, None] * self.b[k][:, None, :]
-        return out.reshape(len(i), -1)
+        """Entry (i, j) is the product over k of f_k[i_k, j_k], taken
+        left to right, as in np.kron."""
+        index = np.arange(self.shape[0])[s]
+        sizes = [len(f) for f in self.factors]
+        out = np.ones((len(index), 1))
+        for f, i in zip(self.factors, np.unravel_index(index, sizes)):
+            out = (out[:, :, None] * f[i][:, None, :]).reshape(len(index), -1)
+        return out
 
 
 def _smooth_len(target: int) -> int:
@@ -307,10 +318,10 @@ def _gaussian(x: np.ndarray, length_scale: float) -> np.ndarray:
 
 
 def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
-    """K over the nodes: a LowRank (constant, rank_one), a Kron (2-D
-    gaussian), a Toeplitz (1-D gaussian on evenly spaced nodes) or a
-    read-only dense array (1-D gaussian on Gauss-Legendre nodes, or the
-    spec's own matrix when tabulated).  Entries must be >= 0."""
+    """K over the nodes: a LowRank (constant, rank_one), a Toeplitz (the
+    gaussian on one evenly spaced axis), a Kron of the per-axis
+    gaussians (every other grid) or the spec's own read-only matrix
+    (tabulated).  Entries must be >= 0."""
     n = grid.n
     if kernel.form == "constant":
         return LowRank(np.full((n, 1), kernel.value), np.ones((n, 1)))
@@ -320,15 +331,13 @@ def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
             raise ModelError("kernel is negative at a sampled pair")
         return LowRank(f[:, None], f[:, None])
     if kernel.form == "gaussian":
-        if grid.domain.dim == 2:
-            return Kron(
-                *(_gaussian(x, kernel.length_scale) for x, _ in grid.axes())
-            )
-        x = grid.nodes[:, 0]
-        if grid.rule in ("trapezoid", "midpoint"):  # evenly spaced
+        axes = [x for x, _ in grid.axes()]
+        if len(axes) == 1 and grid.rule in ("trapezoid", "midpoint"):
+            # evenly spaced, so K(x_i, x_j) depends on |i - j| alone
+            x = axes[0]
             col = np.exp(-((x - x[0]) ** 2) / kernel.length_scale**2)
             return Toeplitz(col)
-        return _read_only(_gaussian(x, kernel.length_scale))
+        return Kron(*(_gaussian(x, kernel.length_scale) for x in axes))
     if kernel.form == "tabulated":
         if kernel.matrix.shape != (n, n):
             raise ModelError(
@@ -501,18 +510,6 @@ def _sq_dist(grid: QuadratureGrid, s) -> np.ndarray:
     return d2
 
 
-def _all_within(grid: QuadratureGrid, r: float) -> bool:
-    """Whether `_sq_dist` puts every pair of nodes within r.
-
-    Floating-point subtraction, squaring and addition are monotone, so
-    no pair exceeds the sum of the squared per-axis spans."""
-    d2 = 0.0
-    for c in grid.nodes.T:
-        span = c.max() - c.min()
-        d2 += span * span
-    return d2 <= r**2
-
-
 def _near_min(m, grid: QuadratureGrid, r: float) -> float:
     """min m_ij over the pairs with |x_i - x_j| <= r, row block by block."""
     low = np.inf
@@ -544,8 +541,9 @@ def _extremes(k) -> Optional[tuple]:
     a Kron of nonnegative factors has them at the factors' extremes."""
     if isinstance(k, Toeplitz):
         low, high = k.col.min(), k.col.max()
-    elif isinstance(k, Kron) and k.a.min() >= 0 and k.b.min() >= 0:
-        low, high = k.a.min() * k.b.min(), k.a.max() * k.b.max()
+    elif isinstance(k, Kron) and all(f.min() >= 0 for f in k.factors):
+        low = math.prod(f.min() for f in k.factors)
+        high = math.prod(f.max() for f in k.factors)
     elif (ext := _extreme_rows(k)) is not None:
         low, high = ext.min(), ext.max()
     else:
@@ -560,7 +558,7 @@ def _symmetric(k) -> bool:
     if isinstance(k, Toeplitz):
         return True
     if isinstance(k, Kron):
-        return np.array_equal(k.a, k.a.T) and np.array_equal(k.b, k.b.T)
+        return all(np.array_equal(f, f.T) for f in k.factors)
     if isinstance(k, LowRank):
         return all(
             np.array_equal(lk, rk)
@@ -587,7 +585,8 @@ def _k1(k) -> tuple[bool, float]:
 def _k2(k, grid: QuadratureGrid, delta: float) -> bool:
     """Whether K > 0 on every pair with |x - y| <= delta."""
     ext = _extremes(k)
-    if ext is not None and _all_within(grid, delta):
+    if ext is not None and delta >= grid.domain.diameter:
+        # every pair of nodes in the box lies within its diameter
         return bool(ext[0] > 0)
     return _near_min(k, grid, delta) > 0
 

@@ -65,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .continuation import ContinuationConfig, solve_at_lambda
+from .continuation import ContinuationConfig, newton_correct, solve_at_lambda
 from .logistic import phi, reaction, residual
 from .model import (
     FloorReport,
@@ -204,15 +204,15 @@ def near_center_mass_bound(
     From u <= ||L0 u||_inf / (theta d^eps) on d <= 1:
     integral of u^p over the ball is at most
     (||L0 u||_inf / theta)^p * surf * R^(dim - p eps) / (dim - p eps),
-    with surf the surface measure of the unit sphere (2 in 1-D,
-    2 pi in 2-D).
+    with surf = 2 pi^(dim/2) / Gamma(dim/2) the surface measure of the
+    unit sphere (2 in 1-D, 2 pi in 2-D, 4 pi in 3-D).
     """
     if not 0 < radius <= 1:
         raise RegularizedError("radius must lie in (0, 1]")
     s = p * eps
     if s >= dim:
         raise RegularizedError("p * eps must stay below the dimension")
-    surf = 2.0 if dim == 1 else 2.0 * math.pi
+    surf = 2.0 * math.pi ** (dim / 2) / math.gamma(dim / 2)
     return (sup_dispersal / theta) ** p * surf * radius ** (dim - s) / (
         dim - s
     )
@@ -337,7 +337,10 @@ def _solve_family(
         a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
         weps = build_q_eps(weight, grid, a)
         rx_eps = reaction(weps, grid)
-        point = solve_at_lambda(op, weps, eigen, lam, cfg, u0=warm, rx=rx_eps)
+        if warm is None:
+            point = solve_at_lambda(op, weps, eigen, lam, cfg)
+        else:
+            point = newton_correct(op, rx_eps, lam, warm, cfg)
         u = warm = _read_only(point.u)
         # lambda - Phi^eps_u >= theta a_eps; at x0 it reduces to
         # lambda - Phi^eps_u(x0) >= 0, which u > 0 already implies

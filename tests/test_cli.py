@@ -142,6 +142,23 @@ def test_trace_reaches_clamped_endpoint(tmp_path):
     assert len(states) == len(rows)  # one state row per point plus headers
 
 
+def test_commands_run_on_a_cube(tmp_path):
+    """eig, check-hyp, trace and verify run on a small unit cube."""
+    cfg = write_config(
+        tmp_path / "c.json",
+        domain={"lower": [0.0] * 3, "upper": [1.0] * 3},
+        grid={"rule": "trapezoid", "resolution": 5},
+        kernel={"form": "gaussian", "length_scale": 1.0},
+        weight={"form": "constant", "value": 1.0, "p": 2.0},
+        run={"lambda_max": 2.0},
+    )
+    out = tmp_path / "out"
+    for command in ("eig", "check-hyp", "trace", "verify"):
+        assert main([command, cfg, "--output-dir", str(out)]) == 0, command
+    head = (out / "phi1.csv").read_text().splitlines()[0]
+    assert head == "x0,x1,x2,phi1"
+
+
 def test_trace_then_verify_then_plot(tmp_path):
     cfg = write_config(tmp_path / "c.json", run={"lambda_max": 2.0})
     out = tmp_path / "out"

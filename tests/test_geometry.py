@@ -7,7 +7,7 @@ import pytest
 
 from dispersal import Domain, GeometryError, build_grid, cover
 
-from .conftest import UNIT, unit_grid
+from .conftest import UNIT, peak_bytes, unit_grid
 
 
 def test_domain_basics():
@@ -23,6 +23,8 @@ def test_domain_rejects_degenerate():
         Domain((0.0,), (0.0,))
     with pytest.raises(GeometryError):
         Domain((0.0, 0.0), (1.0,))
+    with pytest.raises(GeometryError, match="at least one axis"):
+        Domain((), ())
 
 
 def test_midpoint_nodes_and_weights():
@@ -136,14 +138,29 @@ def test_cover_radius_positive():
 
 def test_cover_soundness_random_radii():
     """Every node sits within r/2 of some center, so balls of radius r
-    around the centers cover the grid with room for the floor bound."""
+    around the centers cover the grid with room for the floor bound, on
+    a 2-D and a 3-D box."""
     rng = np.random.default_rng(7)
-    dom = Domain((0.0, 0.0), (2.0, 1.0))
-    grid = build_grid(dom, "midpoint", 11)
-    for _ in range(20):
-        r = float(rng.uniform(0.1, 3.0))
-        c = cover(dom, grid, r)
-        d = np.linalg.norm(
-            grid.nodes[:, None, :] - c.centers[None, :, :], axis=-1
-        )
-        assert d.min(axis=1).max() <= r / 2.0 + 1e-12
+    for dom, res in (
+        (Domain((0.0, 0.0), (2.0, 1.0)), 11),
+        (Domain((0.0, 0.0, -1.0), (2.0, 1.0, 0.5)), 6),
+    ):
+        grid = build_grid(dom, "midpoint", res)
+        for _ in range(20):
+            r = float(rng.uniform(0.1, 3.0))
+            c = cover(dom, grid, r)
+            reach = max(
+                np.linalg.norm(c.centers - x, axis=1).min()
+                for x in grid.nodes
+            )
+            assert reach <= r / 2.0 + 1e-12
+
+
+def test_cover_holds_no_node_by_center_array():
+    """On 256 x 256 nodes at r = 0.05 (841 centers) the reach check runs
+    one axis at a time: its peak stays below 8 float arrays of length n,
+    where the node-by-center distances took n m N floats (883 MB)."""
+    dom = Domain((0.0, 0.0), (1.0, 1.0))
+    grid = build_grid(dom, "trapezoid", 256)
+    peak = peak_bytes(cover, dom, grid, 0.05)
+    assert peak <= 8 * grid.n * 8

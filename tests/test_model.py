@@ -21,6 +21,7 @@ from dispersal import (
     reaction,
 )
 
+from dispersal import model
 from dispersal.model import _certify_q3, _polyval
 
 from .conftest import dip_weight, peak_bytes, unit_grid, weight_matrix
@@ -168,6 +169,41 @@ def test_certify_holds_no_n_squared_array():
         grid, r=grid.domain.diameter,
     )
     assert peak < grid.n**2
+
+
+@pytest.mark.parametrize(
+    "domain", [Domain((0.0, 0.0), (1.5, 1.5)), Domain((0.0,) * 3, (1.0,) * 3)]
+)
+def test_certify_at_the_diameter_streams_no_pair(domain, monkeypatch):
+    """At r = delta = the diameter every pair of nodes lies within delta,
+    so k2 and the floor come from the structure and no pair is streamed.
+    On these boxes the squared node spans sum to more than the rounded
+    diameter squared."""
+
+    def streamed(*args):
+        raise AssertionError("certify streamed the pairs within delta")
+
+    monkeypatch.setattr(model, "_near_min", streamed)
+    grid = build_grid(domain, "trapezoid", 16)
+    d = domain.diameter
+    rep = certify(
+        KernelSpec.gaussian(1.0), WeightSpec.constant(1.0, p=2.0), grid, d, d
+    )
+    assert rep.k1 and rep.k2 and rep.floor.q2
+
+
+def test_x_dependent_forms_refuse_a_cube():
+    """The rank-one kernel and the separable and dip weights are defined
+    on an interval; on a cube they refuse by name."""
+    grid = build_grid(Domain((0.0,) * 3, (1.0,) * 3), "trapezoid", 4)
+    with pytest.raises(ModelError, match="1-D domains only"):
+        assemble(KernelSpec.rank_one((1.0, 1.0)), grid)
+    separable = WeightSpec.separable((1.0,), (1.0, 0.5), p=2.0)
+    for weight in (separable, dip_weight(p=2.0)):
+        with pytest.raises(ModelError, match="1-D domains only"):
+            reaction(weight, grid)
+        with pytest.raises(ModelError, match="1-D domains only"):
+            certify(KernelSpec.constant(1.0), weight, grid, 1.0)
 
 
 def test_dip_floor_at_65537_nodes_peaks_under_64_mib():

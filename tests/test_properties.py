@@ -58,8 +58,8 @@ RULES = ("trapezoid", "midpoint", "gauss-legendre-tensor")
 
 @st.composite
 def grids(draw):
-    dim = draw(st.sampled_from((1, 2)))
-    res = draw(st.integers(3, 40 if dim == 1 else 9))
+    dim = draw(st.sampled_from((1, 2, 3)))
+    res = draw(st.integers(3, {1: 40, 2: 9, 3: 4}[dim]))
     lower = tuple(draw(st.floats(0.0, 1.0)) for _ in range(dim))
     sides = tuple(draw(st.floats(0.25, 2.0)) for _ in range(dim))
     upper = tuple(lo + h for lo, h in zip(lower, sides))
@@ -127,18 +127,22 @@ def _state(seed, n, positive=False):
 @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
 def test_apply_matches_dense_action(data, seed):
     """op.apply(u) is K diag(w) u, with K diag(w) materialized entry by
-    entry, for K kept as LowRank (constant, rank-one), Kron (2-D
-    gaussian), Toeplitz (1-D gaussian on evenly spaced nodes) or dense.
+    entry, for K kept as LowRank (constant, rank-one), Toeplitz (1-D
+    gaussian on evenly spaced nodes), Kron (every other gaussian) or
+    dense (tabulated).
     A LowRank applies with the bits of left @ (right.T @ v)."""
     grid = data.draw(grids())
     kernel = data.draw(kernels(grid))
     op = assemble(kernel, grid)
     if kernel.form in ("constant", "rank_one"):
         assert isinstance(op.k, LowRank) and op.k.left.shape == (grid.n, 1)
-    elif kernel.form == "gaussian" and grid.domain.dim == 2:
-        assert isinstance(op.k, Kron)
-    elif kernel.form == "gaussian" and grid.rule != "gauss-legendre-tensor":
+    elif kernel.form == "gaussian" and grid.domain.dim == 1 and (
+        grid.rule != "gauss-legendre-tensor"
+    ):
         assert isinstance(op.k, Toeplitz)
+    elif kernel.form == "gaussian":
+        assert isinstance(op.k, Kron)
+        assert len(op.k.factors) == grid.domain.dim
     else:
         assert isinstance(op.k, np.ndarray)
     a = dense_a(kernel, grid)
@@ -235,9 +239,14 @@ def _dense_certificates(kernel, weight, grid, r, delta):
     d2 = sum(np.subtract.outer(c, c) ** 2 for c in grid.nodes.T)
     asym = float(np.abs(k - k.T).max())
     sigma_global = float(q.min())
+    # every pair of nodes in the box lies within its diameter: at r or
+    # delta >= diameter the least entry over all pairs is the floor
     sigma = sigma_global
     if r < grid.domain.diameter:
         sigma = float(np.min(q, where=d2 <= r**2, initial=np.inf))
+    k_near = float(k.min())
+    if delta < grid.domain.diameter:
+        k_near = float(np.min(k, where=d2 <= delta**2, initial=np.inf))
     col_max = q.max(axis=0)
     advantage = (q - col_max).min(axis=1)
     i0 = int(np.argmax(advantage))
@@ -245,7 +254,7 @@ def _dense_certificates(kernel, weight, grid, r, delta):
     return {
         "k1": asym <= 1e-12,
         "max_asymmetry": asym,
-        "k2": bool(np.min(k, where=d2 <= delta**2, initial=np.inf) > 0),
+        "k2": k_near > 0,
         "q2": sigma > 0,
         "sigma": sigma,
         "r": r,
@@ -343,23 +352,23 @@ def test_phi_is_p_homogeneous(data, p, t, seed):
 
 
 # the kernel of each form of K: LowRank, Toeplitz (1-D gaussian on an
-# evenly spaced rule), Kron (2-D gaussian), dense (1-D gaussian on
-# Gauss-Legendre nodes, tabulated)
+# evenly spaced rule), Kron (2-D and 3-D gaussian, and the one-factor
+# 1-D gaussian on Gauss-Legendre nodes), dense (tabulated)
 K_FORMS = ("constant", "rank_one", "toeplitz", "kron", "gauss", "tabulated")
 
 
 @st.composite
 def eigen_problems(draw, form):
-    """An operator of the given form on n = 2..40 nodes.  The box is the
-    unit interval or square, where grid and gaussian kernel are symmetric
-    under its reflections and the swap of axes, or a random box; the
-    rank-one and tabulated kernels have no symmetry.  Gaussian lengths go
-    down to 0.1, but stay above 1.5 node spacings so that neighbours
-    couple and the principal pair stays positive."""
+    """An operator of the given form on n = 2..64 nodes.  The box is the
+    unit interval, square or cube, where grid and gaussian kernel are
+    symmetric under its reflections and the swap of axes, or a random
+    box; the rank-one and tabulated kernels have no symmetry.  Gaussian
+    lengths go down to 0.1, but stay above 1.5 node spacings so that
+    neighbours couple and the principal pair stays positive."""
     if form in ("rank_one", "toeplitz", "gauss"):
         dim = 1
     elif form == "kron":
-        dim = 2
+        dim = draw(st.sampled_from((2, 3)))
     else:
         dim = draw(st.sampled_from((1, 2)))
     if form == "toeplitz":
@@ -368,7 +377,7 @@ def eigen_problems(draw, form):
         rule = "gauss-legendre-tensor"
     else:
         rule = draw(st.sampled_from(RULES))
-    res = draw(st.integers(2, 40 if dim == 1 else 6))
+    res = draw(st.integers(2, {1: 40, 2: 6, 3: 4}[dim]))
     if draw(st.booleans()):
         domain = Domain((0.0,) * dim, (1.0,) * dim)
     else:
@@ -415,6 +424,38 @@ def test_eigenpair_matches_dense(form, data):
     root_c = np.sqrt(c)
     nu = np.linalg.eigvalsh(dense / root_c[:, None] / root_c[None, :])[-1]
     assert abs(pencil_eigenvalue(op, c)[0] - nu) <= 1e-12 * nu
+
+
+@pytest.mark.parametrize("rule", RULES)
+@pytest.mark.parametrize("dim", (2, 3))
+@settings(PROPERTY, max_examples=4)
+@given(
+    res=st.integers(3, 17),
+    lower=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    sides=st.lists(st.floats(0.25, 2.0), min_size=3, max_size=3),
+    stretch=st.floats(0.0, 1.0),
+)
+def test_gaussian_lambda1_is_the_product_over_axes(
+    dim, rule, res, lower, sides, stretch
+):
+    """The gaussian is the product of its per-axis gaussians and a
+    tensor rule's weights the product of the per-axis weights, so the
+    principal eigenvalue on an N-D box is the product of the ones on its
+    sides, and on a cube the N-th power of the one on the interval."""
+    lower, sides = lower[:dim], sides[:dim]
+    upper = [a + h for a, h in zip(lower, sides)]
+    shortest = max(0.3, 1.5 * max(sides) / (res - 1))
+    kernel = KernelSpec.gaussian(shortest + stretch * (3.0 - shortest))
+
+    def lambda1(lo, hi):
+        grid = build_grid(Domain(lo, hi), rule, res)
+        return principal_eigenpair(assemble(kernel, grid)).lambda1
+
+    box = lambda1(lower, upper)
+    product = np.prod([lambda1((a,), (b,)) for a, b in zip(lower, upper)])
+    assert abs(box - product) <= 1e-14 * product
+    cube = lambda1((0.0,) * dim, (1.0,) * dim)
+    assert abs(cube - lambda1((0.0,), (1.0,)) ** dim) <= 1e-14 * cube
 
 
 @PROPERTY
@@ -501,10 +542,11 @@ def test_jacobian_action_matches_dense_and_differences(data, p, lam, seed):
 
 @st.composite
 def cli_configs(draw):
-    """A config of valid forms and values, any rule, dimension and
-    resolution 1..9; defaulted keys are sometimes left out."""
-    dim = draw(st.sampled_from((1, 2)))
-    res = draw(st.integers(1, 9))
+    """A config of valid forms and values, any rule, dimension 1..3 and
+    resolution 1..9 (1..4 in 3-D); defaulted keys are sometimes left
+    out."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    res = draw(st.integers(1, 9 if dim < 3 else 4))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     table = rng.uniform(0.0, 1.0, (res**dim, res**dim))
     coeffs = st.lists(st.floats(-1.0, 1.0), min_size=1, max_size=3)

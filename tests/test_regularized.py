@@ -11,6 +11,7 @@ from dispersal import (
     ContinuationConfig,
     Domain,
     KernelSpec,
+    Kron,
     RegularizedError,
     WeightSpec,
     assemble,
@@ -75,6 +76,7 @@ def test_limit_procedure_needs_supercritical_lambda(monkeypatch):
     cfg = ContinuationConfig(lambda_max=3.0)
     monkeypatch.setattr(regularized, "_last_family", None)
     monkeypatch.setattr(regularized, "solve_at_lambda", None)
+    monkeypatch.setattr(regularized, "newton_correct", None)
     with pytest.raises(RegularizedError, match="must exceed the principal"):
         limit_procedure(op, const_weight(), 0.9, (2, 4), cfg, x0_index=64)
 
@@ -228,6 +230,7 @@ def test_limit_procedure_dip_concentration(monkeypatch):
     # the memo now holds this family with strict=False; the strict run
     # of the same op and weight still refuses before any solve
     monkeypatch.setattr(regularized, "solve_at_lambda", no_solve)
+    monkeypatch.setattr(regularized, "newton_correct", no_solve)
     with pytest.raises(RegularizedError, match="lambda/lambda1 = 2 reaches 2"):
         limit_procedure(
             op, weight, 2.0, (4, 8, 16, 32, 64), cfg, strict=True
@@ -239,6 +242,11 @@ def test_near_center_mass_bound_value():
         sup_dispersal=1.0, theta=0.5, p=1.0, eps=0.5, radius=0.5, dim=1
     )
     assert abs(val - 4.0 * np.sqrt(2.0)) < 1e-14
+    # the unit sphere's surface is 2 pi in 2-D and 4 pi in 3-D
+    for dim, surf in ((2, 2.0 * np.pi), (3, 4.0 * np.pi)):
+        val = near_center_mass_bound(1.0, 0.5, 1.0, 0.5, 0.5, dim)
+        want = 2.0 * surf * 0.5 ** (dim - 0.5) / (dim - 0.5)
+        assert abs(val - want) <= 1e-14 * want
 
 
 def test_near_center_mass_bound_gates():
@@ -249,16 +257,22 @@ def test_near_center_mass_bound_gates():
 
 
 def _count_solves(monkeypatch) -> list:
-    """Empty the family memo and record each call of solve_at_lambda."""
+    """Empty the family memo and record each solve of one eps: a call
+    of solve_at_lambda (the first eps) or of newton_correct (the warm
+    starts after it)."""
     monkeypatch.setattr(regularized, "_last_family", None)
     calls = []
-    solve = regularized.solve_at_lambda
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return solve(*args, **kwargs)
+    def counted(solve):
+        def call(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(regularized, "solve_at_lambda", counted)
+    for name in ("solve_at_lambda", "newton_correct"):
+        monkeypatch.setattr(
+            regularized, name, counted(getattr(regularized, name))
+        )
     return calls
 
 
@@ -352,6 +366,9 @@ def test_memoized_and_tabulated_arrays_are_read_only(monkeypatch):
     direct = WeightSpec(
         form="tabulated", p=2.0, matrix=table, row_scale=np.ones(9)
     )
+    # the 1-D Gauss-Legendre gaussian is a one-factor Kron
+    gl = assemble(KernelSpec.gaussian(0.5), gauss).k
+    assert isinstance(gl, Kron) and len(gl.factors) == 1
     arrays = [
         run.solutions[0].u,
         run.a_fields[0],
@@ -363,7 +380,7 @@ def test_memoized_and_tabulated_arrays_are_read_only(monkeypatch):
         direct.matrix,
         direct.row_scale,
         assemble(kernel, grid).k,
-        assemble(KernelSpec.gaussian(0.5), gauss).k,
+        gl.factors[0],
         reaction(weight, grid).q,
         reaction(build_q_eps(weight, grid, np.full(9, 0.5)), grid).q,
     ]
