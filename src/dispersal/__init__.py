@@ -15,7 +15,6 @@ from .continuation import (
     ContinuationError,
     PositivityLost,
     StepFailure,
-    bifurcation_estimate,
     newton_correct,
     seed_branch,
     solve_at_lambda,
@@ -71,19 +70,13 @@ from .regularized import (
 )
 from .verification import (
     BoundReport,
-    OracleResult,
     VerificationError,
     check_admissibility,
     check_collatz_wielandt,
     check_covering_bound,
     check_phi_floor,
     check_positivity,
-    check_subcritical_nonexistence,
-    oracle_fixed_point,
-    oracle_spectral,
-    pencil_eigenvalue,
     verify_branch,
-    window_bounds,
 )
 
 __version__ = "0.1.0"

@@ -55,7 +55,6 @@ __all__ = [
     "ContinuationError",
     "PositivityLost",
     "StepFailure",
-    "bifurcation_estimate",
     "newton_correct",
     "seed_branch",
     "solve_at_lambda",
@@ -129,16 +128,6 @@ class Branch:
     termination: str
     fold_indices: tuple
     p: float
-
-    def monotone_points(self) -> tuple:
-        """Export filter: the lambda-increasing sub-path of the branch."""
-        kept = []
-        last = -math.inf
-        for pt in self.points:
-            if pt.lam > last:
-                kept.append(pt)
-                last = pt.lam
-        return tuple(kept)
 
 
 def _branch_point(op, rx, lam, u, iters, phi_u=None, r=None) -> BranchPoint:
@@ -485,8 +474,8 @@ def solve_at_lambda(
     direct Newton solve collapses onto the trivial solution the routine
     falls back to a short branch trace clamped at lambda.  At or below
     lambda1 the trivial point u = 0 is returned unsolved: no positive
-    solution exists there (the paper's nonexistence result, which
-    `verification.oracle_spectral` certifies on the grid), and for
+    solution exists there (the paper's nonexistence result, which the
+    spectral oracle of `tests/oracles.py` certifies on the grid), and for
     p < 1 Newton cannot converge onto u = 0, where |u|^p has no
     derivative.  To correct a known state at lambda instead, call
     `newton_correct`.
@@ -515,21 +504,3 @@ def solve_at_lambda(
             f"({branch.termination})"
         )
     return branch.points[-1]
-
-
-def bifurcation_estimate(branch: Branch, p: float | None = None) -> float:
-    """Recover the bifurcation value by extrapolating ||u||_inf -> 0.
-
-    Fits lambda = b0 + b1 s^p + b2 s^(2p) through the three
-    smallest-amplitude points and returns b0.
-    """
-    if p is None:
-        p = branch.p
-    pts = sorted(branch.points, key=lambda q: q.sup_norm)[:3]
-    if len(pts) < 3:
-        raise ContinuationError("need at least three branch points")
-    s = np.array([q.sup_norm for q in pts])
-    lam = np.array([q.lam for q in pts])
-    vander = np.column_stack([np.ones(3), s**p, s ** (2 * p)])
-    coef = np.linalg.solve(vander, lam)
-    return float(coef[0])

@@ -200,19 +200,21 @@ def _mesh(axes: list) -> np.ndarray:
     )
 
 
-def cover(domain: Domain, grid: QuadratureGrid, r: float) -> Covering:
+def cover(grid: QuadratureGrid, r: float) -> Covering:
     """Cover the grid nodes with closed balls of radius r/2.
 
-    Axis-sweep construction: each axis is split into equal cells no longer
-    than r/sqrt(N), and the centers of the resulting cells are the ball
-    centers.  The half cell diagonal is then at most r/2, so every point of
-    the box (in particular every node) is within r/2 of some center, and
-    the per-axis counts are minimal for that cell shape.  The nearest
-    center to a node is the center of its own cell along each axis, so
-    the reach check runs one axis at a time, in O(n N) memory.
+    Axis-sweep construction: each axis of ``grid.domain`` is split into
+    equal cells no longer than r/sqrt(N), and the centers of the resulting
+    cells are the ball centers.  The half cell diagonal is then at most
+    r/2, so every point of the box (in particular every node) is within
+    r/2 of some center, and the per-axis counts are minimal for that cell
+    shape.  The nearest center to a node is the center of its own cell
+    along each axis, so the reach check runs one axis at a time, in
+    O(n N) memory.
     """
     if r <= 0:
         raise GeometryError("covering radius r must be positive")
+    domain = grid.domain
     max_cell = r / math.sqrt(domain.dim)
     axes = []
     d2 = np.zeros(grid.n)

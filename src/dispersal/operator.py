@@ -11,8 +11,8 @@ the pencil S v = nu diag(c) v for a positive field c: one Lanczos run
 with full reorthogonalization on C^-1/2 S C^-1/2, applied as
 d (K (d v)) with d = sqrt(w / c), from a fixed start that breaks the
 grid's symmetry.  It needs NumPy alone and returns the same bits on
-every call.  `principal_eigenpair` is that pencil at c = 1, and
-`verification.pencil_eigenvalue` is the same pencil at the oracle's c.
+every call.  `principal_eigenpair` is that pencil at c = 1, and the
+spectral oracle of the tests (`tests/oracles.py`) solves it at its own c.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to

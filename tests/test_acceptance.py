@@ -21,21 +21,25 @@ from dispersal import (
     KernelSpec,
     WeightSpec,
     assemble,
-    bifurcation_estimate,
     build_grid,
-    check_subcritical_nonexistence,
     check_weight_floor,
     limit_procedure,
-    oracle_fixed_point,
-    oracle_spectral,
     principal_eigenpair,
     reaction,
     residual,
     solve_at_lambda,
     trace_branch,
-    window_bounds,
 )
 from dispersal.cli import main
+
+from .oracles import (
+    bifurcation_estimate,
+    check_subcritical_nonexistence,
+    monotone_points,
+    oracle_fixed_point,
+    oracle_spectral,
+    window_bounds,
+)
 
 UNIT = Domain((0.0,), (1.0,))
 
@@ -203,7 +207,7 @@ def test_criterion_04_branch_point_bounds():
         )
         floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
         assert floor.q2pp
-        covering = cover(grid.domain, grid, floor.r)
+        covering = cover(grid, floor.r)
         rx = reaction(weight, grid)
         for pt in branch.points:
             points += 1
@@ -320,7 +324,7 @@ def test_criterion_07_solvability_window():
     branch = trace_branch(
         op, weight, eigen, ContinuationConfig(lambda_max=hi_d)
     )
-    lams = [pt.lam for pt in branch.monotone_points()]
+    lams = [pt.lam for pt in monotone_points(branch)]
     gaps = [b - a for a, b in zip(lams, lams[1:])]
     covered = (
         branch.termination == "reached_lambda_max"

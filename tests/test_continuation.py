@@ -14,21 +14,18 @@ from dispersal import (
     WeightSpec,
     assemble,
     build_grid,
-    bifurcation_estimate,
     build_a_eps,
     build_q_eps,
     check_covering_bound,
     check_weight_floor,
     cover,
     newton_correct,
-    oracle_spectral,
     phi,
     principal_eigenpair,
     reaction,
     seed_branch,
     solve_at_lambda,
     trace_branch,
-    window_bounds,
 )
 from dispersal import continuation
 from dispersal.continuation import _krylov, _newton, _solve
@@ -39,6 +36,12 @@ from .conftest import (
     dip_weight,
     peak_bytes,
     unit_grid,
+)
+from .oracles import (
+    bifurcation_estimate,
+    monotone_points,
+    oracle_spectral,
+    window_bounds,
 )
 
 
@@ -128,8 +131,8 @@ def test_trace_branch_invariants(const_op, const_eigen):
     branch = trace_branch(const_op, weight, const_eigen, cfg)
     grid = const_op.grid
     floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    covering = cover(grid.domain, grid, floor.r)
-    mono = branch.monotone_points()
+    covering = cover(grid, floor.r)
+    mono = monotone_points(branch)
     lams = [pt.lam for pt in mono]
     assert all(b > a for a, b in zip(lams, lams[1:]))
     for pt in branch.points:

@@ -115,16 +115,16 @@ def test_inner_and_lp_norm():
 
 def test_cover_unit_interval():
     grid = unit_grid("midpoint", 16)
-    c = cover(UNIT, grid, 0.5)
+    c = cover(grid, 0.5)
     assert c.m == 2
     np.testing.assert_allclose(np.sort(c.centers[:, 0]), [0.25, 0.75])
-    assert cover(UNIT, grid, 2.0).m == 1
+    assert cover(grid, 2.0).m == 1
 
 
 def test_cover_square():
     dom = Domain((0.0, 0.0), (1.0, 1.0))
     grid = build_grid(dom, "midpoint", 8)
-    c = cover(dom, grid, 1.0)
+    c = cover(grid, 1.0)
     assert c.m == 4
     mids = sorted(map(tuple, np.round(c.centers, 12)))
     assert mids == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
@@ -133,7 +133,7 @@ def test_cover_square():
 def test_cover_radius_positive():
     grid = unit_grid("midpoint", 8)
     with pytest.raises(GeometryError):
-        cover(UNIT, grid, 0.0)
+        cover(grid, 0.0)
 
 
 def test_cover_soundness_random_radii():
@@ -148,7 +148,7 @@ def test_cover_soundness_random_radii():
         grid = build_grid(dom, "midpoint", res)
         for _ in range(20):
             r = float(rng.uniform(0.1, 3.0))
-            c = cover(dom, grid, r)
+            c = cover(grid, r)
             reach = max(
                 np.linalg.norm(c.centers - x, axis=1).min()
                 for x in grid.nodes
@@ -162,5 +162,5 @@ def test_cover_holds_no_node_by_center_array():
     where the node-by-center distances took n m N floats (883 MB)."""
     dom = Domain((0.0, 0.0), (1.0, 1.0))
     grid = build_grid(dom, "trapezoid", 256)
-    peak = peak_bytes(cover, dom, grid, 0.05)
+    peak = peak_bytes(cover, grid, 0.05)
     assert peak <= 8 * grid.n * 8

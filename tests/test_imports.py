@@ -1,9 +1,10 @@
 """What importing and running the package loads.
 
 Import time is most of a short CLI run, so the package imports NumPy and
-nothing heavier: no path of the package, the spectral oracle included,
-loads SciPy, and `numpy.random` and `numpy.polynomial`, which the solver
-does not use, stay unloaded.  The NumPy submodule the solver needs
+nothing heavier: no path of the package, nor the spectral oracle of the
+tests, loads SciPy, and `numpy.random` and `numpy.polynomial`, which the
+solver does not use, stay unloaded; no package module names
+`numpy.random` at all.  The NumPy submodule the solver needs
 (`numpy.fft`) loads with the package, not lazily inside a timed solve.
 The last tests pin where the structured matrix forms and the
 eigensolver are used, and that no function materializes K or Q.
@@ -23,10 +24,13 @@ from pathlib import Path
 import dispersal
 
 SRC = str(Path(dispersal.__file__).resolve().parents[1])
+ROOT = str(Path(__file__).resolve().parents[1])
 
 
-def _run(code: str, tmp_path) -> dict:
-    env = dict(os.environ, PYTHONPATH=SRC)
+def _run(code: str, tmp_path, *paths: str) -> dict:
+    """Run ``code`` in a fresh interpreter that sees the package, and the
+    further import ``paths``; return its last output line as JSON."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((SRC, *paths)))
     out = subprocess.run(
         [sys.executable, "-c", textwrap.dedent(code)],
         cwd=tmp_path, env=env, capture_output=True, text=True, check=True,
@@ -50,7 +54,8 @@ def test_import_loads_no_scipy_and_no_numpy_random(tmp_path):
 
 
 def test_cli_runs_load_no_further_numpy_module(tmp_path):
-    """`eig`, `check-hyp`, `trace` and `verify` on a 1-D gaussian (the FFT
+    """`eig`, `check-hyp`, `trace`, `verify` and `sweep-eps` (the
+    regularized family, at about 1.23 lambda1) on a 1-D gaussian (the FFT
     form of S) with a dip weight (a polynomial profile) import no NumPy
     or SciPy module that the package import did not."""
     config = {
@@ -69,8 +74,13 @@ def test_cli_runs_load_no_further_numpy_module(tmp_path):
         before = set(sys.modules)
         codes = []
         with contextlib.redirect_stdout(io.StringIO()):
-            for cmd in ("eig", "check-hyp", "trace", "verify"):
-                codes.append(cli.main([cmd, "c.json", "--output-dir", "out"]))
+            for cmd in (
+                ["eig"], ["check-hyp"], ["trace"], ["verify"],
+                ["sweep-eps", "--lambda", "0.8"],
+            ):
+                codes.append(
+                    cli.main([*cmd, "c.json", "--output-dir", "out"])
+                )
         added = sorted(
             m for m in set(sys.modules) - before
             if m.split(".")[0] in ("numpy", "scipy")
@@ -79,20 +89,21 @@ def test_cli_runs_load_no_further_numpy_module(tmp_path):
         """,
         tmp_path,
     )
-    assert result["codes"] == [0, 0, 0, 0]
+    assert result["codes"] == [0, 0, 0, 0, 0]
     assert result["added"] == []
 
 
 def test_spectral_oracle_loads_no_scipy(tmp_path):
-    """`oracle_spectral` finds its eigenpairs and its amplitude root with
-    the package's own Lanczos and Brent iteration."""
+    """The tests' `oracle_spectral` finds its eigenpairs and its amplitude
+    root with the package's own Lanczos and its own Brent iteration."""
     result = _run(
         """
         import json, sys
         from dispersal import (
             Domain, KernelSpec, WeightSpec, assemble, build_grid,
-            oracle_spectral, principal_eigenpair,
+            principal_eigenpair,
         )
+        from tests.oracles import oracle_spectral
         grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 33)
         op = assemble(KernelSpec.gaussian(1.0), grid)
         lam = 1.5 * principal_eigenpair(op).lambda1
@@ -101,8 +112,39 @@ def test_spectral_oracle_loads_no_scipy(tmp_path):
         print(json.dumps({"status": res.status, "scipy": scipy}))
         """,
         tmp_path,
+        ROOT,
     )
     assert result == {"status": "converged", "scipy": []}
+
+
+def _names_numpy_random(node) -> bool:
+    """Whether a node is `np.random`, `numpy.random` or an import of it."""
+    if isinstance(node, ast.Attribute):
+        return (
+            node.attr == "random"
+            and isinstance(node.value, ast.Name)
+            and node.value.id in ("np", "numpy")
+        )
+    if isinstance(node, ast.Import):
+        return any(a.name.startswith("numpy.random") for a in node.names)
+    if isinstance(node, ast.ImportFrom):
+        module = node.module or ""
+        return module.startswith("numpy.random") or (
+            module == "numpy" and any(a.name == "random" for a in node.names)
+        )
+    return False
+
+
+def test_no_module_names_numpy_random():
+    """No `src/dispersal` module names `np.random` or `numpy.random`: the
+    solver is deterministic, and random starts belong to the tests."""
+    offenders = {
+        f"{path.name}:{node.lineno}"
+        for path in Path(dispersal.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _names_numpy_random(node)
+    }
+    assert offenders == set()
 
 
 def test_package_exports_every_module_all():

@@ -31,8 +31,6 @@ from dispersal import (
     certify,
     check_weight_floor,
     collatz_wielandt_sup,
-    oracle_spectral,
-    pencil_eigenvalue,
     phi,
     principal_eigenpair,
     reaction,
@@ -49,6 +47,7 @@ from .conftest import (
     kernel_matrix,
     weight_matrix,
 )
+from .oracles import oracle_spectral, pencil_eigenvalue
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=40

@@ -17,11 +17,7 @@ from dispersal import (
     check_covering_bound,
     check_phi_floor,
     check_positivity,
-    check_subcritical_nonexistence,
     cover,
-    oracle_fixed_point,
-    oracle_spectral,
-    pencil_eigenvalue,
     principal_eigenpair,
     reaction,
     solve_at_lambda,
@@ -29,7 +25,13 @@ from dispersal import (
     verify_branch,
 )
 
-from .conftest import UNIT, const_weight, dip_weight, peak_bytes, unit_grid
+from .conftest import const_weight, dip_weight, peak_bytes, unit_grid
+from .oracles import (
+    check_subcritical_nonexistence,
+    oracle_fixed_point,
+    oracle_spectral,
+    pencil_eigenvalue,
+)
 
 
 def _point(lam, u, grid, weight):
@@ -170,7 +172,7 @@ def test_admissibility_margin(const_op, const_eigen):
 
 def test_covering_bound_constant_solution(const_op):
     grid = const_op.grid
-    c = cover(UNIT, grid, grid.domain.diameter)
+    c = cover(grid, grid.domain.diameter)
     pt = _point(2.0, np.ones(const_op.n), grid, const_weight())
     rep = check_covering_bound(pt, c, sigma=1.0, p=1.0)
     assert rep.holds
