@@ -68,15 +68,6 @@ from .regularized import (
     near_center_mass_bound,
     theta_margin,
 )
-from .verification import (
-    BoundReport,
-    VerificationError,
-    check_admissibility,
-    check_collatz_wielandt,
-    check_covering_bound,
-    check_phi_floor,
-    check_positivity,
-    verify_branch,
-)
+from .verification import BoundReport, VerificationError, verify_branch
 
 __version__ = "0.1.0"

@@ -22,6 +22,7 @@ import functools
 import inspect
 import json
 import math
+import numbers
 import os
 import sys
 from pathlib import Path
@@ -150,10 +151,27 @@ def _call(ctor, section: dict, what: str):
         raise UsageError(f"malformed {what}: {exc}") from exc
 
 
+def _has_bool(value) -> bool:
+    if isinstance(value, list):
+        return any(_has_bool(v) for v in value)
+    return isinstance(value, bool)
+
+
 def _section(cfg: dict, name: str) -> dict:
-    section = cfg.get(name) or {}
+    """A config section as a dict, empty when the key is missing or null;
+    no parameter takes a JSON boolean, so one anywhere in the section is
+    refused rather than read as 0 or 1."""
+    section = cfg.get(name)
+    if section is None:
+        section = {}
     if not isinstance(section, dict):
         raise UsageError(f"config section {name!r} must be a JSON object")
+    for key, value in section.items():
+        if _has_bool(value):
+            raise UsageError(
+                f"key {key!r} in the {name} section holds a boolean; "
+                "no config value is a boolean"
+            )
     return dict(section)
 
 
@@ -186,10 +204,17 @@ class RunContext:
             if getattr(args, key) is not None:
                 grid[key] = getattr(args, key)
         self.grid = _call(lambda rule="midpoint", resolution=64: build_grid(
-            self.domain, rule, int(resolution)), grid, "grid section")
+            self.domain, rule, resolution), grid, "grid section")
         for key in ("lambda", "lambda_max", "method", "r"):
             if getattr(args, key, None) is not None:
                 self.run[key] = getattr(args, key)
+        for key in ("lambda", "r", "delta"):
+            value = self.run.get(key)
+            # booleans were refused with the section
+            if value is not None and not isinstance(value, numbers.Real):
+                raise UsageError(
+                    f"run key {key!r} must be a number, got {value!r}"
+                )
 
         out = (
             args.output_dir

@@ -14,6 +14,7 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,6 +176,12 @@ def build_grid(domain: Domain, rule: str, resolution: int) -> QuadratureGrid:
     rule = _RULE_ALIASES.get(rule, rule)
     if rule not in RULES:
         raise GeometryError(f"unknown rule {rule!r}; expected one of {RULES}")
+    if isinstance(resolution, bool) or not isinstance(
+        resolution, numbers.Integral
+    ):
+        raise GeometryError(
+            f"resolution must be an integer, got {resolution!r}"
+        )
     if resolution < 2:
         raise GeometryError("resolution must be at least 2")
 

@@ -40,9 +40,9 @@ lambda / lambda1 = 1.25, 1.5 and 2.  "fields" does not escape the x0
 node either: its quadrature weight carries u_n(x0) into both fields,
 which leaves a residual of 2.2e-3 at lambda = 1.25 lambda1.
 
-One family, two extrapolants.  The eps = 1/n solves, the a_eps, Phi and
-g fields, the dip margins, the near-center mass, the Cauchy gaps and the
-modulus check do not depend on the extrapolation method, so
+One family, two extrapolants.  The eps = 1/n solves, the a_eps, L0 u_n,
+Phi and g fields, the dip margins, the near-center mass, the Cauchy gaps
+and the modulus check do not depend on the extrapolation method, so
 `limit_procedure` keeps the last family it solved in a one-slot memo,
 and the second method of a pair costs one extrapolation.  The memo keys
 on ``op`` and ``weight`` by identity, through weak references that keep
@@ -292,9 +292,11 @@ class _Memo:
     module docstring keys it; it empties itself when ``op`` or ``weight``
     dies."""
 
-    def __init__(self, op, weight, key: tuple, family: dict, plain: tuple):
+    def __init__(self, op, weight, key: tuple, family: dict, plain: tuple,
+                 disp: tuple):
         self.refs = (weakref.ref(op, _forget), weakref.ref(weight, _forget))
-        self.key, self.family, self.plain = key, family, plain
+        self.key, self.family = key, family
+        self.plain, self.disp = plain, disp
 
     def holds(self, op, weight, key: tuple) -> bool:
         return (
@@ -317,11 +319,11 @@ def _forget(ref) -> None:
 
 def _solve_family(
     op, weight, rx, eigen, q_sup, lam, theta, n_values, cfg, x0_index, strict
-) -> tuple[dict, tuple]:
+) -> tuple[dict, tuple, tuple]:
     """The eps = 1/n solves and every check on them, none of which
     depends on the extrapolation method.  Returns the `RegularizedRun`
-    fields they fill and the plain-weight reaction fields Phi_{u_n}; every
-    array in either is read-only."""
+    fields they fill, the plain-weight reaction fields Phi_{u_n} and the
+    dispersal fields L0 u_n; every array in them is read-only."""
     grid = op.grid
     inside = (
         np.linalg.norm(grid.nodes - grid.nodes[x0_index][None, :], axis=1)
@@ -329,7 +331,7 @@ def _solve_family(
     )
 
     eps_seq, sols, a_fields, g_fields, margins, near = [], [], [], [], [], []
-    plain = []
+    plain, disp = [], []
     near_ok = True
     warm = None
     for n in n_values:
@@ -358,7 +360,8 @@ def _solve_family(
         g_fields.append(_read_only((2.0 - a) * plain[-1]))
         margins.append(margin)
 
-        sup_disp = float(np.abs(op.apply(u)).max())
+        disp.append(_read_only(op.apply(u)))
+        sup_disp = float(np.abs(disp[-1]).max())
         bound = near_center_mass_bound(
             sup_disp, theta, weight.p, eps, _MASS_RADIUS, grid.domain.dim
         )
@@ -405,7 +408,7 @@ def _solve_family(
         near_mass=tuple(near),
         near_mass_ok=near_ok,
     )
-    return family, tuple(plain)
+    return family, tuple(plain), tuple(disp)
 
 
 def limit_procedure(
@@ -480,11 +483,10 @@ def limit_procedure(
     key = (float(lam), n_values, cfg, x0_index, bool(strict))
     memo = _last_family
     if memo is None or not memo.holds(op, weight, key):
-        family, plain = _solve_family(
+        memo = _last_family = _Memo(op, weight, key, *_solve_family(
             op, weight, rx, eigen, floor.q_sup, lam, theta, n_values, cfg,
             x0_index, strict,
-        )
-        memo = _last_family = _Memo(op, weight, key, family, plain)
+        ))
     sols = memo.family["solutions"]
 
     if method == "richardson":
@@ -492,8 +494,7 @@ def limit_procedure(
         u_lim = (n2 * sols[-1].u - n1 * sols[-2].u) / (n2 - n1)
     else:
         eps_arr = np.array(memo.family["eps_sequence"])
-        disp = [op.apply(pt.u) for pt in sols]
-        disp_lim = _neville_at_zero(eps_arr, disp)
+        disp_lim = _neville_at_zero(eps_arr, memo.disp)
         reac_lim = _neville_at_zero(eps_arr, memo.plain)
         denom = lam - reac_lim
         if denom.min() <= 1e-10:

@@ -182,13 +182,10 @@ def test_criterion_03_subcritical_nonexistence():
 def test_criterion_04_branch_point_bounds():
     """Every accepted branch point satisfies the admissibility bound
     gamma sup Phi < 1, the covering p-norm bound, and (under a global
-    weight floor) min Phi >= sigma ||u||_p^p, all with margin >= -1e-8."""
-    from dispersal import (
-        check_covering_bound,
-        check_phi_floor,
-        check_weight_floor,
-        cover,
-    )
+    weight floor) min Phi >= sigma ||u||_p^p, all with margin >= -1e-8.
+    The margins are those of the `verify_branch` reports, recomputed from
+    each traced branch's states."""
+    from dispersal import verify_branch
 
     _warm_up()
     grid = build_grid(UNIT, "trapezoid", 65)
@@ -205,17 +202,13 @@ def test_criterion_04_branch_point_bounds():
         branch = trace_branch(
             op, weight, eigen, ContinuationConfig(lambda_max=lam_max)
         )
-        floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-        assert floor.q2pp
-        covering = cover(grid, floor.r)
-        rx = reaction(weight, grid)
-        for pt in branch.points:
-            points += 1
-            worst_adm = min(worst_adm, 1.0 - pt.gamma_phi_sup)
-            lp = check_covering_bound(pt, covering, floor.sigma, weight.p)
-            worst_lp = min(worst_lp, lp.margin)
-            rep = check_phi_floor(rx, grid, pt.u, floor.sigma_global)
-            worst_floor = min(worst_floor, rep.margin)
+        reports = {r.name: r for r in verify_branch(op, weight, branch)}
+        # both covering reports need a global weight floor
+        assert {"lp_covering_bound", "phi_floor"} <= set(reports)
+        points += reports["admissibility"].context["points"]
+        worst_adm = min(worst_adm, reports["admissibility"].margin)
+        worst_lp = min(worst_lp, reports["lp_covering_bound"].margin)
+        worst_floor = min(worst_floor, reports["phi_floor"].margin)
     ok = worst_adm > 0 and worst_lp >= -1e-8 and worst_floor >= -1e-8
     _report(
         4,

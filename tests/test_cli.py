@@ -539,6 +539,9 @@ def test_unread_flag_exits_one(tmp_path, capsys, argv, flag):
     [
         {"kernel": {"form": "tabulated", "matrix": [[1.0, 0.5], [0.5]]}},
         {"grid": {"rule": "trapezoid", "resolution": "many"}},
+        # refused, not parsed or truncated to 17 or 16
+        {"grid": {"rule": "trapezoid", "resolution": "17"}},
+        {"grid": {"rule": "trapezoid", "resolution": 16.9}},
     ],
 )
 def test_malformed_section_exits_one(tmp_path, capsys, section):
@@ -701,3 +704,36 @@ def test_grid_flags_are_read_when_falsy(tmp_path, capsys, flag, value):
                  flag, value]) == 1
     err = capsys.readouterr().err
     assert "grid section" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, section, value, named",
+    [
+        ("check-hyp", "run", {"r": "abc"}, "'r'"),
+        ("check-hyp", "run", {"r": [1]}, "'r'"),
+        ("check-hyp", "run", {"delta": "abc"}, "'delta'"),
+        ("check-hyp", "run", {"delta": [1]}, "'delta'"),
+        ("check-hyp", "run", {"r": True}, "'r'"),
+        ("solve", "run", {"lambda": "abc"}, "'lambda'"),
+        ("sweep-eps", "run", {"lambda": "abc"}, "'lambda'"),
+        ("trace", "kernel", {"form": "constant", "value": True}, "'value'"),
+        ("trace", "kernel", {"form": "gaussian", "length_scale": True},
+         "'length_scale'"),
+        ("trace", "weight", {"form": "constant", "value": 1.0, "p": True},
+         "'p'"),
+        ("trace", "run", False, "'run'"),
+        ("eig", "grid", 0, "'grid'"),
+    ],
+)
+def test_mistyped_config_value_exits_one(tmp_path, capsys, command, section,
+                                         value, named):
+    """A run number that is not a number, a JSON boolean anywhere in a
+    section and a section that is not an object are refused with an
+    error line that names the key, never read as 1.0 or taken for an
+    empty section."""
+    cfg = write_config(tmp_path / "c.json", **{section: value})
+    capsys.readouterr()
+    assert main([command, cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err

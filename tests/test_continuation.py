@@ -16,9 +16,7 @@ from dispersal import (
     build_grid,
     build_a_eps,
     build_q_eps,
-    check_covering_bound,
     check_weight_floor,
-    cover,
     newton_correct,
     phi,
     principal_eigenpair,
@@ -26,6 +24,7 @@ from dispersal import (
     seed_branch,
     solve_at_lambda,
     trace_branch,
+    verify_branch,
 )
 from dispersal import continuation
 from dispersal.continuation import _krylov, _newton, _solve
@@ -129,9 +128,6 @@ def test_trace_branch_invariants(const_op, const_eigen):
     cfg = ContinuationConfig(lambda_max=2.5)
     weight = const_weight(p=1.0)
     branch = trace_branch(const_op, weight, const_eigen, cfg)
-    grid = const_op.grid
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    covering = cover(grid, floor.r)
     mono = monotone_points(branch)
     lams = [pt.lam for pt in mono]
     assert all(b > a for a, b in zip(lams, lams[1:]))
@@ -139,8 +135,13 @@ def test_trace_branch_invariants(const_op, const_eigen):
         assert pt.min_u > 0
         assert pt.gamma_phi_sup < 1.0
         assert pt.residual_norm < 1e-9
-        lp = check_covering_bound(pt, covering, floor.sigma, weight.p)
-        assert lp.margin >= -1e-8
+    # the worst covering-bound margin over every point of the branch
+    (lp,) = [
+        r for r in verify_branch(const_op, weight, branch)
+        if r.name == "lp_covering_bound"
+    ]
+    assert lp.context["points"] == len(branch.points)
+    assert lp.margin >= -1e-8
 
 
 def test_trace_gaussian_branch_against_spectral_oracle():

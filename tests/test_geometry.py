@@ -54,6 +54,11 @@ def test_rules_reject_low_resolution():
         build_grid(UNIT, "midpoint", 1)
     with pytest.raises(GeometryError):
         build_grid(UNIT, "simpson", 8)
+    # a resolution is an integer: no truncation, parsing or bool
+    for resolution in (16.9, 17.0, "17", True):
+        with pytest.raises(GeometryError, match="must be an integer"):
+            build_grid(UNIT, "midpoint", resolution)
+    assert build_grid(UNIT, "midpoint", np.int64(4)).n == 4
 
 
 def test_weights_partition_volume():

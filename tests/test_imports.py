@@ -147,6 +147,14 @@ def test_no_module_names_numpy_random():
     assert offenders == set()
 
 
+def _public() -> set:
+    """The names `dispersal` exports: no module, nothing private."""
+    return {
+        name for name, value in vars(dispersal).items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+
+
 def test_package_exports_every_module_all():
     """`dispersal` exports exactly the union of its library modules'
     `__all__` (every module but the `cli` command), so a name listed in
@@ -156,11 +164,31 @@ def test_package_exports_every_module_all():
         if info.name != "cli":
             module = importlib.import_module(f"dispersal.{info.name}")
             listed.update(module.__all__)
-    public = {
-        name for name, value in vars(dispersal).items()
-        if not name.startswith("_") and not isinstance(value, types.ModuleType)
-    }
-    assert public == listed
+    assert _public() == listed
+
+
+# the public API, pinned: an added or removed export shows in this diff
+API = (
+    "BoundReport", "Branch", "BranchPoint", "ContinuationConfig",
+    "ContinuationError", "Covering", "DiscreteOperator", "Domain",
+    "EXTRAPOLATION_METHODS", "FloorReport", "GeometryError",
+    "HypothesisReport", "JacobianAction", "KernelSpec", "Kron", "LowRank",
+    "ModelError", "OperatorError", "PositivityLost", "PrincipalEigenpair",
+    "QuadratureGrid", "RULES", "Reaction", "ReactionError",
+    "RegularizedError", "RegularizedRun", "StepFailure", "Toeplitz",
+    "VerificationError", "WeightSpec", "assemble", "build_a_eps",
+    "build_grid", "build_q_eps", "certify", "check_weight_floor",
+    "collatz_wielandt_sup", "cover", "eps_ceiling", "limit_procedure",
+    "near_center_mass_bound", "newton_correct", "phi", "principal_eigenpair",
+    "reaction", "residual", "seed_branch", "solve_at_lambda", "theta_margin",
+    "trace_branch", "verify_branch",
+)
+
+
+def test_public_api_is_pinned():
+    """`dispersal` exports the 51 names of `API`, listed in sorted order."""
+    assert API == tuple(sorted(API)) and len(API) == 51
+    assert _public() == set(API)
 
 
 FORMS = {"LowRank", "Kron", "Toeplitz"}

@@ -1,10 +1,12 @@
-"""Independent oracles and the per-bound checkers."""
+"""Independent oracles and the bound reports of `verify_branch`."""
+
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from dispersal import (
-    BranchPoint,
     ContinuationConfig,
     KernelSpec,
     VerificationError,
@@ -12,18 +14,12 @@ from dispersal import (
     WeightSpec,
     assemble,
     build_grid,
-    check_admissibility,
-    check_collatz_wielandt,
-    check_covering_bound,
-    check_phi_floor,
-    check_positivity,
-    cover,
     principal_eigenpair,
-    reaction,
     solve_at_lambda,
     trace_branch,
     verify_branch,
 )
+from dispersal.cli import RunContext, _load_branch
 
 from .conftest import const_weight, dip_weight, peak_bytes, unit_grid
 from .oracles import (
@@ -33,22 +29,7 @@ from .oracles import (
     pencil_eigenvalue,
 )
 
-
-def _point(lam, u, grid, weight):
-    from dispersal import phi
-
-    u = np.asarray(u, dtype=float)
-    fld = phi(reaction(weight, grid), u)
-    return BranchPoint(
-        lam=lam,
-        u=u,
-        sup_norm=float(np.abs(u).max()),
-        p_norm=grid.lp_norm(u, weight.p),
-        min_u=float(u.min()),
-        gamma_phi_sup=float(fld.max()) / lam,
-        newton_iters=0,
-        residual_norm=0.0,
-    )
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_fixed_point_oracle_stationary_at_solution(const_op):
@@ -159,62 +140,120 @@ def test_spectral_oracle_holds_no_n_squared_array(dim, resolution, weight):
     assert peak < grid.n**2
 
 
+def _branch(lam, *states):
+    """A stored branch as `verify_branch` reads it: states at ``lam``."""
+    return SimpleNamespace(points=tuple(
+        SimpleNamespace(lam=lam, u=np.asarray(u, dtype=float))
+        for u in states
+    ))
+
+
+def _report(op, weight, branch, name):
+    """The report ``name`` of `verify_branch`, or None when it is absent."""
+    found = [r for r in verify_branch(op, weight, branch) if r.name == name]
+    return found[0] if found else None
+
+
 def test_admissibility_margin(const_op, const_eigen):
     cfg = ContinuationConfig()
     pt = solve_at_lambda(const_op, const_weight(), const_eigen, 2.0, cfg)
-    rep = check_admissibility(pt)
+    rep = _report(const_op, const_weight(), _branch(2.0, pt.u),
+                  "admissibility")
     assert rep.holds
     assert abs(rep.margin - 0.5) < 1e-10
 
-    bad = _point(2.0, np.full(const_op.n, 3.0), const_op.grid, const_weight())
-    assert not check_admissibility(bad).holds
+    bad = _branch(2.0, np.full(const_op.n, 3.0))
+    assert not _report(const_op, const_weight(), bad, "admissibility").holds
 
 
 def test_covering_bound_constant_solution(const_op):
-    grid = const_op.grid
-    c = cover(grid, grid.domain.diameter)
-    pt = _point(2.0, np.ones(const_op.n), grid, const_weight())
-    rep = check_covering_bound(pt, c, sigma=1.0, p=1.0)
+    # Q = 1: sigma = 1, and one ball of radius 1/2 covers the unit interval
+    ones = _branch(2.0, np.ones(const_op.n))
+    rep = _report(const_op, const_weight(), ones, "lp_covering_bound")
+    assert rep.context["m"] == 1 and rep.context["sigma"] == 1.0
     assert rep.holds
     assert abs(rep.margin - 1.0) < 1e-10  # bound 2, ||u||_1 = 1
 
-    trivial = _point(2.0, np.zeros(const_op.n), grid, const_weight())
-    rep0 = check_covering_bound(trivial, c, sigma=1.0, p=1.0)
+    trivial = _branch(2.0, np.zeros(const_op.n))
+    rep0 = _report(const_op, const_weight(), trivial, "lp_covering_bound")
     assert rep0.holds and abs(rep0.margin - 2.0) < 1e-12
 
-    with pytest.raises(VerificationError):
-        check_covering_bound(pt, c, sigma=0.0, p=1.0)
+    # Q(x, y) = x has no positive floor: no covering bound to check
+    no_floor = WeightSpec.separable(g=(0.0, 1.0), h=(1.0,))
+    names = {r.name for r in verify_branch(const_op, no_floor, ones)}
+    assert not names & {"lp_covering_bound", "phi_floor"}
 
 
-def test_phi_floor_margins(grid65, rng):
-    u = rng.uniform(0.1, 1.0, grid65.n)
-    rep = check_phi_floor(reaction(const_weight(), grid65), grid65, u, 1.0)
+def test_phi_floor_margins(const_op, rng):
+    grid = const_op.grid
+    u = rng.uniform(0.1, 1.0, grid.n)
+    rep = _report(const_op, const_weight(), _branch(2.0, u), "phi_floor")
     assert rep.holds
     assert abs(rep.margin) < 1e-12  # Q = 1 attains its floor exactly
 
-    w2 = WeightSpec.constant(2.0, p=1.0)
-    rep2 = check_phi_floor(reaction(w2, grid65), grid65, u, sigma=1.0)
+    # Q(x, y) = 1 + y: sigma = 1, and Phi_u exceeds sigma ||u||_1 by the
+    # integral of y u(y)
+    w2 = WeightSpec.separable(g=(1.0,), h=(1.0, 1.0), p=1.0)
+    rep2 = _report(const_op, w2, _branch(2.0, u), "phi_floor")
     assert rep2.holds
-    assert abs(rep2.margin - grid65.lp_norm(u, 1.0)) < 1e-12
+    assert abs(rep2.margin - grid.weights @ (grid.nodes[:, 0] * u)) < 1e-12
 
 
 def test_positivity_checker(const_op):
-    assert check_positivity(const_op, np.ones(const_op.n)).holds
+    weight = const_weight()
+    ones = _branch(2.0, np.ones(const_op.n))
+    assert _report(const_op, weight, ones, "positivity").holds
 
-    trivial = check_positivity(const_op, np.zeros(const_op.n))
-    assert trivial.holds and not trivial.applicable
+    # the trivial state is no case of positivity
+    trivial = _branch(2.0, np.zeros(const_op.n))
+    assert _report(const_op, weight, trivial, "positivity") is None
 
     u = np.ones(const_op.n)
     u[5] = -0.2
-    assert not check_positivity(const_op, u).holds
+    assert not _report(const_op, weight, _branch(2.0, u), "positivity").holds
 
 
 def test_collatz_wielandt_checker(const_op, const_eigen, rng):
-    rep = check_collatz_wielandt(const_op, const_eigen.lambda1, const_eigen.phi1)
+    weight = const_weight()
+    rep = _report(const_op, weight, _branch(2.0, const_eigen.phi1),
+                  "collatz_wielandt")
     assert rep.holds and abs(rep.margin) < 1e-9
-    for _ in range(5):
-        u = rng.uniform(0.1, 2.0, const_op.n)
-        assert check_collatz_wielandt(const_op, const_eigen.lambda1, u).holds
+    states = [rng.uniform(0.1, 2.0, const_op.n) for _ in range(5)]
+    rep = _report(const_op, weight, _branch(2.0, *states), "collatz_wielandt")
+    assert rep.holds and rep.context["points"] == 5
+
+
+def test_verify_branch_applies_k_once_per_point(tmp_path, monkeypatch):
+    """On the benchmark's stored trace-2d branch (29 closed-form states
+    on 33 x 33 nodes, the Kron form of K) `verify_branch` makes the
+    eigenpair's products with K and one more per stored point: 39."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    p = workloads.params("trace-2d", 0)
+    workloads.prepare(p, workloads.problem(p), tmp_path)
+    # the parsed arguments of `verify` with --branch
+    args = SimpleNamespace(config=str(tmp_path / "config.json"), rule=None,
+                           resolution=None, output_dir=str(tmp_path / "out"),
+                           branch=str(tmp_path / "branch.csv"))
+    run = RunContext(args)
+    branch = _load_branch(run, args)
+    op = run.operator()
+    calls = []
+    matvec = type(op.k).matvec
+
+    def counted(self, v):
+        calls.append(1)
+        return matvec(self, v)
+
+    monkeypatch.setattr(type(op.k), "matvec", counted)
+    principal_eigenpair(op)
+    eigen_calls = len(calls)
+    calls.clear()
+    reports = verify_branch(op, run.weight, branch)
+    assert all(r.holds for r in reports)
+    assert len(calls) == eigen_calls + len(branch.points)
+    assert (len(calls), len(branch.points)) == (39, 29)
 
 
 def test_subcritical_nonexistence_holds_below(const_op):
