@@ -57,7 +57,6 @@ from .operator import (
     OperatorError,
     PrincipalEigenpair,
     assemble,
-    collatz_wielandt_sup,
     principal_eigenpair,
 )
 from .regularized import (
@@ -68,6 +67,6 @@ from .regularized import (
     near_center_mass_bound,
     theta_margin,
 )
-from .verification import BoundReport, VerificationError, verify_branch
+from .verification import BoundReport, verify_branch
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .model import (
 )
 from .operator import OperatorError, assemble, principal_eigenpair
 from .regularized import RegularizedError, _InputError, limit_procedure
-from .verification import VerificationError, verify_branch
+from .verification import verify_branch
 
 __all__ = ["main"]
 
@@ -123,8 +123,13 @@ def _load_config(path: str) -> dict:
         text = Path(path).read_text()
     except OSError as exc:
         raise UsageError(f"cannot read config {path}: {exc}") from exc
+
+    def refuse(name):
+        # json.loads would read these as float('nan') and float('inf')
+        raise UsageError(f"config {path} holds {name}, which is not a number")
+
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, parse_constant=refuse)
     except json.JSONDecodeError as exc:
         raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(cfg, dict):
@@ -452,9 +457,7 @@ def _cmd_sweep_eps(args) -> int:
             "limit_residual": run.limit_residual,
             "margins_ok": run.margins_ok,
             "gaps_contracting": run.gaps_contracting,
-            "modulus_ok": run.modulus_ok,
             "near_mass_ok": run.near_mass_ok,
-            "modulus_paper_margin": run.modulus_paper_margin,
             "cauchy_gaps": list(run.cauchy_gaps),
             "near_mass": [list(pair) for pair in run.near_mass],
         },
@@ -500,23 +503,17 @@ def _cmd_verify(args) -> int:
             "name": r.name,
             "holds": r.holds,
             "margin": r.margin,
-            "applicable": r.applicable,
             "context": r.context,
         }
         for r in reports
     ]
     out = ctx.out_dir / "verify.json"
     _write_json(out, payload)
-    violated = False
     for r in reports:
         status = "ok" if r.holds else "VIOLATED"
-        if not r.applicable:
-            status = "n/a"
-        elif not r.holds:
-            violated = True
         print(f"{r.name}: {status} margin={_fmt(r.margin)}")
     print(f"-> {out}")
-    return 2 if violated else 0
+    return 0 if all(r.holds for r in reports) else 2
 
 
 def _cmd_export_plot(args) -> int:
@@ -657,7 +654,6 @@ def main(argv=None) -> int:
         OperatorError,
         ReactionError,
         ContinuationError,
-        VerificationError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

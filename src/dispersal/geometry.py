@@ -60,6 +60,10 @@ class Domain:
             raise GeometryError("lower and upper must have the same length")
         if not lo:
             raise GeometryError("a box needs at least one axis")
+        if not all(map(math.isfinite, lo + hi)):
+            raise GeometryError(
+                f"box bounds must be finite: lower={lo} upper={hi}"
+            )
         if any(b <= a for a, b in zip(lo, hi)):
             raise GeometryError(f"degenerate box: lower={lo} upper={hi}")
 

@@ -288,7 +288,7 @@ class KernelSpec:
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "KernelSpec":
-        if value < 0:
+        if not value >= 0:
             raise ModelError("constant kernel value must be nonnegative")
         return cls(form="constant", value=float(value))
 
@@ -298,7 +298,7 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, length_scale: float = 1.0) -> "KernelSpec":
-        if length_scale <= 0:
+        if not length_scale > 0:
             raise ModelError("gaussian length_scale must be positive")
         return cls(form="gaussian", length_scale=float(length_scale))
 
@@ -378,14 +378,14 @@ class WeightSpec:
     row_scale: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.p <= 0:
+        if not self.p > 0:
             raise ModelError("reaction exponent p must be positive")
         for name in ("matrix", "row_scale"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
 
     @classmethod
     def constant(cls, value: float = 1.0, p: float = 1.0) -> "WeightSpec":
-        if value < 0:
+        if not value >= 0:
             raise ModelError("constant weight value must be nonnegative")
         return cls(form="constant", p=float(p), value=float(value))
 
@@ -407,7 +407,7 @@ class WeightSpec:
         exps = tuple(float(c) for c in exponents)
         if len(pts) != len(exps) or not pts:
             raise ModelError("polynomial_dip needs matching points and exponents")
-        if any(q <= 0 for q in exps):
+        if not all(q > 0 for q in exps):
             raise ModelError("dip exponents must be positive")
         return cls(
             form="polynomial_dip",
@@ -605,7 +605,6 @@ class FloorReport:
     x0: np.ndarray
     q4_defect: float      # max over (x, y) of Q(x, y) - Q(x0, y)
     oscillation: float    # max over (x, z, y) of |Q(x, y) - Q(z, y)|
-    q_sup: float          # max Q over all pairs
 
 
 def _lead_row(q: LowRank, col_max: np.ndarray) -> int:
@@ -694,7 +693,6 @@ def check_weight_floor(
         x0=grid.nodes[i0].copy(),
         q4_defect=defect,
         oscillation=float((col_max - col_min).max()),
-        q_sup=float(col_max.max()),
     )
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "OperatorError",
     "PrincipalEigenpair",
     "assemble",
-    "collatz_wielandt_sup",
     "principal_eigenpair",
 ]
 
@@ -190,14 +189,3 @@ def principal_eigenpair(op: DiscreteOperator) -> PrincipalEigenpair:
         lambda1=float(lam1), phi1=phi, gap=float(lam1 - lam2), residual=residual
     )
 
-
-def collatz_wielandt_sup(op: DiscreteOperator, u: np.ndarray) -> float:
-    """sup of (A u) / u for strictly positive u.
-
-    For any positive u this is an upper Collatz-Wielandt value, so it is
-    always >= lambda1; equality holds at the principal eigenfunction.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.min() <= 0:
-        raise OperatorError("collatz_wielandt_sup needs strictly positive u")
-    return float((op.apply(u) / u).max())

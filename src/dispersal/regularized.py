@@ -40,20 +40,19 @@ lambda / lambda1 = 1.25, 1.5 and 2.  "fields" does not escape the x0
 node either: its quadrature weight carries u_n(x0) into both fields,
 which leaves a residual of 2.2e-3 at lambda = 1.25 lambda1.
 
-One family, two extrapolants.  The eps = 1/n solves, the a_eps, L0 u_n,
-Phi and g fields, the dip margins, the near-center mass, the Cauchy gaps
-and the modulus check do not depend on the extrapolation method, so
-`limit_procedure` keeps the last family it solved in a one-slot memo,
-and the second method of a pair costs one extrapolation.  The memo keys
-on ``op`` and ``weight`` by identity, through weak references that keep
-neither alive, and on lam, n_values, cfg, the validated x0_index and
-strict by value.  Validation, the eigenpair, the weight floor, the
-obstruction check and the lambda > lambda1 check run on every call,
-before the lookup, so every refusal comes whether the memo holds the
-family or not.  The memo holds one family, shared by the runs built from
-it, and every array in that family is read-only, as is every array
-reachable from its key: the forms of K and Q, a tabulated spec's matrix,
-a row scale and the grid.
+One family, two extrapolants.  The eps = 1/n solves, the L0 u_n and Phi
+fields, the dip margins, the near-center mass and the Cauchy gaps do not
+depend on the extrapolation method, so `limit_procedure` keeps the last
+family it solved in a one-slot memo, and the second method of a pair
+costs one extrapolation.  The memo keys on ``op`` and ``weight`` by
+identity, through weak references that keep neither alive, and on lam,
+n_values, cfg, the validated x0_index and strict by value.  Validation,
+the eigenpair, the weight floor, the obstruction check and the
+lambda > lambda1 check run on every call, before the lookup, so every
+refusal comes whether the memo holds the family or not.  The memo holds
+one family, shared by the runs built from it, and every array in that
+family is read-only, as is every array reachable from its key: the forms
+of K and Q, a tabulated spec's matrix, a row scale and the grid.
 """
 
 from __future__ import annotations
@@ -239,52 +238,16 @@ class RegularizedRun:
     n_values: tuple
     eps_sequence: tuple
     solutions: tuple          # BranchPoint per n
-    a_fields: tuple
-    g_fields: tuple           # Phi^eps at u_n per n
     margins: tuple            # min dip margin per n
     margins_ok: bool
     cauchy_gaps: tuple        # sup |u_n - u_next| per consecutive pair
     gaps_contracting: bool
-    modulus_ok: bool
-    modulus_paper_margin: float
     near_mass: tuple          # (measured p-mass near x0, bound) per n
     near_mass_ok: bool
     method: str
     limit: np.ndarray
     limit_residual: float
     obstruction: str | None   # doubled-weight obstruction, if it applies
-
-
-def _modulus_check(grid, qsup, a_fields, sols, g_fields, plain, p):
-    """Uniform-convergence modulus for g_n = Phi^eps_n at u_n.
-
-    Exact decomposition for consecutive pairs (a_n from eps_n, a_m from
-    eps_m, plain-weight fields F_n, F_m):
-
-        g_n - g_m = (a_m - a_n) F_n + (2 - a_m)(F_n - F_m)
-
-    so |g_n - g_m|(x) <= |a_n - a_m|(x) ||Q||_inf ||u_n||_p^p
-    + 2 ||F_n - F_m||_inf.  The single-term form with only the first
-    summand on the right is recorded as a signed diagnostic margin; it
-    can dip negative at x0 where a_n = a_m = 0 but F_n != F_m.
-    qsup is ||Q||_inf over the grid; a_fields holds a_n, plain holds F_n,
-    p is the exponent.
-    """
-    paper_margin = math.inf
-    for i in range(len(sols) - 1):
-        un = sols[i].u
-        gn, gm = g_fields[i], g_fields[i + 1]
-        da = np.abs(a_fields[i] - a_fields[i + 1])
-        fn, fm = plain[i], plain[i + 1]
-        pn = grid.lp_norm(un, p) ** p
-        lhs = np.abs(gn - gm)
-        rhs = da * qsup * pn + 2.0 * float(np.abs(fn - fm).max())
-        if (lhs - rhs).max() > 1e-8:
-            return False, paper_margin
-        paper_margin = min(
-            paper_margin, float((2.0 * qsup * pn * da - lhs).min())
-        )
-    return True, paper_margin
 
 
 class _Memo:
@@ -318,7 +281,7 @@ def _forget(ref) -> None:
 
 
 def _solve_family(
-    op, weight, rx, eigen, q_sup, lam, theta, n_values, cfg, x0_index, strict
+    op, weight, rx, eigen, lam, theta, n_values, cfg, x0_index, strict
 ) -> tuple[dict, tuple, tuple]:
     """The eps = 1/n solves and every check on them, none of which
     depends on the extrapolation method.  Returns the `RegularizedRun`
@@ -330,7 +293,7 @@ def _solve_family(
         < _MASS_RADIUS
     )
 
-    eps_seq, sols, a_fields, g_fields, margins, near = [], [], [], [], [], []
+    eps_seq, sols, margins, near = [], [], [], []
     plain, disp = [], []
     near_ok = True
     warm = None
@@ -354,10 +317,7 @@ def _solve_family(
             )
         eps_seq.append(eps)
         sols.append(point)
-        a_fields.append(_read_only(a))
         plain.append(_read_only(phi(rx, u)))
-        # Q_eps = (2 - a) Q
-        g_fields.append(_read_only((2.0 - a) * plain[-1]))
         margins.append(margin)
 
         disp.append(_read_only(op.apply(u)))
@@ -389,22 +349,13 @@ def _solve_family(
                 )
             break
 
-    modulus_ok, paper_margin = _modulus_check(
-        grid, q_sup, a_fields, sols, g_fields, plain, weight.p
-    )
-    if not modulus_ok and strict:
-        raise RegularizedError("modulus bound on the reaction fields broke")
     family = dict(
         eps_sequence=tuple(eps_seq),
         solutions=tuple(sols),
-        a_fields=tuple(a_fields),
-        g_fields=tuple(g_fields),
         margins=tuple(margins),
         margins_ok=margins_ok,
         cauchy_gaps=tuple(gaps),
         gaps_contracting=contracting,
-        modulus_ok=modulus_ok,
-        modulus_paper_margin=paper_margin,
         near_mass=tuple(near),
         near_mass_ok=near_ok,
     )
@@ -445,10 +396,10 @@ def limit_procedure(
     raises a `RegularizedError` that is also a ValueError.  With
     strict=True the run fails loudly if the obstruction applies, the dip
     margin is violated, the gap sequence ||u_n - u_next||_inf grows over
-    three consecutive pairs, the modulus bound on g_n breaks, or the
-    near-center mass exceeds its bound.  With strict=False each finding
-    is recorded in the run report instead (the obstruction in
-    `obstruction`), so the degradation itself can be measured.
+    three consecutive pairs, or the near-center mass exceeds its bound.
+    With strict=False each finding is recorded in the run report instead
+    (the obstruction in `obstruction`), so the degradation itself can be
+    measured.
 
     The family is memoized, so a call that differs from the previous one
     in ``method`` alone only extrapolates (see the module docstring).
@@ -484,8 +435,8 @@ def limit_procedure(
     memo = _last_family
     if memo is None or not memo.holds(op, weight, key):
         memo = _last_family = _Memo(op, weight, key, *_solve_family(
-            op, weight, rx, eigen, floor.q_sup, lam, theta, n_values, cfg,
-            x0_index, strict,
+            op, weight, rx, eigen, lam, theta, n_values, cfg, x0_index,
+            strict,
         ))
     sols = memo.family["solutions"]
 

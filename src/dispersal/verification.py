@@ -33,11 +33,7 @@ from .logistic import phi, reaction
 from .model import WeightSpec, check_weight_floor
 from .operator import DiscreteOperator, principal_eigenpair
 
-__all__ = ["BoundReport", "VerificationError", "verify_branch"]
-
-
-class VerificationError(RuntimeError):
-    pass
+__all__ = ["BoundReport", "verify_branch"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +42,6 @@ class BoundReport:
     holds: bool
     margin: float
     context: dict = field(default_factory=dict)
-    applicable: bool = True
 
 
 def verify_branch(

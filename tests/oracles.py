@@ -25,6 +25,8 @@ is applied through the structured K and solved by Lanczos, and the root
 by a bracketed Brent iteration, so a run holds no n x n array.
 
 `bifurcation_estimate` recovers lambda1 from a traced branch alone.
+`collatz_wielandt_sup` gives the upper Collatz-Wielandt value
+sup (A u) / u of a positive state, which is >= lambda1.
 `window_bounds` gives the solvability window
 (lambda1, lambda1 + lambda1 sigma / [Q]), a sufficient condition that no
 stored state can violate, so no report of `verify_branch` carries it.
@@ -43,7 +45,7 @@ from dispersal import (
     ContinuationConfig,
     ContinuationError,
     DiscreteOperator,
-    VerificationError,
+    OperatorError,
     WeightSpec,
     newton_correct,
     phi,
@@ -66,6 +68,10 @@ _ROOT_MAX_ITERS = 100
 _SEARCH_SEED = 0
 
 
+class VerificationError(RuntimeError):
+    """A refused oracle input, or an oracle that could not decide."""
+
+
 @dataclass(frozen=True, eq=False)
 class OracleResult:
     u: np.ndarray
@@ -74,6 +80,18 @@ class OracleResult:
     iters: int
     final_change: float
     residual: float
+
+
+def collatz_wielandt_sup(op: DiscreteOperator, u: np.ndarray) -> float:
+    """sup of (A u) / u for strictly positive u.
+
+    For any positive u this is an upper Collatz-Wielandt value, so it is
+    always >= lambda1; equality holds at the principal eigenfunction.
+    """
+    u = np.asarray(u, dtype=float)
+    if u.min() <= 0:
+        raise OperatorError("collatz_wielandt_sup needs strictly positive u")
+    return float((op.apply(u) / u).max())
 
 
 def _problem_residual(op, rx, lam, u) -> float:

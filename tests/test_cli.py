@@ -55,20 +55,21 @@ def test_check_hyp_pass_and_fail(tmp_path, capsys):
     assert main(["check-hyp", bad, "--output-dir", str(out)]) == 2
 
     # r and delta are read as given: zero, negative and NaN values are
-    # refused by name, where a NaN would empty the near-pair mask
+    # refused by name, where a NaN would empty the near-pair mask; a NaN
+    # in the config is refused as it is read, by the constant's name
     (out / "hypotheses.json").unlink()
     nan_delta = write_config(
         tmp_path / "nan_delta.json", run={"delta": float("nan")}
     )
-    for name, argv in [
-        ("r", [cfg, "--r", "0"]),
-        ("r", [cfg, "--r", "-1"]),
-        ("r", [cfg, "--r", "nan"]),
-        ("delta", [nan_delta]),
+    for expected, argv in [
+        ("r must be positive", [cfg, "--r", "0"]),
+        ("r must be positive", [cfg, "--r", "-1"]),
+        ("r must be positive", [cfg, "--r", "nan"]),
+        ("holds NaN, which is not a number", [nan_delta]),
     ]:
         capsys.readouterr()
         assert main(["check-hyp", *argv, "--output-dir", str(out)]) == 1
-        assert f"{name} must be positive" in capsys.readouterr().err
+        assert expected in capsys.readouterr().err
         assert not (out / "hypotheses.json").exists()
 
 
@@ -723,6 +724,15 @@ def test_grid_flags_are_read_when_falsy(tmp_path, capsys, flag, value):
          "'p'"),
         ("trace", "run", False, "'run'"),
         ("eig", "grid", 0, "'grid'"),
+        ("eig", "domain", {"lower": [0.0], "upper": [float("inf")]},
+         "holds Infinity"),
+        ("trace", "kernel", {"form": "constant", "value": float("nan")},
+         "holds NaN"),
+        ("trace", "kernel", {"form": "gaussian", "length_scale": float("nan")},
+         "holds NaN"),
+        ("trace", "weight", {"form": "constant", "value": 1.0,
+                             "p": float("nan")}, "holds NaN"),
+        ("check-hyp", "run", {"r": -float("inf")}, "holds -Infinity"),
     ],
 )
 def test_mistyped_config_value_exits_one(tmp_path, capsys, command, section,
@@ -730,7 +740,8 @@ def test_mistyped_config_value_exits_one(tmp_path, capsys, command, section,
     """A run number that is not a number, a JSON boolean anywhere in a
     section and a section that is not an object are refused with an
     error line that names the key, never read as 1.0 or taken for an
-    empty section."""
+    empty section.  A NaN or infinite JSON constant is refused as the
+    config is read, with an error line that names the constant."""
     cfg = write_config(tmp_path / "c.json", **{section: value})
     capsys.readouterr()
     assert main([command, cfg, "--output-dir", str(tmp_path / "out")]) == 1

@@ -232,6 +232,42 @@ def test_trace_reports_max_points():
     assert branch.points[-1].lam < cfg.lambda_max
 
 
+@pytest.mark.parametrize("mode", ["unconverged", "positivity_lost"])
+@pytest.mark.parametrize("failures", [math.inf, 3])
+def test_trace_halves_ds_on_a_failed_step(monkeypatch, mode, failures):
+    """A rejected corrector step halves ds and retries.  With every
+    arclength step rejected, the trace stops as "step_failure" at its
+    bootstrap point after 11 tries, since 0.02 / 2^11 < ds_min = 1e-5;
+    with only the first 3 rejected, it still reaches lambda_max.  The
+    rejection is either an unconverged Newton run or PositivityLost."""
+    newton = continuation._newton
+    tried = []
+
+    def failing(op, rx, lam, u0, cfg, border=None):
+        if border is None or len(tried) >= failures:
+            return newton(op, rx, lam, u0, cfg, border)
+        tried.append(border[4])
+        if mode == "positivity_lost":
+            raise continuation.PositivityLost("rejected by the test")
+        u, lam, iters, _, phi_u, r = newton(op, rx, lam, u0, cfg, border)
+        return u, lam, iters, False, phi_u, r
+
+    monkeypatch.setattr(continuation, "_newton", failing)
+    grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 33)
+    op = assemble(KernelSpec.gaussian(1.0), grid)
+    cfg = ContinuationConfig(lambda_max=2.5)
+    branch = trace_branch(op, const_weight(p=2.0), principal_eigenpair(op),
+                          cfg)
+    if failures == math.inf:
+        assert branch.termination == "step_failure"
+        assert len(branch.points) == 1
+        assert tried == [cfg.ds / 2**k for k in range(11)]
+    else:
+        assert branch.termination == "reached_lambda_max"
+        assert branch.points[-1].lam == cfg.lambda_max
+        assert tried == [cfg.ds / 2**k for k in range(3)]
+
+
 def test_solve_at_lambda_constant(const_op, const_eigen):
     cfg = ContinuationConfig()
     pt = solve_at_lambda(const_op, const_weight(p=2.0), const_eigen, 2.5, cfg)

@@ -25,6 +25,15 @@ def test_domain_rejects_degenerate():
         Domain((0.0, 0.0), (1.0,))
     with pytest.raises(GeometryError, match="at least one axis"):
         Domain((), ())
+    # a NaN bound passes every comparison test; it must still be refused
+    for lower, upper in [
+        ((0.0,), (math.inf,)),
+        ((-math.inf,), (1.0,)),
+        ((math.nan,), (1.0,)),
+        ((0.0, 0.0), (1.0, math.nan)),
+    ]:
+        with pytest.raises(GeometryError, match="finite"):
+            Domain(lower, upper)
 
 
 def test_midpoint_nodes_and_weights():

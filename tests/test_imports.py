@@ -176,18 +176,17 @@ API = (
     "ModelError", "OperatorError", "PositivityLost", "PrincipalEigenpair",
     "QuadratureGrid", "RULES", "Reaction", "ReactionError",
     "RegularizedError", "RegularizedRun", "StepFailure", "Toeplitz",
-    "VerificationError", "WeightSpec", "assemble", "build_a_eps",
-    "build_grid", "build_q_eps", "certify", "check_weight_floor",
-    "collatz_wielandt_sup", "cover", "eps_ceiling", "limit_procedure",
-    "near_center_mass_bound", "newton_correct", "phi", "principal_eigenpair",
-    "reaction", "residual", "seed_branch", "solve_at_lambda", "theta_margin",
-    "trace_branch", "verify_branch",
+    "WeightSpec", "assemble", "build_a_eps", "build_grid", "build_q_eps",
+    "certify", "check_weight_floor", "cover", "eps_ceiling",
+    "limit_procedure", "near_center_mass_bound", "newton_correct", "phi",
+    "principal_eigenpair", "reaction", "residual", "seed_branch",
+    "solve_at_lambda", "theta_margin", "trace_branch", "verify_branch",
 )
 
 
 def test_public_api_is_pinned():
-    """`dispersal` exports the 51 names of `API`, listed in sorted order."""
-    assert API == tuple(sorted(API)) and len(API) == 51
+    """`dispersal` exports the 49 names of `API`, listed in sorted order."""
+    assert API == tuple(sorted(API)) and len(API) == 49
     assert _public() == set(API)
 
 

@@ -1,5 +1,6 @@
 """Kernel/weight construction and the structural certificates."""
 
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -466,6 +467,16 @@ def test_weight_spec_validation():
         WeightSpec.constant(1.0, p=0.0)
     with pytest.raises(ModelError):
         WeightSpec.constant(-1.0, p=1.0)
+    # NaN fails every comparison, so each sign check must fail on it too
+    with pytest.raises(ModelError, match="p must be positive"):
+        WeightSpec.constant(1.0, p=math.nan)
+    with pytest.raises(ModelError, match="nonnegative"):
+        WeightSpec.constant(math.nan, p=1.0)
+    with pytest.raises(ModelError, match="exponents must be positive"):
+        WeightSpec.polynomial_dip(
+            h=(1.0,), g=(0.0,), points=(0.5,), exponents=(math.nan,),
+            level=2.0, p=1.0,
+        )
     with pytest.raises(ModelError):
         WeightSpec.polynomial_dip(
             h=(1.0,), g=(0.0,), points=(0.5,), exponents=(), level=2.0, p=1.0
@@ -482,6 +493,10 @@ def test_kernel_spec_validation():
         KernelSpec.constant(-1.0)
     with pytest.raises(ModelError):
         KernelSpec.gaussian(0.0)
+    with pytest.raises(ModelError, match="nonnegative"):
+        KernelSpec.constant(math.nan)
+    with pytest.raises(ModelError, match="length_scale must be positive"):
+        KernelSpec.gaussian(math.nan)
     with pytest.raises(ModelError):
         KernelSpec.tabulated(np.ones((3, 4)))
 

@@ -12,11 +12,11 @@ from dispersal import (
     OperatorError,
     assemble,
     build_grid,
-    collatz_wielandt_sup,
     principal_eigenpair,
 )
 
 from .conftest import dense_a, dense_s, peak_bytes, unit_grid
+from .oracles import collatz_wielandt_sup
 
 # reference eigenvalue for exp(-|x-y|^2) on (0,1): 200-, 400-, and
 # 800-point Gauss-Legendre runs of the assembly below agree to 1e-14

@@ -30,7 +30,6 @@ from dispersal import (
     build_grid,
     certify,
     check_weight_floor,
-    collatz_wielandt_sup,
     phi,
     principal_eigenpair,
     reaction,
@@ -47,7 +46,11 @@ from .conftest import (
     kernel_matrix,
     weight_matrix,
 )
-from .oracles import oracle_spectral, pencil_eigenvalue
+from .oracles import (
+    collatz_wielandt_sup,
+    oracle_spectral,
+    pencil_eigenvalue,
+)
 
 PROPERTY = settings(
     derandomize=True, database=None, deadline=None, max_examples=40
@@ -222,7 +225,6 @@ def test_weight_floor_matches_brute_force(data):
     advantage = np.array([(row[None, :] - q).min() for row in q])
     osc = max(np.abs(row[None, :] - q).max() for row in q)
     assert floor.sigma_global == floor.sigma == min(row.min() for row in q)
-    assert floor.q_sup == max(row.max() for row in q)
     assert floor.oscillation == osc
     assert advantage[floor.x0_index] == advantage.max()
     assert floor.q4_defect == (q - q[floor.x0_index][None, :]).max()
@@ -264,7 +266,6 @@ def _dense_certificates(kernel, weight, grid, r, delta):
         "x0": grid.nodes[i0],
         "q4_defect": defect,
         "oscillation": float((col_max - q.min(axis=0)).max()),
-        "q_sup": float(col_max.max()),
     }
 
 

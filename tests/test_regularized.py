@@ -151,7 +151,6 @@ def test_limit_procedure_constant_weight_clean():
     assert run.margins_ok
     assert run.gaps_contracting
     assert run.near_mass_ok
-    assert run.modulus_ok
     assert run.obstruction is None
     assert np.abs(run.limit - 0.5).max() <= 2e-2
 
@@ -371,8 +370,8 @@ def test_memoized_and_tabulated_arrays_are_read_only(monkeypatch):
     assert isinstance(gl, Kron) and len(gl.factors) == 1
     arrays = [
         run.solutions[0].u,
-        run.a_fields[0],
-        run.g_fields[1],
+        regularized._last_family.disp[0],
+        run.solutions[1].u,
         regularized._last_family.plain[0],
         kernel.matrix,
         weight.matrix,

@@ -9,7 +9,6 @@ import pytest
 from dispersal import (
     ContinuationConfig,
     KernelSpec,
-    VerificationError,
     Domain,
     WeightSpec,
     assemble,
@@ -23,6 +22,7 @@ from dispersal.cli import RunContext, _load_branch
 
 from .conftest import const_weight, dip_weight, peak_bytes, unit_grid
 from .oracles import (
+    VerificationError,
     check_subcritical_nonexistence,
     oracle_fixed_point,
     oracle_spectral,
