@@ -22,7 +22,6 @@ from .continuation import (
 )
 from .geometry import (
     RULES,
-    Covering,
     Domain,
     GeometryError,
     QuadratureGrid,

@@ -1,14 +1,13 @@
-"""Box domains, quadrature grids, and ball coverings.
+"""Box domains, quadrature grids, and ball covering counts.
 
 Everything downstream reduces integrals over the habitat to weighted sums
 over a fixed node set, so this module stays deliberately small: a `Domain`
 is an axis-aligned box in R^N for any N >= 1, `build_grid` produces nodes
 and strictly positive weights for one of three classical rules, and
-`cover` returns a finite set of ball centers whose closed balls of radius
-r/2 cover every grid node.  Both are tensor products of per-axis
-constructions, built the same way in every dimension.  Grids and
-coverings are frozen after construction and are safe to share between
-threads.
+`cover` counts the closed balls of radius r/2 that cover the box.  Both
+are tensor products of per-axis constructions, built the same way in
+every dimension.  Grids are frozen after construction and are safe to
+share between threads.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import numpy as np
 
 __all__ = [
     "RULES",
-    "Covering",
     "Domain",
     "GeometryError",
     "QuadratureGrid",
@@ -139,18 +137,6 @@ class QuadratureGrid:
         return _axes(self.domain, self.rule, self.resolution)
 
 
-@dataclass(frozen=True, eq=False)
-class Covering:
-    """Ball centers covering all grid nodes with closed balls of ``radius``."""
-
-    centers: np.ndarray
-    radius: float
-
-    @property
-    def m(self) -> int:
-        return self.centers.shape[0]
-
-
 def _axis_rule(rule: str, lo: float, hi: float, res: int):
     h = (hi - lo) / res
     if rule == "midpoint":
@@ -211,34 +197,19 @@ def _mesh(axes: list) -> np.ndarray:
     )
 
 
-def cover(grid: QuadratureGrid, r: float) -> Covering:
-    """Cover the grid nodes with closed balls of radius r/2.
+def cover(domain: Domain, r: float) -> int:
+    """The number m of closed balls of radius r/2 that cover ``domain``.
 
-    Axis-sweep construction: each axis of ``grid.domain`` is split into
-    equal cells no longer than r/sqrt(N), and the centers of the resulting
-    cells are the ball centers.  The half cell diagonal is then at most
-    r/2, so every point of the box (in particular every node) is within
-    r/2 of some center, and the per-axis counts are minimal for that cell
-    shape.  The nearest center to a node is the center of its own cell
-    along each axis, so the reach check runs one axis at a time, in
-    O(n N) memory.
+    Each axis is split into the fewest equal cells no longer than
+    r/sqrt(N), to a relative slack of 1e-12; the cell centers are the
+    ball centers and m is the product of the per-axis cell counts.  A
+    cell's half diagonal is then at most r/2, to that slack, so every
+    point of the box, every grid node among them, lies within r/2 of its
+    own cell's center.
     """
-    if r <= 0:
+    if not r > 0:
         raise GeometryError("covering radius r must be positive")
-    domain = grid.domain
     max_cell = r / math.sqrt(domain.dim)
-    axes = []
-    d2 = np.zeros(grid.n)
-    for lo, hi, x in zip(domain.lower, domain.upper, grid.nodes.T):
-        k = max(1, math.ceil((hi - lo) / max_cell - 1e-12))
-        cell = (hi - lo) / k
-        mid = lo + (np.arange(k) + 0.5) * cell
-        own = np.clip(np.floor((x - lo) / cell), 0, k - 1).astype(int)
-        d2 += (x - mid[own]) ** 2
-        axes.append(mid)
-
-    if np.sqrt(d2.max()) > 0.5 * r + 1e-12:
-        raise GeometryError("covering construction failed to reach every node")
-    centers = _mesh(axes)
-    centers.setflags(write=False)
-    return Covering(centers, 0.5 * r)
+    return math.prod(
+        max(1, math.ceil(side / max_cell - 1e-12)) for side in domain.sides
+    )

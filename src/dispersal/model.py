@@ -57,7 +57,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -118,6 +118,18 @@ def _frozen(a) -> Optional[np.ndarray]:
     ):
         return a
     return _read_only(np.array(a, dtype=float))
+
+
+def _refuse_non_finite(spec) -> None:
+    """Raise a ModelError naming the first numeric field of ``spec`` that
+    holds a NaN or an infinity."""
+    for f in fields(spec):
+        v = getattr(spec, f.name)
+        if f.name != "form" and v is not None and not np.isfinite(v).all():
+            got = "" if isinstance(v, np.ndarray) else f", got {v!r}"
+            raise ModelError(
+                f"{type(spec).__name__} {f.name} must be finite{got}"
+            )
 
 
 def _coords_1d(grid: QuadratureGrid, what: str) -> np.ndarray:
@@ -272,7 +284,8 @@ class KernelSpec:
     gaussian:  K(x, y) = exp(-|x - y|^2 / length_scale^2)
     tabulated: explicit (n, n) matrix over the grid nodes
 
-    ``matrix`` is held read-only: a writable array is copied.
+    ``matrix`` is held read-only: a writable array is copied.  Every
+    number of the spec must be finite, else it raises a ModelError.
     """
 
     FORMS = ("constant", "rank_one", "gaussian", "tabulated")
@@ -285,6 +298,7 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
+        _refuse_non_finite(self)
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "KernelSpec":
@@ -361,7 +375,8 @@ class WeightSpec:
 
     ``row_scale``, set only by `build_q_eps`, multiplies row x by
     row_scale(x) on every materialization.  ``matrix`` and ``row_scale``
-    are held read-only: a writable array is copied.
+    are held read-only: a writable array is copied.  Every number of the
+    spec must be finite, else it raises a ModelError.
     """
 
     FORMS = ("constant", "separable", "polynomial_dip", "tabulated")
@@ -382,6 +397,7 @@ class WeightSpec:
             raise ModelError("reaction exponent p must be positive")
         for name in ("matrix", "row_scale"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+        _refuse_non_finite(self)
 
     @classmethod
     def constant(cls, value: float = 1.0, p: float = 1.0) -> "WeightSpec":

@@ -306,6 +306,13 @@ def _solve_family(
             point = solve_at_lambda(op, weps, eigen, lam, cfg)
         else:
             point = newton_correct(op, rx_eps, lam, warm, cfg)
+        # Phi reads |u|^p, so -u solves wherever u does and would pass
+        # every check below; the family must stay positive
+        if not point.min_u > 0:
+            raise RegularizedError(
+                f"the solve at n={n} is not positive: min u = "
+                f"{point.min_u:.3e}"
+            )
         u = warm = _read_only(point.u)
         # lambda - Phi^eps_u >= theta a_eps; at x0 it reduces to
         # lambda - Phi^eps_u(x0) >= 0, which u > 0 already implies
@@ -399,7 +406,7 @@ def limit_procedure(
     three consecutive pairs, or the near-center mass exceeds its bound.
     With strict=False each finding is recorded in the run report instead
     (the obstruction in `obstruction`), so the degradation itself can be
-    measured.
+    measured.  A solve u_n with min u_n <= 0 raises in both modes.
 
     The family is memoized, so a call that differs from the previous one
     in ``method`` alone only extrapolates (see the module docstring).

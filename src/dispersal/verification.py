@@ -1,24 +1,24 @@
 """Every quantitative bound of a stored branch, checked by `verify_branch`.
 
 `verify_branch` reads the states (lambda, u) of a branch alone and
-recomputes from them, in one pass over the points, the six reports it
+recomputes from them, in one pass over the points, the four reports it
 returns as BoundReport records, margin >= 0 meaning the bound holds:
 
 - ``residual``: |A u + Phi_u u - lambda u|_inf <= 1e-8 max(1, |u|_inf);
 - ``admissibility``: gamma ||Phi_u||_inf < 1 with gamma = 1 / lambda;
 - ``positivity``: u > 0 at every node and the rate (L0 u) / u positive
   with it, its margin min u; the trivial state is not a case of it;
-- ``collatz_wielandt``: lambda1 <= sup_x (L0 u)(x) / u(x) over the
-  positive states;
 - ``lp_covering_bound``: ||u||_p <= (m lambda / sigma)^(1/p) from the ball
-  covering, under a global weight floor;
-- ``phi_floor``: min_x Phi_u(x) >= sigma ||u||_p^p under that floor.
+  covering, under a global weight floor.
 
 Each report carries the worst margin over the branch, whether the bound
 holds at every point, the context of the worst point and the count of
 points it covers.  It is the one place that reads the weight floor and
-the ball covering of the a-priori L^p bound, which the tracer does not
-compute.
+the ball count of the a-priori L^p bound, which the tracer does not
+compute.  Bounds that hold for every state they could be computed on are
+not reported: min Phi_u >= sigma ||u||_p^p for any u, and the
+Collatz-Wielandt bound sup (L0 u) / u >= lambda1 for any positive u
+under K >= 0.  Both are property tests.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .continuation import _branch_point
 from .geometry import cover
 from .logistic import phi, reaction
 from .model import WeightSpec, check_weight_floor
-from .operator import DiscreteOperator, principal_eigenpair
+from .operator import DiscreteOperator
 
 __all__ = ["BoundReport", "verify_branch"]
 
@@ -49,25 +49,24 @@ def verify_branch(
     weight: WeightSpec,
     branch,
 ) -> list[BoundReport]:
-    """The six reports of the module docstring over a stored branch.
+    """The four reports of the module docstring over a stored branch.
 
     Only the states (lambda, u) are read: ``branch.points`` may hold any
     records with ``lam`` and ``u``.  Each point is rebuilt from them by the
     tracer's own `_branch_point`, from Phi_u and A u formed once per point;
-    lambda1 comes from `principal_eigenpair(op)`, and the weight floor
-    sigma at r = the domain diameter and the count m of the ball covering
-    of that radius from the weight and the grid.  The recorded scalars and
-    the branch metadata, ``seed_lambda1`` included, are ignored.  The two
-    covering reports are left out when the weight has no global floor.
+    the weight floor sigma at r = the domain diameter and the ball count m
+    of the covering of that radius come from the weight and the domain.
+    The recorded scalars and the branch metadata, ``seed_lambda1``
+    included, are ignored.  The covering report is left out when the
+    weight has no global floor.
     """
     grid = op.grid
-    lambda1 = principal_eigenpair(op).lambda1
     rx = reaction(weight, grid)
     floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
-    names = ["residual", "admissibility", "positivity", "collatz_wielandt"]
+    names = ["residual", "admissibility", "positivity"]
     if floor.q2pp:
-        names += ["lp_covering_bound", "phi_floor"]
-        m = cover(grid, floor.r).m
+        names.append("lp_covering_bound")
+        m = cover(grid.domain, floor.r)
     # per report, one (margin, holds, context) row per point it covers
     rows = {name: [] for name in names}
     for stored in branch.points:
@@ -86,26 +85,18 @@ def verify_branch(
             margin, margin > 0,
             {"lambda": pt.lam, "gamma_phi_sup": pt.gamma_phi_sup},
         ))
-        # (L0 u) / u, formed where no node divides by zero; a NaN state
-        # has one, fails positivity and is no Collatz-Wielandt case
-        rate = None if pt.min_u <= 0 else au / u
+        # the rate (L0 u) / u is formed where no node divides by zero; a
+        # NaN state has a NaN rate and fails with it
         if not pt.sup_norm <= 1e-12:
-            if rate is None:
+            if pt.min_u <= 0:
                 rows["positivity"].append(
                     (pt.min_u, False, {"min_u": pt.min_u})
                 )
             else:
-                min_c = float(rate.min())
+                min_c = float((au / u).min())
                 rows["positivity"].append((
                     pt.min_u, min_c > 0, {"min_u": pt.min_u, "min_c": min_c}
                 ))
-        if pt.min_u > 0:
-            sup_ratio = float(rate.max())
-            margin = sup_ratio - lambda1
-            rows["collatz_wielandt"].append((
-                margin, margin >= -1e-8,
-                {"sup_ratio": sup_ratio, "lambda1": lambda1},
-            ))
         if floor.q2pp:
             bound = (m * pt.lam / floor.sigma) ** (1.0 / weight.p)
             margin = bound - pt.p_norm
@@ -114,12 +105,6 @@ def verify_branch(
                 "p": weight.p, "p_norm": pt.p_norm, "bound": bound,
                 "r": floor.r,
             }))
-            floor_val = floor.sigma_global * pt.p_norm**rx.p
-            margin = float(phi_u.min()) - floor_val
-            rows["phi_floor"].append((
-                margin, margin >= -1e-8,
-                {"sigma": floor.sigma_global, "floor": floor_val},
-            ))
     reports = []
     for name, found in rows.items():
         if found:

@@ -24,6 +24,7 @@ from dispersal import (
     build_grid,
     check_weight_floor,
     limit_procedure,
+    phi,
     principal_eigenpair,
     reaction,
     residual,
@@ -183,8 +184,9 @@ def test_criterion_04_branch_point_bounds():
     """Every accepted branch point satisfies the admissibility bound
     gamma sup Phi < 1, the covering p-norm bound, and (under a global
     weight floor) min Phi >= sigma ||u||_p^p, all with margin >= -1e-8.
-    The margins are those of the `verify_branch` reports, recomputed from
-    each traced branch's states."""
+    The first two margins are those of the `verify_branch` reports, the
+    reaction floor is formed here; all are recomputed from each traced
+    branch's states."""
     from dispersal import verify_branch
 
     _warm_up()
@@ -203,12 +205,16 @@ def test_criterion_04_branch_point_bounds():
             op, weight, eigen, ContinuationConfig(lambda_max=lam_max)
         )
         reports = {r.name: r for r in verify_branch(op, weight, branch)}
-        # both covering reports need a global weight floor
-        assert {"lp_covering_bound", "phi_floor"} <= set(reports)
+        # the covering report needs a global weight floor
+        assert "lp_covering_bound" in reports
         points += reports["admissibility"].context["points"]
         worst_adm = min(worst_adm, reports["admissibility"].margin)
         worst_lp = min(worst_lp, reports["lp_covering_bound"].margin)
-        worst_floor = min(worst_floor, reports["phi_floor"].margin)
+        rx = reaction(weight, grid)
+        sigma = check_weight_floor(weight, grid, r=UNIT.diameter).sigma_global
+        for pt in branch.points:
+            floor = sigma * grid.lp_norm(pt.u, weight.p) ** weight.p
+            worst_floor = min(worst_floor, float(phi(rx, pt.u).min()) - floor)
     ok = worst_adm > 0 and worst_lp >= -1e-8 and worst_floor >= -1e-8
     _report(
         4,

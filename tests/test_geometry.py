@@ -1,4 +1,4 @@
-"""Grids, quadrature weights, and ball coverings."""
+"""Grids, quadrature weights, and ball covering counts."""
 
 import math
 
@@ -7,7 +7,7 @@ import pytest
 
 from dispersal import Domain, GeometryError, build_grid, cover
 
-from .conftest import UNIT, peak_bytes, unit_grid
+from .conftest import UNIT, unit_grid
 
 
 def test_domain_basics():
@@ -128,53 +128,27 @@ def test_inner_and_lp_norm():
 
 
 def test_cover_unit_interval():
-    grid = unit_grid("midpoint", 16)
-    c = cover(grid, 0.5)
-    assert c.m == 2
-    np.testing.assert_allclose(np.sort(c.centers[:, 0]), [0.25, 0.75])
-    assert cover(grid, 2.0).m == 1
+    assert cover(UNIT, 0.5) == 2
+    assert cover(UNIT, 2.0) == 1
 
 
 def test_cover_square():
-    dom = Domain((0.0, 0.0), (1.0, 1.0))
-    grid = build_grid(dom, "midpoint", 8)
-    c = cover(grid, 1.0)
-    assert c.m == 4
-    mids = sorted(map(tuple, np.round(c.centers, 12)))
-    assert mids == [(0.25, 0.25), (0.25, 0.75), (0.75, 0.25), (0.75, 0.75)]
+    # cells no longer than 1/sqrt(2): 2 x 2
+    assert cover(Domain((0.0, 0.0), (1.0, 1.0)), 1.0) == 4
+    # cells no longer than 1/sqrt(3) on sides 2, 1, 1.5: 4 x 2 x 3
+    assert cover(Domain((0.0, 0.0, -1.0), (2.0, 1.0, 0.5)), 1.0) == 24
 
 
 def test_cover_radius_positive():
-    grid = unit_grid("midpoint", 8)
-    with pytest.raises(GeometryError):
-        cover(grid, 0.0)
+    for r in (0.0, -1.0, math.nan):
+        with pytest.raises(GeometryError):
+            cover(UNIT, r)
 
 
-def test_cover_soundness_random_radii():
-    """Every node sits within r/2 of some center, so balls of radius r
-    around the centers cover the grid with room for the floor bound, on
-    a 2-D and a 3-D box."""
-    rng = np.random.default_rng(7)
-    for dom, res in (
-        (Domain((0.0, 0.0), (2.0, 1.0)), 11),
-        (Domain((0.0, 0.0, -1.0), (2.0, 1.0, 0.5)), 6),
-    ):
-        grid = build_grid(dom, "midpoint", res)
-        for _ in range(20):
-            r = float(rng.uniform(0.1, 3.0))
-            c = cover(grid, r)
-            reach = max(
-                np.linalg.norm(c.centers - x, axis=1).min()
-                for x in grid.nodes
-            )
-            assert reach <= r / 2.0 + 1e-12
-
-
-def test_cover_holds_no_node_by_center_array():
-    """On 256 x 256 nodes at r = 0.05 (841 centers) the reach check runs
-    one axis at a time: its peak stays below 8 float arrays of length n,
-    where the node-by-center distances took n m N floats (883 MB)."""
-    dom = Domain((0.0, 0.0), (1.0, 1.0))
-    grid = build_grid(dom, "trapezoid", 256)
-    peak = peak_bytes(cover, grid, 0.05)
-    assert peak <= 8 * grid.n * 8
+def test_cover_counts_within_the_cell_slack():
+    """At r = 10 (1 - 5e-13) on a box of side 10 one cell is longer than
+    r by 5e-12, inside the relative 1e-12 slack of the per-axis count, so
+    one ball covers it.  A reach check with an absolute 1e-12 refused
+    this radius."""
+    assert cover(Domain((0.0,), (10.0,)), 10.0 * (1.0 - 5e-13)) == 1
+    assert cover(Domain((0.0,), (1e6,)), 1e6 * (1.0 - 1e-15)) == 1

@@ -501,6 +501,46 @@ def test_kernel_spec_validation():
         KernelSpec.tabulated(np.ones((3, 4)))
 
 
+_DIP = {"points": (0.5,), "exponents": (0.4,), "level": 3.0}
+
+
+@pytest.mark.parametrize("spec, form, kwargs, name", [
+    pytest.param(KernelSpec, "constant", {"value": math.inf}, "value",
+                 id="kernel-constant"),
+    pytest.param(KernelSpec, "gaussian", {"length_scale": math.inf},
+                 "length_scale", id="kernel-gaussian"),
+    pytest.param(KernelSpec, "rank_one", {"coeffs": (math.nan,)}, "coeffs",
+                 id="kernel-rank_one"),
+    pytest.param(KernelSpec, "tabulated", {"matrix": [[math.inf]]},
+                 "matrix", id="kernel-tabulated"),
+    pytest.param(WeightSpec, "constant", {"value": math.inf}, "value",
+                 id="weight-constant"),
+    pytest.param(WeightSpec, "constant", {"value": 1.0, "p": math.inf}, "p",
+                 id="weight-constant-p"),
+    pytest.param(WeightSpec, "separable", {"g": (math.inf,), "h": (1.0,)},
+                 "g", id="weight-separable"),
+    pytest.param(WeightSpec, "polynomial_dip", _DIP | {"level": math.nan},
+                 "level", id="weight-dip-nan-level"),
+    pytest.param(WeightSpec, "polynomial_dip", _DIP | {"level": math.inf},
+                 "level", id="weight-dip-inf-level"),
+    pytest.param(WeightSpec, "polynomial_dip", _DIP | {"points": (math.nan,)},
+                 "points", id="weight-dip-point"),
+    pytest.param(WeightSpec, "polynomial_dip",
+                 _DIP | {"exponents": (math.inf,)}, "exponents",
+                 id="weight-dip-exponent"),
+    pytest.param(WeightSpec, "tabulated",
+                 {"matrix": [[1.0, math.nan], [1.0, 1.0]]}, "matrix",
+                 id="weight-tabulated"),
+])
+def test_spec_constructors_refuse_non_finite_numbers(spec, form, kwargs,
+                                                      name):
+    """A NaN or an infinity anywhere in a kernel or weight spec is
+    refused where the spec is built, naming the parameter; the sign
+    checks alone let +inf through, to fail far from the cause."""
+    with pytest.raises(ModelError, match=rf"\b{name} must be finite"):
+        getattr(spec, form)(**kwargs)
+
+
 def test_tabulated_shape_must_match_grid():
     grid = unit_grid("midpoint", 8)
     k = KernelSpec.tabulated(np.ones((4, 4)))

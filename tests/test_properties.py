@@ -6,6 +6,7 @@ deterministic; `conftest` keeps its constants cache out of the checkout.
 
 import io
 import json
+import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -30,6 +31,7 @@ from dispersal import (
     build_grid,
     certify,
     check_weight_floor,
+    cover,
     phi,
     principal_eigenpair,
     reaction,
@@ -467,6 +469,63 @@ def test_collatz_wielandt_bounds_lambda1(data, seed):
     lambda1 = principal_eigenpair(op).lambda1
     u = _state(seed, grid.n, positive=True)
     assert collatz_wielandt_sup(op, u) >= lambda1 * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(
+    data=st.data(), p=st.floats(0.3, 3.0), positive=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_phi_is_at_least_the_global_floor(data, p, positive, seed):
+    """Phi_u >= sigma ||u||_p^p for every u, sigma the global floor of Q,
+    on every weight form: Phi_u(x) = sum_y Q(x, y) w_y |u_y|^p with
+    positive quadrature weights."""
+    grid = data.draw(grids())
+    weight = data.draw(weights(grid, p))
+    u = _state(seed, grid.n, positive)
+    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    bound = floor.sigma_global * grid.lp_norm(u, p) ** p
+    assert phi(reaction(weight, grid), u).min() >= bound * (1.0 - 1e-12)
+
+
+@st.composite
+def near_boundary_radii(draw):
+    """A box of side 1 to 1e6 in 1-3 D and a radius within 1e-9 relative
+    of a cell boundary of one of its axes, down to 1e-16."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    scale = 10.0 ** draw(st.floats(0.0, 6.0))
+    lower = tuple(scale * draw(st.floats(-1.0, 1.0)) for _ in range(dim))
+    upper = tuple(lo + scale * draw(st.floats(0.5, 2.0)) for lo in lower)
+    domain = Domain(lower, upper)
+    side = domain.sides[draw(st.integers(0, dim - 1))]
+    k = draw(st.integers(1, 5))
+    # the relative 1e-12 slack of the per-axis count shows below 1e-12
+    d = draw(st.sampled_from((-1.0, 1.0))) * 10.0 ** draw(st.integers(-16, -9))
+    return domain, side * math.sqrt(dim) / k * (1.0 + d)
+
+
+@PROPERTY
+@given(case=near_boundary_radii(), rule=st.sampled_from(RULES))
+def test_cover_counts_cells_that_reach_every_node(case, rule):
+    """`cover` counts the balls at any radius near a cell boundary: the
+    fewest equal cells per axis no longer than r/sqrt(N), to relative
+    1e-12.  The centers of those cells, built here, reach every node of
+    the grid within r/2, to 1e-12 r."""
+    domain, r = case
+    m = cover(domain, r)
+    max_cell = r / math.sqrt(domain.dim)
+    centers = []
+    for lo, side in zip(domain.lower, domain.sides):
+        k = max(1, math.ceil(side / max_cell - 1e-12))
+        # one cell fewer would be longer than r/sqrt(N)
+        assert k == 1 or side / (k - 1) > max_cell
+        centers.append(lo + (np.arange(k) + 0.5) * (side / k))
+    mesh = np.stack(np.meshgrid(*centers, indexing="ij"), axis=-1)
+    mesh = mesh.reshape(-1, domain.dim)
+    assert m == len(mesh)
+    grid = build_grid(domain, rule, {1: 17, 2: 7, 3: 4}[domain.dim])
+    reach = max(np.linalg.norm(mesh - x, axis=1).min() for x in grid.nodes)
+    assert reach <= r / 2.0 + 1e-12 * r
 
 
 @PROPERTY

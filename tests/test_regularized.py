@@ -3,6 +3,7 @@
 import gc
 import pickle
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -181,6 +182,26 @@ def test_limit_family_newton_counts_pinned():
             ContinuationConfig(lambda_max=3.0), method=method, strict=False,
         )
         assert [pt.newton_iters for pt in run.solutions] == [6, 8, 8, 5, 4]
+
+
+@pytest.mark.parametrize("strict", [True, False])
+def test_limit_procedure_refuses_a_non_positive_solve(monkeypatch, strict):
+    """Phi reads |u|^p, so -u_n solves the eps-problem whenever u_n does,
+    with the same dip margins and near-center mass: a family member with
+    min u_n <= 0 is refused in both modes, naming n and min u."""
+    monkeypatch.setattr(regularized, "_last_family", None)
+    correct = regularized.newton_correct
+
+    def negated(*args, **kwargs):
+        point = correct(*args, **kwargs)
+        return replace(point, u=-point.u, min_u=float(-point.u.max()))
+
+    monkeypatch.setattr(regularized, "newton_correct", negated)
+    with pytest.raises(RegularizedError, match=r"n=8 .*min u = -"):
+        limit_procedure(
+            _op129(), const_weight(), 1.5, (4, 8),
+            ContinuationConfig(lambda_max=3.0), x0_index=64, strict=strict,
+        )
 
 
 def test_limit_procedure_theta_and_bookkeeping():
