@@ -22,8 +22,7 @@ with Q costs in its form: O(n) for every weight but a tabulated one.
 The dispersal part goes through `DiscreteOperator.apply`, and `residual`
 forms A u + Phi_u u - lambda u; `verify_branch` writes the same
 expression out with the A u it also reads positivity from.  `JacobianAction`
-applies its derivative in u without forming it (``shape``, ``matvec``
-and ``@``), and carries the factors of its low-rank part when K and Q
+applies its derivative in u without forming it (``@``), and carries the factors of its low-rank part when K and Q
 are both LowRank; it is the only Jacobian, the one the Newton solver
 uses.
 """
@@ -109,10 +108,10 @@ class JacobianAction:
 
     v -> A v + (Phi_u - lam) v + u * (Q (w p |u|^(p-1) sgn(u) v)), with
     A = K diag(w): one product with K and one with Q, each in its
-    structured form; ``action @ v`` is ``action.matvec(v)`` for a float
-    vector v.  ``shift`` is the diagonal Phi_u - lam of the local part,
-    with ``phi_u`` = `phi(rx, u)` when the caller has it already.  For
-    p < 1 the factor |u|^(p-1) is singular at zero, so a state with
+    structured form; ``action @ v`` applies it to a float vector v.
+    ``shift`` is the diagonal Phi_u - lam of the local part, with
+    ``phi_u`` = `phi(rx, u)` when the caller has it already.  For p < 1
+    the factor |u|^(p-1) is singular at zero, so a state with
     min |u| <= 1e-10 raises ReactionError.
 
     When K and Q are both LowRank, the action is diag(shift) + U V^T
@@ -135,19 +134,15 @@ class JacobianAction:
         if phi_u is None:
             phi_u = phi(rx, u)
         self.shift = phi_u - lam
-        self.shape = (op.n, op.n)
         k, q = _factors(op.k), _factors(rx.q)
         self.low_rank = None if k is None or q is None else (
             np.hstack([k[0], u[:, None] * q[0]]),
             np.hstack([self._w[:, None] * k[1], self._slope[:, None] * q[1]]),
         )
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return (
             self._k @ (self._w * v)
             + self.shift * v
             + self._u * (self._q @ (self._slope * v))
         )
-
-    def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        return self.matvec(v)

@@ -20,8 +20,14 @@ arrays:
 
 Only the tabulated forms are dense.  Each kernel form is chosen in one
 place, `_kernel`, from the spec form, the rule and the number of axes,
-and each weight form, row scale included, in `_weight`.  The solver
-holds exactly these matrices and applies the quadrature weights at the
+and each weight form, row scale included, in `_weight`.  They are also
+the one place that decides whether K and Q are valid: each refuses a
+negative entry and an entry that can overflow float64, so every K and
+Q downstream is finite.  Every structured K is symmetric by
+construction: a LowRank K is f(x) f(y) or constant, a Toeplitz is
+symmetric, and a Kron's gaussian factors hold exp(-(x_i - x_j)^2 / l^2),
+whose square is the same bits both ways round.  The solver holds
+exactly these matrices and applies the quadrature weights at the
 product, K (w u) and Q (w |u|^p), so no other module knows the forms.
 Every form applies with ``@``, forms a block of its rows with ``rows``,
 and materializes with ``np.asarray``.  No form can be written in place:
@@ -35,13 +41,15 @@ existence of a maximizing point x0 with Q(x0, .) >= Q(x, .), and, for the
 polynomial-dip preset, the exponent gate of Q3 with the comparison
 function a(x) and the integrals of its inverse.  They read K and Q
 in the form `_kernel` and `_weight` return, and each value equals the
-reduction of the dense matrix bit for bit.  The symmetry of K and, when
-delta reaches the diameter of the box, its least entry come from the
-structure; so do the floor and x0 of a LowRank whose left columns but
-the first are constant.  Everything else streams in blocks of about
-2^20 entries, with the squared distances of each block built one axis
-at a time.  `check_weight_floor` returns every fact about Q, including
-the oscillation sup_{x,z,y} |Q(x,y) - Q(z,y)| that closes the solvability
+reduction of the dense matrix bit for bit.  Only a tabulated K has its
+symmetry measured.  When delta reaches the diameter of the box, k2
+reads the least entry of K: a tabulated K's minimum, or the least
+entry its structure gives.  The structure also gives the floor and x0
+of a LowRank whose left columns but the first are constant.
+Everything else streams in blocks of about 2^20 entries, with the
+squared distances of each block built one axis at a time.
+`check_weight_floor` returns every fact about Q, including the
+oscillation sup_{x,z,y} |Q(x,y) - Q(z,y)| that closes the solvability
 window and the sup of Q.
 
 `build_a_eps` and `build_q_eps` produce the regularized weight family: a
@@ -143,7 +151,6 @@ class _Structured:
     `matvec`, ``rows(s)`` forms the rows s alone, and ``np.asarray``
     materializes every row."""
 
-    dtype = np.dtype(float)
     # numpy arithmetic with an ndarray raises instead of materializing
     __array_ufunc__ = None
 
@@ -164,10 +171,6 @@ class LowRank(_Structured):
         self.left.setflags(write=False)
         self.right.setflags(write=False)
         self.shape = (self.left.shape[0], self.right.shape[0])
-
-    @property
-    def T(self) -> "LowRank":
-        return LowRank(self.right, self.left)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         # the bits of left @ (right.T @ v), without NumPy's slow path for
@@ -200,10 +203,6 @@ class Kron(_Structured):
         )
         n = math.prod(len(f) for f in self.factors)
         self.shape = (n, n)
-
-    @property
-    def T(self) -> "Kron":
-        return Kron(*(f.T for f in self.factors))
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         v = np.asarray(v)
@@ -260,10 +259,6 @@ class Toeplitz(_Structured):
         for a in (self.col, self._c_hat):
             a.setflags(write=False)
         self.shape = (n, n)
-
-    @property
-    def T(self) -> "Toeplitz":
-        return self
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         vh = np_fft.rfft(v, self._m)
@@ -335,15 +330,20 @@ def _kernel(kernel: KernelSpec, grid: QuadratureGrid):
     """K over the nodes: a LowRank (constant, rank_one), a Toeplitz (the
     gaussian on one evenly spaced axis), a Kron of the per-axis
     gaussians (every other grid) or the spec's own read-only matrix
-    (tabulated).  Entries must be >= 0."""
+    (tabulated).  Entries must be >= 0 and finite."""
     n = grid.n
     if kernel.form == "constant":
         return LowRank(np.full((n, 1), kernel.value), np.ones((n, 1)))
     if kernel.form == "rank_one":
-        f = _polyval(kernel.coeffs, _coords_1d(grid, "rank_one kernel"))
+        with np.errstate(over="ignore", invalid="ignore"):
+            f = _polyval(kernel.coeffs, _coords_1d(grid, "rank_one kernel"))
+        # the largest entry is max|f|^2; a NaN in f makes it NaN
+        big = float(np.abs(f).max())
+        if not math.isfinite(big * big):
+            raise ModelError("kernel entries overflow float64")
         if f.min() * f.max() < 0:
             raise ModelError("kernel is negative at a sampled pair")
-        return LowRank(f[:, None], f[:, None])
+        return LowRank(f, f)
     if kernel.form == "gaussian":
         axes = [x for x, _ in grid.axes()]
         if len(axes) == 1 and grid.rule in ("trapezoid", "midpoint"):
@@ -455,10 +455,12 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
     """Q over the nodes, row scale included: a LowRank (constant,
     separable, polynomial_dip) or a read-only dense array (tabulated).
 
-    Entries must be >= 0, and a row scale must hold one positive value
-    per node, so it keeps the sign.  Every column of the plain left
-    factor but the first is constant, so a LowRank's smallest entry lies
-    on the row where that column is smallest or largest.
+    Entries must be >= 0 and finite, and a row scale must hold one
+    positive value per node, so it keeps the sign.  Every column of the
+    plain left factor but the first is constant, so the two rows where
+    that column is smallest and largest hold each column's extremes
+    (`_extreme_rows`): they hold the least entry, and every entry is
+    finite when they are.  A NaN or infinite factor entry shows in them.
     """
     n = grid.n
     scale = weight.row_scale
@@ -474,30 +476,43 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
             )
         q = weight.matrix
         if scale is not None:
-            q = _read_only(q * scale[:, None])
+            with np.errstate(over="ignore"):
+                q = _read_only(q * scale[:, None])
+            if not np.isfinite(q.max()):
+                raise ModelError("weight entries overflow float64")
         if q.min() < 0:
             raise ModelError("weight is negative at a sampled pair")
         return q
-    if weight.form == "constant":
-        q = LowRank(np.full((n, 1), weight.value), np.ones((n, 1)))
-    elif weight.form == "separable":
-        x = _coords_1d(grid, "separable weight")
-        q = LowRank(_polyval(weight.g, x), _polyval(weight.h, x))
-    elif weight.form == "polynomial_dip":
-        x = _coords_1d(grid, "polynomial_dip weight")
-        dip = weight.level - _dip_profile(weight, x)
-        q = LowRank(
-            np.column_stack([dip, np.ones(n)]),
-            np.column_stack([_polyval(weight.h, x), _polyval(weight.g, x)]),
-        )
-    else:
-        raise ModelError(f"unknown weight form {weight.form!r}")
-    first = q.left[:, 0]
-    if q.rows([first.argmin(), first.argmax()]).min() < 0:
+    with np.errstate(over="ignore", invalid="ignore"):
+        if weight.form == "constant":
+            q = LowRank(np.full((n, 1), weight.value), np.ones((n, 1)))
+        elif weight.form == "separable":
+            x = _coords_1d(grid, "separable weight")
+            q = LowRank(_polyval(weight.g, x), _polyval(weight.h, x))
+        elif weight.form == "polynomial_dip":
+            x = _coords_1d(grid, "polynomial_dip weight")
+            dip = weight.level - _dip_profile(weight, x)
+            q = LowRank(
+                np.column_stack([dip, np.ones(n)]),
+                np.column_stack(
+                    [_polyval(weight.h, x), _polyval(weight.g, x)]
+                ),
+            )
+        else:
+            raise ModelError(f"unknown weight form {weight.form!r}")
+        ext = _extreme_rows(q)
+        finite = np.isfinite(ext).all()
+        if scale is not None:
+            q = LowRank(scale[:, None] * q.left, q.right)
+            # entry (i, j) sums left[i, k] right[j, k] over k in order, so
+            # by monotone rounding sum(peak) bounds its magnitude
+            peak = np.abs(q.left).max(axis=0) * np.abs(q.right).max(axis=0)
+            finite &= np.isfinite(sum(peak))
+    if not finite:
+        raise ModelError("weight entries overflow float64")
+    if ext.min() < 0:
         raise ModelError("weight is negative at a sampled pair")
-    if scale is None:
-        return q
-    return LowRank(scale[:, None] * q.left, q.right)
+    return q
 
 
 def _factors(m) -> Optional[tuple]:
@@ -537,73 +552,50 @@ def _near_min(m, grid: QuadratureGrid, r: float) -> float:
 
 def _extreme_rows(m) -> Optional[np.ndarray]:
     """The rows of a LowRank where its first left column is least and
-    greatest, if every other left column is constant and the two rows
-    are finite; else None.
+    greatest, if every other left column is constant; else None.
 
     Entry (i, j) is then a monotone function of left[i, 0], since
     floating-point x -> x r and x -> x + c are monotone, so the two rows
-    hold every column's least and greatest entry.
+    hold every column's least and greatest entry, and every entry is
+    finite when they are.
     """
     if not isinstance(m, LowRank) or (m.left[:, 1:] != m.left[0, 1:]).any():
         return None
     first = m.left[:, 0]
-    ext = m.rows([first.argmin(), first.argmax()])
-    return ext if np.isfinite(ext).all() else None
+    return m.rows([first.argmin(), first.argmax()])
 
 
-def _extremes(k) -> Optional[tuple]:
-    """The least and greatest entry of K from its structure, when every
-    entry is finite; else None.  Multiplying values >= 0 is monotone, so
-    a Kron of nonnegative factors has them at the factors' extremes."""
+def _least(k) -> float:
+    """The least entry of K.  A Toeplitz holds its entries in its
+    column, and a LowRank K has one left column, so `_extreme_rows`
+    holds its least entry.  A Kron's entries are products of its
+    factors' entries, all >= 0, and multiplying values >= 0 is
+    monotone, so its least entry is the product of the factors' least."""
+    if isinstance(k, np.ndarray):
+        return k.min()
     if isinstance(k, Toeplitz):
-        low, high = k.col.min(), k.col.max()
-    elif isinstance(k, Kron) and all(f.min() >= 0 for f in k.factors):
-        low = math.prod(f.min() for f in k.factors)
-        high = math.prod(f.max() for f in k.factors)
-    elif (ext := _extreme_rows(k)) is not None:
-        low, high = ext.min(), ext.max()
-    else:
-        return None
-    return (low, high) if np.isfinite([low, high]).all() else None
-
-
-def _symmetric(k) -> bool:
-    """Whether K is symmetric by construction: a Toeplitz, a Kron of
-    symmetric factors, or a LowRank whose factor columns pair up equal
-    (f(x) f(y)) or both constant (the constant kernel)."""
-    if isinstance(k, Toeplitz):
-        return True
+        return k.col.min()
     if isinstance(k, Kron):
-        return all(np.array_equal(f, f.T) for f in k.factors)
-    if isinstance(k, LowRank):
-        return all(
-            np.array_equal(lk, rk)
-            or (lk == lk[0]).all() and (rk == rk[0]).all()
-            for lk, rk in zip(k.left.T, k.right.T)
-        )
-    return False
+        return math.prod(f.min() for f in k.factors)
+    return _extreme_rows(k).min()
 
 
 def _k1(k) -> tuple[bool, float]:
-    """max |K - K^T|: 0 for a finite K symmetric by construction, else
-    streamed over blocks of rows of K and of K^T."""
-    if _symmetric(k) and _extremes(k) is not None:
-        asym = 0.0
-    else:
-        kt = k.T
+    """max |K - K^T|: 0 for a structured K, symmetric by construction,
+    and streamed over blocks of rows of K and of K^T for a tabulated K."""
+    asym = 0.0
+    if isinstance(k, np.ndarray):
         asym = float(np.max([
-            np.abs(_rows(k, s) - _rows(kt, s)).max()
-            for s in _row_blocks(k.shape[0])
+            np.abs(k[s] - k.T[s]).max() for s in _row_blocks(len(k))
         ]))
     return asym <= _SYM_TOL, asym
 
 
 def _k2(k, grid: QuadratureGrid, delta: float) -> bool:
     """Whether K > 0 on every pair with |x - y| <= delta."""
-    ext = _extremes(k)
-    if ext is not None and delta >= grid.domain.diameter:
+    if delta >= grid.domain.diameter:
         # every pair of nodes in the box lies within its diameter
-        return bool(ext[0] > 0)
+        return bool(_least(k) > 0)
     return _near_min(k, grid, delta) > 0
 
 

@@ -1,10 +1,12 @@
 """The benchmark's workloads run and pass their gates.
 
 Each workload of `perfbench/workloads.py` goes through the steps one
-benchmark run takes, at the pinned seed 0, in this process and under a
-temporary directory: inputs, the timed calls, the record and the gate.
-A change to what the benchmark calls in the package fails here rather
-than in the benchmark alone.  Nothing is timed.
+benchmark run takes, at seeds 0-7, in this process and under a temporary
+directory: inputs, the timed calls, the record and the gate.  A nonzero
+seed jitters the workload's parameters, and the benchmark is run at
+such seeds too, so a change to what it calls in the package fails here,
+at any of those seeds, rather than in the benchmark alone.  Nothing is
+timed.
 """
 
 from pathlib import Path
@@ -15,13 +17,21 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 WORKLOADS = ("trace-1d", "trace-2d", "regularized-limit")
 
 
-@pytest.mark.parametrize("name", WORKLOADS)
-def test_workload_runs_and_passes_its_gate(tmp_path, monkeypatch, name):
+# seed 0 is the benchmark's pinned run and keeps the workload's name
+CASES = [
+    pytest.param(name, seed, id=name if seed == 0 else f"{name}-seed{seed}")
+    for name in WORKLOADS
+    for seed in range(8)
+]
+
+
+@pytest.mark.parametrize("name, seed", CASES)
+def test_workload_runs_and_passes_its_gate(tmp_path, monkeypatch, name, seed):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import workloads
 
     assert workloads.NAMES == WORKLOADS
-    p = workloads.params(name, 0)
+    p = workloads.params(name, seed)
     ref = workloads.problem(p)
     inputs, out = tmp_path / "inputs", tmp_path / "out"
     workloads.prepare(p, ref, inputs)

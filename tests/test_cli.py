@@ -745,3 +745,30 @@ def test_mistyped_config_value_exits_one(tmp_path, capsys, command, section,
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("section, value, named", [
+    pytest.param("kernel", {"form": "rank_one", "coeffs": [1e200]},
+                 "overflow", id="kernel-rank-one-overflow"),
+    pytest.param("kernel", {"form": "rank_one", "coeffs": [-1.0, 2.0]},
+                 "negative", id="kernel-rank-one-sign"),
+    pytest.param("weight", {"form": "separable", "g": [1e200],
+                            "h": [1e200], "p": 1.0},
+                 "overflow", id="weight-separable-overflow"),
+    pytest.param("weight", {"form": "tabulated", "p": 1.0,
+                            "matrix": [[1.0, -0.5, 1.0]] * 3},
+                 "negative", id="weight-tabulated-negative"),
+])
+def test_invalid_kernel_or_weight_exits_one(tmp_path, capsys, section, value,
+                                            named):
+    """A K whose entries overflow or change sign, and a Q whose entries
+    overflow or go negative, exit 1 with an error line that names the
+    fault."""
+    cfg = write_config(tmp_path / "c.json", grid={
+        "rule": "trapezoid", "resolution": 3,
+    }, **{section: value})
+    capsys.readouterr()
+    assert main(["check-hyp", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err
+    assert "Traceback" not in err

@@ -36,6 +36,24 @@ def test_domain_rejects_degenerate():
             Domain(lower, upper)
 
 
+def test_domain_refuses_boxes_out_of_float_range():
+    """A box whose side, lower + upper or volume overflows would give a
+    grid with infinite or NaN nodes, and one whose volume is below
+    1e-280 a grid whose weights lose their precision or underflow to 0.
+    Each is refused where it is built."""
+    for lower, upper in [
+        ((-1e308,), (1e308,)),
+        ((1e308,), (1.5e308,)),
+        ((0.0, 0.0), (1e200, 1e200)),
+        ((0.0,), (1e-320,)),
+        ((0.0,) * 3, (1e-110,) * 3),
+    ]:
+        with pytest.raises(GeometryError, match="out of float64 range"):
+            Domain(lower, upper)
+    grid = build_grid(Domain((0.0,), (1e-280,)), "gauss", 64)
+    assert grid.weights.min() > 0
+
+
 def test_midpoint_nodes_and_weights():
     grid = unit_grid("midpoint", 4)
     np.testing.assert_allclose(
@@ -76,7 +94,8 @@ def test_weights_partition_volume():
         grid = build_grid(dom, rule, 9)
         assert grid.weights.min() > 0
         assert abs(grid.weights.sum() - dom.volume) <= 1e-12 * dom.volume
-        assert grid.domain.contains(grid.nodes).all()
+        assert (grid.nodes >= dom.lower).all()
+        assert (grid.nodes <= dom.upper).all()
 
 
 def test_integrate_constant_exact():

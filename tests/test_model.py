@@ -541,6 +541,52 @@ def test_spec_constructors_refuse_non_finite_numbers(spec, form, kwargs,
         getattr(spec, form)(**kwargs)
 
 
+_NEGATIVE_Q = np.ones((9, 9))
+_NEGATIVE_Q[4, 2] = -0.5
+
+
+@pytest.mark.parametrize("spec, named", [
+    pytest.param(KernelSpec.rank_one((1e200,)), "overflow",
+                 id="kernel-rank-one-overflow"),
+    pytest.param(KernelSpec.rank_one((-1.0, 2.0)), "negative",
+                 id="kernel-rank-one-sign"),
+    pytest.param(WeightSpec.separable((1e200,), (1e200,)), "overflow",
+                 id="weight-separable-overflow"),
+    # 1e154 * 1e154 is finite and twice it is not: only the row scale
+    # makes these overflow
+    pytest.param(replace(WeightSpec.separable((1e154,), (1e154,)),
+                         row_scale=np.full(9, 2.0)), "overflow",
+                 id="weight-separable-row-scaled-overflow"),
+    pytest.param(replace(WeightSpec.tabulated(np.full((9, 9), 1e308)),
+                         row_scale=np.full(9, 2.0)), "overflow",
+                 id="weight-tabulated-row-scaled-overflow"),
+    pytest.param(WeightSpec.polynomial_dip(points=(10.0,),
+                                           exponents=(400.0,), level=1.0),
+                 "overflow", id="weight-dip-overflow"),
+    pytest.param(WeightSpec.tabulated(_NEGATIVE_Q), "negative",
+                 id="weight-tabulated-negative"),
+])
+def test_invalid_kernel_or_weight_is_refused_by_every_reader(spec, named):
+    """A K or Q with an entry that overflows float64 or is negative is
+    refused where it is built, by each entry point that reads it, with a
+    ModelError that names the fault and no overflow warning."""
+    grid = unit_grid("trapezoid", 9)
+    if isinstance(spec, KernelSpec):
+        calls = [
+            lambda: assemble(spec, grid),
+            lambda: certify(spec, WeightSpec.constant(1.0), grid, 1.0),
+        ]
+    else:
+        calls = [
+            lambda: reaction(spec, grid),
+            lambda: check_weight_floor(spec, grid, r=1.0),
+            lambda: certify(KernelSpec.constant(1.0), spec, grid, 1.0),
+        ]
+    for call in calls:
+        with pytest.raises(ModelError, match=named):
+            call()
+
+
 def test_tabulated_shape_must_match_grid():
     grid = unit_grid("midpoint", 8)
     k = KernelSpec.tabulated(np.ones((4, 4)))

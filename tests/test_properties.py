@@ -14,7 +14,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dispersal import (
@@ -526,6 +526,45 @@ def test_cover_counts_cells_that_reach_every_node(case, rule):
     grid = build_grid(domain, rule, {1: 17, 2: 7, 3: 4}[domain.dim])
     reach = max(np.linalg.norm(mesh - x, axis=1).min() for x in grid.nodes)
     assert reach <= r / 2.0 + 1e-12 * r
+
+
+@st.composite
+def scaled_boxes(draw):
+    """A box in 1-3 D with a resolution; on each axis the lower bound
+    and the side are drawn at one scale between 1e-3 and 1e7."""
+    dim = draw(st.sampled_from((1, 2, 3)))
+    lower, upper = [], []
+    for _ in range(dim):
+        scale = 10.0 ** draw(st.floats(-3.0, 7.0))
+        lo = scale * draw(st.floats(-1.0, 1.0))
+        lower.append(lo)
+        upper.append(lo + scale * draw(st.floats(0.01, 2.0)))
+    res = draw(st.integers(2, {1: 64, 2: 9, 3: 4}[dim]))
+    return Domain(tuple(lower), tuple(upper)), res
+
+
+@settings(PROPERTY, max_examples=200)
+# boxes that a check of the nodes against the box to an absolute 1e-12
+# refused, with nodes lo + k h whose last one missed hi
+@example(case=(Domain((9915.019503277248,), (139151.33641479907,)), 88),
+         rule="trapezoid")
+@example(case=(Domain((-12818.683093496309,), (2299.2630558508863,)), 23),
+         rule="trapezoid")
+@given(case=scaled_boxes(), rule=st.sampled_from(RULES))
+def test_grid_is_valid_by_construction(case, rule):
+    """`build_grid` builds every box at every scale, and its grid holds
+    what construction guarantees: nodes in the closed box, the trapezoid
+    ends exactly the box's bounds, every weight positive, and the weights
+    summing to the volume to relative 1e-12."""
+    domain, res = case
+    grid = build_grid(domain, rule, res)
+    assert (grid.nodes >= domain.lower).all()
+    assert (grid.nodes <= domain.upper).all()
+    if rule == "trapezoid":
+        assert tuple(grid.nodes.min(axis=0)) == domain.lower
+        assert tuple(grid.nodes.max(axis=0)) == domain.upper
+    assert grid.weights.min() > 0
+    assert math.isclose(grid.weights.sum(), domain.volume, rel_tol=1e-12)
 
 
 @PROPERTY
