@@ -1,12 +1,13 @@
 """Batch front-end: config-driven runs with JSON/CSV/SVG artifacts.
 
 One JSON config file describes the domain, grid, kernel, weight, and run
-parameters; subcommands reuse it and allow a few scalar overrides.  A
-section's keys are the parameters of the constructor it feeds, and an
-unknown key is refused; each subcommand registers only the flags it
-reads.  All outputs are deterministic for a fixed config: floats are
-written with 17 significant digits, JSON keys are sorted, and the SVG
-plot is assembled by hand.  The CSV tables are NumPy text tables
+parameters, and it is their only source: the command line names files
+(the config, the output directory and, for `verify` and `export-plot`, a
+stored branch) and a `--seed` that is accepted and unused.  A section's
+keys are the parameters of the constructor it feeds, and an unknown key
+is refused.  All outputs are deterministic for a fixed config: floats
+are written with 17 significant digits, JSON keys are sorted, and the
+SVG plot is assembled by hand.  The CSV tables are NumPy text tables
 (``np.savetxt`` in ``%.17g``, read back by ``np.loadtxt``), so every
 stored value round-trips bit for bit.
 
@@ -23,7 +24,6 @@ import inspect
 import json
 import math
 import numbers
-import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -50,8 +50,7 @@ from .verification import verify_branch
 
 __all__ = ["main"]
 
-OUTPUT_ENV = "DISPERSAL_OUT"
-SECTIONS = ("domain", "grid", "kernel", "weight", "run", "output_dir")
+SECTIONS = ("domain", "grid", "kernel", "weight", "run")
 CONTINUATION_KEYS = tuple(
     f.name for f in dataclasses.fields(ContinuationConfig)
 )
@@ -204,15 +203,9 @@ class RunContext:
         self.weight = _spec(WeightSpec, self.cfg, "weight")
         self.domain = _call(Domain, _section(self.cfg, "domain"),
                             "domain section")
-        grid = _section(self.cfg, "grid")
-        for key in ("rule", "resolution"):
-            if getattr(args, key) is not None:
-                grid[key] = getattr(args, key)
         self.grid = _call(lambda rule="midpoint", resolution=64: build_grid(
-            self.domain, rule, resolution), grid, "grid section")
-        for key in ("lambda", "lambda_max", "method", "r"):
-            if getattr(args, key, None) is not None:
-                self.run[key] = getattr(args, key)
+            self.domain, rule, resolution), _section(self.cfg, "grid"),
+            "grid section")
         for key in ("lambda", "r", "delta"):
             value = self.run.get(key)
             # booleans were refused with the section
@@ -221,12 +214,7 @@ class RunContext:
                     f"run key {key!r} must be a number, got {value!r}"
                 )
 
-        out = (
-            args.output_dir
-            or os.environ.get(OUTPUT_ENV)
-            or self.cfg.get("output_dir", "out")
-        )
-        self.out_dir = Path(out)
+        self.out_dir = Path(args.output_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
     def continuation_config(self) -> ContinuationConfig:
@@ -239,7 +227,7 @@ class RunContext:
     def require_lambda(self) -> float:
         lam = self.run.get("lambda")
         if lam is None:
-            raise UsageError("this subcommand needs 'lambda' (config or flag)")
+            raise UsageError("this subcommand needs the run key 'lambda'")
         return float(lam)
 
     def operator(self):
@@ -329,25 +317,11 @@ def _cmd_check_hyp(args) -> int:
         delta=float(delta) if delta is not None else None,
     )
     floor = report.floor
-    payload = {
-        "k1": report.k1,
-        "max_asymmetry": report.max_asymmetry,
-        "k2": report.k2,
-        "delta": report.delta,
-        "q2": floor.q2,
-        "sigma": floor.sigma,
-        "r": floor.r,
-        "q2pp": floor.q2pp,
-        "sigma_global": floor.sigma_global,
-        "q4": floor.q4,
-        "q4_defect": floor.q4_defect,
-        "x0": floor.x0,
-        "x0_index": floor.x0_index,
-        "oscillation": floor.oscillation,
-        "q3": report.q3,
-        "q3_x0_index": report.q3_x0_index,
-        "q3_integrals": report.q3_integrals,
-    }
+    # every field of the report and of its floor, but the floor record
+    # itself and the q3 comparison samples
+    payload = {f.name: getattr(rec, f.name) for rec in (report, floor)
+               for f in dataclasses.fields(rec)}
+    del payload["floor"], payload["q3_a"]
     out = ctx.out_dir / "hypotheses.json"
     _write_json(out, payload)
     required_ok = report.k1 and report.k2 and floor.q2
@@ -498,17 +472,8 @@ def _cmd_verify(args) -> int:
     branch = _load_branch(ctx, args)
     op = ctx.operator()
     reports = verify_branch(op, ctx.weight, branch)
-    payload = [
-        {
-            "name": r.name,
-            "holds": r.holds,
-            "margin": r.margin,
-            "context": r.context,
-        }
-        for r in reports
-    ]
     out = ctx.out_dir / "verify.json"
-    _write_json(out, payload)
+    _write_json(out, [dataclasses.asdict(r) for r in reports])
     for r in reports:
         status = "ok" if r.holds else "VIOLATED"
         print(f"{r.name}: {status} margin={_fmt(r.margin)}")
@@ -599,38 +564,24 @@ def _build_parser() -> _Parser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    flags = {
-        "--lambda": dict(type=float),
-        "--lambda-max": dict(type=float),
-        "--method": {},
-        "--r": dict(type=float),
-        "--branch": dict(help="branch csv path (default: out dir)"),
-    }
     specs = (
-        ("eig", _cmd_eig, "principal eigenpair of the dispersal operator",
-         ()),
-        ("check-hyp", _cmd_check_hyp, "certify kernel/weight hypotheses",
-         ("--r",)),
-        ("solve", _cmd_solve, "solve at one fixed lambda", ("--lambda",)),
-        ("trace", _cmd_trace, "trace the positive branch from lambda1",
-         ("--lambda-max",)),
-        ("sweep-eps", _cmd_sweep_eps, "regularized family and its limit",
-         ("--lambda", "--method")),
-        ("verify", _cmd_verify, "check every bound over a stored branch",
-         ("--branch",)),
-        ("export-plot", _cmd_export_plot, "render a branch diagram SVG",
-         ("--branch",)),
+        ("eig", _cmd_eig, "principal eigenpair of the dispersal operator"),
+        ("check-hyp", _cmd_check_hyp, "certify kernel/weight hypotheses"),
+        ("solve", _cmd_solve, "solve at one fixed lambda"),
+        ("trace", _cmd_trace, "trace the positive branch from lambda1"),
+        ("sweep-eps", _cmd_sweep_eps, "regularized family and its limit"),
+        ("verify", _cmd_verify, "check every bound over a stored branch"),
+        ("export-plot", _cmd_export_plot, "render a branch diagram SVG"),
     )
-    for name, func, help_text, own in specs:
-        # abbreviations off: `trace --lambda 7` must not mean --lambda-max
+    for name, func, help_text in specs:
+        # abbreviations off: a flag is read under its full name only
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("config", help="path to the run-configuration JSON")
-        p.add_argument("--output-dir")
-        p.add_argument("--rule")
-        p.add_argument("--resolution", type=int)
+        p.add_argument("--output-dir", default="out")
         p.add_argument("--seed", type=int, help="accepted and unused")
-        for flag in own:
-            p.add_argument(flag, **flags[flag])
+        if name in ("verify", "export-plot"):
+            p.add_argument("--branch", help="branch csv path (default: "
+                           "branch.csv in the output directory)")
         p.set_defaults(func=func)
     return parser
 

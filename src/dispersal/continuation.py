@@ -15,11 +15,11 @@ J y = -r on `JacobianAction`, and the `Reaction` (Q, w and p) is built
 once per solve.  The forms of K and Q choose the solve, in `_solve`.
 When both are LowRank, J = diag(Phi_u - lambda) + U V^T with rank r <= 3,
 and the Sherman-Morrison-Woodbury identity gives the exact step in
-O(n r^2).  Otherwise the step is `_krylov`, one NumPy GMRES cycle of at
-most min(n, 50) iterations, left-preconditioned by
-diag(Phi_u - lambda)^-1.  The arclength border is eliminated with a
-second solve J y2 = u (Keller's block elimination), so no bordered matrix
-is formed.
+O(n r^2) wherever Phi_u - lambda has no zero.  Otherwise the step is
+`_krylov`, one NumPy GMRES cycle of at most min(n, 50) iterations,
+left-preconditioned by diag(Phi_u - lambda)^-1, with 1 at a node where
+Phi_u = lambda.  The arclength border is eliminated with a second solve
+J y2 = u (Keller's block elimination), so no bordered matrix is formed.
 
 Accepted points carry diagnostics: the admissibility value
 gamma ||Phi_u||_inf (always < 1 on true solutions), the L^p norm, Newton
@@ -76,6 +76,13 @@ class PositivityLost(ContinuationError):
 
 @dataclass(frozen=True)
 class ContinuationConfig:
+    """Continuation settings: a trace stops at ``lambda_max``, its
+    arclength step starts at ``ds`` and stays in [``ds_min``, ``ds_max``],
+    and ``s0`` is the first seed amplitude.  Newton stops once the sup
+    residual is at most ``newton_tol`` max(1, |u|_inf) and fails after
+    ``newton_max_iters`` iterations; a branch holds at most
+    ``max_points`` points."""
+
     lambda_max: float = 3.0
     ds: float = 0.02
     ds_min: float = 1e-5
@@ -111,6 +118,12 @@ class ContinuationConfig:
 
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
+    """One state (lam, u) on the grid with ``sup_norm``, ``p_norm`` (L^p
+    for the weight's p) and ``min_u`` of u; ``gamma_phi_sup`` is
+    max Phi_u / lam, below 1 on an admissible state, ``newton_iters`` the
+    Newton iterations that gave it, and ``residual_norm`` the sup norm of
+    A u + Phi_u u - lam u."""
+
     lam: float
     u: np.ndarray
     sup_norm: float
@@ -123,6 +136,11 @@ class BranchPoint:
 
 @dataclass(frozen=True, eq=False)
 class Branch:
+    """The accepted ``points`` of a trace in order, seeded just off
+    (``seed_lambda1``, 0); ``termination`` says why it stopped (see
+    `trace_branch`), ``fold_indices`` index the points where lambda turned
+    back, and ``p`` is the weight's exponent."""
+
     points: tuple
     seed_lambda1: float
     termination: str
@@ -155,7 +173,8 @@ _EPS = float(np.finfo(float).eps)
 
 def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     """GMRES on J x = rhs, left-preconditioned by M = diag(Phi_u - lambda)^-1
-    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986).
+    (Saad & Schultz, SIAM J. Sci. Stat. Comput. 7, 1986); a node where
+    Phi_u = lambda exactly is preconditioned by 1.
 
     One cycle from x = 0, with no restart: Arnoldi orthogonalizes each
     new vector twice against the basis (CGS2), and Givens rotations keep
@@ -167,7 +186,8 @@ def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     """
     n = rhs.size
     m = min(n, 50)
-    b = rhs / jac.shift
+    shift = np.where(jac.shift == 0, 1.0, jac.shift)
+    b = rhs / shift
     # sqrt(w @ w) is what np.linalg.norm computes for a real vector
     g = [math.sqrt(b @ b)]
     if g[0] == 0:
@@ -179,7 +199,7 @@ def _krylov(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     rot: list[tuple[float, float]] = []
     for j in range(m):
         v = basis[: j + 1]
-        w = (jac @ v[j]) / jac.shift
+        w = (jac @ v[j]) / shift
         w_norm = math.sqrt(w @ w)
         h = v @ w
         w -= h @ v
@@ -213,12 +233,12 @@ def _solve(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
 
     With D = diag(Phi_u - lambda) and (U, V) = ``jac.low_rank``, the
     Sherman-Morrison-Woodbury identity (Hager, SIAM Rev. 31, 1989) gives
-    x = D^-1 b - D^-1 U (I + V^T D^-1 U)^-1 V^T D^-1 b in O(n r^2).  An
-    exactly singular capacitance I + V^T D^-1 U (the trivial state at
-    lambda = lambda1 under a constant kernel) goes to `_krylov`, whose
-    iterate at a singular J reaches the line search.
+    x = D^-1 b - D^-1 U (I + V^T D^-1 U)^-1 V^T D^-1 b in O(n r^2).  A D
+    with a zero entry, or an exactly singular capacitance I + V^T D^-1 U
+    (the trivial state at lambda = lambda1 under a constant kernel), goes
+    to `_krylov`, whose iterate at a singular J reaches the line search.
     """
-    if jac.low_rank is None:
+    if jac.low_rank is None or not jac.shift.all():
         return _krylov(jac, rhs)
     left, right = jac.low_rank
     d_left = left / jac.shift[:, None]

@@ -32,11 +32,6 @@ __all__ = [
 
 RULES = ("midpoint", "trapezoid", "gauss-legendre-tensor")
 
-_RULE_ALIASES = {
-    "gauss": "gauss-legendre-tensor",
-    "gauss-legendre": "gauss-legendre-tensor",
-}
-
 
 class GeometryError(ValueError):
     """Degenerate domain, unknown rule, or invalid covering radius."""
@@ -173,7 +168,6 @@ def _axes(domain: Domain, rule: str, res: int) -> tuple:
 
 def build_grid(domain: Domain, rule: str, resolution: int) -> QuadratureGrid:
     """Tensor-product quadrature grid with ``resolution`` points per axis."""
-    rule = _RULE_ALIASES.get(rule, rule)
     if rule not in RULES:
         raise GeometryError(f"unknown rule {rule!r}; expected one of {RULES}")
     if isinstance(resolution, bool) or not isinstance(

@@ -232,22 +232,38 @@ def _neville_at_zero(eps_values: np.ndarray, samples: list) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class RegularizedRun:
+    """The eps = 1/n family at one lambda and its extrapolated limit.
+
+    ``lam`` is the fixed growth rate, ``theta`` the margin constant
+    min(lambda1, lam - lambda1) and ``x0_index`` the node where the dip
+    profile vanishes.  For each n of ``n_values``, with eps = 1/n in
+    ``eps_sequence``, ``solutions`` holds the `BranchPoint` u_n,
+    ``margins`` the least dip margin min(lam - Phi^eps_u - theta a_eps)
+    and ``near_mass`` the pair (p-mass of u_n within 0.5 of x0, its
+    bound).  ``cauchy_gaps`` are |u_n - u_next|_inf over consecutive n.
+    ``margins_ok``, ``gaps_contracting`` and ``near_mass_ok`` say whether
+    each of these held.  ``limit`` is the state extrapolated by
+    ``method``, and ``limit_residual`` its sup residual in the original
+    equation.  ``obstruction`` describes the doubled-weight obstruction
+    where it applies (a run with strict=False), and is None elsewhere.
+    """
+
     lam: float
     theta: float
     x0_index: int
     n_values: tuple
     eps_sequence: tuple
-    solutions: tuple          # BranchPoint per n
-    margins: tuple            # min dip margin per n
+    solutions: tuple
+    margins: tuple
     margins_ok: bool
-    cauchy_gaps: tuple        # sup |u_n - u_next| per consecutive pair
+    cauchy_gaps: tuple
     gaps_contracting: bool
-    near_mass: tuple          # (measured p-mass near x0, bound) per n
+    near_mass: tuple
     near_mass_ok: bool
     method: str
     limit: np.ndarray
     limit_residual: float
-    obstruction: str | None   # doubled-weight obstruction, if it applies
+    obstruction: str | None
 
 
 class _Memo:

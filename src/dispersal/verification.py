@@ -38,6 +38,11 @@ __all__ = ["BoundReport", "verify_branch"]
 
 @dataclass(frozen=True, eq=False)
 class BoundReport:
+    """One bound over a branch: its ``name`` (see the module docstring),
+    whether it ``holds`` at every point, and its worst ``margin``, >= 0
+    where it holds.  ``context`` holds the worst point's values and the
+    count of points the bound covers."""
+
     name: str
     holds: bool
     margin: float

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersal.cli import _fmt, _read_table, _write_table, main
+from dispersal.cli import _build_parser, _fmt, _read_table, _write_table, main
 
 from .conftest import peak_bytes
 
@@ -54,21 +54,19 @@ def test_check_hyp_pass_and_fail(tmp_path, capsys):
     )
     assert main(["check-hyp", bad, "--output-dir", str(out)]) == 2
 
-    # r and delta are read as given: zero, negative and NaN values are
-    # refused by name, where a NaN would empty the near-pair mask; a NaN
-    # in the config is refused as it is read, by the constant's name
+    # r and delta are read as given: zero and negative values are refused
+    # by name; a NaN, which would empty the near-pair mask, is refused as
+    # the config is read, by the constant's name
     (out / "hypotheses.json").unlink()
-    nan_delta = write_config(
-        tmp_path / "nan_delta.json", run={"delta": float("nan")}
-    )
-    for expected, argv in [
-        ("r must be positive", [cfg, "--r", "0"]),
-        ("r must be positive", [cfg, "--r", "-1"]),
-        ("r must be positive", [cfg, "--r", "nan"]),
-        ("holds NaN, which is not a number", [nan_delta]),
+    for expected, run in [
+        ("r must be positive", {"r": 0}),
+        ("r must be positive", {"r": -1}),
+        ("holds NaN, which is not a number", {"r": float("nan")}),
+        ("holds NaN, which is not a number", {"delta": float("nan")}),
     ]:
+        argv = write_config(tmp_path / "r.json", run=run)
         capsys.readouterr()
-        assert main(["check-hyp", *argv, "--output-dir", str(out)]) == 1
+        assert main(["check-hyp", argv, "--output-dir", str(out)]) == 1
         assert expected in capsys.readouterr().err
         assert not (out / "hypotheses.json").exists()
 
@@ -289,25 +287,15 @@ def test_sweep_eps_outputs(tmp_path):
     assert len(limit) == 66
 
 
-def test_sweep_eps_method_flag(tmp_path, capsys):
-    cfg = write_config(
-        tmp_path / "c.json", run={"lambda": 1.5, "n_values": [4, 8, 16]}
-    )
+def test_sweep_eps_method(tmp_path, capsys):
     out = tmp_path / "out"
-    assert (
-        main([
-            "sweep-eps", cfg, "--output-dir", str(out), "--method", "fields",
-        ])
-        == 0
-    )
+    for method, code in (("fields", 0), ("nope", 1)):
+        cfg = write_config(tmp_path / "c.json", run={
+            "lambda": 1.5, "n_values": [4, 8, 16], "method": method,
+        })
+        capsys.readouterr()
+        assert main(["sweep-eps", cfg, "--output-dir", str(out)]) == code
     assert json.loads((out / "sweep.json").read_text())["method"] == "fields"
-    capsys.readouterr()
-    assert (
-        main([
-            "sweep-eps", cfg, "--output-dir", str(out), "--method", "nope",
-        ])
-        == 1
-    )
     assert "error: unknown extrapolation method 'nope'" in (
         capsys.readouterr().err
     )
@@ -440,16 +428,46 @@ def test_usage_errors_exit_one(tmp_path):
     assert main(["solve", no_lambda, "--output-dir", str(tmp_path / "o")]) == 1
 
 
-def test_output_env_and_flag_precedence(tmp_path, monkeypatch):
+def test_output_dir_comes_from_the_flag_alone(tmp_path, monkeypatch):
+    """Without --output-dir the artifacts go to ./out; the environment
+    names no output directory."""
     cfg = write_config(tmp_path / "c.json")
-    env_dir = tmp_path / "env_out"
-    monkeypatch.setenv("DISPERSAL_OUT", str(env_dir))
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("DISPERSAL_OUT", str(tmp_path / "env_out"))
     assert main(["eig", cfg]) == 0
-    assert (env_dir / "eig.json").exists()
+    assert (tmp_path / "out" / "eig.json").exists()
+    assert not (tmp_path / "env_out").exists()
 
     flag_dir = tmp_path / "flag_out"
     assert main(["eig", cfg, "--output-dir", str(flag_dir)]) == 0
     assert (flag_dir / "eig.json").exists()
+
+
+def test_cli_surface_is_the_documented_set():
+    """Every subcommand takes the config path, --output-dir and --seed;
+    verify and export-plot also take --branch.  No run value has a flag:
+    the config is its one source.  The README's CLI section names every
+    flag, so a new one changes this test and the README together."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    cli = readme[readme.index("## CLI"):readme.index("## Python API")]
+    (commands,) = [a.choices for a in _build_parser()._actions
+                   if a.dest == "command"]
+    assert sorted(commands) == sorted([
+        "eig", "check-hyp", "solve", "trace", "sweep-eps", "verify",
+        "export-plot",
+    ])
+    for name, parser in commands.items():
+        expected = {"-h", "--help", "--output-dir", "--seed"}
+        if name in ("verify", "export-plot"):
+            expected.add("--branch")
+        actions = parser._actions
+        assert [a.dest for a in actions if not a.option_strings] == [
+            "config"
+        ], name
+        assert {s for a in actions for s in a.option_strings} == expected
+        assert f"dispersal {name} CONFIG" in cli
+    for flag in ("--output-dir", "--seed", "--branch"):
+        assert f"`{flag}`" in cli
 
 
 def test_repeat_runs_are_byte_identical(tmp_path):
@@ -471,6 +489,7 @@ def test_repeat_runs_are_byte_identical(tmp_path):
     "section, key",
     [
         (None, "grdi"),
+        (None, "output_dir"),
         ("domain", "periodic"),
         ("grid", "resolutoin"),
         ("kernel", "length"),
@@ -518,17 +537,26 @@ def test_trace_refuses_mistyped_run_value(tmp_path, capsys, run):
 @pytest.mark.parametrize(
     "argv, flag",
     [(["eig", "--method", "fields"], "--method"),
-     (["trace", "--lambda", "7"], "--lambda")],
+     (["trace", "--lambda", "7"], "--lambda"),
+     (["eig", "--rule", "midpoint"], "--rule"),
+     (["eig", "--resolution", "9"], "--resolution"),
+     (["solve", "--lambda", "2"], "--lambda"),
+     (["trace", "--lambda-max", "2"], "--lambda-max"),
+     (["sweep-eps", "--method", "fields"], "--method"),
+     (["check-hyp", "--r", "1"], "--r"),
+     (["trace", "--out", "elsewhere"], "--out")],
 )
 def test_unread_flag_exits_one(tmp_path, capsys, argv, flag):
-    """A subcommand registers only the flags it reads; `trace --lambda`
-    is not taken as an abbreviation of --lambda-max."""
+    """No flag carries a run value, so each of these exits 1 with a usage
+    line, before anything is written; no flag is read under an
+    abbreviation (`--out` is not --output-dir)."""
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
     capsys.readouterr()
     assert main([argv[0], cfg, "--output-dir", str(out)] + argv[1:]) == 1
     err = capsys.readouterr().err
-    assert flag in err and "Traceback" not in err
+    assert err.startswith("usage: dispersal") and flag in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 
@@ -556,7 +584,7 @@ def test_readme_example_config_runs(tmp_path):
     cli = readme[readme.index("## CLI"):]
     example = cli[cli.index("```json") + len("```json"):]
     (tmp_path / "c.json").write_text(example[:example.index("```")])
-    assert main(["eig", str(tmp_path / "c.json"), "--resolution", "9",
+    assert main(["eig", str(tmp_path / "c.json"),
                  "--output-dir", str(tmp_path / "out")]) == 0
 
 
@@ -691,17 +719,25 @@ def test_verify_reads_nan_state(tmp_path, capsys):
     assert "residual" in {r["name"] for r in reports if not r["holds"]}
 
 
-@pytest.mark.parametrize("flag, value", [("--resolution", "0"),
-                                         ("--rule", "")])
-def test_grid_flags_are_read_when_falsy(tmp_path, capsys, flag, value):
-    """`--resolution 0` and `--rule ""` reach the grid and are refused
-    there, rather than silently falling back to the config's grid."""
-    cfg = write_config(tmp_path / "c.json")
+@pytest.mark.parametrize("grid, named", [
+    pytest.param({"rule": "trapezoid", "resolution": 0},
+                 "resolution must be at least 2", id="resolution-0"),
+    pytest.param({"rule": "", "resolution": 9}, "unknown rule ''",
+                 id="rule-empty"),
+    pytest.param({"rule": "gauss", "resolution": 9}, "unknown rule 'gauss'",
+                 id="rule-gauss"),
+    pytest.param({"rule": "gauss-legendre", "resolution": 9},
+                 "unknown rule 'gauss-legendre'", id="rule-gauss-legendre"),
+])
+def test_grid_section_refuses_bad_values(tmp_path, capsys, grid, named):
+    """A falsy resolution or rule is refused, not replaced by a default,
+    and a rule is spelled as in RULES: the error line names the value."""
+    cfg = write_config(tmp_path / "c.json", grid=grid)
     capsys.readouterr()
-    assert main(["eig", cfg, "--output-dir", str(tmp_path / "out"),
-                 flag, value]) == 1
+    assert main(["eig", cfg, "--output-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
-    assert "grid section" in err and "Traceback" not in err
+    assert "grid section" in err and named in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize(

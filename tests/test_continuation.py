@@ -21,6 +21,7 @@ from dispersal import (
     phi,
     principal_eigenpair,
     reaction,
+    residual,
     seed_branch,
     solve_at_lambda,
     trace_branch,
@@ -274,11 +275,19 @@ def test_solve_at_lambda_constant(const_op, const_eigen):
     np.testing.assert_allclose(pt.u, 1.5**0.5, atol=1e-10)
 
 
-def test_solve_at_lambda_falls_back_to_a_trace(monkeypatch):
-    """With a weight that grows steeply in x the direct Newton solve at
-    3 lambda1 collapses, and one clamped trace reaches lambda instead."""
-    import dispersal.continuation as continuation
+def _assert_solves(op, weight, lam, pt):
+    """pt is a positive solution at exactly lam: its residual, recomputed
+    from the state, is within the residual gate 1e-8 max(1, |u|_inf)."""
+    r = residual(op, reaction(weight, op.grid), lam, pt.u)
+    assert np.abs(r).max() <= 1e-8 * max(1.0, np.abs(pt.u).max())
+    assert pt.u.min() > 0 and pt.lam == lam
 
+
+def test_solve_at_lambda_falls_back_to_a_trace(monkeypatch):
+    """With a weight that grows steeply in x the direct Newton solve
+    collapses, and one clamped trace reaches lambda instead: at 3 lambda1
+    under a constant kernel (the Woodbury step) and at 1.5 lambda1 under a
+    length-0.1 gaussian (the GMRES step)."""
     calls = []
 
     def counted(*args, **kwargs):
@@ -287,14 +296,37 @@ def test_solve_at_lambda_falls_back_to_a_trace(monkeypatch):
 
     monkeypatch.setattr(continuation, "trace_branch", counted)
     grid = unit_grid("trapezoid", 33)
-    op = assemble(KernelSpec.constant(1.0), grid)
+    for kernel, weight, ratio in (
+        (KernelSpec.constant(1.0),
+         WeightSpec.separable((0.1, 2.0), (1.0, -0.5), p=1.0), 3.0),
+        (KernelSpec.gaussian(0.1),
+         WeightSpec.separable((1.0, 2.0), (1.0, -0.5), p=2.0), 1.5),
+    ):
+        op = assemble(kernel, grid)
+        eigen = principal_eigenpair(op)
+        lam = ratio * eigen.lambda1
+        calls.clear()
+        pt = solve_at_lambda(op, weight, eigen, lam, ContinuationConfig())
+        assert len(calls) == 1
+        _assert_solves(op, weight, lam, pt)
+
+
+@pytest.mark.parametrize("kernel, p", [
+    pytest.param(KernelSpec.gaussian(1.0), 3.0, id="gmres"),
+    pytest.param(KernelSpec.constant(1.0), 0.5, id="woodbury"),
+])
+def test_solve_at_lambda_crosses_a_zero_shift(kernel, p):
+    """An iterate of these solves at 3 lambda1 makes Phi_u - lambda exactly
+    0 at a node.  GMRES preconditions that node by 1, and the Woodbury
+    step, which would divide by it, hands the step to GMRES; no division
+    by zero warns (the suite runs with warnings as errors)."""
+    grid = unit_grid("trapezoid", 33)
+    weight = WeightSpec.separable((1.0, 2.0), (1.0, -0.5), p=p)
+    op = assemble(kernel, grid)
     eigen = principal_eigenpair(op)
-    weight = WeightSpec.separable((0.1, 2.0), (1.0, -0.5), p=1.0)
     lam = 3.0 * eigen.lambda1
     pt = solve_at_lambda(op, weight, eigen, lam, ContinuationConfig())
-    assert len(calls) == 1
-    assert pt.lam == lam and pt.min_u > 0
-    assert pt.residual_norm <= 1e-8 * max(1.0, pt.sup_norm)
+    _assert_solves(op, weight, lam, pt)
 
 
 def test_solve_at_lambda_below_threshold(const_op, const_eigen):
@@ -385,7 +417,8 @@ def test_krylov_matches_dense_solve():
          dip_weight(2.0)),
         (KernelSpec.gaussian(0.2), unit_grid("trapezoid", 65),
          const_weight(1.0)),
-        (KernelSpec.gaussian(0.5), unit_grid("gauss", 33), dip_weight(0.5)),
+        (KernelSpec.gaussian(0.5), unit_grid("gauss-legendre-tensor", 33),
+         dip_weight(0.5)),
         (KernelSpec.constant(1.0), unit_grid("midpoint", 33),
          WeightSpec.tabulated(table, p=1.5)),
         (KernelSpec.gaussian(0.3), build_grid(square, "trapezoid", 6),

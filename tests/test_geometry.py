@@ -50,7 +50,9 @@ def test_domain_refuses_boxes_out_of_float_range():
     ]:
         with pytest.raises(GeometryError, match="out of float64 range"):
             Domain(lower, upper)
-    grid = build_grid(Domain((0.0,), (1e-280,)), "gauss", 64)
+    grid = build_grid(
+        Domain((0.0,), (1e-280,)), "gauss-legendre-tensor", 64
+    )
     assert grid.weights.min() > 0
 
 
@@ -79,8 +81,10 @@ def test_tensor_grid_2d():
 def test_rules_reject_low_resolution():
     with pytest.raises(GeometryError):
         build_grid(UNIT, "midpoint", 1)
-    with pytest.raises(GeometryError):
-        build_grid(UNIT, "simpson", 8)
+    # a rule is named as in RULES, with no alias spelling
+    for rule in ("simpson", "gauss", "gauss-legendre"):
+        with pytest.raises(GeometryError, match="unknown rule"):
+            build_grid(UNIT, rule, 8)
     # a resolution is an integer: no truncation, parsing or bool
     for resolution in (16.9, 17.0, "17", True):
         with pytest.raises(GeometryError, match="must be an integer"):

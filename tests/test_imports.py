@@ -64,7 +64,7 @@ def test_cli_runs_load_no_further_numpy_module(tmp_path):
         "kernel": {"form": "gaussian", "length_scale": 0.5},
         "weight": {"form": "polynomial_dip", "points": [0.5],
                    "exponents": [0.4], "level": 3.0, "p": 2.0},
-        "run": {"lambda_max": 1.5},
+        "run": {"lambda_max": 1.5, "lambda": 0.8},
     }
     (tmp_path / "c.json").write_text(json.dumps(config))
     result = _run(
@@ -76,7 +76,7 @@ def test_cli_runs_load_no_further_numpy_module(tmp_path):
         with contextlib.redirect_stdout(io.StringIO()):
             for cmd in (
                 ["eig"], ["check-hyp"], ["trace"], ["verify"],
-                ["sweep-eps", "--lambda", "0.8"],
+                ["sweep-eps"],
             ):
                 codes.append(
                     cli.main([*cmd, "c.json", "--output-dir", "out"])

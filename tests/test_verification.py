@@ -208,8 +208,8 @@ def test_verify_branch_applies_k_once_per_point(tmp_path, monkeypatch):
     p = workloads.params("trace-2d", 0)
     workloads.prepare(p, workloads.problem(p), tmp_path)
     # the parsed arguments of `verify` with --branch
-    args = SimpleNamespace(config=str(tmp_path / "config.json"), rule=None,
-                           resolution=None, output_dir=str(tmp_path / "out"),
+    args = SimpleNamespace(config=str(tmp_path / "config.json"),
+                           output_dir=str(tmp_path / "out"),
                            branch=str(tmp_path / "branch.csv"))
     run = RunContext(args)
     branch = _load_branch(run, args)
