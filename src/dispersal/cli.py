@@ -12,7 +12,7 @@ SVG plot is assembled by hand.  The CSV tables are NumPy text tables
 stored value round-trips bit for bit.
 
 Exit codes: 0 success, 2 a quantitative bound or hypothesis failed,
-1 usage, config, solver, or I/O errors.
+1 usage, config, solver, I/O or out-of-memory errors.
 """
 
 from __future__ import annotations
@@ -234,13 +234,14 @@ class RunContext:
         return assemble(self.kernel, self.grid)
 
 
-def _read_table(path: Path, header: bool):
+def _read_table(path: Path, header: bool, finite=()):
     """(meta, columns, table): ``# key=value`` lines fill meta; with
     ``header`` the first other line names the columns, and the rest is a
-    table of numbers, one per column."""
+    table of numbers, one per column.  The first line where a meta key or
+    column named in ``finite`` holds no finite number is refused."""
     if not path.exists():
         raise UsageError(f"missing csv file {path}")
-    meta, columns, data, nums = {}, None, [], []
+    meta, columns, data, nums, meta_lines = {}, None, [], [], {}
     for num, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
@@ -248,6 +249,7 @@ def _read_table(path: Path, header: bool):
             key, eq, val = line[1:].partition("=")
             if eq:
                 meta[key.strip()] = val.strip()
+                meta_lines[key.strip()] = num
         elif header and columns is None:
             columns = line.split(",")
         else:
@@ -263,7 +265,20 @@ def _read_table(path: Path, header: bool):
         table = None
     if table is None or width not in (None, table.shape[1]):
         raise UsageError(_refused_line(path, data, nums, width))
+    cells = [(meta_lines[k], k, meta[k]) for k in finite if k in meta]
+    cells += [(num, k, value) for k in finite if k in (columns or ())
+              for num, value in zip(nums, table[:, columns.index(k)])]
+    for num, k, value in sorted(cells):
+        if not _finite(value):
+            raise UsageError(f"{path} line {num}: {k} is not a finite number")
     return meta, columns, table
+
+
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(float(value))
+    except ValueError:
+        return False
 
 
 def _refused_line(path: Path, data, nums, width) -> str:
@@ -484,17 +499,14 @@ def _cmd_verify(args) -> int:
 def _cmd_export_plot(args) -> int:
     ctx = RunContext(args)
     branch_path = Path(args.branch or ctx.out_dir / "branch.csv")
-    meta, columns, rows = _read_table(branch_path, header=True)
+    meta, columns, rows = _read_table(
+        branch_path, header=True, finite=("seed_lambda1", "lambda", "sup_norm")
+    )
     if not len(rows):
         raise UsageError(f"{branch_path} has no data rows to plot")
     lams = _column(branch_path, columns, rows, "lambda")
     sups = _column(branch_path, columns, rows, "sup_norm")
-    try:
-        lambda1 = float(meta.get("seed_lambda1", lams[0]))
-    except ValueError:
-        raise UsageError(
-            f"{branch_path}: seed_lambda1 is not a number"
-        ) from None
+    lambda1 = float(meta.get("seed_lambda1", lams[0]))
     svg = _render_svg(lams, sups, lambda1)
     out = ctx.out_dir / "branch.svg"
     out.write_text(svg)
@@ -605,6 +617,7 @@ def main(argv=None) -> int:
         OperatorError,
         ReactionError,
         ContinuationError,
+        MemoryError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

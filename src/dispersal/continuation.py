@@ -12,10 +12,11 @@ and stays inside [ds_min, ds_max].
 
 Newton is Jacobian-free (Knoll & Keyes, JCP 193, 2004): each step solves
 J y = -r on `JacobianAction`, and the `Reaction` (Q, w and p) is built
-once per solve.  The forms of K and Q choose the solve, in `_solve`.
-When both are LowRank, J = diag(Phi_u - lambda) + U V^T with rank r <= 3,
-and the Sherman-Morrison-Woodbury identity gives the exact step in
-O(n r^2) wherever Phi_u - lambda has no zero.  Otherwise the step is
+once per entry point, the fallback trace of `solve_at_lambda` included.
+The forms of K and Q choose the solve, in `_solve`.  When both are
+LowRank, J = diag(Phi_u - lambda) + U V^T with rank r <= 3, and the
+Sherman-Morrison-Woodbury identity gives the exact step in O(n r^2)
+wherever Phi_u - lambda has no zero.  Otherwise the step is
 `_krylov`, one NumPy GMRES cycle of at most min(n, 50) iterations,
 left-preconditioned by diag(Phi_u - lambda)^-1, with 1 at a node where
 Phi_u = lambda.  The arclength border is eliminated with a second solve
@@ -395,12 +396,16 @@ def trace_branch(
     point budget ran out first), "step_failure" (ds fell below ds_min)
     or "left_admissible_set".
     """
-    grid = op.grid
     if cfg.lambda_max <= eigen.lambda1:
         raise ContinuationError(
             f"lambda_max={cfg.lambda_max} must exceed lambda1={eigen.lambda1}"
         )
-    rx = reaction(weight, grid)
+    return _trace(op, reaction(weight, op.grid), eigen, cfg)
+
+
+def _trace(op, rx, eigen, cfg) -> Branch:
+    """`trace_branch` with the `Reaction` built, for lambda_max > lambda1."""
+    grid = op.grid
     first = _bootstrap_first_point(op, rx, eigen, cfg)
     points = [first]
     folds: list[int] = []
@@ -477,7 +482,7 @@ def trace_branch(
         seed_lambda1=eigen.lambda1,
         termination=termination,
         fold_indices=tuple(folds),
-        p=weight.p,
+        p=rx.p,
     )
 
 
@@ -500,8 +505,12 @@ def solve_at_lambda(
     derivative.  To correct a known state at lambda instead, call
     `newton_correct`.
     """
+    return _solve_at(op, reaction(weight, op.grid), eigen, lam, cfg)
+
+
+def _solve_at(op, rx, eigen, lam, cfg) -> BranchPoint:
+    """`solve_at_lambda` with the `Reaction` built."""
     grid = op.grid
-    rx = reaction(weight, grid)
     if lam <= eigen.lambda1:
         return _branch_point(op, rx, lam, np.zeros(grid.n), 0)
     phi1 = eigen.phi1
@@ -510,14 +519,14 @@ def solve_at_lambda(
         raise ContinuationError(
             "weight has no reaction at the principal eigenfunction"
         )
-    amp = ((lam - eigen.lambda1) / kappa) ** (1.0 / weight.p)
+    amp = ((lam - eigen.lambda1) / kappa) ** (1.0 / rx.p)
     try:
         pt = newton_correct(op, rx, lam, amp * phi1, cfg)
         if pt.sup_norm >= 0.05 * amp and pt.min_u > 0:
             return pt
     except ContinuationError:
         pass
-    branch = trace_branch(op, weight, eigen, replace(cfg, lambda_max=lam))
+    branch = _trace(op, rx, eigen, replace(cfg, lambda_max=lam))
     if branch.termination != "reached_lambda_max":
         raise ContinuationError(
             f"could not continue the branch to lambda={lam} "

@@ -16,15 +16,17 @@ defined on the admissible set gamma ||Phi_u||_inf < 1.  All functions are
 pure.  The reaction term is one `Reaction` value: the matrix Q exactly as
 `model` builds it, the quadrature weights w and the exponent p, built by
 `reaction(weight, grid)` once per entry point (a solve, a trace, a
-verification) and passed down, so a Q always meets the exponent of its own
-weight.  `phi` computes Q (w |u|^p), so Phi_u costs what one product
-with Q costs in its form: O(n) for every weight but a tabulated one.
-The dispersal part goes through `DiscreteOperator.apply`, and `residual`
-forms A u + Phi_u u - lambda u; `verify_branch` writes the same
-expression out with the A u it also reads positivity from.  `JacobianAction`
-applies its derivative in u without forming it (``@``), and carries the factors of its low-rank part when K and Q
-are both LowRank; it is the only Jacobian, the one the Newton solver
-uses.
+verification, a regularized run) and passed down, so a Q always meets
+the exponent of its own weight.  A member of the regularized family is
+the same `Reaction` with its Q row-scaled by `model.build_q_eps`.  `phi`
+computes Q (w |u|^p), so Phi_u costs what one product with Q costs in
+its form: O(n) for every weight but a tabulated one.  The dispersal part
+goes through `DiscreteOperator.apply`, and `residual` forms
+A u + Phi_u u - lambda u; `verify_branch` writes the same expression out
+with the A u it also reads positivity from.  `JacobianAction` applies
+its derivative in u without forming it (``@``), and carries the factors
+of its low-rank part when K and Q are both LowRank; it is the only
+Jacobian, the one the Newton solver uses.
 """
 
 from __future__ import annotations

@@ -20,19 +20,18 @@ arrays:
 
 Only the tabulated forms are dense.  Each kernel form is chosen in one
 place, `_kernel`, from the spec form, the rule and the number of axes,
-and each weight form, row scale included, in `_weight`.  They are also
-the one place that decides whether K and Q are valid: each refuses a
-negative entry and an entry that can overflow float64, so every K and
-Q downstream is finite.  Every structured K is symmetric by
-construction: a LowRank K is f(x) f(y) or constant, a Toeplitz is
-symmetric, and a Kron's gaussian factors hold exp(-(x_i - x_j)^2 / l^2),
-whose square is the same bits both ways round.  The solver holds
-exactly these matrices and applies the quadrature weights at the
-product, K (w u) and Q (w |u|^p), so no other module knows the forms.
-Every form applies with ``@``, forms a block of its rows with ``rows``,
-and materializes with ``np.asarray``.  No form can be written in place:
-the factors, a tabulated spec's matrix and a row scale are all
-read-only arrays.
+and each weight form in `_weight`.  They are also the one place that
+decides whether K and Q are valid: each refuses a negative entry and an
+entry that can overflow float64, so every K and Q downstream is finite.
+Every structured K is symmetric by construction: a LowRank K is
+f(x) f(y) or constant, a Toeplitz is symmetric, and a Kron's gaussian
+factors hold exp(-(x_i - x_j)^2 / l^2), whose square is the same bits
+both ways round.  The solver holds exactly these matrices and applies
+the quadrature weights at the product, K (w u) and Q (w |u|^p), so no
+other module knows the forms.  Every form applies with ``@``, forms a
+block of its rows with ``rows``, and materializes with ``np.asarray``.
+No form can be written in place: the factors and a tabulated spec's
+matrix are read-only arrays.
 
 The checkers in this module certify, at grid level, the structural
 hypotheses the solver relies on: symmetry of K, positivity of K near the
@@ -45,7 +44,7 @@ reduction of the dense matrix bit for bit.  Only a tabulated K has its
 symmetry measured.  When delta reaches the diameter of the box, k2
 reads the least entry of K: a tabulated K's minimum, or the least
 entry its structure gives.  The structure also gives the floor and x0
-of a LowRank whose left columns but the first are constant.
+of a LowRank Q, whose left columns but the first are constant.
 Everything else streams in blocks of about 2^20 entries, with the
 squared distances of each block built one axis at a time.
 `check_weight_floor` returns every fact about Q, including the
@@ -56,8 +55,8 @@ window and the sup of Q.
 dip profile a_eps vanishing at x0 and the row-scaled weight
 Q_eps(x, y) = Q(x, y) (2 - a_eps(x)), which satisfies
 Q <= Q_eps <= 2 Q and Q_eps(x0, y) - Q_eps(x, y) >= Q(x, y) a_eps(x).
-Q_eps is the base spec with ``row_scale = 2 - a_eps``, so it keeps the
-rank of Q.
+`build_q_eps` scales the rows of a built Q in its form, so Q_eps keeps
+the rank of Q; it is for the solver, and no certificate reads it.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -373,10 +372,8 @@ class WeightSpec:
     polynomial_dip: Q(x, y) = h(y) [level - prod_i |x - x_i|^(q_i)] + g(y)
     tabulated:      explicit (n, n) matrix over the grid nodes
 
-    ``row_scale``, set only by `build_q_eps`, multiplies row x by
-    row_scale(x) on every materialization.  ``matrix`` and ``row_scale``
-    are held read-only: a writable array is copied.  Every number of the
-    spec must be finite, else it raises a ModelError.
+    ``matrix`` is held read-only: a writable array is copied.  Every
+    number of the spec must be finite, else it raises a ModelError.
     """
 
     FORMS = ("constant", "separable", "polynomial_dip", "tabulated")
@@ -390,13 +387,11 @@ class WeightSpec:
     exponents: Optional[tuple] = None
     level: float = 1.0
     matrix: Optional[np.ndarray] = None
-    row_scale: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if not self.p > 0:
             raise ModelError("reaction exponent p must be positive")
-        for name in ("matrix", "row_scale"):
-            object.__setattr__(self, name, _frozen(getattr(self, name)))
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
         _refuse_non_finite(self)
 
     @classmethod
@@ -452,37 +447,20 @@ def _dip_profile(weight: WeightSpec, x: np.ndarray) -> np.ndarray:
 
 
 def _weight(weight: WeightSpec, grid: QuadratureGrid):
-    """Q over the nodes, row scale included: a LowRank (constant,
-    separable, polynomial_dip) or a read-only dense array (tabulated).
-
-    Entries must be >= 0 and finite, and a row scale must hold one
-    positive value per node, so it keeps the sign.  Every column of the
-    plain left factor but the first is constant, so the two rows where
-    that column is smallest and largest hold each column's extremes
-    (`_extreme_rows`): they hold the least entry, and every entry is
-    finite when they are.  A NaN or infinite factor entry shows in them.
-    """
+    """Q over the nodes: a LowRank (constant, separable, polynomial_dip)
+    or the spec's own read-only matrix (tabulated).  Entries must be >= 0
+    and finite: `_extreme_rows` holds a LowRank's least entry, and a NaN
+    or infinite factor entry shows in it."""
     n = grid.n
-    scale = weight.row_scale
-    if scale is not None and (
-        np.shape(scale) != (n,) or not np.all(scale > 0)
-    ):
-        raise ModelError("row_scale must hold one positive value per node")
     if weight.form == "tabulated":
         if weight.matrix.shape != (n, n):
             raise ModelError(
                 f"tabulated weight has shape {weight.matrix.shape}, "
                 f"grid needs ({n}, {n})"
             )
-        q = weight.matrix
-        if scale is not None:
-            with np.errstate(over="ignore"):
-                q = _read_only(q * scale[:, None])
-            if not np.isfinite(q.max()):
-                raise ModelError("weight entries overflow float64")
-        if q.min() < 0:
+        if weight.matrix.min() < 0:
             raise ModelError("weight is negative at a sampled pair")
-        return q
+        return weight.matrix
     with np.errstate(over="ignore", invalid="ignore"):
         if weight.form == "constant":
             q = LowRank(np.full((n, 1), weight.value), np.ones((n, 1)))
@@ -501,14 +479,7 @@ def _weight(weight: WeightSpec, grid: QuadratureGrid):
         else:
             raise ModelError(f"unknown weight form {weight.form!r}")
         ext = _extreme_rows(q)
-        finite = np.isfinite(ext).all()
-        if scale is not None:
-            q = LowRank(scale[:, None] * q.left, q.right)
-            # entry (i, j) sums left[i, k] right[j, k] over k in order, so
-            # by monotone rounding sum(peak) bounds its magnitude
-            peak = np.abs(q.left).max(axis=0) * np.abs(q.right).max(axis=0)
-            finite &= np.isfinite(sum(peak))
-    if not finite:
+    if not np.isfinite(ext).all():
         raise ModelError("weight entries overflow float64")
     if ext.min() < 0:
         raise ModelError("weight is negative at a sampled pair")
@@ -550,17 +521,13 @@ def _near_min(m, grid: QuadratureGrid, r: float) -> float:
     return float(low)
 
 
-def _extreme_rows(m) -> Optional[np.ndarray]:
-    """The rows of a LowRank where its first left column is least and
-    greatest, if every other left column is constant; else None.
-
-    Entry (i, j) is then a monotone function of left[i, 0], since
-    floating-point x -> x r and x -> x + c are monotone, so the two rows
-    hold every column's least and greatest entry, and every entry is
-    finite when they are.
-    """
-    if not isinstance(m, LowRank) or (m.left[:, 1:] != m.left[0, 1:]).any():
-        return None
+def _extreme_rows(m: LowRank) -> np.ndarray:
+    """The rows of a LowRank K or Q where its first left column is least
+    and greatest.  `_kernel` and `_weight` keep every other left column
+    constant, so entry (i, j) is a monotone function of left[i, 0], as
+    floating-point x -> x r and x -> x + c are: the two rows hold every
+    column's least and greatest entry, and every entry is finite when
+    they are."""
     first = m.left[:, 0]
     return m.rows([first.argmin(), first.argmax()])
 
@@ -616,8 +583,8 @@ class FloorReport:
 
 
 def _lead_row(q: LowRank, col_max: np.ndarray) -> int:
-    """The first row i maximizing min_j (Q_ij - col_max_j), for a Q that
-    `_extreme_rows` accepts, in O(n log n).
+    """The first row i maximizing min_j (Q_ij - col_max_j), for a LowRank
+    Q that `_weight` built, in O(n log n).
 
     Row i depends on t = left[i, 0] alone.  Its gaps Q_ij - col_max_j
     rise with t where right[j, 0] >= 0 and fall where it is negative, so
@@ -661,17 +628,19 @@ def check_weight_floor(
 ) -> FloorReport:
     """Certify the positive floor of Q and locate a maximizing node x0.
 
-    Q is read in the form `_weight` returns.  For a LowRank that
-    `_extreme_rows` accepts, two rows give the column extremes and
-    `_lead_row` gives x0; otherwise rows of Q stream in blocks, with
-    O(n b) memory.  Every value equals the dense computation bit for
-    bit.
+    Q is read in the form `_weight` returns.  For a LowRank, two rows
+    (`_extreme_rows`) give the column extremes and `_lead_row` gives x0;
+    a tabulated Q streams in blocks of rows, with O(n b) memory.  Every
+    value equals the dense computation bit for bit.
     """
     if not r > 0:
         raise ModelError("r must be positive")
-    q = _weight(weight, grid)
-    ext = _extreme_rows(q)
-    if ext is None:
+    return _floor(_weight(weight, grid), grid, r)
+
+
+def _floor(q, grid: QuadratureGrid, r: float) -> FloorReport:
+    """`check_weight_floor` of a Q that `_weight` built."""
+    if isinstance(q, np.ndarray):
         col_min, col_max = np.full(grid.n, np.inf), np.full(grid.n, -np.inf)
         for s in _row_blocks(grid.n):
             rows = _rows(q, s)
@@ -681,6 +650,7 @@ def check_weight_floor(
             (_rows(q, s) - col_max).min(axis=1) for s in _row_blocks(grid.n)
         ])))
     else:
+        ext = _extreme_rows(q)
         col_min, col_max = ext.min(axis=0), ext.max(axis=0)
         i0 = _lead_row(q, col_max)
     sigma_global = float(col_min.min())
@@ -733,7 +703,7 @@ class HypothesisReport:
 
 
 def _certify_q3(weight: WeightSpec, grid: QuadratureGrid):
-    if weight.form != "polynomial_dip" or weight.row_scale is not None:
+    if weight.form != "polynomial_dip":
         return None, None, None, None
     x = _coords_1d(grid, "polynomial_dip weight")
     n_dim = grid.domain.dim
@@ -813,20 +783,25 @@ def build_a_eps(
     return np.where(d <= 1.0, d**eps, 1.0)
 
 
-def build_q_eps(
-    weight: WeightSpec, grid: QuadratureGrid, a_eps: np.ndarray
-) -> WeightSpec:
-    """Row-scaled weight Q_eps(x, y) = Q(x, y) (2 - a_eps(x)).
-
-    The result is ``weight`` with ``row_scale = 2 - a_eps`` (times any row
-    scale it already has), so it keeps the form and rank of Q.
-    """
+def build_q_eps(q, a_eps: np.ndarray):
+    """Q_eps(x, y) = Q(x, y) (2 - a_eps(x)) of a Q that `_weight` built
+    (``Reaction.q``), in its form: a LowRank with its left factor scaled,
+    or a read-only scaled copy of a tabulated Q.  a_eps holds one value
+    in [0, 1] per node, so the sign stays; a Q_eps that can overflow
+    float64 is refused."""
     a = np.asarray(a_eps, dtype=float)
-    if a.shape != (grid.n,):
-        raise ModelError("a_eps must have one value per grid node")
-    if a.min() < 0 or a.max() > 1 + 1e-12:
-        raise ModelError("a_eps values must lie in [0, 1]")
+    if a.shape != (q.shape[0],) or a.min() < 0 or a.max() > 1 + 1e-12:
+        raise ModelError("a_eps must hold one value in [0, 1] per node")
     scale = 2.0 - a
-    if weight.row_scale is not None:
-        scale *= weight.row_scale
-    return replace(weight, row_scale=_read_only(scale))
+    with np.errstate(over="ignore"):
+        if isinstance(q, LowRank):
+            q = LowRank(scale[:, None] * q.left, q.right)
+            # entry (i, j) sums left[i, k] right[j, k] over k in order, so
+            # by monotone rounding this sum bounds its magnitude
+            big = sum(np.abs(q.left).max(axis=0) * np.abs(q.right).max(axis=0))
+        else:
+            q = _read_only(q * scale[:, None])
+            big = q.max()
+    if not np.isfinite(big):
+        raise ModelError("weight entries overflow float64")
+    return q

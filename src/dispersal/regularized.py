@@ -1,7 +1,8 @@
 """Regularized weight family and the vanishing-regularization limit.
 
 For a fixed growth rate lambda above the principal eigenvalue, the weight
-Q is replaced by Q_eps(x, y) = Q(x, y)(2 - a_eps(x)) with the dip profile
+Q, built once, is replaced by Q_eps(x, y) = Q(x, y)(2 - a_eps(x)), its
+rows scaled by `build_q_eps`, with the dip profile
 a_eps(x) = min(|x - x0|, 1)^eps vanishing at a certified maximum node x0.
 Each regularized problem has a positive solution u_eps whose reaction
 field stays below lambda by a quantified margin:
@@ -52,7 +53,7 @@ lambda > lambda1 check run on every call, before the lookup, so every
 refusal comes whether the memo holds the family or not.  The memo holds
 one family, shared by the runs built from it, and every array in that
 family is read-only, as is every array reachable from its key: the forms
-of K and Q, a tabulated spec's matrix, a row scale and the grid.
+of K and Q, a tabulated spec's matrix and the grid.
 """
 
 from __future__ import annotations
@@ -60,19 +61,19 @@ from __future__ import annotations
 import math
 import numbers
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .continuation import ContinuationConfig, newton_correct, solve_at_lambda
+from .continuation import ContinuationConfig, _solve_at, newton_correct
 from .logistic import phi, reaction, residual
 from .model import (
     FloorReport,
     WeightSpec,
+    _floor,
     _read_only,
     build_a_eps,
     build_q_eps,
-    check_weight_floor,
     eps_ceiling,
 )
 from .operator import DiscreteOperator, principal_eigenpair
@@ -316,10 +317,9 @@ def _solve_family(
     for n in n_values:
         eps = 1.0 / n
         a = build_a_eps(weight, grid, grid.nodes[x0_index], eps)
-        weps = build_q_eps(weight, grid, a)
-        rx_eps = reaction(weps, grid)
+        rx_eps = replace(rx, q=build_q_eps(rx.q, a))
         if warm is None:
-            point = solve_at_lambda(op, weps, eigen, lam, cfg)
+            point = _solve_at(op, rx_eps, eigen, lam, cfg)
         else:
             point = newton_correct(op, rx_eps, lam, warm, cfg)
         # Phi reads |u|^p, so -u solves wherever u does and would pass
@@ -438,7 +438,8 @@ def limit_procedure(
     if x0_index is not None:
         x0_index = _node_index(x0_index, grid.n)
     eigen = principal_eigenpair(op)
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    rx = reaction(weight, grid)
+    floor = _floor(rx.q, grid, r=grid.domain.diameter)
     if x0_index is None:
         x0_index = _locate_x0(floor)
     theta = theta_margin(eigen.lambda1, lam)
@@ -452,7 +453,6 @@ def limit_procedure(
             f"lambda={lam} must exceed the principal eigenvalue "
             f"{eigen.lambda1}"
         )
-    rx = reaction(weight, grid)
 
     key = (float(lam), n_values, cfg, x0_index, bool(strict))
     memo = _last_family

@@ -30,7 +30,7 @@ import numpy as np
 from .continuation import _branch_point
 from .geometry import cover
 from .logistic import phi, reaction
-from .model import WeightSpec, check_weight_floor
+from .model import WeightSpec, _floor
 from .operator import DiscreteOperator
 
 __all__ = ["BoundReport", "verify_branch"]
@@ -60,14 +60,14 @@ def verify_branch(
     records with ``lam`` and ``u``.  Each point is rebuilt from them by the
     tracer's own `_branch_point`, from Phi_u and A u formed once per point;
     the weight floor sigma at r = the domain diameter and the ball count m
-    of the covering of that radius come from the weight and the domain.
+    of the covering of that radius come from the same Q and the domain.
     The recorded scalars and the branch metadata, ``seed_lambda1``
     included, are ignored.  The covering report is left out when the
     weight has no global floor.
     """
     grid = op.grid
     rx = reaction(weight, grid)
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    floor = _floor(rx.q, grid, r=grid.domain.diameter)
     names = ["residual", "admissibility", "positivity"]
     if floor.q2pp:
         names.append("lp_covering_bound")

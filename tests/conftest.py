@@ -63,8 +63,8 @@ def kernel_matrix(kernel, grid):
 
 
 def weight_matrix(weight, grid):
-    """Q over the nodes, row scale included, as a fresh dense array,
-    from the form that `reaction` holds."""
+    """Q over the nodes as a fresh dense array, from the form that
+    `reaction` holds."""
     return np.array(reaction(weight, grid).q)
 
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dispersal import cli
 from dispersal.cli import _build_parser, _fmt, _read_table, _write_table, main
 
 from .conftest import peak_bytes
@@ -701,6 +702,53 @@ def test_bad_branch_csv_exits_one(tmp_path, capsys, command, name, edit):
     assert name in err and "Traceback" not in err
     if line is not None:
         assert f"{name} line {line}:" in err, err
+
+
+@pytest.mark.parametrize("table, line", [
+    pytest.param("# seed_lambda1=1.0\nlambda,sup_norm\n342,nan\n599,nan\n",
+                 3, id="sup_norm-nan"),
+    pytest.param("# seed_lambda1=1.0\nlambda,sup_norm\n1.5,0.1\ninf,0.2\n",
+                 4, id="lambda-inf"),
+    pytest.param("# seed_lambda1=nan\nlambda,sup_norm\n1.5,0.1\n2,0.2\n",
+                 1, id="seed_lambda1-nan"),
+    pytest.param("# seed_lambda1=-inf\nlambda,sup_norm\n1.5,0.1\n2,nan\n",
+                 1, id="first-line-named"),
+])
+def test_export_plot_refuses_non_finite_values(tmp_path, capsys, table, line):
+    """A non-finite lambda, sup_norm or seed_lambda1 would be drawn as a
+    NaN coordinate: export-plot exits 1 with an error line that names the
+    file and its first such line, and writes no plot."""
+    cfg = write_config(tmp_path / "c.json")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "branch.csv").write_text(table)
+    capsys.readouterr()
+    assert main(["export-plot", cfg, "--output-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert f"branch.csv line {line}:" in err and "not a finite number" in err
+    assert not (out / "branch.svg").exists()
+
+
+def test_memory_error_exits_one(tmp_path, capsys, monkeypatch):
+    """A grid too large for memory exits 1 with an error line, not
+    NumPy's traceback.  `build_grid` raises NumPy's message instead of
+    allocating, so the test never asks for the memory."""
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 298. GiB for an array with "
+                          "shape (40000000000,) and data type float64")
+
+    monkeypatch.setattr(cli, "build_grid", no_memory)
+    cfg = write_config(
+        tmp_path / "c.json",
+        domain={"lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+        grid={"rule": "trapezoid", "resolution": 200000},
+    )
+    capsys.readouterr()
+    assert main(["eig", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert "Traceback" not in err
 
 
 def test_verify_reads_nan_state(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Branch continuation from the bifurcation point."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -289,12 +290,13 @@ def test_solve_at_lambda_falls_back_to_a_trace(monkeypatch):
     under a constant kernel (the Woodbury step) and at 1.5 lambda1 under a
     length-0.1 gaussian (the GMRES step)."""
     calls = []
+    trace = continuation._trace
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return trace_branch(*args, **kwargs)
+        return trace(*args, **kwargs)
 
-    monkeypatch.setattr(continuation, "trace_branch", counted)
+    monkeypatch.setattr(continuation, "_trace", counted)
     grid = unit_grid("trapezoid", 33)
     for kernel, weight, ratio in (
         (KernelSpec.constant(1.0),
@@ -456,13 +458,15 @@ def test_low_rank_solve_matches_dense_solve():
         op = assemble(kernel, grid)
         lambda1 = principal_eigenpair(op).lambda1
         for p in (0.5, 1.0, 2.0):
-            for weight in (
-                const_weight(p),
-                WeightSpec.separable((0.5, 1.0), (1.0, -0.5), p=p),
-                dip_weight(p),
-                build_q_eps(dip_weight(p), grid, a_eps),
+            dip = reaction(dip_weight(p), grid)
+            for rx in (
+                reaction(const_weight(p), grid),
+                reaction(
+                    WeightSpec.separable((0.5, 1.0), (1.0, -0.5), p=p), grid
+                ),
+                dip,
+                replace(dip, q=build_q_eps(dip.q, a_eps)),
             ):
-                rx = reaction(weight, grid)
                 u = rng.uniform(0.2, 1.5, grid.n)
                 phi_u = phi(rx, u)
                 for lam in (phi_u.min() - lambda1, phi_u.max() + lambda1):

@@ -1,13 +1,14 @@
 """Kernel/weight construction and the structural certificates."""
 
 import math
-from dataclasses import replace
+import sys
 
 import numpy as np
 import pytest
 
 from dispersal import (
     RULES,
+    ContinuationConfig,
     Domain,
     KernelSpec,
     ModelError,
@@ -19,10 +20,15 @@ from dispersal import (
     certify,
     check_weight_floor,
     eps_ceiling,
+    limit_procedure,
+    principal_eigenpair,
     reaction,
+    solve_at_lambda,
+    trace_branch,
+    verify_branch,
 )
 
-from dispersal import model
+from dispersal import continuation, model, regularized
 from dispersal.model import _certify_q3, _polyval
 
 from .conftest import dip_weight, peak_bytes, unit_grid, weight_matrix
@@ -87,22 +93,6 @@ def test_weight_matrix_rejects_negative():
     w = WeightSpec.separable(g=(-0.5, 1.0), h=(1.0,), p=1.0)
     with pytest.raises(ModelError):
         reaction(w, grid)
-
-
-def test_row_scale_checked_by_every_reader():
-    """A row scale must hold one positive value per node, whichever
-    reader builds Q: the solver's reaction or the certificates."""
-    grid = unit_grid("trapezoid", 9)
-    for weight in (
-        WeightSpec.constant(1.0, p=2.0),
-        WeightSpec.tabulated(np.ones((9, 9)), p=2.0),
-    ):
-        for scale in (-np.ones(9), np.ones(8), np.zeros(9)):
-            scaled = replace(weight, row_scale=scale)
-            with pytest.raises(ModelError, match="row_scale"):
-                reaction(scaled, grid)
-            with pytest.raises(ModelError, match="row_scale"):
-                check_weight_floor(scaled, grid, r=1.0)
 
 
 def test_floor_constant_weight():
@@ -430,8 +420,7 @@ def test_build_q_eps_rows():
     grid = unit_grid("trapezoid", 11)
     w = WeightSpec.constant(1.0, p=1.0)
     a = build_a_eps(w, grid, np.array([0.5]), 0.5)
-    weps = build_q_eps(w, grid, a)
-    q = weight_matrix(weps, grid)
+    q = np.array(build_q_eps(reaction(w, grid).q, a))
     i03 = int(np.argmin(np.abs(grid.nodes[:, 0] - 0.3)))
     np.testing.assert_allclose(q[i03], 2.0 - 0.2**0.5)
     np.testing.assert_allclose(q[5], 2.0)  # doubled at the center
@@ -445,7 +434,7 @@ def test_q_eps_sandwich_and_gap():
     for _ in range(5):
         eps = float(rng.uniform(0.05, 0.5))
         a = build_a_eps(w, grid, np.array([0.5]), eps)
-        qe = weight_matrix(build_q_eps(w, grid, a), grid)
+        qe = np.array(build_q_eps(reaction(w, grid).q, a))
         assert (qe >= q - 1e-12).all()
         assert (qe <= 2.0 * q + 1e-12).all()
         # Q_eps(x0, y) - Q_eps(x, y) >= Q(x, y) a(x) entrywise
@@ -455,11 +444,11 @@ def test_q_eps_sandwich_and_gap():
 
 def test_build_q_eps_validates_profile():
     grid = unit_grid("trapezoid", 11)
-    w = WeightSpec.constant(1.0, p=1.0)
+    q = reaction(WeightSpec.constant(1.0, p=1.0), grid).q
     with pytest.raises(ModelError):
-        build_q_eps(w, grid, np.ones(grid.n - 1))
+        build_q_eps(q, np.ones(grid.n - 1))
     with pytest.raises(ModelError):
-        build_q_eps(w, grid, np.full(grid.n, 1.5))
+        build_q_eps(q, np.full(grid.n, 1.5))
 
 
 def test_weight_spec_validation():
@@ -552,14 +541,6 @@ _NEGATIVE_Q[4, 2] = -0.5
                  id="kernel-rank-one-sign"),
     pytest.param(WeightSpec.separable((1e200,), (1e200,)), "overflow",
                  id="weight-separable-overflow"),
-    # 1e154 * 1e154 is finite and twice it is not: only the row scale
-    # makes these overflow
-    pytest.param(replace(WeightSpec.separable((1e154,), (1e154,)),
-                         row_scale=np.full(9, 2.0)), "overflow",
-                 id="weight-separable-row-scaled-overflow"),
-    pytest.param(replace(WeightSpec.tabulated(np.full((9, 9), 1e308)),
-                         row_scale=np.full(9, 2.0)), "overflow",
-                 id="weight-tabulated-row-scaled-overflow"),
     pytest.param(WeightSpec.polynomial_dip(points=(10.0,),
                                            exponents=(400.0,), level=1.0),
                  "overflow", id="weight-dip-overflow"),
@@ -587,8 +568,98 @@ def test_invalid_kernel_or_weight_is_refused_by_every_reader(spec, named):
             call()
 
 
+@pytest.mark.parametrize("weight", [
+    pytest.param(WeightSpec.separable((1e154,), (1e154,)), id="separable"),
+    pytest.param(WeightSpec.tabulated(np.full((9, 9), 1e308)),
+                 id="tabulated"),
+])
+def test_build_q_eps_refuses_overflow(weight):
+    """1e154 * 1e154 and 1e308 are finite and twice them is not: Q is
+    valid, and its eps-family member with a_eps = 0 (every row doubled)
+    is refused with a ModelError that names the overflow, and no
+    overflow warning."""
+    q = reaction(weight, unit_grid("trapezoid", 9)).q
+    with pytest.raises(ModelError, match="overflow"):
+        build_q_eps(q, np.zeros(9))
+
+
 def test_tabulated_shape_must_match_grid():
     grid = unit_grid("midpoint", 8)
     k = KernelSpec.tabulated(np.ones((4, 4)))
     with pytest.raises(ModelError):
         assemble(k, grid)
+
+
+
+# each builds what its entry point reads, then returns the call to count
+
+def _limit_pair(op, eigen):
+    """The regularized workload's pair: one family, both extrapolants."""
+    weight, cfg = dip_weight(p=2.0), ContinuationConfig(lambda_max=3.0)
+    return lambda: [
+        limit_procedure(op, weight, 2.0, (4, 8, 16, 32, 64), cfg,
+                        method=method, strict=False)
+        for method in ("richardson", "fields")
+    ]
+
+
+def _verify(op, eigen):
+    branch = trace_branch(op, dip_weight(), eigen,
+                          ContinuationConfig(lambda_max=1.5))
+    return lambda: verify_branch(op, dip_weight(), branch)
+
+
+def _fallback(op, eigen):
+    # the weight of `test_solve_at_lambda_falls_back_to_a_trace`, whose
+    # direct Newton solve collapses at 3 lambda1
+    weight = WeightSpec.separable((0.1, 2.0), (1.0, -0.5), p=1.0)
+    return lambda: solve_at_lambda(op, weight, eigen, 3.0 * eigen.lambda1,
+                                   ContinuationConfig())
+
+
+def _trace(op, eigen):
+    return lambda: trace_branch(op, dip_weight(), eigen,
+                                ContinuationConfig(lambda_max=1.5))
+
+
+def _certify(op, eigen):
+    return lambda: certify(KernelSpec.constant(1.0), dip_weight(), op.grid,
+                           r=0.5)
+
+
+@pytest.mark.parametrize("entry, kernels, weights, traces", [
+    pytest.param(_limit_pair, 0, 2, 0, id="limit_procedure-pair"),
+    pytest.param(_verify, 0, 1, 0, id="verify_branch"),
+    pytest.param(_fallback, 0, 1, 1, id="solve_at_lambda-fallback"),
+    pytest.param(_trace, 0, 1, 1, id="trace_branch"),
+    pytest.param(_certify, 1, 1, 0, id="certify"),
+])
+def test_each_entry_point_builds_k_and_q_once(monkeypatch, entry, kernels,
+                                              weights, traces):
+    """Each entry point builds K and Q once, and everything below it
+    reads the built forms: the fallback trace of `solve_at_lambda`, the
+    weight floor of `verify_branch` and `limit_procedure`, and each
+    member of the eps-family, which row-scales the one Q.  Every module
+    attribute that refers to `_kernel` or `_weight` is counted, and
+    `_bootstrap_first_point` shows how many traces ran."""
+    op = assemble(KernelSpec.constant(1.0), unit_grid("trapezoid", 33))
+    monkeypatch.setattr(regularized, "_last_family", None)
+    call = entry(op, principal_eigenpair(op))
+    counts = {"_kernel": 0, "_weight": 0, "_bootstrap_first_point": 0}
+    modules = [m for name, m in sys.modules.items()
+               if name == "dispersal" or name.startswith("dispersal.")]
+    for name in counts:
+        home = continuation if name == "_bootstrap_first_point" else model
+        original = getattr(home, name)
+
+        def counted(*args, _name=name, _original=original):
+            counts[_name] += 1
+            return _original(*args)
+
+        holders = [m for m in modules if getattr(m, name, None) is original]
+        assert holders
+        for module in holders:
+            monkeypatch.setattr(module, name, counted)
+    call()
+    assert counts == {"_kernel": kernels, "_weight": weights,
+                      "_bootstrap_first_point": traces}

@@ -9,6 +9,7 @@ import json
 import math
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 from unittest.mock import patch
 
@@ -94,8 +95,7 @@ def kernels(draw, grid):
 
 @st.composite
 def weights(draw, grid, p):
-    """A nonnegative weight of every form, optionally row-scaled into its
-    eps-family by `build_q_eps`."""
+    """A nonnegative weight of every form."""
     forms = ["constant", "tabulated"]
     if grid.domain.dim == 1:
         forms += ["separable", "polynomial_dip"]
@@ -115,9 +115,22 @@ def weights(draw, grid, p):
             h=(1.0,), g=(0.5,), points=(center,), exponents=(0.4,),
             level=5.0, p=p,
         )
-    if draw(st.booleans()):
-        weight = build_q_eps(weight, grid, rng.uniform(0.0, 1.0, grid.n))
     return weight
+
+
+@st.composite
+def reactions(draw, grid, p):
+    """(weight, scale, rx): a drawn weight and the `Reaction` of it or of
+    a member of its eps-family, whose Q `build_q_eps` row-scales by
+    ``scale`` = 2 - a_eps; ``scale`` is None for the weight's own Q."""
+    weight = draw(weights(grid, p))
+    rx = reaction(weight, grid)
+    scale = None
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        a_eps = rng.uniform(0.0, 1.0, grid.n)
+        rx, scale = replace(rx, q=build_q_eps(rx.q, a_eps)), 2.0 - a_eps
+    return weight, scale, rx
 
 
 def _state(seed, n, positive=False):
@@ -189,9 +202,9 @@ def _poly(coeffs, x):
 @given(data=st.data())
 def test_weight_matrix_matches_formula(data):
     """The Q that `reaction` keeps, in whatever form, equals the weight's
-    formula evaluated pair by pair, times the row scale."""
+    formula evaluated pair by pair, and `build_q_eps` scales its rows."""
     grid = data.draw(grids())
-    weight = data.draw(weights(grid, 1.0))
+    weight, scale, rx = data.draw(reactions(grid, 1.0))
     x = grid.nodes[:, 0]
     if weight.form == "constant":
         expected = np.full((grid.n, grid.n), weight.value)
@@ -206,10 +219,10 @@ def test_weight_matrix_matches_formula(data):
         )
     else:
         expected = weight.matrix
-    if weight.row_scale is not None:
-        expected = weight.row_scale[:, None] * expected
+    if scale is not None:
+        expected = scale[:, None] * expected
     np.testing.assert_allclose(
-        np.asarray(reaction(weight, grid).q), expected, rtol=1e-13, atol=0.0
+        np.asarray(rx.q), expected, rtol=1e-13, atol=0.0
     )
 
 
@@ -300,8 +313,6 @@ def test_certificates_match_dense_bit_for_bit(data, seed):
             h=(1.0, -1.5), g=(20.0,), points=(center,), exponents=(0.4,),
             level=5.0,
         )
-        if data.draw(st.booleans()):
-            weight = build_q_eps(weight, grid, rng.uniform(0.0, 1.0, grid.n))
     elif form == "distance":
         # least on the farthest pair within r
         d2 = sum(np.subtract.outer(c, c) ** 2 for c in grid.nodes.T)
@@ -342,10 +353,10 @@ def test_certificates_match_dense_bit_for_bit(data, seed):
     seed=st.integers(0, 2**32 - 1),
 )
 def test_phi_is_p_homogeneous(data, p, t, seed):
-    """Phi_{t u} = t^p Phi_u for t >= 0."""
+    """Phi_{t u} = t^p Phi_u for t >= 0, for every weight form and its
+    eps-family."""
     grid = data.draw(grids())
-    weight = data.draw(weights(grid, p))
-    rx = reaction(weight, grid)
+    _, _, rx = data.draw(reactions(grid, p))
     u = _state(seed, grid.n)
     base = phi(rx, u)
     scaled = phi(rx, t * u)
@@ -593,8 +604,7 @@ def test_reaction_matches_dense_weight(data, seed):
     the bits of left @ (right.T @ v).
     """
     grid = data.draw(grids())
-    weight = data.draw(weights(grid, 2.0))
-    rx = reaction(weight, grid)
+    weight, _, rx = data.draw(reactions(grid, 2.0))
     assert rx.p == weight.p
     assert isinstance(rx.q, np.ndarray) == (weight.form == "tabulated")
     dense = np.asarray(rx.q) * grid.weights[None, :]
@@ -616,11 +626,10 @@ def test_reaction_matches_dense_weight(data, seed):
 def test_jacobian_action_matches_dense_and_differences(data, p, lam, seed):
     """JacobianAction v equals the dense reference Jacobian times v, and
     the central difference (R(u + h v) - R(u - h v)) / 2h of the
-    residual."""
+    residual, for every weight form and its eps-family."""
     grid = data.draw(grids())
     op = assemble(data.draw(kernels(grid)), grid)
-    weight = data.draw(weights(grid, p))
-    rx = reaction(weight, grid)
+    _, _, rx = data.draw(reactions(grid, p))
     rng = np.random.default_rng(seed)
     u = rng.uniform(0.2, 1.5, grid.n)
     if p >= 1:  # |u|^p is smooth away from zero: signs are allowed

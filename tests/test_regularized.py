@@ -65,8 +65,9 @@ def test_regularized_reaction_dominates_plain():
         op, const_weight(), 2.0, (2, 4), cfg, x0_index=64, strict=False
     ).solutions[0].u
     a = build_a_eps(const_weight(), grid, grid.nodes[64], 0.5)
-    plain = phi(reaction(const_weight(), grid), u)
-    reg = phi(reaction(build_q_eps(const_weight(), grid, a), grid), u)
+    rx = reaction(const_weight(), grid)
+    plain = phi(rx, u)
+    reg = phi(replace(rx, q=build_q_eps(rx.q, a)), u)
     assert (reg >= plain - 1e-12).all()
 
 
@@ -76,7 +77,7 @@ def test_limit_procedure_needs_supercritical_lambda(monkeypatch):
     op = _op129()
     cfg = ContinuationConfig(lambda_max=3.0)
     monkeypatch.setattr(regularized, "_last_family", None)
-    monkeypatch.setattr(regularized, "solve_at_lambda", None)
+    monkeypatch.setattr(regularized, "_solve_at", None)
     monkeypatch.setattr(regularized, "newton_correct", None)
     with pytest.raises(RegularizedError, match="must exceed the principal"):
         limit_procedure(op, const_weight(), 0.9, (2, 4), cfg, x0_index=64)
@@ -249,7 +250,7 @@ def test_limit_procedure_dip_concentration(monkeypatch):
 
     # the memo now holds this family with strict=False; the strict run
     # of the same op and weight still refuses before any solve
-    monkeypatch.setattr(regularized, "solve_at_lambda", no_solve)
+    monkeypatch.setattr(regularized, "_solve_at", no_solve)
     monkeypatch.setattr(regularized, "newton_correct", no_solve)
     with pytest.raises(RegularizedError, match="lambda/lambda1 = 2 reaches 2"):
         limit_procedure(
@@ -278,8 +279,8 @@ def test_near_center_mass_bound_gates():
 
 def _count_solves(monkeypatch) -> list:
     """Empty the family memo and record each solve of one eps: a call
-    of solve_at_lambda (the first eps) or of newton_correct (the warm
-    starts after it)."""
+    of _solve_at, the solve_at_lambda of a built Reaction (the first
+    eps), or of newton_correct (the warm starts after it)."""
     monkeypatch.setattr(regularized, "_last_family", None)
     calls = []
 
@@ -289,7 +290,7 @@ def _count_solves(monkeypatch) -> list:
             return solve(*args, **kwargs)
         return call
 
-    for name in ("solve_at_lambda", "newton_correct"):
+    for name in ("_solve_at", "newton_correct"):
         monkeypatch.setattr(
             regularized, name, counted(getattr(regularized, name))
         )
@@ -383,9 +384,7 @@ def test_memoized_and_tabulated_arrays_are_read_only(monkeypatch):
     kernel = KernelSpec.tabulated(table)
     weight = WeightSpec.tabulated(table, p=2.0)
     # built without the presets, a spec copies a writable array too
-    direct = WeightSpec(
-        form="tabulated", p=2.0, matrix=table, row_scale=np.ones(9)
-    )
+    direct = WeightSpec(form="tabulated", p=2.0, matrix=table)
     # the 1-D Gauss-Legendre gaussian is a one-factor Kron
     gl = assemble(KernelSpec.gaussian(0.5), gauss).k
     assert isinstance(gl, Kron) and len(gl.factors) == 1
@@ -398,11 +397,10 @@ def test_memoized_and_tabulated_arrays_are_read_only(monkeypatch):
         weight.matrix,
         KernelSpec(form="tabulated", matrix=table).matrix,
         direct.matrix,
-        direct.row_scale,
         assemble(kernel, grid).k,
         gl.factors[0],
         reaction(weight, grid).q,
-        reaction(build_q_eps(weight, grid, np.full(9, 0.5)), grid).q,
+        build_q_eps(reaction(weight, grid).q, np.full(9, 0.5)),
     ]
     for a in arrays:
         with pytest.raises(ValueError, match="read-only"):
