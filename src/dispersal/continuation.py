@@ -254,17 +254,33 @@ def _solve(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
 
 
 def _newton(op, rx, lam, u0, cfg, border=None):
-    """Damped Newton with a backtracking line search on the sup residual.
+    """Damped Newton with affine-covariant damping (Deuflhard, *Newton
+    Methods for Nonlinear Problems*, 2004, sec. 3.3).
 
     Without ``border`` lambda is pinned.  With ``border = (t_u, t_lam,
     u_prev, lam_prev, ds)`` lambda is unknown too, tied down by the secant
     arclength constraint <t_u, u - u_prev>_w + t_lam (lam - lam_prev) = ds.
     The bordered step solves J y1 = -r and J y2 = u, then
     dlam = (-cons - c.y1) / (c.y2 + t_lam) with c = w t_u, and
-    du = y1 + dlam y2.  For p < 1 every iterate must stay strictly
-    positive; the line search halves the step until it does and raises
-    PositivityLost if it cannot.  Returns (u, lam, iters, converged,
-    phi_u, r), the last two being Phi_u and the residual at (u, lam).
+    du = y1 + dlam y2.
+
+    A trial step alpha dx, dx = (du, dlam), is accepted by the first of
+    two tests that holds.  The residual test asks for a sup-residual
+    decrease, fn_t <= (1 - 1e-4 alpha) fn, or fn_t <= newton_tol.  Only
+    when it fails is the simplified Newton correction bar formed: J stays
+    frozen at the current iterate, the same solve is applied to -F at the
+    trial, and the border is eliminated with the same y2.  The restricted
+    monotonicity test then accepts when ||bar|| / ||dx|| < 1 - alpha / 4,
+    in the 2-norm of (u-part, lambda-part).  Otherwise alpha becomes
+    min(alpha / 2, mu), with the Kantorovich estimate
+    mu = ||dx|| alpha^2 / (2 ||bar - (1 - alpha) dx||), and the step
+    fails once alpha < 1e-8.  A step accepted by the monotonicity test
+    starts the next iteration's search at min(1, mu); every other one at
+    1.  A zero or non-finite dx fails the step.  For p < 1 every iterate
+    must stay strictly positive; the search halves the step until it
+    does and raises PositivityLost if it cannot.  Returns (u, lam, iters,
+    converged, phi_u, r), the last two being Phi_u and the residual at
+    (u, lam).
     """
     grid = op.grid
     u = np.asarray(u0, dtype=float).copy()
@@ -286,6 +302,7 @@ def _newton(op, rx, lam, u0, cfg, border=None):
         return fn_ <= cfg.newton_tol * max(1.0, float(np.abs(u_).max()))
 
     phi_u, r, cons, fn = merit(u, lam)
+    alpha_next = 1.0
     for it in range(cfg.newton_max_iters):
         if small(fn, u):
             return u, lam, it, True, phi_u, r
@@ -299,9 +316,10 @@ def _newton(op, rx, lam, u0, cfg, border=None):
             y2 = _solve(jac, u)
             dlam = float((-cons - c @ du) / (c @ y2 + t_lam))
             du = du + dlam * y2
-        if not (math.isfinite(dlam) and np.isfinite(du).all()):
+        du_norm = math.sqrt(du @ du + dlam * dlam)
+        if not 0 < du_norm < math.inf:
             return u, lam, it, False, phi_u, r
-        alpha = 1.0
+        alpha, alpha_next = alpha_next, 1.0
         while True:
             u_t = u + alpha * du
             lam_t = lam if border is None else lam + alpha * dlam
@@ -316,7 +334,24 @@ def _newton(op, rx, lam, u0, cfg, border=None):
             phi_t, r_t, cons_t, fn_t = merit(u_t, lam_t)
             if fn_t <= (1.0 - 1e-4 * alpha) * fn or fn_t <= cfg.newton_tol:
                 break
-            alpha *= 0.5
+            mu = math.inf
+            if math.isfinite(fn_t):
+                # the simplified Newton correction, J frozen at (u, lam)
+                bar = _solve(jac, -r_t)
+                bar_lam = 0.0
+                if border is not None:
+                    bar_lam = float((-cons_t - c @ bar) / (c @ y2 + t_lam))
+                    bar = bar + bar_lam * y2
+                dev = bar - (1.0 - alpha) * du
+                dev_lam = bar_lam - (1.0 - alpha) * dlam
+                dev_norm = math.sqrt(dev @ dev + dev_lam * dev_lam)
+                if dev_norm:
+                    mu = 0.5 * du_norm * alpha * alpha / dev_norm
+                theta = math.sqrt(bar @ bar + bar_lam * bar_lam) / du_norm
+                if theta < 1.0 - 0.25 * alpha:
+                    alpha_next = min(1.0, mu)
+                    break
+            alpha = min(0.5 * alpha, mu)
             if alpha < 1e-8:
                 return u, lam, it, False, phi_u, r
         u, lam, phi_u, r, cons, fn = u_t, lam_t, phi_t, r_t, cons_t, fn_t

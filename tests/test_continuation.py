@@ -179,6 +179,35 @@ def test_trace_gaussian_newton_counts_pinned():
     assert branch.points[-1].lam == 2.5
 
 
+def test_trace_accepts_every_full_step_at_its_first_trial(monkeypatch):
+    """The benchmark's trace-1d problem (gaussian kernel of length 1, 513
+    trapezoid nodes, Q = 1, p = 2, lambda_max = 2.5): every Newton step
+    passes the residual test at its first trial, so the damping never
+    computes a simplified Newton correction.  The linear solves and the
+    residuals are exactly those of the residual-only line search."""
+    calls = {"_solve": 0, "residual": 0}
+
+    def counted(name):
+        f = getattr(continuation, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(continuation, name, counted(name))
+    op = assemble(KernelSpec.gaussian(1.0), unit_grid("trapezoid", 513))
+    branch = trace_branch(
+        op, const_weight(p=2.0), principal_eigenpair(op),
+        ContinuationConfig(lambda_max=2.5),
+    )
+    assert branch.termination == "reached_lambda_max"
+    assert len(branch.points) == 28
+    assert sum(pt.newton_iters for pt in branch.points) == 66
+    assert calls == {"_solve": 130, "residual": 94}
+
+
 def test_trace_requires_room_above_lambda1(const_op, const_eigen):
     with pytest.raises(ContinuationError):
         trace_branch(
