@@ -13,7 +13,6 @@ from .continuation import (
     BranchPoint,
     ContinuationConfig,
     ContinuationError,
-    PositivityLost,
     StepFailure,
     newton_correct,
     seed_branch,

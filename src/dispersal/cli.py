@@ -37,7 +37,6 @@ from .continuation import (
     trace_branch,
 )
 from .geometry import Domain, GeometryError, build_grid
-from .logistic import ReactionError
 from .model import (
     KernelSpec,
     ModelError,
@@ -615,7 +614,6 @@ def main(argv=None) -> int:
         GeometryError,
         ModelError,
         OperatorError,
-        ReactionError,
         ContinuationError,
         MemoryError,
     ) as exc:

@@ -22,6 +22,11 @@ left-preconditioned by diag(Phi_u - lambda)^-1, with 1 at a node where
 Phi_u = lambda.  The arclength border is eliminated with a second solve
 J y2 = u (Keller's block elimination), so no bordered matrix is formed.
 
+The corrector `_newton` returns the `BranchPoint` of the state it
+converged to or raises `StepFailure` naming why there is none.  The
+tracer halves ds on a StepFailure and on a converged state that is not
+positive or has collapsed onto zero.
+
 Accepted points carry diagnostics: the admissibility value
 gamma ||Phi_u||_inf (always < 1 on true solutions), the L^p norm, Newton
 iteration counts and residual norms.  The tracer reads no certificate:
@@ -54,7 +59,6 @@ __all__ = [
     "BranchPoint",
     "ContinuationConfig",
     "ContinuationError",
-    "PositivityLost",
     "StepFailure",
     "newton_correct",
     "seed_branch",
@@ -68,11 +72,7 @@ class ContinuationError(RuntimeError):
 
 
 class StepFailure(ContinuationError):
-    """Newton failed to converge within the configured iteration budget."""
-
-
-class PositivityLost(ContinuationError):
-    """Iterates cannot stay positive (p < 1 requires a positive branch)."""
+    """Newton found no solution; the message names why."""
 
 
 @dataclass(frozen=True)
@@ -253,9 +253,10 @@ def _solve(jac: JacobianAction, rhs: np.ndarray) -> np.ndarray:
     return d_rhs - d_left @ y
 
 
-def _newton(op, rx, lam, u0, cfg, border=None):
+def _newton(op, rx, lam, u0, cfg, border=None) -> BranchPoint:
     """Damped Newton with affine-covariant damping (Deuflhard, *Newton
-    Methods for Nonlinear Problems*, 2004, sec. 3.3).
+    Methods for Nonlinear Problems*, 2004, sec. 3.3): the `BranchPoint`
+    of the converged state, or `StepFailure` naming why there is none.
 
     Without ``border`` lambda is pinned.  With ``border = (t_u, t_lam,
     u_prev, lam_prev, ds)`` lambda is unknown too, tied down by the secant
@@ -273,14 +274,14 @@ def _newton(op, rx, lam, u0, cfg, border=None):
     monotonicity test then accepts when ||bar|| / ||dx|| < 1 - alpha / 4,
     in the 2-norm of (u-part, lambda-part).  Otherwise alpha becomes
     min(alpha / 2, mu), with the Kantorovich estimate
-    mu = ||dx|| alpha^2 / (2 ||bar - (1 - alpha) dx||), and the step
-    fails once alpha < 1e-8.  A step accepted by the monotonicity test
-    starts the next iteration's search at min(1, mu); every other one at
-    1.  A zero or non-finite dx fails the step.  For p < 1 every iterate
-    must stay strictly positive; the search halves the step until it
-    does and raises PositivityLost if it cannot.  Returns (u, lam, iters,
-    converged, phi_u, r), the last two being Phi_u and the residual at
-    (u, lam).
+    mu = ||dx|| alpha^2 / (2 ||bar - (1 - alpha) dx||).  A step accepted
+    by the monotonicity test starts the next iteration's search at
+    min(1, mu); every other one at 1.  For p < 1 every iterate must stay
+    strictly positive, and the search halves the step until it does.
+
+    StepFailure is raised after ``newton_max_iters`` iterations, once
+    alpha < 1e-8 (in the damping or in the p < 1 halving), on a zero or
+    non-finite dx, and on a state whose Jacobian `JacobianAction` refuses.
     """
     grid = op.grid
     u = np.asarray(u0, dtype=float).copy()
@@ -298,27 +299,34 @@ def _newton(op, rx, lam, u0, cfg, border=None):
             )
         return phi_, r_, cons_, max(float(np.abs(r_).max()), abs(cons_))
 
-    def small(fn_, u_):
-        return fn_ <= cfg.newton_tol * max(1.0, float(np.abs(u_).max()))
+    def step(jac, r_, cons_):
+        # J^-1 (-r_) with the border eliminated by the iterate's y2
+        d = _solve(jac, -r_)
+        if border is None:
+            return d, 0.0
+        d_lam = float((-cons_ - c @ d) / (c @ y2 + t_lam))
+        return d + d_lam * y2, d_lam
+
+    def failure(why):
+        return StepFailure(f"Newton {why} at lambda={lam}")
 
     phi_u, r, cons, fn = merit(u, lam)
     alpha_next = 1.0
-    for it in range(cfg.newton_max_iters):
-        if small(fn, u):
-            return u, lam, it, True, phi_u, r
+    for it in range(cfg.newton_max_iters + 1):
+        if fn <= cfg.newton_tol * max(1.0, float(np.abs(u).max())):
+            return _branch_point(op, rx, lam, u, it, phi_u, r)
+        if it == cfg.newton_max_iters:
+            raise failure(f"did not converge in {it} iterations")
         try:
             jac = JacobianAction(op, rx, lam, u, phi_u)
-        except ReactionError:
-            return u, lam, it, False, phi_u, r
-        du = _solve(jac, -r)
-        dlam = 0.0
+        except ReactionError as exc:
+            raise failure(f"met a state with no Jacobian ({exc})") from exc
         if border is not None:
             y2 = _solve(jac, u)
-            dlam = float((-cons - c @ du) / (c @ y2 + t_lam))
-            du = du + dlam * y2
+        du, dlam = step(jac, r, cons)
         du_norm = math.sqrt(du @ du + dlam * dlam)
         if not 0 < du_norm < math.inf:
-            return u, lam, it, False, phi_u, r
+            raise failure("took a zero or non-finite step")
         alpha, alpha_next = alpha_next, 1.0
         while True:
             u_t = u + alpha * du
@@ -326,10 +334,7 @@ def _newton(op, rx, lam, u0, cfg, border=None):
             if rx.p < 1 and u_t.min() <= 1e-10:
                 alpha *= 0.5
                 if alpha < 1e-8:
-                    raise PositivityLost(
-                        "Newton step cannot keep the iterate positive "
-                        "(p < 1 branch)"
-                    )
+                    raise failure("could not keep u positive (p < 1)")
                 continue
             phi_t, r_t, cons_t, fn_t = merit(u_t, lam_t)
             if fn_t <= (1.0 - 1e-4 * alpha) * fn or fn_t <= cfg.newton_tol:
@@ -337,11 +342,7 @@ def _newton(op, rx, lam, u0, cfg, border=None):
             mu = math.inf
             if math.isfinite(fn_t):
                 # the simplified Newton correction, J frozen at (u, lam)
-                bar = _solve(jac, -r_t)
-                bar_lam = 0.0
-                if border is not None:
-                    bar_lam = float((-cons_t - c @ bar) / (c @ y2 + t_lam))
-                    bar = bar + bar_lam * y2
+                bar, bar_lam = step(jac, r_t, cons_t)
                 dev = bar - (1.0 - alpha) * du
                 dev_lam = bar_lam - (1.0 - alpha) * dlam
                 dev_norm = math.sqrt(dev @ dev + dev_lam * dev_lam)
@@ -353,9 +354,8 @@ def _newton(op, rx, lam, u0, cfg, border=None):
                     break
             alpha = min(0.5 * alpha, mu)
             if alpha < 1e-8:
-                return u, lam, it, False, phi_u, r
+                raise failure("damped its step below alpha = 1e-8")
         u, lam, phi_u, r, cons, fn = u_t, lam_t, phi_t, r_t, cons_t, fn_t
-    return u, lam, cfg.newton_max_iters, small(fn, u), phi_u, r
 
 
 def newton_correct(
@@ -365,20 +365,15 @@ def newton_correct(
     u0: np.ndarray,
     cfg: ContinuationConfig,
 ) -> BranchPoint:
-    """Correct u0 to a solution at fixed lambda.
+    """Correct u0 to a solution at fixed lambda, or raise `StepFailure`
+    naming why Newton found none.
 
     Converging onto the trivial solution is a legitimate outcome (it is
     how nonexistence below the principal eigenvalue shows up); callers
     decide what to do with a vanishing sup norm.  ``rx`` is
     `reaction(weight, op.grid)`.
     """
-    u, _, iters, converged, phi_u, r = _newton(op, rx, lam, u0, cfg)
-    if not converged:
-        raise StepFailure(
-            f"Newton did not converge in {cfg.newton_max_iters} iterations "
-            f"at lambda={lam}"
-        )
-    return _branch_point(op, rx, lam, u, iters, phi_u, r)
+    return _newton(op, rx, lam, u0, cfg)
 
 
 def seed_branch(
@@ -402,16 +397,29 @@ def seed_branch(
     return float(lam), u
 
 
+def _off_zero(op, rx, lam, amp, phi1, cfg) -> BranchPoint | None:
+    """Newton at lam from amp phi1: the point if it is positive and has
+    not collapsed toward the trivial state (sup >= 0.05 amp), else None."""
+    try:
+        pt = _newton(op, rx, lam, amp * phi1, cfg)
+    except StepFailure:
+        return None
+    return pt if pt.sup_norm >= 0.05 * amp and pt.min_u > 0 else None
+
+
+def _unit_secant(grid, du, dlam):
+    """The secant (du, dlam) scaled to unit length in the w-weighted norm,
+    or None when it is zero."""
+    norm = math.sqrt(grid.inner(du, du) + dlam**2)
+    return (du / norm, dlam / norm) if norm else None
+
+
 def _bootstrap_first_point(op, rx, eigen, cfg):
     s = cfg.s0
     for _ in range(6):
-        lam_g, u_g = seed_branch(eigen, rx, op.grid, s)
-        try:
-            pt = newton_correct(op, rx, lam_g, u_g, cfg)
-        except ContinuationError:
-            s *= 2.0
-            continue
-        if pt.sup_norm >= 0.05 * s and pt.min_u > 0:
+        lam_g, _ = seed_branch(eigen, rx, op.grid, s)
+        pt = _off_zero(op, rx, lam_g, s, eigen.phi1, cfg)
+        if pt is not None:
             return pt
         s *= 2.0
     raise ContinuationError(
@@ -444,13 +452,7 @@ def _trace(op, rx, eigen, cfg) -> Branch:
     first = _bootstrap_first_point(op, rx, eigen, cfg)
     points = [first]
     folds: list[int] = []
-
-    u_prev = np.zeros(grid.n)
-    lam_prev = eigen.lambda1
-    du = first.u - u_prev
-    dlam = first.lam - lam_prev
-    norm = math.sqrt(grid.inner(du, du) + dlam**2)
-    t_u, t_lam = du / norm, dlam / norm
+    t_u, t_lam = _unit_secant(grid, first.u, first.lam - eigen.lambda1)
 
     ds = cfg.ds
     fast = 0
@@ -473,16 +475,10 @@ def _trace(op, rx, eigen, cfg) -> Branch:
             lam_pred = cur.lam + ds * t_lam
             border = (t_u, t_lam, cur.u, cur.lam, ds)
         try:
-            u_new, lam_new, iters, ok, phi_u, r = _newton(
-                op, rx, lam_pred, u_pred, cfg, border
-            )
-        except PositivityLost:
-            ok = False
-        if ok and (u_new.min() <= 0 or np.abs(u_new).max() <= 1e-10):
-            ok = False
-        if ok:
-            pt = _branch_point(op, rx, lam_new, u_new, iters, phi_u, r)
-        if not ok:
+            pt = _newton(op, rx, lam_pred, u_pred, cfg, border)
+        except StepFailure:
+            pt = None
+        if pt is None or pt.min_u <= 0 or pt.sup_norm <= 1e-10:
             ds *= 0.5
             fast = 0
             if ds < cfg.ds_min:
@@ -492,13 +488,11 @@ def _trace(op, rx, eigen, cfg) -> Branch:
         if pt.gamma_phi_sup >= 1.0:
             termination = "left_admissible_set"
             break
-        du = pt.u - cur.u
-        dlam = pt.lam - cur.lam
-        norm = math.sqrt(grid.inner(du, du) + dlam**2)
-        if norm == 0:
+        secant = _unit_secant(grid, pt.u - cur.u, pt.lam - cur.lam)
+        if secant is None:
             termination = "step_failure"
             break
-        t_u_new, t_lam_new = du / norm, dlam / norm
+        t_u_new, t_lam_new = secant
         if (
             abs(t_lam) > 1e-12
             and abs(t_lam_new) > 1e-12
@@ -545,6 +539,10 @@ def solve_at_lambda(
 
 def _solve_at(op, rx, eigen, lam, cfg) -> BranchPoint:
     """`solve_at_lambda` with the `Reaction` built."""
+    if not math.isfinite(lam):
+        raise ContinuationError(
+            f"lambda must be a finite real number, got {lam!r}"
+        )
     grid = op.grid
     if lam <= eigen.lambda1:
         return _branch_point(op, rx, lam, np.zeros(grid.n), 0)
@@ -555,12 +553,9 @@ def _solve_at(op, rx, eigen, lam, cfg) -> BranchPoint:
             "weight has no reaction at the principal eigenfunction"
         )
     amp = ((lam - eigen.lambda1) / kappa) ** (1.0 / rx.p)
-    try:
-        pt = newton_correct(op, rx, lam, amp * phi1, cfg)
-        if pt.sup_norm >= 0.05 * amp and pt.min_u > 0:
-            return pt
-    except ContinuationError:
-        pass
+    pt = _off_zero(op, rx, lam, amp, phi1, cfg)
+    if pt is not None:
+        return pt
     branch = _trace(op, rx, eigen, replace(cfg, lambda_max=lam))
     if branch.termination != "reached_lambda_max":
         raise ContinuationError(

@@ -10,9 +10,11 @@ exists only as a matrix-vector product inside `_pencil`, which solves
 the pencil S v = nu diag(c) v for a positive field c: one Lanczos run
 with full reorthogonalization on C^-1/2 S C^-1/2, applied as
 d (K (d v)) with d = sqrt(w / c), from a fixed start that breaks the
-grid's symmetry.  It needs NumPy alone and returns the same bits on
-every call.  `principal_eigenpair` is that pencil at c = 1, and the
-spectral oracle of the tests (`tests/oracles.py`) solves it at its own c.
+grid's symmetry; a breakdown at its first step, where that start is an
+eigenvector (a zero kernel), raises OperatorError.  It needs NumPy alone
+and returns the same bits on every call.  `principal_eigenpair` is that
+pencil at c = 1, and the spectral oracle of the tests
+(`tests/oracles.py`) solves it at its own c.
 For a symmetric kernel that is positive near the diagonal the principal
 eigenvalue is simple and its eigenfunction can be taken strictly
 positive; `principal_eigenpair` enforces exactly that and refuses to
@@ -81,14 +83,14 @@ class PrincipalEigenpair:
     residual: float
 
 
-def _weyl(n: int, offset: int) -> np.ndarray:
-    """frac(g i) for i = offset + 1 .. offset + n, g the golden ratio.
+def _weyl(n: int) -> np.ndarray:
+    """frac(g i) for i = 1 .. n, g the golden ratio.
 
     A fixed sequence with no symmetry under any reflection or swap of the
     grid axes, so it has components along odd and even eigenvectors
     alike.
     """
-    return np.modf(_GOLDEN * np.arange(offset + 1, offset + n + 1))[0]
+    return np.modf(_GOLDEN * np.arange(1, n + 1))[0]
 
 
 def _lanczos(apply_s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
@@ -104,8 +106,8 @@ def _lanczos(apply_s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
     breakdown (beta_k = 0: the Krylov space is invariant) leaves the Ritz
     pairs exact, so it stops the loop once there are two: a rank-one S
     stops after two steps with lambda2 = 0.  A breakdown at the first
-    step, where the start is an eigenvector (a zero S), goes on from a
-    fresh `_weyl` vector orthogonalized against the start.
+    step, where the start is an eigenvector (a zero S), raises
+    OperatorError.
     """
     n = start.size
     eps = np.finfo(float).eps
@@ -130,14 +132,12 @@ def _lanczos(apply_s, start: np.ndarray) -> tuple[float, float, np.ndarray]:
         tol = eps * np.abs(theta).max()
         if k == n - 1 or (k > 0 and (b * np.abs(y[-1, -2:]) <= tol).all()):
             break
-        if b > tol:
-            q = w / b
-        else:  # only at k == 0: from k = 1 on, b <= tol meets the stop test
-            b = 0.0
-            q = _weyl(n, n) - 0.5
-            for _ in range(2):
-                q -= (v @ q) @ v
-            q /= np.linalg.norm(q)
+        if b <= tol:  # only at k == 0: from k = 1 on, this meets the stop test
+            raise OperatorError(
+                "Lanczos broke down at its first step: the start vector is "
+                f"an eigenvector of S, with eigenvalue {alpha[0]}"
+            )
+        q = w / b
         beta.append(b)
     return float(theta[-1]), float(theta[-2]), y[:, -1] @ v
 
@@ -160,7 +160,7 @@ def _pencil(
     d = np.sqrt(w / c)
     e = np.sqrt(w * c)
     nu1, nu2, y = _lanczos(
-        lambda v: d * (op.k @ (d * v)), e * (1.0 + _weyl(op.n, 0))
+        lambda v: d * (op.k @ (d * v)), e * (1.0 + _weyl(op.n))
     )
     u = y / e
     if op.grid.integrate(u) < 0:

@@ -109,6 +109,28 @@ def test_newton_collapses_below_threshold(const_op):
     assert pt2.sup_norm < 1e-6
 
 
+@pytest.mark.parametrize("case, p, start, cause", [
+    ("cap", 2.0, 5.0, "did not converge in 2 iterations"),
+    ("nan", 2.0, math.nan, "took a zero or non-finite step"),
+    ("zero", 0.5, 0.0, "met a state with no Jacobian"),
+    ("negative", 0.5, -0.5, r"could not keep u positive \(p < 1\)"),
+], ids=["cap", "nan", "zero", "negative"])
+def test_newton_failure_exits_raise_step_failure(const_op, case, p, start,
+                                                 cause):
+    """Every way Newton can fail raises StepFailure naming its cause: the
+    iteration cap, a NaN start, a p < 1 start with a zero node, where the
+    Jacobian is refused, and a p < 1 start of -u, whose Newton steps lead
+    to -u's solution, so no damping keeps the iterate positive."""
+    u0 = np.full(const_op.n, 0.5)
+    u0[const_op.n // 2] = start
+    if case == "negative":
+        u0[:] = start
+    cfg = ContinuationConfig(newton_max_iters=2 if case == "cap" else 25)
+    rx = reaction(const_weight(p=p), const_op.grid)
+    with pytest.raises(continuation.StepFailure, match=cause):
+        newton_correct(const_op, rx, 2.0, u0, cfg)
+
+
 def test_trace_constant_branch_closed_form(const_op, const_eigen):
     for p in (1.0, 2.0):
         cfg = ContinuationConfig(lambda_max=3.0)
@@ -263,14 +285,12 @@ def test_trace_reports_max_points():
     assert branch.points[-1].lam < cfg.lambda_max
 
 
-@pytest.mark.parametrize("mode", ["unconverged", "positivity_lost"])
 @pytest.mark.parametrize("failures", [math.inf, 3])
-def test_trace_halves_ds_on_a_failed_step(monkeypatch, mode, failures):
-    """A rejected corrector step halves ds and retries.  With every
-    arclength step rejected, the trace stops as "step_failure" at its
-    bootstrap point after 11 tries, since 0.02 / 2^11 < ds_min = 1e-5;
-    with only the first 3 rejected, it still reaches lambda_max.  The
-    rejection is either an unconverged Newton run or PositivityLost."""
+def test_trace_halves_ds_on_a_failed_step(monkeypatch, failures):
+    """A corrector step that raises StepFailure halves ds and retries.
+    With every arclength step rejected, the trace stops as "step_failure"
+    at its bootstrap point after 11 tries, since 0.02 / 2^11 < ds_min =
+    1e-5; with only the first 3 rejected, it still reaches lambda_max."""
     newton = continuation._newton
     tried = []
 
@@ -278,10 +298,7 @@ def test_trace_halves_ds_on_a_failed_step(monkeypatch, mode, failures):
         if border is None or len(tried) >= failures:
             return newton(op, rx, lam, u0, cfg, border)
         tried.append(border[4])
-        if mode == "positivity_lost":
-            raise continuation.PositivityLost("rejected by the test")
-        u, lam, iters, _, phi_u, r = newton(op, rx, lam, u0, cfg, border)
-        return u, lam, iters, False, phi_u, r
+        raise continuation.StepFailure("rejected by the test")
 
     monkeypatch.setattr(continuation, "_newton", failing)
     grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 33)
@@ -364,6 +381,21 @@ def test_solve_at_lambda_below_threshold(const_op, const_eigen):
     cfg = ContinuationConfig()
     pt = solve_at_lambda(const_op, const_weight(), const_eigen, 0.8, cfg)
     assert pt.sup_norm < 1e-8
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf])
+def test_solve_at_lambda_refuses_a_non_finite_lambda(
+    monkeypatch, const_op, const_eigen, lam
+):
+    """A non-finite lambda is refused by name before any Newton run."""
+    calls = []
+    monkeypatch.setattr(continuation, "_newton",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ContinuationError,
+                       match="lambda must be a finite real number"):
+        solve_at_lambda(const_op, const_weight(), const_eigen, lam,
+                        ContinuationConfig())
+    assert calls == []
 
 
 def test_bifurcation_estimate_recovers_lambda1(const_op, const_eigen):

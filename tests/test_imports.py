@@ -173,20 +173,20 @@ API = (
     "ContinuationError", "DiscreteOperator", "Domain",
     "EXTRAPOLATION_METHODS", "FloorReport", "GeometryError",
     "HypothesisReport", "JacobianAction", "KernelSpec", "Kron", "LowRank",
-    "ModelError", "OperatorError", "PositivityLost", "PrincipalEigenpair",
-    "QuadratureGrid", "RULES", "Reaction", "ReactionError",
-    "RegularizedError", "RegularizedRun", "StepFailure", "Toeplitz",
-    "WeightSpec", "assemble", "build_a_eps", "build_grid", "build_q_eps",
-    "certify", "check_weight_floor", "cover", "eps_ceiling",
-    "limit_procedure", "near_center_mass_bound", "newton_correct", "phi",
-    "principal_eigenpair", "reaction", "residual", "seed_branch",
-    "solve_at_lambda", "theta_margin", "trace_branch", "verify_branch",
+    "ModelError", "OperatorError", "PrincipalEigenpair", "QuadratureGrid",
+    "RULES", "Reaction", "ReactionError", "RegularizedError",
+    "RegularizedRun", "StepFailure", "Toeplitz", "WeightSpec", "assemble",
+    "build_a_eps", "build_grid", "build_q_eps", "certify",
+    "check_weight_floor", "cover", "eps_ceiling", "limit_procedure",
+    "near_center_mass_bound", "newton_correct", "phi", "principal_eigenpair",
+    "reaction", "residual", "seed_branch", "solve_at_lambda", "theta_margin",
+    "trace_branch", "verify_branch",
 )
 
 
 def test_public_api_is_pinned():
-    """`dispersal` exports the 48 names of `API`, listed in sorted order."""
-    assert API == tuple(sorted(API)) and len(API) == 48
+    """`dispersal` exports the 47 names of `API`, listed in sorted order."""
+    assert API == tuple(sorted(API)) and len(API) == 47
     assert _public() == set(API)
 
 
@@ -221,6 +221,20 @@ def test_forms_and_lanczos_stay_in_their_modules():
             if called & {"_lanczos", "_weyl"}:
                 users["lanczos"].add(path.name)
     assert users == {"forms": {"model.py"}, "lanczos": {"operator.py"}}
+
+
+def test_only_continuation_builds_a_jacobian():
+    """Only `continuation` constructs a `JacobianAction`, inside its
+    Newton corrector, which turns the `ReactionError` of a refused state
+    into a StepFailure; so no other module meets that error."""
+    users = set()
+    for path in Path(dispersal.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and "JacobianAction" in _names(
+                node.func
+            ):
+                users.add(path.name)
+    assert users == {"continuation.py"}
 
 
 FORM_CALLS = {"_kernel", "_weight"}

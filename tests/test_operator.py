@@ -192,9 +192,9 @@ def test_symmetrized_form_is_similar():
 )
 def test_eigenpair_refuses_zero_kernel(kernel):
     """A kernel that vanishes on every node has no positive principal
-    pair: Lanczos breaks down on its first step, finds only the
-    eigenvalue 0, and that is reported as an OperatorError."""
-    with pytest.raises(OperatorError):
+    pair: Lanczos breaks down on its first step, which is reported as an
+    OperatorError naming the breakdown."""
+    with pytest.raises(OperatorError, match="broke down at its first step"):
         principal_eigenpair(assemble(kernel, unit_grid("trapezoid", 9)))
 
 

@@ -26,7 +26,7 @@ from dispersal import (
     residual,
     theta_margin,
 )
-from dispersal import regularized
+from dispersal import continuation, regularized
 
 from .conftest import const_weight, dip_weight
 
@@ -141,6 +141,25 @@ def test_input_refusals_are_value_errors():
         assert not isinstance(info.value, ValueError)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
+def test_limit_procedure_refuses_a_non_finite_lambda(monkeypatch, lam):
+    """A non-finite lambda is a refused input, named before any Newton
+    run, in both modes."""
+    calls = []
+    monkeypatch.setattr(regularized, "_last_family", None)
+    monkeypatch.setattr(continuation, "_newton",
+                        lambda *args: calls.append(args))
+    for strict in (True, False):
+        with pytest.raises(ValueError,
+                           match="lambda must be a finite real number"):
+            limit_procedure(
+                _op129(), const_weight(p=2.0), lam, (4, 8),
+                ContinuationConfig(lambda_max=3.0), x0_index=64,
+                strict=strict,
+            )
+    assert calls == []
+
+
 def test_limit_procedure_constant_weight_clean():
     """x-independent weight in the interior of the window: margins, tail
     contraction, near-center mass, and the modulus bound all hold, and
@@ -219,17 +238,43 @@ def test_limit_family_solves_where_the_residual_search_failed(
         assert np.abs(r).max() <= 1e-8 * max(1.0, float(np.abs(u).max()))
 
 
+def test_limit_family_sub_steps_on_4097_nodes():
+    """The benchmark's family on 4097 nodes at lambda = 2: the warm start
+    of n = 8 from u_4 fails, and the eps sub-steps solve it.  Every u_n
+    is positive and solves its eps-problem, the residual recomputed from
+    the state."""
+    grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 4097)
+    op = assemble(KernelSpec.constant(1.0), grid)
+    weight = dip_weight(p=2.0)
+    run = limit_procedure(
+        op, weight, 2.0, (4, 8, 16, 32, 64),
+        ContinuationConfig(lambda_max=3.0), strict=False,
+    )
+    assert [pt.newton_iters for pt in run.solutions] == [5, 14, 19, 4, 3]
+    rx = reaction(weight, grid)
+    x0 = grid.nodes[run.x0_index]
+    for eps, point in zip(run.eps_sequence, run.solutions):
+        u = point.u
+        assert u.min() > 0
+        a = build_a_eps(weight, grid, x0, eps)
+        r = residual(op, replace(rx, q=build_q_eps(rx.q, a)), 2.0, u)
+        assert np.abs(r).max() <= 1e-8 * max(1.0, float(np.abs(u).max()))
+
+
 @pytest.mark.parametrize("strict", [True, False])
 def test_limit_procedure_refuses_a_non_positive_solve(monkeypatch, strict):
     """Phi reads |u|^p, so -u_n solves the eps-problem whenever u_n does,
     with the same dip margins and near-center mass: a family member with
-    min u_n <= 0 is refused in both modes, naming n and min u."""
+    min u_n <= 0 is refused in both modes, naming n and min u.  Every
+    correction here returns -|u|, so the eps sub-steps retried from it
+    stay non-positive too."""
     monkeypatch.setattr(regularized, "_last_family", None)
     correct = regularized.newton_correct
 
     def negated(*args, **kwargs):
         point = correct(*args, **kwargs)
-        return replace(point, u=-point.u, min_u=float(-point.u.max()))
+        u = -np.abs(point.u)
+        return replace(point, u=u, min_u=float(u.min()))
 
     monkeypatch.setattr(regularized, "newton_correct", negated)
     with pytest.raises(RegularizedError, match=r"n=8 .*min u = -"):
