@@ -15,7 +15,6 @@ from .continuation import (
     ContinuationError,
     StepFailure,
     newton_correct,
-    seed_branch,
     solve_at_lambda,
     trace_branch,
 )

@@ -1,14 +1,18 @@
 """Positive solution branches by pseudo-arclength continuation.
 
 A branch of positive solutions of A u + Phi_u u = lambda u bifurcates from
-the trivial state at lambda = lambda1, the principal eigenvalue.  The
-tracer seeds itself just off that point with a Galerkin amplitude guess
-(exact for constant-coefficient problems), corrects with damped Newton at
-fixed lambda, then follows the branch with secant predictors and the same
+the trivial state at lambda = lambda1, the principal eigenvalue.  Near
+that point it runs through (lambda1 + kappa s^p, s phi1), with the
+Galerkin coefficient kappa = <Phi_phi1 phi1, phi1>_w / <phi1, phi1>_w
+(exact for constant-coefficient problems).  The tracer makes one seed
+there, at s = ``s0``, and corrects it with damped Newton at fixed lambda;
+a seed that fails ends the trace with a `ContinuationError` naming the
+cause.  It then follows the branch with secant predictors and the same
 Newton routine with lambda freed by the arclength constraint, until lambda
 reaches ``lambda_max``, clamping the final point exactly onto it.  Step
 length halves on corrector failure, doubles after three fast successes,
-and stays inside [ds_min, ds_max].
+and stays inside [ds_min, ds_max].  `solve_at_lambda` inverts the same
+relation for its amplitude.
 
 Newton is Jacobian-free (Knoll & Keyes, JCP 193, 2004): each step solves
 J y = -r on `JacobianAction`, and the `Reaction` (Q, w and p) is built
@@ -42,7 +46,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .geometry import QuadratureGrid
 from .logistic import (
     JacobianAction,
     Reaction,
@@ -61,7 +64,6 @@ __all__ = [
     "ContinuationError",
     "StepFailure",
     "newton_correct",
-    "seed_branch",
     "solve_at_lambda",
     "trace_branch",
 ]
@@ -79,7 +81,7 @@ class StepFailure(ContinuationError):
 class ContinuationConfig:
     """Continuation settings: a trace stops at ``lambda_max``, its
     arclength step starts at ``ds`` and stays in [``ds_min``, ``ds_max``],
-    and ``s0`` is the first seed amplitude.  Newton stops once the sup
+    and ``s0`` is the seed amplitude.  Newton stops once the sup
     residual is at most ``newton_tol`` max(1, |u|_inf) and fails after
     ``newton_max_iters`` iterations; a branch holds at most
     ``max_points`` points."""
@@ -376,35 +378,28 @@ def newton_correct(
     return _newton(op, rx, lam, u0, cfg)
 
 
-def seed_branch(
-    eigen: PrincipalEigenpair,
-    rx: Reaction,
-    grid: QuadratureGrid,
-    s0: float,
-) -> tuple[float, np.ndarray]:
-    """Galerkin seed near the bifurcation point.
-
-    u_guess = s0 phi1 and lambda_guess = lambda1 +
-    <Phi_{u} u, phi1>_w / <u, phi1>_w, which is exact for constant
-    kernel and weight.
-    """
-    if s0 <= 0:
-        raise ContinuationError("seed amplitude s0 must be positive")
-    u = s0 * eigen.phi1
-    lam = eigen.lambda1 + grid.inner(phi(rx, u) * u, eigen.phi1) / grid.inner(
-        u, eigen.phi1
-    )
-    return float(lam), u
+def _kappa(grid, rx, phi1) -> float:
+    """The Galerkin coefficient <Phi_phi1 phi1, phi1>_w / <phi1, phi1>_w:
+    near (lambda1, 0) the branch runs through (lambda1 + kappa s^p,
+    s phi1)."""
+    return grid.inner(phi(rx, phi1) * phi1, phi1) / grid.inner(phi1, phi1)
 
 
-def _off_zero(op, rx, lam, amp, phi1, cfg) -> BranchPoint | None:
+def _off_zero(op, rx, lam, amp, phi1, cfg) -> BranchPoint:
     """Newton at lam from amp phi1: the point if it is positive and has
-    not collapsed toward the trivial state (sup >= 0.05 amp), else None."""
-    try:
-        pt = _newton(op, rx, lam, amp * phi1, cfg)
-    except StepFailure:
-        return None
-    return pt if pt.sup_norm >= 0.05 * amp and pt.min_u > 0 else None
+    not collapsed toward the trivial state (sup >= 0.05 amp), else
+    `StepFailure` naming why not."""
+    pt = _newton(op, rx, lam, amp * phi1, cfg)
+    if pt.sup_norm < 0.05 * amp:
+        raise StepFailure(
+            f"Newton collapsed toward the trivial state at lambda={lam} "
+            f"(sup {pt.sup_norm:.3g} < 0.05 amp = {0.05 * amp:.3g})"
+        )
+    if pt.min_u <= 0:
+        raise StepFailure(
+            f"Newton converged to min u = {pt.min_u:.3g} <= 0 at lambda={lam}"
+        )
+    return pt
 
 
 def _unit_secant(grid, du, dlam):
@@ -415,16 +410,15 @@ def _unit_secant(grid, du, dlam):
 
 
 def _bootstrap_first_point(op, rx, eigen, cfg):
-    s = cfg.s0
-    for _ in range(6):
-        lam_g, _ = seed_branch(eigen, rx, op.grid, s)
-        pt = _off_zero(op, rx, lam_g, s, eigen.phi1, cfg)
-        if pt is not None:
-            return pt
-        s *= 2.0
-    raise ContinuationError(
-        "failed to leave the trivial solution near the bifurcation point"
-    )
+    """The seed of a trace: Newton at lambda1 + kappa s0^p from s0 phi1."""
+    lam = eigen.lambda1 + _kappa(op.grid, rx, eigen.phi1) * cfg.s0**rx.p
+    try:
+        return _off_zero(op, rx, lam, cfg.s0, eigen.phi1, cfg)
+    except StepFailure as exc:
+        raise ContinuationError(
+            "failed to leave the trivial solution near the bifurcation "
+            f"point: {exc}"
+        ) from exc
 
 
 def trace_branch(
@@ -547,15 +541,16 @@ def _solve_at(op, rx, eigen, lam, cfg) -> BranchPoint:
     if lam <= eigen.lambda1:
         return _branch_point(op, rx, lam, np.zeros(grid.n), 0)
     phi1 = eigen.phi1
-    kappa = grid.inner(phi(rx, phi1) * phi1, phi1) / grid.inner(phi1, phi1)
+    kappa = _kappa(grid, rx, phi1)
     if kappa <= 0:
         raise ContinuationError(
             "weight has no reaction at the principal eigenfunction"
         )
     amp = ((lam - eigen.lambda1) / kappa) ** (1.0 / rx.p)
-    pt = _off_zero(op, rx, lam, amp, phi1, cfg)
-    if pt is not None:
-        return pt
+    try:
+        return _off_zero(op, rx, lam, amp, phi1, cfg)
+    except StepFailure:
+        pass
     branch = _trace(op, rx, eigen, replace(cfg, lambda_max=lam))
     if branch.termination != "reached_lambda_max":
         raise ContinuationError(

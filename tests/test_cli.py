@@ -7,7 +7,20 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dispersal import cli
+from dispersal import (
+    ContinuationConfig,
+    ContinuationError,
+    Domain,
+    KernelSpec,
+    StepFailure,
+    WeightSpec,
+    assemble,
+    build_grid,
+    cli,
+    continuation,
+    principal_eigenpair,
+    trace_branch,
+)
 from dispersal.cli import _build_parser, _fmt, _read_table, _write_table, main
 
 from .conftest import peak_bytes
@@ -856,3 +869,26 @@ def test_invalid_kernel_or_weight_exits_one(tmp_path, capsys, section, value,
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err
     assert "Traceback" not in err
+
+
+def test_failed_seed_names_its_cause(tmp_path, capsys, monkeypatch):
+    """A seed that Newton cannot correct ends the trace with an error
+    that names Newton's cause, in the library and on the CLI's stderr."""
+    def failing(op, rx, lam, u0, cfg, border=None):
+        raise StepFailure("Newton X")
+
+    monkeypatch.setattr(continuation, "_newton", failing)
+    op = assemble(KernelSpec.constant(1.0), build_grid(
+        Domain((0.0,), (1.0,)), "trapezoid", 17
+    ))
+    with pytest.raises(ContinuationError) as err:
+        trace_branch(op, WeightSpec.constant(1.0, p=2.0),
+                     principal_eigenpair(op), ContinuationConfig())
+    for part in ("failed to leave the trivial solution", "Newton X"):
+        assert part in str(err.value)
+    cfg = write_config(tmp_path / "c.json", run={"lambda_max": 2.0})
+    capsys.readouterr()
+    assert main(["trace", cfg, "--output-dir", str(tmp_path / "out")]) == 1
+    stderr = capsys.readouterr().err
+    assert "failed to leave the trivial solution" in stderr
+    assert "Newton X" in stderr

@@ -1,5 +1,6 @@
 """Branch continuation from the bifurcation point."""
 
+import itertools
 import math
 from dataclasses import replace
 
@@ -23,7 +24,6 @@ from dispersal import (
     principal_eigenpair,
     reaction,
     residual,
-    seed_branch,
     solve_at_lambda,
     trace_branch,
     verify_branch,
@@ -44,34 +44,6 @@ from .oracles import (
     oracle_spectral,
     window_bounds,
 )
-
-
-def test_seed_is_exact_for_constant_case(const_eigen, grid65):
-    w1, w2 = const_weight(p=1.0), const_weight(p=2.0)
-    lam, u = seed_branch(
-        const_eigen, reaction(w1, grid65), grid65, 0.1
-    )
-    assert abs(lam - 1.1) < 1e-12
-    np.testing.assert_allclose(u, 0.1)
-    lam2, _ = seed_branch(
-        const_eigen, reaction(w2, grid65), grid65, 0.1
-    )
-    assert abs(lam2 - 1.01) < 1e-12
-
-
-def test_seed_approaches_lambda1(const_eigen, grid65):
-    w = const_weight(p=1.0)
-    lam, _ = seed_branch(
-        const_eigen, reaction(w, grid65), grid65, 1e-8
-    )
-    assert abs(lam - const_eigen.lambda1) < 1e-7
-
-
-def test_seed_rejects_nonpositive_amplitude(const_eigen, grid65):
-    with pytest.raises(ContinuationError):
-        seed_branch(
-            const_eigen, reaction(const_weight(), grid65), grid65, 0.0,
-        )
 
 
 def test_newton_finds_constant_solution(const_op):
@@ -132,11 +104,14 @@ def test_newton_failure_exits_raise_step_failure(const_op, case, p, start,
 
 
 def test_trace_constant_branch_closed_form(const_op, const_eigen):
-    for p in (1.0, 2.0):
-        cfg = ContinuationConfig(lambda_max=3.0)
+    """The seed is exact for a constant kernel and weight: the first point
+    sits at lambda = 1 + s0^p, also for a seed amplitude s0 near 0."""
+    for p, s0 in itertools.product((1.0, 2.0), (0.01, 1e-8)):
+        cfg = ContinuationConfig(lambda_max=3.0, s0=s0)
         branch = trace_branch(
             const_op, const_weight(p=p), const_eigen, cfg
         )
+        assert abs(branch.points[0].lam - (1.0 + s0**p)) <= 1e-12
         assert branch.termination == "reached_lambda_max"
         assert branch.fold_indices == ()
         assert len(branch.points) >= 10

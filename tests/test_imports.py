@@ -179,14 +179,14 @@ API = (
     "build_a_eps", "build_grid", "build_q_eps", "certify",
     "check_weight_floor", "cover", "eps_ceiling", "limit_procedure",
     "near_center_mass_bound", "newton_correct", "phi", "principal_eigenpair",
-    "reaction", "residual", "seed_branch", "solve_at_lambda", "theta_margin",
-    "trace_branch", "verify_branch",
+    "reaction", "residual", "solve_at_lambda", "theta_margin", "trace_branch",
+    "verify_branch",
 )
 
 
 def test_public_api_is_pinned():
-    """`dispersal` exports the 47 names of `API`, listed in sorted order."""
-    assert API == tuple(sorted(API)) and len(API) == 47
+    """`dispersal` exports the 46 names of `API`, listed in sorted order."""
+    assert API == tuple(sorted(API)) and len(API) == 46
     assert _public() == set(API)
 
 

@@ -38,6 +38,7 @@ from dispersal import (
     reaction,
     residual,
     solve_at_lambda,
+    trace_branch,
 )
 from dispersal import model
 from dispersal.cli import main
@@ -497,6 +498,32 @@ def test_phi_is_at_least_the_global_floor(data, p, positive, seed):
     floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
     bound = floor.sigma_global * grid.lp_norm(u, p) ** p
     assert phi(reaction(weight, grid), u).min() >= bound * (1.0 - 1e-12)
+
+
+@PROPERTY
+@given(data=st.data(), p=st.floats(0.75, 4.0))
+def test_trace_leaves_zero_from_its_single_seed(data, p):
+    """The trace's first point sits at lambda1 + kappa s0^p, with the
+    Galerkin coefficient kappa = <Phi_phi1 phi1, phi1>_w / <phi1, phi1>_w,
+    and the branch reaches 1.2 lambda1: on 1-D grids of 17-65 nodes and
+    2-D grids of 9^2-17^2 nodes of every rule, under a gaussian kernel,
+    for every weight form the dimension admits."""
+    dim = data.draw(st.sampled_from((1, 2)))
+    res = data.draw(st.integers(17, 65) if dim == 1 else st.integers(9, 17))
+    grid = build_grid(
+        Domain((0.0,) * dim, (1.0,) * dim), data.draw(st.sampled_from(RULES)),
+        res,
+    )
+    op = assemble(KernelSpec.gaussian(data.draw(st.floats(0.3, 3.0))), grid)
+    weight = data.draw(weights(grid, p))
+    eigen = principal_eigenpair(op)
+    cfg = ContinuationConfig(lambda_max=1.2 * eigen.lambda1)
+    branch = trace_branch(op, weight, eigen, cfg)
+    assert branch.termination == "reached_lambda_max"
+    phi1, rx = eigen.phi1, reaction(weight, grid)
+    kappa = grid.inner(phi(rx, phi1) * phi1, phi1) / grid.inner(phi1, phi1)
+    seed = eigen.lambda1 + kappa * cfg.s0**p
+    assert abs(branch.points[0].lam - seed) <= 1e-12 * seed
 
 
 @st.composite
