@@ -46,7 +46,6 @@ from .model import (
     build_a_eps,
     build_q_eps,
     certify,
-    check_weight_floor,
     eps_ceiling,
 )
 from .operator import (

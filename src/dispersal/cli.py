@@ -327,7 +327,7 @@ def _cmd_check_hyp(args) -> int:
     r = float(ctx.domain.diameter if r is None else r)
     delta = ctx.run.get("delta")
     report = certify(
-        ctx.kernel, ctx.weight, ctx.grid, r=r,
+        ctx.operator(), ctx.weight, r=r,
         delta=float(delta) if delta is not None else None,
     )
     floor = report.floor

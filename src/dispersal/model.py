@@ -47,9 +47,11 @@ entry its structure gives.  The structure also gives the floor and x0
 of a LowRank Q, whose left columns but the first are constant.
 Everything else streams in blocks of about 2^20 entries, with the
 squared distances of each block built one axis at a time.
-`check_weight_floor` returns every fact about Q, including the
+`_floor` gives every fact about Q that a certificate reads: the local
+and global floors, the maximizing node x0 with its defect, and the
 oscillation sup_{x,z,y} |Q(x,y) - Q(z,y)| that closes the solvability
-window and the sup of Q.
+window.  `certify` reads K from the operator `assemble` built, so K is
+built in one place.
 
 `build_a_eps` and `build_q_eps` produce the regularized weight family: a
 dip profile a_eps vanishing at x0 and the row-scaled weight
@@ -87,7 +89,6 @@ __all__ = [
     "build_a_eps",
     "build_q_eps",
     "certify",
-    "check_weight_floor",
     "eps_ceiling",
 ]
 
@@ -623,23 +624,15 @@ def _lead_row(q: LowRank, col_max: np.ndarray) -> int:
     return int(np.argmax((t >= values[lo]) & (t <= values[hi])))
 
 
-def check_weight_floor(
-    weight: WeightSpec, grid: QuadratureGrid, r: float
-) -> FloorReport:
-    """Certify the positive floor of Q and locate a maximizing node x0.
-
-    Q is read in the form `_weight` returns.  For a LowRank, two rows
-    (`_extreme_rows`) give the column extremes and `_lead_row` gives x0;
-    a tabulated Q streams in blocks of rows, with O(n b) memory.  Every
-    value equals the dense computation bit for bit.
-    """
-    if not r > 0:
-        raise ModelError("r must be positive")
-    return _floor(_weight(weight, grid), grid, r)
-
-
 def _floor(q, grid: QuadratureGrid, r: float) -> FloorReport:
-    """`check_weight_floor` of a Q that `_weight` built."""
+    """Certify the positive floor of a Q that `_weight` built and locate
+    a maximizing node x0.
+
+    For a LowRank, two rows (`_extreme_rows`) give the column extremes
+    and `_lead_row` gives x0; a tabulated Q streams in blocks of rows,
+    with O(n b) memory.  Every value equals the dense computation bit for
+    bit.
+    """
     if isinstance(q, np.ndarray):
         col_min, col_max = np.full(grid.n, np.inf), np.full(grid.n, -np.inf)
         for s in _row_blocks(grid.n):
@@ -729,16 +722,16 @@ def _certify_q3(weight: WeightSpec, grid: QuadratureGrid):
 
 
 def certify(
-    kernel: KernelSpec,
+    op,
     weight: WeightSpec,
-    grid: QuadratureGrid,
     r: float,
     delta: Optional[float] = None,
 ) -> HypothesisReport:
     """Run every grid-level certificate and collect the results.
 
-    K is read in the form `_kernel` returns, Q as `check_weight_floor`
-    reads it.
+    K is read as ``op.k`` over ``op.grid``, in the form `assemble` built
+    it (``op`` is a `DiscreteOperator`); Q is built by `_weight` and read
+    by `_floor`.
     """
     if delta is None:
         delta = r
@@ -746,14 +739,14 @@ def certify(
         raise ModelError("r must be positive")
     if not delta > 0:
         raise ModelError("delta must be positive")
-    k = _kernel(kernel, grid)
-    k1, asym = _k1(k)
-    floor = check_weight_floor(weight, grid, r)
+    grid = op.grid
+    k1, asym = _k1(op.k)
+    floor = _floor(_weight(weight, grid), grid, r)
     q3, q3_i0, q3_a, q3_int = _certify_q3(weight, grid)
     return HypothesisReport(
         k1=k1,
         max_asymmetry=asym,
-        k2=_k2(k, grid, delta),
+        k2=_k2(op.k, grid, delta),
         delta=delta,
         floor=floor,
         q3=q3,

@@ -22,7 +22,7 @@ from dispersal import (
     WeightSpec,
     assemble,
     build_grid,
-    check_weight_floor,
+    certify,
     limit_procedure,
     phi,
     principal_eigenpair,
@@ -211,7 +211,7 @@ def test_criterion_04_branch_point_bounds():
         worst_adm = min(worst_adm, reports["admissibility"].margin)
         worst_lp = min(worst_lp, reports["lp_covering_bound"].margin)
         rx = reaction(weight, grid)
-        sigma = check_weight_floor(weight, grid, r=UNIT.diameter).sigma_global
+        sigma = certify(op, weight, r=UNIT.diameter).floor.sigma_global
         for pt in branch.points:
             floor = sigma * grid.lp_norm(pt.u, weight.p) ** weight.p
             worst_floor = min(worst_floor, float(phi(rx, pt.u).min()) - floor)
@@ -310,14 +310,14 @@ def test_criterion_07_solvability_window():
     eigen = principal_eigenpair(op)
 
     r = grid.domain.diameter
-    osc_const = check_weight_floor(
-        WeightSpec.constant(1.0, p=1.0), grid, r
-    ).oscillation
+    osc_const = certify(
+        op, WeightSpec.constant(1.0, p=1.0), r
+    ).floor.oscillation
     lo, hi = window_bounds(eigen.lambda1, 1.0, osc_const)
     const_ok = osc_const == 0.0 and hi == math.inf
 
     weight = _dip(1.0)
-    floor = check_weight_floor(weight, grid, r)
+    floor = certify(op, weight, r).floor
     osc_dip = floor.oscillation
     lo_d, hi_d = window_bounds(eigen.lambda1, floor.sigma_global, osc_dip)
     branch = trace_branch(

@@ -602,6 +602,18 @@ def test_readme_example_config_runs(tmp_path):
                  "--output-dir", str(tmp_path / "out")]) == 0
 
 
+def test_readme_python_api_block_runs(capsys):
+    """The README's Python API block runs as written: it certifies the
+    hypotheses on the built operator, then prints each branch point."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    api = readme[readme.index("## Python API"):]
+    block = api[api.index("```python") + len("```python"):]
+    exec(block[:block.index("```")], {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "True True 1.0"
+    assert float(lines[-1].split()[0]) == 2.5
+
+
 def _traced_17(tmp_path):
     cfg = write_config(
         tmp_path / "c.json",

@@ -18,7 +18,7 @@ from dispersal import (
     build_grid,
     build_a_eps,
     build_q_eps,
-    check_weight_floor,
+    certify,
     newton_correct,
     phi,
     principal_eigenpair,
@@ -225,7 +225,8 @@ def test_window_bounds_values():
 
 
 def _window(weight, grid, lambda1):
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    op = assemble(KernelSpec.constant(1.0), grid)
+    floor = certify(op, weight, r=grid.domain.diameter).floor
     return window_bounds(lambda1, floor.sigma_global, floor.oscillation)
 
 

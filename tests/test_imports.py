@@ -176,17 +176,16 @@ API = (
     "ModelError", "OperatorError", "PrincipalEigenpair", "QuadratureGrid",
     "RULES", "Reaction", "ReactionError", "RegularizedError",
     "RegularizedRun", "StepFailure", "Toeplitz", "WeightSpec", "assemble",
-    "build_a_eps", "build_grid", "build_q_eps", "certify",
-    "check_weight_floor", "cover", "eps_ceiling", "limit_procedure",
-    "near_center_mass_bound", "newton_correct", "phi", "principal_eigenpair",
-    "reaction", "residual", "solve_at_lambda", "theta_margin", "trace_branch",
-    "verify_branch",
+    "build_a_eps", "build_grid", "build_q_eps", "certify", "cover",
+    "eps_ceiling", "limit_procedure", "near_center_mass_bound",
+    "newton_correct", "phi", "principal_eigenpair", "reaction", "residual",
+    "solve_at_lambda", "theta_margin", "trace_branch", "verify_branch",
 )
 
 
 def test_public_api_is_pinned():
-    """`dispersal` exports the 46 names of `API`, listed in sorted order."""
-    assert API == tuple(sorted(API)) and len(API) == 46
+    """`dispersal` exports the 45 names of `API`, listed in sorted order."""
+    assert API == tuple(sorted(API)) and len(API) == 45
     assert _public() == set(API)
 
 
@@ -235,6 +234,27 @@ def test_only_continuation_builds_a_jacobian():
             ):
                 users.add(path.name)
     assert users == {"continuation.py"}
+
+
+def _callers(name: str) -> set:
+    """The (module, top-level function) pairs that call ``name``."""
+    found = set()
+    for path in Path(dispersal.__file__).parent.glob("*.py"):
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in _names(node.func):
+                    found.add((path.name, getattr(top, "name", None)))
+    return found
+
+
+def test_k_and_q_each_have_one_builder():
+    """K is built only by `assemble`, so every reader of K takes the
+    built operator; Q is built only by `reaction` and by `certify`, the
+    one entry point that takes a weight spec and no reaction."""
+    assert _callers("_kernel") == {("operator.py", "assemble")}
+    assert _callers("_weight") == {
+        ("logistic.py", "reaction"), ("model.py", "certify"),
+    }
 
 
 FORM_CALLS = {"_kernel", "_weight"}

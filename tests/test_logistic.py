@@ -10,7 +10,7 @@ from dispersal import (
     ReactionError,
     WeightSpec,
     assemble,
-    check_weight_floor,
+    certify,
     phi,
     reaction,
     residual,
@@ -185,7 +185,8 @@ def test_reaction_reproduces_phi(grid65, rng):
 
 def test_phi_floor_for_dip_weight(grid65, rng):
     w = dip_weight(p=1.0)
-    rep = check_weight_floor(w, grid65, r=grid65.domain.diameter)
+    op = assemble(KernelSpec.constant(1.0), grid65)
+    rep = certify(op, w, r=grid65.domain.diameter).floor
     assert rep.q2pp
     rx = reaction(w, grid65)
     for _ in range(20):

@@ -18,7 +18,6 @@ from dispersal import (
     build_grid,
     build_q_eps,
     certify,
-    check_weight_floor,
     eps_ceiling,
     limit_procedure,
     principal_eigenpair,
@@ -38,7 +37,18 @@ SQUARE = Domain((0.0, 0.0), (1.0, 1.0))
 
 def _kernel_report(kernel, grid, delta=None):
     """`certify` of ``kernel`` with Q = 1 at r = 0.25, for its k1/k2."""
-    return certify(kernel, WeightSpec.constant(1.0), grid, 0.25, delta)
+    return certify(assemble(kernel, grid), WeightSpec.constant(1.0), 0.25,
+                   delta)
+
+
+def _const_op(grid):
+    """The constant-kernel operator, for a certificate that reads Q."""
+    return assemble(KernelSpec.constant(1.0), grid)
+
+
+def _weight_floor(weight, grid, r):
+    """The weight floor report of `certify` over ``grid``."""
+    return certify(_const_op(grid), weight, r).floor
 
 
 def test_k1_constant_and_gaussian():
@@ -97,7 +107,7 @@ def test_weight_matrix_rejects_negative():
 
 def test_floor_constant_weight():
     grid = unit_grid("trapezoid", 33)
-    rep = check_weight_floor(WeightSpec.constant(1.0, p=1.0), grid, r=0.25)
+    rep = _weight_floor(WeightSpec.constant(1.0, p=1.0), grid, r=0.25)
     assert rep.q2 and rep.q2pp and rep.q4
     assert rep.sigma == 1.0
     assert rep.sigma_global == 1.0
@@ -107,7 +117,7 @@ def test_floor_constant_weight():
 def test_floor_locates_dip_center():
     """Q(x, y) = level - |x - 1/2|^0.4 is maximized in x exactly at 1/2."""
     grid = unit_grid("trapezoid", 65)
-    rep = check_weight_floor(dip_weight(), grid, r=grid.domain.diameter)
+    rep = _weight_floor(dip_weight(), grid, r=grid.domain.diameter)
     assert rep.q4
     assert rep.x0_index == 32
     assert abs(rep.x0[0] - 0.5) < 1e-15
@@ -119,7 +129,7 @@ def test_floor_locates_dip_center():
 def test_floor_separable_vanishing_edge():
     grid = unit_grid("trapezoid", 33)
     w = WeightSpec.separable(g=(0.0, 1.0), h=(1.0,), p=1.0)
-    rep = check_weight_floor(w, grid, r=0.25)
+    rep = _weight_floor(w, grid, r=0.25)
     assert not rep.q2pp
     assert rep.sigma_global == 0.0
     # x-dependent rows are never uniformly dominated by a single x0
@@ -133,9 +143,9 @@ def test_floor_at_diameter_counts_every_pair():
     x = grid.nodes
     d2 = ((x[:, None, :] - x[None, :, :]) ** 2).sum(axis=-1)
     w = WeightSpec.tabulated(3.0 - d2, p=1.0)  # 1 exactly at the corners
-    rep = check_weight_floor(w, grid, r=grid.domain.diameter)
+    rep = _weight_floor(w, grid, r=grid.domain.diameter)
     assert rep.sigma == rep.sigma_global == 1.0
-    near = check_weight_floor(w, grid, r=0.99 * grid.domain.diameter)
+    near = _weight_floor(w, grid, r=0.99 * grid.domain.diameter)
     assert near.sigma > 1.0
 
 
@@ -144,7 +154,7 @@ def test_weight_floor_peak_memory():
     rank-one factors: its peak stays below 16 float arrays of length n."""
     grid = build_grid(SQUARE, "trapezoid", 33)
     peak = peak_bytes(
-        check_weight_floor, WeightSpec.constant(1.0, p=2.0), grid,
+        certify, _const_op(grid), WeightSpec.constant(1.0, p=2.0),
         r=grid.domain.diameter,
     )
     assert peak <= 16 * grid.n * 8
@@ -156,8 +166,8 @@ def test_certify_holds_no_n_squared_array():
     one n x n float array."""
     grid = build_grid(SQUARE, "trapezoid", 64)
     peak = peak_bytes(
-        certify, KernelSpec.gaussian(1.0), WeightSpec.constant(1.0, p=2.0),
-        grid, r=grid.domain.diameter,
+        certify, assemble(KernelSpec.gaussian(1.0), grid),
+        WeightSpec.constant(1.0, p=2.0), r=grid.domain.diameter,
     )
     assert peak < grid.n**2
 
@@ -178,7 +188,8 @@ def test_certify_at_the_diameter_streams_no_pair(domain, monkeypatch):
     grid = build_grid(domain, "trapezoid", 16)
     d = domain.diameter
     rep = certify(
-        KernelSpec.gaussian(1.0), WeightSpec.constant(1.0, p=2.0), grid, d, d
+        assemble(KernelSpec.gaussian(1.0), grid),
+        WeightSpec.constant(1.0, p=2.0), d, d,
     )
     assert rep.k1 and rep.k2 and rep.floor.q2
 
@@ -194,7 +205,7 @@ def test_x_dependent_forms_refuse_a_cube():
         with pytest.raises(ModelError, match="1-D domains only"):
             reaction(weight, grid)
         with pytest.raises(ModelError, match="1-D domains only"):
-            certify(KernelSpec.constant(1.0), weight, grid, 1.0)
+            certify(_const_op(grid), weight, 1.0)
 
 
 def test_dip_floor_at_65537_nodes_peaks_under_64_mib():
@@ -202,7 +213,7 @@ def test_dip_floor_at_65537_nodes_peaks_under_64_mib():
     factors, where a dense Q would take 32 GiB."""
     grid = unit_grid("trapezoid", 65537)
     peak = peak_bytes(
-        check_weight_floor, dip_weight(p=2.0), grid, r=grid.domain.diameter
+        certify, _const_op(grid), dip_weight(p=2.0), r=grid.domain.diameter
     )
     assert peak < 64 * 2**20
 
@@ -229,7 +240,7 @@ def test_floor_x0_from_factors_matches_dense(g0):
         )
         q = weight_matrix(weight, grid)
         advantage = (q - q.max(axis=0)).min(axis=1)
-        floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+        floor = _weight_floor(weight, grid, r=grid.domain.diameter)
         assert floor.x0_index == int(np.argmax(advantage))
         assert floor.q4_defect == -advantage.max()
 
@@ -237,11 +248,11 @@ def test_floor_x0_from_factors_matches_dense(g0):
 def test_floor_requires_positive_radius():
     grid = unit_grid("midpoint", 8)
     with pytest.raises(ModelError):
-        check_weight_floor(WeightSpec.constant(1.0, p=1.0), grid, r=-1.0)
+        _weight_floor(WeightSpec.constant(1.0, p=1.0), grid, r=-1.0)
 
 
 def _oscillation(weight, grid):
-    return check_weight_floor(weight, grid, r=grid.domain.diameter).oscillation
+    return _weight_floor(weight, grid, r=grid.domain.diameter).oscillation
 
 
 def test_oscillation_constant_zero():
@@ -271,7 +282,7 @@ def test_oscillation_tabulated_exact():
 
 def test_certify_dip_preset():
     grid = unit_grid("trapezoid", 65)
-    rep = certify(KernelSpec.constant(1.0), dip_weight(), grid, r=0.5)
+    rep = certify(_const_op(grid), dip_weight(), r=0.5)
     assert rep.k1 and rep.k2
     assert rep.floor.q2 and rep.floor.q4
     assert rep.q3 is True
@@ -289,15 +300,13 @@ def test_certify_dip_preset():
 def test_certify_q3_exponent_gate():
     # q = 0.4 >= N / p once p reaches 3 on a 1-D domain
     grid = unit_grid("trapezoid", 33)
-    rep = certify(KernelSpec.constant(1.0), dip_weight(p=3.0), grid, r=0.5)
+    rep = certify(_const_op(grid), dip_weight(p=3.0), r=0.5)
     assert rep.q3 is False
 
 
 def test_certify_q3_none_outside_preset():
     grid = unit_grid("trapezoid", 17)
-    rep = certify(
-        KernelSpec.constant(1.0), WeightSpec.constant(1.0, p=1.0), grid, r=0.5
-    )
+    rep = certify(_const_op(grid), WeightSpec.constant(1.0, p=1.0), r=0.5)
     assert rep.q3 is None
     assert rep.q3_a is None
 
@@ -320,7 +329,7 @@ def test_certify_q3_is_scale_invariant():
             h=h, g=(0.0,), points=(0.5,), exponents=(0.4,), level=level,
             p=2.0,
         )
-        rep = certify(KernelSpec.constant(1.0), weight, grid, r=0.5)
+        rep = certify(_const_op(grid), weight, r=0.5)
         assert rep.q3 is True, (level, h)
 
 
@@ -555,13 +564,13 @@ def test_invalid_kernel_or_weight_is_refused_by_every_reader(spec, named):
     if isinstance(spec, KernelSpec):
         calls = [
             lambda: assemble(spec, grid),
-            lambda: certify(spec, WeightSpec.constant(1.0), grid, 1.0),
+            lambda: certify(assemble(spec, grid), WeightSpec.constant(1.0),
+                            1.0),
         ]
     else:
         calls = [
             lambda: reaction(spec, grid),
-            lambda: check_weight_floor(spec, grid, r=1.0),
-            lambda: certify(KernelSpec.constant(1.0), spec, grid, 1.0),
+            lambda: certify(_const_op(grid), spec, 1.0),
         ]
     for call in calls:
         with pytest.raises(ModelError, match=named):
@@ -623,8 +632,7 @@ def _trace(op, eigen):
 
 
 def _certify(op, eigen):
-    return lambda: certify(KernelSpec.constant(1.0), dip_weight(), op.grid,
-                           r=0.5)
+    return lambda: certify(op, dip_weight(), r=0.5)
 
 
 @pytest.mark.parametrize("entry, kernels, weights, traces", [
@@ -632,7 +640,7 @@ def _certify(op, eigen):
     pytest.param(_verify, 0, 1, 0, id="verify_branch"),
     pytest.param(_fallback, 0, 1, 1, id="solve_at_lambda-fallback"),
     pytest.param(_trace, 0, 1, 1, id="trace_branch"),
-    pytest.param(_certify, 1, 1, 0, id="certify"),
+    pytest.param(_certify, 0, 1, 0, id="certify"),
 ])
 def test_each_entry_point_builds_k_and_q_once(monkeypatch, entry, kernels,
                                               weights, traces):

@@ -31,7 +31,6 @@ from dispersal import (
     ContinuationConfig,
     build_grid,
     certify,
-    check_weight_floor,
     cover,
     phi,
     principal_eigenpair,
@@ -230,13 +229,14 @@ def test_weight_matrix_matches_formula(data):
 @PROPERTY
 @given(data=st.data())
 def test_weight_floor_matches_brute_force(data):
-    """One check_weight_floor pass gives the global floor, the oscillation,
-    the sup of Q, the q4 defect and a row x0 of greatest advantage, each
+    """The floor of one `certify` pass gives the global floor, the
+    oscillation, the q4 defect and a row x0 of greatest advantage, each
     equal to a reduction of weight_matrix pair by pair."""
     grid = data.draw(grids())
     weight = data.draw(weights(grid, 1.0))
     q = weight_matrix(weight, grid)
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    op = assemble(KernelSpec.constant(1.0), grid)
+    floor = certify(op, weight, r=grid.domain.diameter).floor
     # advantage[i] = min over (k, y) of Q(i, y) - Q(k, y)
     advantage = np.array([(row[None, :] - q).min() for row in q])
     osc = max(np.abs(row[None, :] - q).max() for row in q)
@@ -333,7 +333,7 @@ def test_certificates_match_dense_bit_for_bit(data, seed):
     block = data.draw(st.sampled_from((model._BLOCK, 3 * grid.n + 1, 1)))
 
     with patch.object(model, "_BLOCK", block):
-        report = certify(kernel, weight, grid, r, delta)
+        report = certify(assemble(kernel, grid), weight, r, delta)
     got = {
         "k1": report.k1, "max_asymmetry": report.max_asymmetry,
         "k2": report.k2, **vars(report.floor),
@@ -495,7 +495,8 @@ def test_phi_is_at_least_the_global_floor(data, p, positive, seed):
     grid = data.draw(grids())
     weight = data.draw(weights(grid, p))
     u = _state(seed, grid.n, positive)
-    floor = check_weight_floor(weight, grid, r=grid.domain.diameter)
+    op = assemble(KernelSpec.constant(1.0), grid)
+    floor = certify(op, weight, r=grid.domain.diameter).floor
     bound = floor.sigma_global * grid.lp_norm(u, p) ** p
     assert phi(reaction(weight, grid), u).min() >= bound * (1.0 - 1e-12)
 
