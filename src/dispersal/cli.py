@@ -8,8 +8,9 @@ keys are the parameters of the constructor it feeds, and an unknown key
 is refused.  All outputs are deterministic for a fixed config: floats
 are written with 17 significant digits, JSON keys are sorted, and the
 SVG plot is assembled by hand.  The CSV tables are NumPy text tables
-(``np.savetxt`` in ``%.17g``, read back by ``np.loadtxt``), so every
-stored value round-trips bit for bit.
+(``np.savetxt`` in ``%.17g``, read back one line at a time by
+``np.loadtxt``), so every stored value round-trips bit for bit, and a
+damaged table is refused at its first faulty line.
 
 Exit codes: 0 success, 2 a quantitative bound or hypothesis failed,
 1 usage, config, solver, I/O or out-of-memory errors.
@@ -56,6 +57,10 @@ CONTINUATION_KEYS = tuple(
 # the run keys the subcommands read besides the continuation settings;
 # "seed" is accepted and unused: every run is deterministic
 RUN_KEYS = ("lambda", "r", "delta", "method", "n_values", "seed")
+# the state columns of solve.json and branch.csv, named as BranchPoint's
+# fields but for lambda, its `lam`
+_POINT_COLUMNS = ("lambda", "sup_norm", "p_norm", "min_u", "gamma_phi_sup",
+                  "newton_iters", "residual_norm")
 
 
 class UsageError(Exception):
@@ -107,6 +112,11 @@ def _write_table(path: Path, head, table) -> None:
     with path.open("w") as fh:
         np.savetxt(fh, np.atleast_2d(table), fmt="%.17g", delimiter=",",
                    header="\n".join(head), comments="")
+
+
+def _point_row(pt) -> list:
+    """The `_POINT_COLUMNS` of the branch point ``pt``."""
+    return [pt.lam, *(getattr(pt, c) for c in _POINT_COLUMNS[1:])]
 
 
 def _write_nodes(path: Path, grid, name: str, values) -> None:
@@ -215,6 +225,9 @@ class RunContext:
 
         self.out_dir = Path(args.output_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
+        # the stored branch that verify and export-plot read
+        self.branch = Path(getattr(args, "branch", None)
+                           or self.out_dir / "branch.csv")
 
     def continuation_config(self) -> ContinuationConfig:
         kwargs = {
@@ -235,42 +248,48 @@ class RunContext:
 
 def _read_table(path: Path, header: bool, finite=()):
     """(meta, columns, table): ``# key=value`` lines fill meta; with
-    ``header`` the first other line names the columns, and the rest is a
-    table of numbers, one per column.  The first line where a meta key or
-    column named in ``finite`` holds no finite number is refused."""
+    ``header`` the first other line names the columns, and every other
+    line is a row of numbers, one per column (the first row's count
+    without ``header``).  Each line is parsed where it is read, and the
+    first faulty one is refused by its file line: a row that is not
+    numbers or has the wrong field count, or a meta key or column named
+    in ``finite`` that holds no finite number."""
     if not path.exists():
         raise UsageError(f"missing csv file {path}")
-    meta, columns, data, nums, meta_lines = {}, None, [], [], {}
+    meta, columns, width, rows, checked = {}, None, None, [], ()
+
+    def refused(num, why):
+        return UsageError(f"{path} line {num}: {why}")
+
     for num, line in enumerate(path.read_text().splitlines(), 1):
         if not line.strip():
             continue
         if line.startswith("#"):
             key, eq, val = line[1:].partition("=")
             if eq:
-                meta[key.strip()] = val.strip()
-                meta_lines[key.strip()] = num
-        elif header and columns is None:
+                key, val = key.strip(), val.strip()
+                if key in finite and not _finite(val):
+                    raise refused(num, f"{key} is not a finite number")
+                meta[key] = val
+            continue
+        if header and columns is None:
             columns = line.split(",")
-        else:
-            data.append(line)
-            nums.append(num)
-    if not data:
-        # np.loadtxt warns on empty input
-        return meta, columns, np.empty((0, len(columns or ())))
-    width = None if columns is None else len(columns)
-    try:
-        table = np.loadtxt(data, delimiter=",", ndmin=2, comments=None)
-    except ValueError:
-        table = None
-    if table is None or width not in (None, table.shape[1]):
-        raise UsageError(_refused_line(path, data, nums, width))
-    cells = [(meta_lines[k], k, meta[k]) for k in finite if k in meta]
-    cells += [(num, k, value) for k in finite if k in (columns or ())
-              for num, value in zip(nums, table[:, columns.index(k)])]
-    for num, k, value in sorted(cells):
-        if not _finite(value):
-            raise UsageError(f"{path} line {num}: {k} is not a finite number")
-    return meta, columns, table
+            width = len(columns)
+            checked = [(k, columns.index(k)) for k in finite if k in columns]
+            continue
+        try:
+            row = np.loadtxt([line], delimiter=",", comments=None, ndmin=1)
+        except ValueError:
+            raise refused(num, "not a row of numbers") from None
+        width = width or row.size
+        if row.size != width:
+            raise refused(num, f"{row.size} fields, {width} columns")
+        for key, i in checked:
+            if not _finite(row[i]):
+                raise refused(num, f"{key} is not a finite number")
+        rows.append(row)
+    # an empty table keeps its column count
+    return meta, columns, np.array(rows).reshape(len(rows), width or 0)
 
 
 def _finite(value) -> bool:
@@ -278,20 +297,6 @@ def _finite(value) -> bool:
         return math.isfinite(float(value))
     except ValueError:
         return False
-
-
-def _refused_line(path: Path, data, nums, width) -> str:
-    """Why the first data line of a refused table is refused, named by
-    its file line; ``width`` is the column count, else the first row's."""
-    for line, num in zip(data, nums):
-        try:
-            fields = np.loadtxt([line], delimiter=",", comments=None).size
-        except ValueError:
-            return f"{path} line {num}: not a row of numbers"
-        width = width or fields
-        if fields != width:
-            return f"{path} line {num}: {fields} fields, {width} columns"
-    return f"{path}: not a table of numbers"
 
 
 def _column(path: Path, columns, table, name: str) -> list[float]:
@@ -355,16 +360,7 @@ def _cmd_solve(args) -> int:
     pt = solve_at_lambda(op, ctx.weight, eigen, lam, cfg)
     _write_json(
         ctx.out_dir / "solve.json",
-        {
-            "lambda": pt.lam,
-            "lambda1": eigen.lambda1,
-            "sup_norm": pt.sup_norm,
-            "p_norm": pt.p_norm,
-            "min_u": pt.min_u,
-            "gamma_phi_sup": pt.gamma_phi_sup,
-            "newton_iters": pt.newton_iters,
-            "residual_norm": pt.residual_norm,
-        },
+        dict(zip(_POINT_COLUMNS, _point_row(pt)), lambda1=eigen.lambda1),
     )
     _write_nodes(ctx.out_dir / "solution.csv", ctx.grid, "u", pt.u)
     print(
@@ -384,13 +380,10 @@ def _cmd_trace(args) -> int:
         f"# seed_lambda1={_fmt(branch.seed_lambda1)}",
         f"# p={_fmt(branch.p)}",
         f"# termination={branch.termination}",
-        "lambda,sup_norm,p_norm,min_u,gamma_phi_sup,newton_iters,"
-        "residual_norm",
+        ",".join(_POINT_COLUMNS),
     ]
-    _write_table(ctx.out_dir / "branch.csv", head, [
-        [pt.lam, pt.sup_norm, pt.p_norm, pt.min_u, pt.gamma_phi_sup,
-         pt.newton_iters, pt.residual_norm] for pt in branch.points
-    ])
+    _write_table(ctx.out_dir / "branch.csv", head,
+                 [_point_row(pt) for pt in branch.points])
     _write_table(
         ctx.out_dir / "states.csv",
         ["# one row of node values per accepted point, branch.csv order"],
@@ -457,19 +450,18 @@ def _cmd_sweep_eps(args) -> int:
     return 0
 
 
-def _load_branch(ctx: RunContext, args) -> SimpleNamespace:
+def _load_branch(ctx: RunContext) -> SimpleNamespace:
     """The stored states, as `verify_branch` reads them: the lambda column
     of branch.csv and the rows of states.csv, one value per grid node.
     Every other column and ``#`` line is ignored, so a missing one does not
     matter."""
-    branch_path = Path(args.branch or ctx.out_dir / "branch.csv")
-    states_path = branch_path.with_name("states.csv")
-    _, columns, rows = _read_table(branch_path, header=True)
+    states_path = ctx.branch.with_name("states.csv")
+    _, columns, rows = _read_table(ctx.branch, header=True)
     _, _, states = _read_table(states_path, header=False)
-    lams = _column(branch_path, columns, rows, "lambda")
+    lams = _column(ctx.branch, columns, rows, "lambda")
     if len(rows) != len(states):
         raise UsageError(
-            f"{branch_path} and {states_path} have mismatched row counts"
+            f"{ctx.branch} and {states_path} have mismatched row counts"
         )
     if not len(states):
         raise UsageError("branch csv has no rows to verify")
@@ -483,7 +475,7 @@ def _load_branch(ctx: RunContext, args) -> SimpleNamespace:
 
 def _cmd_verify(args) -> int:
     ctx = RunContext(args)
-    branch = _load_branch(ctx, args)
+    branch = _load_branch(ctx)
     op = ctx.operator()
     reports = verify_branch(op, ctx.weight, branch)
     out = ctx.out_dir / "verify.json"
@@ -497,14 +489,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_export_plot(args) -> int:
     ctx = RunContext(args)
-    branch_path = Path(args.branch or ctx.out_dir / "branch.csv")
     meta, columns, rows = _read_table(
-        branch_path, header=True, finite=("seed_lambda1", "lambda", "sup_norm")
+        ctx.branch, header=True, finite=("seed_lambda1", "lambda", "sup_norm")
     )
     if not len(rows):
-        raise UsageError(f"{branch_path} has no data rows to plot")
-    lams = _column(branch_path, columns, rows, "lambda")
-    sups = _column(branch_path, columns, rows, "sup_norm")
+        raise UsageError(f"{ctx.branch} has no data rows to plot")
+    lams = _column(ctx.branch, columns, rows, "lambda")
+    sups = _column(ctx.branch, columns, rows, "sup_norm")
     lambda1 = float(meta.get("seed_lambda1", lams[0]))
     svg = _render_svg(lams, sups, lambda1)
     out = ctx.out_dir / "branch.svg"

@@ -128,6 +128,15 @@ def _frozen(a) -> Optional[np.ndarray]:
     return _read_only(np.array(a, dtype=float))
 
 
+def _square(m: Optional[np.ndarray]) -> bool:
+    return m is not None and m.ndim == 2 and m.shape[0] == m.shape[1]
+
+
+def _count(c) -> int:
+    """The number of entries of ``c``, a sequence or None."""
+    return 0 if c is None else len(c)
+
+
 def _refuse_non_finite(spec) -> None:
     """Raise a ModelError naming the first numeric field of ``spec`` that
     holds a NaN or an infinity."""
@@ -279,8 +288,10 @@ class KernelSpec:
     gaussian:  K(x, y) = exp(-|x - y|^2 / length_scale^2)
     tabulated: explicit (n, n) matrix over the grid nodes
 
-    ``matrix`` is held read-only: a writable array is copied.  Every
-    number of the spec must be finite, else it raises a ModelError.
+    ``matrix`` is held read-only: a writable array is copied.  The form's
+    parameters must be valid and every number of the spec finite, else
+    it raises a ModelError; this holds for the form constructors and for
+    the dataclass constructor alike.
     """
 
     FORMS = ("constant", "rank_one", "gaussian", "tabulated")
@@ -293,12 +304,18 @@ class KernelSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _frozen(self.matrix))
+        if self.form == "constant" and not self.value >= 0:
+            raise ModelError("constant kernel value must be nonnegative")
+        if self.form == "rank_one" and not _count(self.coeffs):
+            raise ModelError("rank_one kernel needs coeffs")
+        if self.form == "gaussian" and not self.length_scale > 0:
+            raise ModelError("gaussian length_scale must be positive")
+        if self.form == "tabulated" and not _square(self.matrix):
+            raise ModelError("tabulated kernel must be a square matrix")
         _refuse_non_finite(self)
 
     @classmethod
     def constant(cls, value: float = 1.0) -> "KernelSpec":
-        if not value >= 0:
-            raise ModelError("constant kernel value must be nonnegative")
         return cls(form="constant", value=float(value))
 
     @classmethod
@@ -307,16 +324,12 @@ class KernelSpec:
 
     @classmethod
     def gaussian(cls, length_scale: float = 1.0) -> "KernelSpec":
-        if not length_scale > 0:
-            raise ModelError("gaussian length_scale must be positive")
         return cls(form="gaussian", length_scale=float(length_scale))
 
     @classmethod
     def tabulated(cls, matrix: np.ndarray) -> "KernelSpec":
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ModelError("tabulated kernel must be a square matrix")
-        return cls(form="tabulated", matrix=_read_only(m))
+        return cls(form="tabulated",
+                   matrix=_read_only(np.array(matrix, dtype=float)))
 
 
 def _gaussian(x: np.ndarray, length_scale: float) -> np.ndarray:
@@ -373,8 +386,10 @@ class WeightSpec:
     polynomial_dip: Q(x, y) = h(y) [level - prod_i |x - x_i|^(q_i)] + g(y)
     tabulated:      explicit (n, n) matrix over the grid nodes
 
-    ``matrix`` is held read-only: a writable array is copied.  Every
-    number of the spec must be finite, else it raises a ModelError.
+    ``matrix`` is held read-only: a writable array is copied.  The form's
+    parameters must be valid, p positive and every number of the spec
+    finite, else it raises a ModelError; this holds for the form
+    constructors and for the dataclass constructor alike.
     """
 
     FORMS = ("constant", "separable", "polynomial_dip", "tabulated")
@@ -390,15 +405,29 @@ class WeightSpec:
     matrix: Optional[np.ndarray] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "matrix", _frozen(self.matrix))
+        if self.form == "constant" and not self.value >= 0:
+            raise ModelError("constant weight value must be nonnegative")
+        if self.form == "polynomial_dip":
+            n = _count(self.points)
+            if not n or _count(self.exponents) != n:
+                raise ModelError(
+                    "polynomial_dip needs matching points and exponents"
+                )
+            if not all(q > 0 for q in self.exponents):
+                raise ModelError("dip exponents must be positive")
+        if self.form in ("separable", "polynomial_dip") and not (
+            _count(self.g) and _count(self.h)
+        ):
+            raise ModelError(f"{self.form} weight needs coefficients g and h")
+        if self.form == "tabulated" and not _square(self.matrix):
+            raise ModelError("tabulated weight must be a square matrix")
         if not self.p > 0:
             raise ModelError("reaction exponent p must be positive")
-        object.__setattr__(self, "matrix", _frozen(self.matrix))
         _refuse_non_finite(self)
 
     @classmethod
     def constant(cls, value: float = 1.0, p: float = 1.0) -> "WeightSpec":
-        if not value >= 0:
-            raise ModelError("constant weight value must be nonnegative")
         return cls(form="constant", p=float(p), value=float(value))
 
     @classmethod
@@ -415,28 +444,20 @@ class WeightSpec:
         cls, *, points, exponents, level: float, p: float = 1.0,
         h=(1.0,), g=(0.0,),
     ) -> "WeightSpec":
-        pts = tuple(float(c) for c in points)
-        exps = tuple(float(c) for c in exponents)
-        if len(pts) != len(exps) or not pts:
-            raise ModelError("polynomial_dip needs matching points and exponents")
-        if not all(q > 0 for q in exps):
-            raise ModelError("dip exponents must be positive")
         return cls(
             form="polynomial_dip",
             p=float(p),
             h=tuple(float(c) for c in h),
             g=tuple(float(c) for c in g),
-            points=pts,
-            exponents=exps,
+            points=tuple(float(c) for c in points),
+            exponents=tuple(float(c) for c in exponents),
             level=float(level),
         )
 
     @classmethod
     def tabulated(cls, matrix: np.ndarray, p: float = 1.0) -> "WeightSpec":
-        m = np.array(matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ModelError("tabulated weight must be a square matrix")
-        return cls(form="tabulated", p=float(p), matrix=_read_only(m))
+        return cls(form="tabulated", p=float(p),
+                   matrix=_read_only(np.array(matrix, dtype=float)))
 
 
 def _dip_profile(weight: WeightSpec, x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,7 @@
 
 import json
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -317,7 +318,7 @@ def test_sweep_eps_method(tmp_path, capsys):
 
 def test_sweep_eps_below_lambda1_is_a_bound_failure(tmp_path, capsys):
     """lambda = lambda1 / 2 is a failed bound (exit 2), not a malformed
-    config."""
+    config, and so is a weight with no certified maximum node."""
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
     assert main(["eig", cfg, "--output-dir", str(out)]) == 0
@@ -330,6 +331,18 @@ def test_sweep_eps_below_lambda1_is_a_bound_failure(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("bound failure: ")
     assert "must exceed the principal eigenvalue" in err
+    assert not (out / "sweep.json").exists()
+    # Q = 1 + I: no row of Q dominates every other row
+    cfg = write_config(
+        tmp_path / "c.json", grid={"rule": "trapezoid", "resolution": 129},
+        weight={"form": "tabulated", "p": 2.0,
+                "matrix": (1.0 + np.eye(129)).tolist()},
+        run={"lambda": 1.5, "n_values": [4, 8]},
+    )
+    assert main(["sweep-eps", cfg, "--output-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("bound failure: ")
+    assert "weight has no certified maximum node" in err
     assert not (out / "sweep.json").exists()
 
 
@@ -391,6 +404,35 @@ def test_csv_row_writes_each_value_as_fmt(tmp_path):
     _write_table(path, ["a"], np.array([-0.0]))
     assert path.read_text() == "a\n-0\n"
     assert np.signbit(_read_table(path, header=True)[2]).all()
+
+
+def test_read_table_parses_each_line_once(tmp_path, monkeypatch):
+    """`_read_table` parses each data line it reaches with one
+    `np.loadtxt` call, and none after the line it refuses: three for a
+    good three-row table with a blank line, two when its second row is
+    not numbers, and none for a missing file."""
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    path = tmp_path / "t.csv"
+    path.write_text("# k=v\nlambda,sup_norm\n1,2\n\n3,4\n5,6\n")
+    assert _read_table(path, header=True)[2].tolist() == [[1, 2], [3, 4],
+                                                           [5, 6]]
+    assert calls == [["1,2"], ["3,4"], ["5,6"]]
+    calls.clear()
+    path.write_text("lambda,sup_norm\n1,2\nabc,4\n5,6\n7,8\n")
+    with pytest.raises(cli.UsageError, match="t.csv line 3: not a row"):
+        _read_table(path, header=True)
+    assert calls == [["1,2"], ["abc,4"]]
+    calls.clear()
+    with pytest.raises(cli.UsageError, match="missing csv file"):
+        _read_table(tmp_path / "none.csv", header=True)
+    assert calls == []
 
 
 def test_export_plot_needs_rows(tmp_path):
@@ -738,11 +780,14 @@ def test_bad_branch_csv_exits_one(tmp_path, capsys, command, name, edit):
                  1, id="seed_lambda1-nan"),
     pytest.param("# seed_lambda1=-inf\nlambda,sup_norm\n1.5,0.1\n2,nan\n",
                  1, id="first-line-named"),
+    pytest.param("# seed_lambda1=1.0\nlambda,sup_norm\n1.5,0.1\ninf,0.2\n"
+                 "2,0.3\nabc,0.4\n", 4, id="before-a-later-parse-error"),
 ])
 def test_export_plot_refuses_non_finite_values(tmp_path, capsys, table, line):
     """A non-finite lambda, sup_norm or seed_lambda1 would be drawn as a
     NaN coordinate: export-plot exits 1 with an error line that names the
-    file and its first such line, and writes no plot."""
+    file and its first such line, and writes no plot.  The first faulty
+    line in file order is named, even when a later line is not numbers."""
     cfg = write_config(tmp_path / "c.json")
     out = tmp_path / "out"
     out.mkdir()
@@ -884,23 +929,70 @@ def test_invalid_kernel_or_weight_exits_one(tmp_path, capsys, section, value,
 
 
 def test_failed_seed_names_its_cause(tmp_path, capsys, monkeypatch):
-    """A seed that Newton cannot correct ends the trace with an error
-    that names Newton's cause, in the library and on the CLI's stderr."""
+    """A seed that Newton cannot correct, or corrects onto the trivial
+    state or onto a state that is not positive, ends the trace with an
+    error that names the cause, in the library and on the CLI's stderr."""
     def failing(op, rx, lam, u0, cfg, border=None):
         raise StepFailure("Newton X")
 
-    monkeypatch.setattr(continuation, "_newton", failing)
+    def collapsed(op, rx, lam, u0, cfg, border=None):
+        return continuation._branch_point(op, rx, lam, 0.0 * u0, 1)
+
+    def negative(op, rx, lam, u0, cfg, border=None):
+        return continuation._branch_point(op, rx, lam, -u0, 1)
+
     op = assemble(KernelSpec.constant(1.0), build_grid(
         Domain((0.0,), (1.0,)), "trapezoid", 17
     ))
-    with pytest.raises(ContinuationError) as err:
-        trace_branch(op, WeightSpec.constant(1.0, p=2.0),
-                     principal_eigenpair(op), ContinuationConfig())
-    for part in ("failed to leave the trivial solution", "Newton X"):
-        assert part in str(err.value)
     cfg = write_config(tmp_path / "c.json", run={"lambda_max": 2.0})
-    capsys.readouterr()
-    assert main(["trace", cfg, "--output-dir", str(tmp_path / "out")]) == 1
-    stderr = capsys.readouterr().err
-    assert "failed to leave the trivial solution" in stderr
-    assert "Newton X" in stderr
+    for newton, cause in (
+        (failing, "Newton X"),
+        (collapsed, "Newton collapsed toward the trivial state"),
+        (negative, "Newton converged to min u = "),
+    ):
+        monkeypatch.setattr(continuation, "_newton", newton)
+        with pytest.raises(ContinuationError) as err:
+            trace_branch(op, WeightSpec.constant(1.0, p=2.0),
+                         principal_eigenpair(op), ContinuationConfig())
+        for part in ("failed to leave the trivial solution", cause):
+            assert part in str(err.value)
+        capsys.readouterr()
+        assert main(["trace", cfg, "--output-dir",
+                     str(tmp_path / "out")]) == 1
+        stderr = capsys.readouterr().err
+        assert "failed to leave the trivial solution" in stderr
+        assert cause in stderr
+
+
+def test_trace_stops_where_it_leaves_the_admissible_set(tmp_path,
+                                                         monkeypatch):
+    """A corrected point with max Phi_u / lambda >= 1 has left the
+    admissible set: the trace stops there and keeps the points before
+    it, and the CLI's trace.json names the reason with exit 0."""
+    newton = continuation._newton
+    steps = []
+
+    def leaving(op, rx, lam, u0, cfg, border=None):
+        pt = newton(op, rx, lam, u0, cfg, border)
+        if border is None:
+            return pt
+        steps.append(lam)
+        return pt if len(steps) < 3 else replace(pt, gamma_phi_sup=1.0)
+
+    monkeypatch.setattr(continuation, "_newton", leaving)
+    op = assemble(KernelSpec.constant(1.0), build_grid(
+        Domain((0.0,), (1.0,)), "trapezoid", 17
+    ))
+    branch = trace_branch(op, WeightSpec.constant(1.0, p=1.0),
+                          principal_eigenpair(op),
+                          ContinuationConfig(lambda_max=2.0))
+    assert branch.termination == "left_admissible_set"
+    assert len(branch.points) == 3 and len(steps) == 3
+    assert all(pt.gamma_phi_sup < 1.0 for pt in branch.points)
+    steps.clear()
+    cfg = write_config(tmp_path / "c.json", run={"lambda_max": 2.0})
+    out = tmp_path / "out"
+    assert main(["trace", cfg, "--output-dir", str(out)]) == 0
+    meta = json.loads((out / "trace.json").read_text())
+    assert meta["termination"] == "left_admissible_set"
+    assert meta["points"] == 3

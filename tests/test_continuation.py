@@ -250,7 +250,8 @@ def test_trace_inside_dip_window(const_op, const_eigen):
 
 def test_trace_reports_max_points():
     """Q = 0 leaves the problem linear: the branch stands vertical at
-    lambda1 and spends its point budget without reaching lambda_max."""
+    lambda1 and spends its point budget without reaching lambda_max, and
+    `solve_at_lambda` above lambda1 is refused by name."""
     grid = build_grid(Domain((0.0,), (1.0,)), "trapezoid", 33)
     op = assemble(KernelSpec.gaussian(1.0), grid)
     eigen = principal_eigenpair(op)
@@ -259,6 +260,9 @@ def test_trace_reports_max_points():
     assert branch.termination == "max_points"
     assert len(branch.points) == 40
     assert branch.points[-1].lam < cfg.lambda_max
+    with pytest.raises(ContinuationError, match="weight has no reaction at "
+                                                "the principal eigenfunction"):
+        solve_at_lambda(op, WeightSpec.constant(0.0, p=2.0), eigen, 2.0, cfg)
 
 
 @pytest.mark.parametrize("failures", [math.inf, 3])

@@ -484,6 +484,18 @@ def test_weight_spec_validation():
             h=(1.0,), g=(0.0,), points=(0.5,), exponents=(-0.4,),
             level=2.0, p=1.0,
         )
+    with pytest.raises(ModelError, match="must be a square matrix"):
+        WeightSpec.tabulated(np.ones((3, 4)))
+    # the dataclass constructor meets the form constructors' rule
+    dip = {"form": "polynomial_dip", "p": 2.0, "points": (0.5,),
+           "exponents": (0.4,), "level": 3.0, "h": (1.0,), "g": (0.0,)}
+    with pytest.raises(ModelError, match="matching points and exponents"):
+        WeightSpec(**dip | {"points": (0.5, 0.3)})
+    with pytest.raises(ModelError, match="exponents must be positive"):
+        WeightSpec(**dip | {"exponents": (-0.4,)})
+    with pytest.raises(ModelError, match="separable weight needs "
+                                         "coefficients g and h"):
+        WeightSpec(form="separable", p=2.0)
 
 
 def test_kernel_spec_validation():
@@ -497,6 +509,16 @@ def test_kernel_spec_validation():
         KernelSpec.gaussian(math.nan)
     with pytest.raises(ModelError):
         KernelSpec.tabulated(np.ones((3, 4)))
+    # the dataclass constructor meets the form constructors' rule
+    with pytest.raises(ModelError, match="length_scale must be positive"):
+        KernelSpec(form="gaussian", length_scale=0.0)
+    with pytest.raises(ModelError, match="constant kernel value must be "
+                                         "nonnegative"):
+        KernelSpec(form="constant", value=-2.0)
+    with pytest.raises(ModelError, match="rank_one kernel needs coeffs"):
+        KernelSpec(form="rank_one")
+    with pytest.raises(ModelError, match="must be a square matrix"):
+        KernelSpec(form="tabulated")
 
 
 _DIP = {"points": (0.5,), "exponents": (0.4,), "level": 3.0}

@@ -122,7 +122,8 @@ def test_limit_procedure_validates_inputs(monkeypatch):
 def test_input_refusals_are_value_errors():
     """A refused method, n_values or x0_index is a malformed input: a
     `RegularizedError` that is also a ValueError.  The doubled-weight
-    obstruction and lambda <= lambda1 are failed bounds, not inputs."""
+    obstruction, lambda <= lambda1 and a weight with no certified maximum
+    node are failed bounds, not inputs."""
     op = _op129()
     cfg = ContinuationConfig(lambda_max=3.0)
     for change in (
@@ -139,6 +140,12 @@ def test_input_refusals_are_value_errors():
             limit_procedure(op, const_weight(p=2.0), lam, (4, 8), cfg,
                             x0_index=64)
         assert not isinstance(info.value, ValueError)
+    # Q = 1 + I: no row of Q dominates every other row
+    weight = WeightSpec.tabulated(1.0 + np.eye(129), p=2.0)
+    with pytest.raises(RegularizedError,
+                       match="weight has no certified maximum node") as info:
+        limit_procedure(op, weight, 1.5, (4, 8), cfg)
+    assert not isinstance(info.value, ValueError)
 
 
 @pytest.mark.parametrize("lam", [np.nan, np.inf, -np.inf])
@@ -303,7 +310,8 @@ def test_limit_procedure_dip_concentration(monkeypatch):
     holds and the tail contracts, but the mass bound near the center
     breaks and no extrapolant solves the un-regularized equation.  The
     run reports the doubled-weight obstruction; strict mode refuses
-    before any solve."""
+    before any solve.  At 1.9 lambda1, below the obstruction, the mass
+    bound breaks from n = 16 on, and strict mode refuses there."""
     op = _op129()
     weight = dip_weight(p=2.0)
     cfg = ContinuationConfig(lambda_max=3.0)
@@ -323,6 +331,17 @@ def test_limit_procedure_dip_concentration(monkeypatch):
     assert run.limit_residual > 1e-4
     assert "lambda/2 = 1," in run.obstruction
     assert "lambda - lambda1 = 1 there" in run.obstruction
+
+    run = limit_procedure(
+        op, weight, 1.9, (4, 8, 16, 32, 64), cfg, strict=False
+    )
+    assert run.obstruction is None and not run.near_mass_ok
+    with pytest.raises(RegularizedError, match=(
+        "near-center mass 2.997e-01 exceeds its bound 2.713e-01 at n=16"
+    )):
+        limit_procedure(
+            op, weight, 1.9, (4, 8, 16, 32, 64), cfg, strict=True
+        )
 
     def no_solve(*args, **kwargs):
         raise AssertionError("pre-flight must refuse before any solve")

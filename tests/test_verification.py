@@ -212,7 +212,7 @@ def test_verify_branch_applies_k_once_per_point(tmp_path, monkeypatch):
                            output_dir=str(tmp_path / "out"),
                            branch=str(tmp_path / "branch.csv"))
     run = RunContext(args)
-    branch = _load_branch(run, args)
+    branch = _load_branch(run)
     op = run.operator()
     calls = []
     matvec = type(op.k).matvec
